@@ -31,7 +31,6 @@ from .plethysm import (
     character,
     inner_points,
     plethysm_h,
-    plethysm_schur,
     schur_decompose,
 )
 from .polynomials import (
@@ -96,7 +95,6 @@ __all__ = [
     "SymmetricCharacter",
     "character",
     "plethysm_h",
-    "plethysm_schur",
     "schur_decompose",
     "inner_points",
     "Polytope",

@@ -1,30 +1,58 @@
-"""Weight-multiset characters and plethysms with symmetric powers.
+"""Characters, Cauchy-form symmetric powers, and their highest weights.
 
-A character is stored as the full multiset of its weights, a dict from
-exponent tuples of length r to multiplicities.  This keeps every operation
-exact and makes extracting highest weights a lattice computation.
+A character is a multiset of weights, kept in one of two storages:
+
+* ``SymmetricCharacter`` is a dict from exponent tuples of length r to
+  multiplicities.  It holds sparse inputs: the character of one Schur
+  functor, or a product of linear forms.
+* ``LatticeCharacter`` is one homogeneous degree of a symmetric-power
+  series, on GL_r or on GL_r x GL_k.  The degree fixes the coordinate sum of
+  each group (levels, ranks), so the last coordinate of every group is
+  dropped and the character is a dense integer array over the free
+  coordinates only.
+
+The symmetric powers of V (x) C^k, with V = S_nu C^r and k the rank bound,
+come from one Newton recurrence.  By the Cauchy identity (Macdonald,
+*Symmetric Functions and Hall Polynomials*, I.4)
+
+    Sym^m(V (x) C^k) = sum over mu |- m, l(mu) <= k of S_mu V (x) S_mu C^k,
+
+so the GL_r x GL_k highest weights (lam, mu) of degree m are exactly the
+components lam of the plethysms S_mu V.  Each degree is decomposed once, by a
+vectorized Weyl alternation over S_r x S_k.  The dict engine it replaced
+(Jacobi-Trudi plethysms, decomposition by peeling) is kept as the reference
+in ``tests/oracles.py``.
+
+Every step is exact.  Dense entries are int64 when a bound on them fits and
+Python integers (``dtype=object``) otherwise, through the same code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations as iter_permutations
+from functools import cached_property, lru_cache
+from itertools import accumulate, permutations as iter_permutations
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import ResourceLimitError
 from .tableaux import (
-    Partition,
     content_vector,
     enumerate_ssyt,
     normalize,
-    partitions_in_box,
     size,
     weyl_dimension,
 )
 
 INNER_POINT_LEVEL_CAP = 8
 INNER_POINT_DEGREE_CAP = 24
+
+# Largest entry an int64 array may hold; bounds above it switch to Python ints.
+_INT64_LIMIT = int(np.iinfo(np.int64).max)
+# Most (dominant weight, orbit element) pairs one alternation block gathers.
+_GATHER_BLOCK = 1 << 14
 
 
 class SymmetricCharacter:
@@ -100,6 +128,50 @@ class SymmetricCharacter:
             raise ValueError(f"level mismatch: {self.r} vs {other.r}")
 
 
+class LatticeCharacter:
+    """One homogeneous degree of a character of GL_g1 x GL_g2 x ..., stored densely.
+
+    ``groups`` are the group sizes, ``totals`` the coordinate sum of each
+    group, and ``array`` has one axis per free coordinate: every coordinate
+    of a group but its last, which the total fixes.  A weight's multiplicity
+    sits at its free coordinates; a free position whose last coordinate would
+    be negative holds 0.
+    """
+
+    def __init__(self, groups: tuple[int, ...], totals: tuple[int, ...], array: np.ndarray):
+        self.groups = groups
+        self.totals = totals
+        self.array = array
+
+    def dimension(self) -> int:
+        return int(self.array.sum())
+
+    def _free_coordinates(self, flat: np.ndarray) -> np.ndarray:
+        """Free coordinates, one row each, of the entries at the given flat indices."""
+        shape = self.array.shape
+        free = np.empty((len(flat), len(shape)), dtype=np.int64)
+        for axis, stride in enumerate(_strides(shape)):
+            free[:, axis] = (flat // stride) % shape[axis]
+        return free
+
+    def _complete(self, free: np.ndarray) -> np.ndarray:
+        """Complete weights from free coordinates: each group's total gives its last one."""
+        columns = []
+        start = 0
+        for g, total in zip(self.groups, self.totals):
+            part = free[:, start : start + g - 1]
+            columns += [part, total - part.sum(axis=1, keepdims=True)]
+            start += g - 1
+        return np.concatenate(columns, axis=1)
+
+    @cached_property
+    def weights(self) -> dict[tuple[int, ...], int]:
+        """The weight multiset as a dict of complete weight tuples, built on first use."""
+        flat = np.flatnonzero(self.array)
+        full = self._complete(self._free_coordinates(flat))
+        return dict(zip(map(tuple, full.tolist()), self.array.ravel()[flat].tolist()))
+
+
 def character(nu: Iterable[int], r: int) -> SymmetricCharacter:
     """Character of the irreducible shape-nu representation on r levels."""
     nu = normalize(nu)
@@ -112,142 +184,217 @@ def character(nu: Iterable[int], r: int) -> SymmetricCharacter:
     return SymmetricCharacter(r, weights)
 
 
-def power_substitute(f: SymmetricCharacter, k: int) -> SymmetricCharacter:
-    """Replace every weight by k times itself (Adams operation on characters)."""
-    if k < 1:
-        raise ValueError("power substitution needs k >= 1")
-    return SymmetricCharacter(
-        f.r, {tuple(k * x for x in wt): m for wt, m in f.weights.items()}
-    )
+def _entry_dtype(bound: int):
+    """Dtype for entries of absolute value at most ``bound``: int64 if it fits, else Python ints."""
+    return np.int64 if bound <= _INT64_LIMIT else object
 
 
-def plethysm_h_series(m_max: int, f: SymmetricCharacter) -> list[SymmetricCharacter]:
-    """Characters of the symmetric powers Sym^0(f) .. Sym^max(f).
+def _strides(shape: tuple[int, ...]) -> list[int]:
+    """Flat-index step of each axis of a C-ordered array of this shape."""
+    return [prod(shape[axis + 1 :]) for axis in range(len(shape))]
 
-    Built by the Newton recurrence m * h_m = sum_k Adams_k(f) * h_{m-k}; the
-    division by m is exact and asserted.
+
+def plethysm_h_series(m_max: int, f: SymmetricCharacter, k: int = 1) -> list[LatticeCharacter]:
+    """Characters of Sym^0 .. Sym^m_max of f (x) C^k.
+
+    With k = 1 these are GL_r characters, the symmetric powers of f; with
+    k > 1 they are GL_r x GL_k characters.  f must be homogeneous.  Built by
+    the Newton recurrence m h_m = sum_j Adams_j(f (x) C^k) h_{m-j}: every
+    Adams weight shifts the dense array of h_{m-j} into the accumulator.  The
+    division by m must be exact, and the dimension of every degree must be
+    C(k dim f + m - 1, m); either failure raises ArithmeticError.
     """
     if m_max < 0:
         raise ValueError("negative power")
-    series = [SymmetricCharacter.unit(f.r)]
-    adams = [None] + [power_substitute(f, k) for k in range(1, m_max + 1)]
+    if k < 1:
+        raise ValueError("the rank must be at least 1")
+    r = f.r
+    degree = f.degree()
+    if any(sum(wt) != degree for wt in f.weights):
+        raise ValueError("symmetric powers need a homogeneous character")
+    groups = (r,) if k == 1 else (r, k)
+    # Weights of f (x) C^k on the free coordinates (Adams_j multiplies them
+    # by j), and the largest value of each free coordinate in degree 1.
+    units = [tuple(int(a == b) for b in range(k - 1)) for a in range(k)]
+    factor = [(wt[:-1] + e, mult) for wt, mult in f.weights.items() for e in units]
+    caps = [max((wt[axis] for wt, _ in factor), default=0) for axis in range(r + k - 2)]
+    dim_f = f.dimension()
+    orbit = prod(factorial(g) for g in groups)
+    series = [LatticeCharacter(groups, (0,) * len(groups), np.ones((1,) * len(caps), dtype=np.int64))]
     for m in range(1, m_max + 1):
-        acc = SymmetricCharacter(f.r)
-        for k in range(1, m + 1):
-            acc = acc + adams[k] * series[m - k]
-        out = {}
-        for wt, mult in acc.weights.items():
-            q, rem = divmod(mult, m)
-            assert rem == 0, "Newton recurrence must divide exactly"
-            out[wt] = q
-        series.append(SymmetricCharacter(f.r, out))
+        dim_m = comb(k * dim_f + m - 1, m)
+        dtype = _entry_dtype(m * dim_m * orbit)
+        acc = np.zeros(tuple(m * c + 1 for c in caps), dtype=dtype)
+        for j in range(1, m + 1):
+            prev = series[m - j].array.astype(dtype, copy=False)
+            for shift, mult in factor:
+                window = tuple(slice(j * s, j * s + n) for s, n in zip(shift, prev.shape))
+                acc[window] += prev if mult == 1 else mult * prev
+        if (acc % m).any():
+            raise ArithmeticError(f"Newton recurrence does not divide exactly at degree {m}")
+        totals = (degree * m,) if k == 1 else (degree * m, m)
+        term = LatticeCharacter(groups, totals, acc // m)
+        if term.dimension() != dim_m:
+            raise ArithmeticError(f"degree {m} has dimension {term.dimension()}, not {dim_m}")
+        series.append(term)
     return series
 
 
-def plethysm_h(m: int, f: SymmetricCharacter) -> SymmetricCharacter:
+def plethysm_h(m: int, f: SymmetricCharacter) -> LatticeCharacter:
     """Character of the m-th symmetric power of f."""
     return plethysm_h_series(m, f)[m]
 
 
-def plethysm_schur(
-    mu: Iterable[int],
-    f: SymmetricCharacter,
-    h_series: list[SymmetricCharacter] | None = None,
-) -> SymmetricCharacter:
-    """Character of the mu-shaped Schur functor applied to f.
-
-    Uses the determinant of symmetric-power characters h_{mu_i - i + j}; a
-    precomputed series can be passed to share work across shapes.
-    """
-    mu = normalize(mu)
-    if not mu:
-        return SymmetricCharacter.unit(f.r)
-    n = len(mu)
-    need = mu[0] + n - 1
-    if h_series is None or len(h_series) <= need:
-        h_series = plethysm_h_series(need, f)
-    total = SymmetricCharacter(f.r)
-    for sigma in iter_permutations(range(n)):
-        indices = [mu[i] - i + sigma[i] for i in range(n)]
-        if any(k < 0 for k in indices):
-            continue
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j]
-        )
-        prod = SymmetricCharacter.unit(f.r)
-        for k in indices:
-            prod = prod * h_series[k]
-        total = total + prod.scale((-1) ** inversions)
-    return total
-
-
 @lru_cache(maxsize=None)
-def _signed_delta_orbit(r: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    delta = tuple(range(r - 1, -1, -1))
-    out = []
-    for sigma in iter_permutations(range(r)):
-        inversions = sum(
-            1 for i in range(r) for j in range(i + 1, r) if sigma[i] > sigma[j]
+def _signed_delta_orbit(groups: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets delta - w(delta) and signs of every w in S_g1 x S_g2 x ..., one row each.
+
+    The offset columns are the complete coordinates of all groups side by
+    side.  The arrays are cached, so they are made read-only.
+    """
+    offsets = np.zeros((1, 0), dtype=np.int64)
+    signs = np.ones(1, dtype=np.int64)
+    for g in groups:
+        perms = np.array(list(iter_permutations(range(g))), dtype=np.int64)
+        inversions = np.zeros(len(perms), dtype=np.int64)
+        for i in range(g):
+            for j in range(i + 1, g):
+                inversions += perms[:, i] > perms[:, j]
+        delta = np.arange(g - 1, -1, -1, dtype=np.int64)
+        offsets = np.concatenate(
+            [np.repeat(offsets, len(perms), axis=0), np.tile(delta - delta[perms], (len(offsets), 1))],
+            axis=1,
         )
-        out.append(((-1) ** inversions, tuple(delta[s] for s in sigma)))
-    return tuple(out)
+        signs = np.repeat(signs, len(perms)) * np.tile(1 - 2 * (inversions % 2), len(signs))
+    offsets.flags.writeable = False
+    signs.flags.writeable = False
+    return offsets, signs
 
 
-def schur_decompose(f: SymmetricCharacter, validate: bool = True) -> dict[Partition, int]:
+def _free_columns(groups: tuple[int, ...]) -> list[int]:
+    """Columns of the complete coordinates that are free: all but each group's last."""
+    ends = list(accumulate(groups))
+    return [c for c in range(ends[-1]) if c + 1 not in ends]
+
+
+def _alternate(coords, offsets, signs, box, strides, gather) -> np.ndarray:
+    """Weyl alternation sums sum_w sign(w) f(coords + offset(w)), one per row of coords.
+
+    ``box`` is the shape the coordinates index into, ``strides`` its flat
+    index steps, and ``gather`` maps flat indices to multiplicities, with -1
+    for a key outside the box.  The (rows, orbit) index array is built in
+    blocks of at most _GATHER_BLOCK entries, which bounds the memory of a
+    large orbit.
+    """
+    base = coords @ strides
+    shift = offsets @ strides
+    rows = max(1, _GATHER_BLOCK // len(offsets))
+    parts = []
+    for start in range(0, len(coords), rows):
+        block = coords[start : start + rows]
+        valid = np.ones((len(block), len(offsets)), dtype=bool)
+        for axis, n in enumerate(box):
+            key = block[:, axis, None] + offsets[None, :, axis]
+            valid &= (key >= 0) & (key < n)
+        flat = np.where(valid, base[start : start + rows, None] + shift, -1)
+        parts.append((gather(flat) * signs).sum(axis=1))
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def _dominant_flat(f: LatticeCharacter) -> np.ndarray:
+    """Flat indices of the dominant weights (weakly decreasing in each group) in the support."""
+    shape = f.array.shape
+    mask = f.array != 0
+    axis = 0
+    for g, total in zip(f.groups, f.totals):
+        free = [
+            np.arange(shape[a]).reshape([-1 if b == a else 1 for b in range(len(shape))])
+            for a in range(axis, axis + g - 1)
+        ]
+        if free:
+            chain = free + [total - sum(free)]
+            for upper, lower in zip(chain, chain[1:]):
+                mask &= upper >= lower
+        axis += g - 1
+    return np.flatnonzero(mask)
+
+
+def _decompose_lattice(f: LatticeCharacter):
+    """Dominant weights, as complete coordinate rows, and their alternation sums."""
+    free = f._free_coordinates(_dominant_flat(f))
+    offsets, signs = _signed_delta_orbit(f.groups)
+    values = f.array.ravel()
+
+    def gather(idx):
+        return np.where(idx >= 0, values[idx], 0)
+
+    shape = f.array.shape
+    strides = np.array(_strides(shape), dtype=np.int64)
+    mults = _alternate(free, offsets[:, _free_columns(f.groups)], signs, shape, strides, gather)
+    return f._complete(free), mults
+
+
+def _decompose_sparse(f: SymmetricCharacter):
+    """The same for a dict character: keys are looked up by binary search."""
+    r = f.r
+    weights = list(f.weights)
+    if any(x < 0 for wt in weights for x in wt):
+        raise ValueError("a negative exponent is not a polynomial character")
+    dominant = [wt for wt in weights if all(wt[i] >= wt[i + 1] for i in range(r - 1))]
+    full = np.array(dominant, dtype=np.int64).reshape(-1, r)
+    offsets, signs = _signed_delta_orbit((r,))
+    box = (max((max(wt) for wt in weights), default=0) + 1,) * r
+    # each alternation sum has |orbit| terms of absolute value at most max |mult|
+    bound = len(signs) * max((abs(m) for m in f.weights.values()), default=0)
+    strides = np.array(_strides(box), dtype=_entry_dtype(prod(box)))
+    codes = np.array(weights, dtype=np.int64).reshape(-1, r) @ strides
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    values = np.array(list(f.weights.values()), dtype=_entry_dtype(bound))[order]
+
+    def gather(idx):
+        pos = np.minimum(np.searchsorted(codes, idx), len(codes) - 1)
+        return np.where(codes[pos] == idx, values[pos], 0)
+
+    return full, _alternate(full, offsets, signs, box, strides, gather)
+
+
+def schur_decompose(
+    f: SymmetricCharacter | LatticeCharacter, validate: bool = True
+) -> dict:
     """Highest weights and multiplicities of a character.
 
-    Each dominant weight is tested with the Weyl alternation sum over the
-    staircase orbit, which only needs dictionary lookups into the weight
-    multiset.  Raises ValueError if any multiplicity comes out negative or the
+    Each dominant weight lam in the support is tested with the Weyl
+    alternation sum_w sign(w) f(lam + delta - w(delta)) over S_r, or over
+    S_r x S_k for a GL_r x GL_k character.  Keys are partitions for a GL_r
+    character and (lam, mu) pairs of partitions for a GL_r x GL_k one.
+    Raises ValueError if any multiplicity comes out negative or the
     dimension count does not add up, since then f was not a character.
     """
-    r = f.r
-    orbit = _signed_delta_orbit(r)
-    delta = tuple(range(r - 1, -1, -1))
-    result: dict[Partition, int] = {}
-    dominant = [wt for wt in f.weights if all(wt[i] >= wt[i + 1] for i in range(r - 1))]
-    for lam in dominant:
-        shifted = tuple(lam[i] + delta[i] for i in range(r))
-        mult = 0
-        for sign, perm_delta in orbit:
-            key = tuple(shifted[i] - perm_delta[i] for i in range(r))
-            if any(x < 0 for x in key):
-                continue
-            m = f.weights.get(key)
-            if m:
-                mult += sign * m
-        if mult < 0:
-            raise ValueError(f"negative multiplicity {mult} at {lam}: not a character")
-        if mult:
-            result[normalize(lam)] = mult
+    if isinstance(f, LatticeCharacter):
+        groups = f.groups
+        full, mults = _decompose_lattice(f)
+    else:
+        groups = (f.r,)
+        full, mults = _decompose_sparse(f)
+    if (mults < 0).any():
+        bad = int(np.flatnonzero(mults < 0)[0])
+        raise ValueError(
+            f"negative multiplicity {mults[bad]} at {tuple(full[bad].tolist())}: not a character"
+        )
+    result: dict = {}
+    bounds = list(accumulate((0,) + groups))
+    for idx in np.flatnonzero(mults).tolist():
+        row = full[idx].tolist()
+        parts = tuple(normalize(row[a:b]) for a, b in zip(bounds, bounds[1:]))
+        result[parts[0] if len(parts) == 1 else parts] = int(mults[idx])
     if validate:
-        total = sum(m * weyl_dimension(lam, r) for lam, m in result.items())
+        total = 0
+        for key, mult in result.items():
+            parts = (key,) if len(groups) == 1 else key
+            total += mult * prod(weyl_dimension(p, g) for p, g in zip(parts, groups))
         if total != f.dimension():
             raise ValueError("component dimensions do not sum to the character dimension")
-    return result
-
-
-def schur_decompose_peel(f: SymmetricCharacter) -> dict[Partition, int]:
-    """Reference decomposition by repeatedly peeling the top weight.
-
-    Quadratic in the number of components and meant for small inputs and
-    cross-checks; the alternation-sum routine is the production path.
-    """
-    remaining = dict(f.weights)
-    result: dict[Partition, int] = {}
-    while remaining:
-        top = max(remaining)
-        mult = remaining[top]
-        if mult < 0 or any(top[i] < top[i + 1] for i in range(f.r - 1)):
-            raise ValueError("not a character")
-        lam = normalize(top)
-        result[lam] = mult
-        for wt, m in character(lam, f.r).weights.items():
-            new = remaining.get(wt, 0) - mult * m
-            if new:
-                remaining[wt] = new
-            else:
-                del remaining[wt]
     return result
 
 
@@ -261,10 +408,11 @@ def inner_points(
 ) -> list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
     """Normalized highest-weight points of all Schur functors up to degree m_cap.
 
-    For every shape mu of size at most m_cap with at most rank_bound rows, the
-    plethysm of f = character(nu, r) is decomposed; each component lam at
-    degree m yields the point (lam / m, mu / m).  The first coordinate sums to
-    the particle number, the second to one.
+    For every shape mu of size m <= m_cap with at most rank_bound rows, each
+    component lam of the plethysm of f = character(nu, r) with S_mu yields
+    the point (lam / m, mu / m); the first coordinate sums to the particle
+    number, the second to one.  The pairs (lam, mu) are the highest weights
+    of Sym^m(f (x) C^rank_bound), by the Cauchy identity.
     """
     nu = normalize(nu)
     if r > level_cap:
@@ -275,22 +423,21 @@ def inner_points(
         )
     if rank_bound < 1:
         raise ValueError("rank bound must be at least 1")
-    f = character(nu, r)
-    h_series = plethysm_h_series(m_cap, f)
-    points: set[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = set()
+    series = plethysm_h_series(m_cap, character(nu, r), rank_bound)
+    # Each point times lcm(1..m_cap) is an integer tuple, which deduplicates
+    # and sorts exactly like the fractions and much faster.
+    scale = lcm(*range(1, m_cap + 1))
+    keys: set[tuple[int, ...]] = set()
     for m in range(1, m_cap + 1):
-        for mu in partitions_in_box(rank_bound, m, total=m):
-            if not mu:
-                continue
-            char_mu = (
-                h_series[m] if len(mu) == 1 else plethysm_schur(mu, f, h_series)
-            )
-            if not char_mu.weights:
-                continue
-            mu_padded = mu + (0,) * (rank_bound - len(mu))
-            mu_point = tuple(Fraction(x, m) for x in mu_padded)
-            for lam in schur_decompose(char_mu):
-                lam_padded = lam + (0,) * (r - len(lam))
-                lam_point = tuple(Fraction(x, m) for x in lam_padded)
-                points.add((lam_point, mu_point))
-    return sorted(points)
+        step = scale // m
+        for hw in schur_decompose(series[m]):
+            lam, mu = (hw, (m,)) if rank_bound == 1 else hw
+            padded = lam + (0,) * (r - len(lam)) + mu + (0,) * (rank_bound - len(mu))
+            keys.add(tuple(x * step for x in padded))
+    return [
+        (
+            tuple(Fraction(x, scale) for x in key[:r]),
+            tuple(Fraction(x, scale) for x in key[r:]),
+        )
+        for key in sorted(keys)
+    ]

@@ -7,8 +7,8 @@ increasing along rows and strictly increasing down columns.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -259,17 +259,26 @@ def littlewood_richardson(mu: Iterable[int], pi: Iterable[int], nu: Iterable[int
 
 
 def weyl_dimension(shape: Iterable[int], r: int) -> int:
-    """Dimension of the degree-r polynomial representation with highest weight shape."""
+    """Dimension of the degree-r polynomial representation with highest weight shape.
+
+    The hook-content formula: the product of r + c over the cells, c = j - i
+    the content, divided by the product of the hook lengths.  With
+    l_i = shape_i + n - 1 - i for n rows, the hook lengths in row i are
+    1 .. l_i without the differences l_i - l_j, j > i.
+    """
     shape = normalize(shape)
     if len(shape) > r:
         return 0
-    num = Fraction(1)
-    for i in range(len(shape)):
-        for j in range(shape[i]):
-            leg = sum(1 for k in range(i + 1, len(shape)) if shape[k] > j)
-            num *= Fraction(r + j - i, shape[i] - j + leg)
-    assert num.denominator == 1
-    return int(num)
+    n = len(shape)
+    ell = [part + n - 1 - i for i, part in enumerate(shape)]
+    num = den = 1
+    for i, part in enumerate(shape):
+        num *= prod(range(r - i, r - i + part))
+        den *= factorial(ell[i]) // prod([ell[i] - e for e in ell[i + 1 :]])
+    dim, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"hook-content quotient for {shape} on {r} levels is not an integer")
+    return dim
 
 
 class FramedDiagram(NamedTuple):

@@ -5,7 +5,10 @@ semistandard tableaux are filled by rejection over raw products, skew
 standard counts come from linear-extension enumeration, divided differences
 go through sympy's exact division, Schur polynomials through the bialternant
 quotient, one-particle density matrices through full antisymmetrized tensors,
-and plethysms through multiset expansion.
+and plethysms through multiset expansion or through the dict engine the
+package used before its Cauchy-form lattice engine: a Newton series of
+weight dicts, Jacobi-Trudi determinants for every Schur functor, and
+decomposition by peeling off top weights.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ import numpy as np
 import sympy
 
 from paulitope.permutations import Permutation
+from paulitope.plethysm import SymmetricCharacter, character
 from paulitope.polynomials import SparsePoly, divided_difference_word
-from paulitope.tableaux import normalize
+from paulitope.tableaux import normalize, partitions_in_box
 
 
 # ------------------------------------------------------------------- tableaux
@@ -259,6 +263,120 @@ def brute_h_weights(m: int, weights: dict) -> dict:
         total = tuple(sum(basis[i][k] for i in combo) for k in range(len(basis[0])))
         out[total] = out.get(total, 0) + 1
     return out
+
+
+def power_substitute(f: SymmetricCharacter, k: int) -> SymmetricCharacter:
+    """Replace every weight by k times itself (Adams operation on characters)."""
+    if k < 1:
+        raise ValueError("power substitution needs k >= 1")
+    return SymmetricCharacter(
+        f.r, {tuple(k * x for x in wt): m for wt, m in f.weights.items()}
+    )
+
+
+def dict_h_series(m_max: int, f: SymmetricCharacter) -> list[SymmetricCharacter]:
+    """Sym^0(f) .. Sym^m_max(f) by the Newton recurrence on weight dicts."""
+    series = [SymmetricCharacter.unit(f.r)]
+    adams = [None] + [power_substitute(f, k) for k in range(1, m_max + 1)]
+    for m in range(1, m_max + 1):
+        acc = SymmetricCharacter(f.r)
+        for k in range(1, m + 1):
+            acc = acc + adams[k] * series[m - k]
+        out = {}
+        for wt, mult in acc.weights.items():
+            q, rem = divmod(mult, m)
+            if rem:
+                raise ArithmeticError("Newton recurrence must divide exactly")
+            out[wt] = q
+        series.append(SymmetricCharacter(f.r, out))
+    return series
+
+
+def plethysm_schur(mu, f: SymmetricCharacter, h_series=None) -> SymmetricCharacter:
+    """Character of the mu-shaped Schur functor of f: the Jacobi-Trudi determinant
+    of symmetric-power characters h_{mu_i - i + j}."""
+    mu = normalize(mu)
+    if not mu:
+        return SymmetricCharacter.unit(f.r)
+    n = len(mu)
+    need = mu[0] + n - 1
+    if h_series is None or len(h_series) <= need:
+        h_series = dict_h_series(need, f)
+    total = SymmetricCharacter(f.r)
+    for sigma in itertools.permutations(range(n)):
+        indices = [mu[i] - i + sigma[i] for i in range(n)]
+        if any(k < 0 for k in indices):
+            continue
+        term = SymmetricCharacter.unit(f.r)
+        for k in indices:
+            term = term * h_series[k]
+        total = total + term.scale(_perm_sign(sigma))
+    return total
+
+
+def schur_decompose_peel(f: SymmetricCharacter) -> dict:
+    """Decomposition by repeatedly peeling the top weight's character."""
+    remaining = dict(f.weights)
+    result: dict = {}
+    while remaining:
+        top = max(remaining)
+        mult = remaining[top]
+        if mult < 0 or any(top[i] < top[i + 1] for i in range(f.r - 1)):
+            raise ValueError("not a character")
+        lam = normalize(top)
+        result[lam] = mult
+        for wt, m in character(lam, f.r).weights.items():
+            new = remaining.get(wt, 0) - mult * m
+            if new:
+                remaining[wt] = new
+            else:
+                del remaining[wt]
+    return result
+
+
+def cauchy_components(nu, r: int, k: int, m_max: int) -> list[dict]:
+    """Highest weights of Sym^m(S_nu C^r (x) C^k), m = 0 .. m_max, by the dict engine.
+
+    For every mu |- m with at most k rows, each component lam of S_mu(S_nu C^r)
+    contributes (lam, mu) with its multiplicity; with k = 1 the key is lam.
+    """
+    f = character(nu, r)
+    h_series = dict_h_series(m_max, f)
+    out = []
+    for m in range(m_max + 1):
+        degree: dict = {}
+        for mu in partitions_in_box(k, m, total=m):
+            for lam, mult in schur_decompose_peel(plethysm_schur(mu, f, h_series)).items():
+                degree[lam if k == 1 else (lam, mu)] = mult
+        out.append(degree)
+    return out
+
+
+def cauchy_points(components: list[dict], r: int, k: int, m_cap: int) -> list:
+    """Sorted normalized points (lam / m, mu / m) of the components up to degree m_cap."""
+    points = set()
+    for m in range(1, m_cap + 1):
+        for key in components[m]:
+            lam, mu = (key, (m,)) if k == 1 else key
+            lam = lam + (0,) * (r - len(lam))
+            mu = mu + (0,) * (k - len(mu))
+            points.add((tuple(Fraction(x, m) for x in lam), tuple(Fraction(x, m) for x in mu)))
+    return sorted(points)
+
+
+def fraction_weyl_dimension(shape, r: int) -> int:
+    """Weyl dimension as a running product of Fractions (r + content) / hook."""
+    shape = normalize(shape)
+    if len(shape) > r:
+        return 0
+    num = Fraction(1)
+    for i in range(len(shape)):
+        for j in range(shape[i]):
+            leg = sum(1 for k in range(i + 1, len(shape)) if shape[k] > j)
+            num *= Fraction(r + j - i, shape[i] - j + leg)
+    if num.denominator != 1:
+        raise AssertionError(f"non-integer dimension {num}")
+    return int(num)
 
 
 def brute_monomial_product(a: dict, b: dict) -> dict:

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from oracles import brute_kostka, brute_skew_standard_count, brute_ssyt, peel_schur
-from oracles import bialternant_schur, brute_monomial_product
+from oracles import bialternant_schur, brute_monomial_product, fraction_weyl_dimension
 from paulitope.tableaux import (
     FramedDiagram,
     complement_diagram,
@@ -92,6 +92,14 @@ def test_enumerate_ssyt_count_matches_weyl_dimension():
 
 def test_weyl_dimension_too_tall_is_zero():
     assert weyl_dimension((1, 1, 1), 2) == 0
+
+
+def test_weyl_dimension_matches_fraction_product_in_a_box():
+    shapes = list(partitions_in_box(7, 6))
+    assert len(shapes) == 1716
+    for shape in shapes:
+        for r in range(1, 10):
+            assert weyl_dimension(shape, r) == fraction_weyl_dimension(shape, r), (shape, r)
 
 
 def test_reading_word_and_content():
