@@ -11,12 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .coefficients import coefficient, inequality_to_triple
 from .errors import ResourceLimitError, UnmatchedInequalityError
-from .plethysm import INNER_POINT_DEGREE_CAP, INNER_POINT_LEVEL_CAP, inner_points
+from .plethysm import (
+    INNER_POINT_DEGREE_CAP,
+    INNER_POINT_LEVEL_CAP,
+    _entry_dtype,
+    inner_points,
+)
 from .tableaux import normalize, size
 
 RAY_CAP = 20000
@@ -41,9 +49,7 @@ def _scale_to_int(row: Sequence) -> IntVec:
 
 def _primitive(vec: Iterable[int]) -> IntVec:
     vec = tuple(vec)
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
+    g = gcd(*vec)
     if g > 1:
         vec = tuple(v // g for v in vec)
     return vec
@@ -92,9 +98,33 @@ def _reduce_mod_keep_sign(vec: IntVec, basis: Sequence[IntVec]) -> IntVec:
     return reduced
 
 
+def _int_row(row: Sequence) -> IntVec:
+    """Primitive integer form of a row; only rows not already all int go through Fraction."""
+    if set(map(type, row)) == {int}:
+        return _primitive(row)
+    return _scale_to_int(row)
+
+
+def _implied(pending: np.ndarray, row_max: int, lineality, rays) -> np.ndarray:
+    """Mask of the pending rows that hold on the whole current cone.
+
+    A row a is implied when a.l = 0 for every lineality vector l and a.r >= 0
+    for every ray r.  The product is exact: int64 when
+    max|row| * max|generator| * dim fits, Python ints otherwise.
+    """
+    gens = lineality + [vec for vec, _ in rays]
+    if not gens:
+        return np.ones(len(pending), dtype=bool)
+    gen_max = max(map(abs, chain.from_iterable(gens)))
+    dtype = _entry_dtype(row_max * gen_max * pending.shape[1])
+    products = pending.astype(dtype, copy=False) @ np.array(gens, dtype=dtype).T
+    n_lin = len(lineality)
+    return (products[:, :n_lin] == 0).all(axis=1) & (products[:, n_lin:] >= 0).all(axis=1)
+
+
 def cone_dual(
-    equations: Sequence[Sequence],
-    inequalities: Sequence[Sequence],
+    equations: Iterable[Sequence],
+    inequalities: Iterable[Sequence],
     dim: int,
     ray_cap: int = RAY_CAP,
 ) -> tuple[list[IntVec], list[IntVec]]:
@@ -102,15 +132,26 @@ def cone_dual(
 
     Equations are eliminated first by pivoting inside the lineality space;
     inequalities are then inserted in sorted order with the standard double
-    description step, using bitmasks over inequality indices for the
+    description step, using bitmasks over the inserted inequalities for the
     adjacency test.
+
+    Before each insertion one matrix product checks every remaining
+    inequality against the current lineality basis and rays.  A row that is
+    implied by the current cone is implied by every later, smaller cone, so
+    it is dropped for good, and the first row that is not implied is
+    inserted.  The output is the same as inserting every row: extreme rays
+    and lineality depend only on the cone, not on redundant rows; the
+    combinatorial adjacency test is valid for any system that defines the
+    cone; and the kept rows go in in the same order, so the ray count at each
+    step, and with it the ray cap, is unchanged.
     """
-    eq_rows = [r for r in (_scale_to_int(e) for e in equations) if any(r)]
-    ineq_rows = sorted({r for r in (_scale_to_int(a) for a in inequalities) if any(r)})
+    eq_rows = [r for r in map(_int_row, equations) if any(r)]
+    ineq_rows = sorted({r for r in map(_int_row, inequalities) if any(r)})
     lineality: list[IntVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
     ]
     rays: list[tuple[IntVec, int]] = []
+    nbits = 0
 
     def pivot(a: IntVec, l0: IntVec, d0: int, new_bit: int | None, prior_mask: int):
         nonlocal lineality, rays
@@ -170,7 +211,10 @@ def cone_dual(
         else:
             rays = [(v, z) for v, z, _ in pos] + zero + combos
         if len(rays) > ray_cap:
-            raise ResourceLimitError(f"ray count {len(rays)} exceeds cap {ray_cap}")
+            raise ResourceLimitError(
+                f"cone_dual: ray count {len(rays)} exceeds cap {ray_cap} after inserting "
+                f"{nbits} of {len(ineq_rows)} inequalities (dim {dim})"
+            )
 
     for a in eq_rows:
         l0 = next((l for l in lineality if _dot(a, l)), None)
@@ -179,8 +223,16 @@ def cone_dual(
         else:
             split(a, None)
 
-    nbits = 0
-    for a in ineq_rows:
+    row_max = max(map(abs, chain.from_iterable(ineq_rows)), default=0)
+    pending = np.array(ineq_rows, dtype=_entry_dtype(row_max)).reshape(len(ineq_rows), dim)
+    while len(pending):
+        live = ~_implied(pending, row_max, lineality, rays)
+        if not live.any():
+            break
+        first = int(live.argmax())
+        a = tuple(pending[first].tolist())
+        live[first] = False
+        pending = pending[live]
         bit = 1 << nbits
         prior = bit - 1
         nbits += 1
@@ -254,20 +306,27 @@ def polytope_from_h(
     return Polytope(dim, eqs, ineqs, _vertices_from_h(dim, eqs, ineqs))
 
 
-def hull(points: Sequence[Sequence]) -> Polytope:
+def _point_row(point: Sequence) -> IntVec:
+    """The primitive integer row (den, x1*den, ...), den the lcm of the denominators."""
+    pairs = [(x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio() for x in point]
+    den = lcm(*[d for _, d in pairs])
+    return (den, *[n * (den // d) for n, d in pairs])
+
+
+def hull(points: Iterable[Sequence]) -> Polytope:
     """Convex hull with exact facets, equations, and vertices.
 
     Works in the dual: each point p contributes the constraint c0 + c.p >= 0
     on affine functionals (c0, c); lineality directions of that cone are the
-    equations of the hull and extreme rays are its facets.
+    equations of the hull and extreme rays are its facets.  Coordinates may
+    be ints, Fractions, or anything ``Fraction()`` accepts.
     """
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    if not pts:
+    rows = {_point_row(p) for p in points}
+    if not rows:
         raise ValueError("need at least one point")
-    dim = len(pts[0])
-    if any(len(p) != dim for p in pts):
+    dim = len(next(iter(rows))) - 1
+    if any(len(row) != dim + 1 for row in rows):
         raise ValueError("points have mixed arity")
-    rows = [(Fraction(1),) + p for p in set(pts)]
     rays, lin = cone_dual([], rows, dim + 1)
 
     equations = []
@@ -332,52 +391,27 @@ def canonical_inequality(
     return scaled[:r], scaled[r:-1], scaled[-1]
 
 
-def _wall_forms(r: int, n_particles: int, rank_bound: int) -> set:
-    """Canonical forms of the chamber and positivity constraints."""
-    walls = []
-    d = r + (rank_bound if rank_bound > 1 else 0)
-    for i in range(r - 1):
-        vec = [0] * d
-        vec[i], vec[i + 1] = -1, 1
-        walls.append((vec, 0))
-    vec = [0] * d
-    vec[r - 1] = -1
-    walls.append((vec, 0))
-    if rank_bound > 1:
-        for i in range(rank_bound - 1):
-            vec = [0] * d
-            vec[r + i], vec[r + i + 1] = -1, 1
-            walls.append((vec, 0))
-        vec = [0] * d
-        vec[r + rank_bound - 1] = -1
-        walls.append((vec, 0))
-    return {
-        canonical_inequality(v, b, r, n_particles, rank_bound) for v, b in walls
-    }
-
-
 def _ambient_system(r: int, n_particles: int, rank_bound: int):
+    """Trace equations (a, b) for a.x = b, and chamber walls (a, b) for a.x <= b.
+
+    The walls order each coordinate group (levels, then ranks) and keep its
+    last coordinate non-negative.
+    """
     d = r + (rank_bound if rank_bound > 1 else 0)
     equations = [(tuple([1] * r + [0] * (d - r)), n_particles)]
+    groups = [(0, r)]
     if rank_bound > 1:
         equations.append((tuple([0] * r + [1] * rank_bound), 1))
-    inequalities = []
-    for i in range(r - 1):
-        vec = [0] * d
-        vec[i], vec[i + 1] = -1, 1
-        inequalities.append((tuple(vec), 0))
-    vec = [0] * d
-    vec[r - 1] = -1
-    inequalities.append((tuple(vec), 0))
-    if rank_bound > 1:
-        for i in range(rank_bound - 1):
+        groups.append((r, rank_bound))
+    walls = []
+    for start, length in groups:
+        for i in range(start, start + length):
             vec = [0] * d
-            vec[r + i], vec[r + i + 1] = -1, 1
-            inequalities.append((tuple(vec), 0))
-        vec = [0] * d
-        vec[r + rank_bound - 1] = -1
-        inequalities.append((tuple(vec), 0))
-    return equations, inequalities
+            vec[i] = -1
+            if i + 1 < start + length:
+                vec[i + 1] = 1
+            walls.append((tuple(vec), 0))
+    return equations, walls
 
 
 def facet_match(poly: Polytope, nu, r: int, rank_bound: int = 1) -> dict:
@@ -390,7 +424,8 @@ def facet_match(poly: Polytope, nu, r: int, rank_bound: int = 1) -> dict:
     """
     nu = normalize(nu)
     n_particles = size(nu)
-    walls = _wall_forms(r, n_particles, rank_bound)
+    _, walls = _ambient_system(r, n_particles, rank_bound)
+    wall_forms = {canonical_inequality(a, b, r, n_particles, rank_bound) for a, b in walls}
     candidates = [(a, b, False) for a, b in poly.facets]
     for a, b in poly.equations:
         candidates.append((a, b, True))
@@ -402,7 +437,7 @@ def facet_match(poly: Polytope, nu, r: int, rank_bound: int = 1) -> dict:
         if not any(gl) and not any(gm):
             ambient += 1
             continue
-        if (gl, gm, bb) in walls:
+        if (gl, gm, bb) in wall_forms:
             ambient += 1
             continue
         entry = {

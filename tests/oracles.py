@@ -8,7 +8,8 @@ quotient, one-particle density matrices through full antisymmetrized tensors,
 and plethysms through multiset expansion or through the dict engine the
 package used before its Cauchy-form lattice engine: a Newton series of
 weight dicts, Jacobi-Trudi determinants for every Schur functor, and
-decomposition by peeling off top weights.
+decomposition by peeling off top weights.  Hulls go through the row-by-row
+double description that inserts every inequality, implied or not.
 """
 
 from __future__ import annotations
@@ -16,13 +17,25 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import sympy
 
+from paulitope.errors import ResourceLimitError
 from paulitope.permutations import Permutation
 from paulitope.plethysm import SymmetricCharacter, character
 from paulitope.polynomials import SparsePoly, divided_difference_word
+from paulitope.polytope import (
+    RAY_CAP,
+    IntVec,
+    Polytope,
+    _dot,
+    _echelon,
+    _primitive,
+    _reduce_mod,
+    _scale_to_int,
+)
 from paulitope.tableaux import normalize, partitions_in_box
 
 
@@ -425,3 +438,175 @@ def random_rational_points(rng, count: int, dim: int, denom: int = 4):
             )
         )
     return pts
+
+
+# The row-by-row double description the package used before it learned to
+# skip implied rows: every inequality, redundant or not, goes through the
+# pivot/split step, and hull rows are built from Fraction points.
+
+
+def reference_cone_dual(
+    equations: Sequence[Sequence],
+    inequalities: Sequence[Sequence],
+    dim: int,
+    ray_cap: int = RAY_CAP,
+) -> tuple[list[IntVec], list[IntVec]]:
+    """Extreme rays and lineality basis of {x : e.x = 0 for all e, a.x >= 0}.
+
+    Equations are eliminated first by pivoting inside the lineality space;
+    inequalities are then inserted in sorted order with the standard double
+    description step, using bitmasks over inequality indices for the
+    adjacency test.
+    """
+    eq_rows = [r for r in (_scale_to_int(e) for e in equations) if any(r)]
+    ineq_rows = sorted({r for r in (_scale_to_int(a) for a in inequalities) if any(r)})
+    lineality: list[IntVec] = [
+        tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
+    ]
+    rays: list[tuple[IntVec, int]] = []
+
+    def pivot(a: IntVec, l0: IntVec, d0: int, new_bit: int | None, prior_mask: int):
+        nonlocal lineality, rays
+        new_lin = []
+        for l in lineality:
+            if l is l0:
+                continue
+            d = _dot(a, l)
+            if d:
+                l = _primitive(tuple(d0 * x - d * y for x, y in zip(l, l0)))
+            new_lin.append(l)
+        lineality = new_lin
+        new_rays = []
+        for vec, zs in rays:
+            d = _dot(a, vec)
+            if d:
+                comb = tuple(d0 * x - d * y for x, y in zip(vec, l0))
+                if d0 < 0:
+                    comb = tuple(-x for x in comb)
+                vec = _primitive(comb)
+            if new_bit is not None:
+                zs |= new_bit
+            new_rays.append((vec, zs))
+        rays = new_rays
+        if new_bit is not None:
+            r0 = l0 if d0 > 0 else tuple(-x for x in l0)
+            rays.append((_primitive(r0), prior_mask))
+
+    def split(a: IntVec, new_bit: int | None):
+        nonlocal rays
+        pos, zero, neg = [], [], []
+        for vec, zs in rays:
+            d = _dot(a, vec)
+            if d > 0:
+                pos.append((vec, zs, d))
+            elif d < 0:
+                neg.append((vec, zs, d))
+            else:
+                zero.append((vec, zs | new_bit if new_bit is not None else zs))
+        combos = []
+        for pv, pz, pd in pos:
+            for nv, nz, nd in neg:
+                common = pz & nz
+                blocked = False
+                for vec, zs in rays:
+                    if vec is pv or vec is nv:
+                        continue
+                    if common & zs == common:
+                        blocked = True
+                        break
+                if blocked:
+                    continue
+                comb = _primitive(tuple(pd * x - nd * y for x, y in zip(nv, pv)))
+                combos.append((comb, common | new_bit if new_bit is not None else common))
+        if new_bit is None:
+            rays = zero + combos
+        else:
+            rays = [(v, z) for v, z, _ in pos] + zero + combos
+        if len(rays) > ray_cap:
+            raise ResourceLimitError(f"ray count {len(rays)} exceeds cap {ray_cap}")
+
+    for a in eq_rows:
+        l0 = next((l for l in lineality if _dot(a, l)), None)
+        if l0 is not None:
+            pivot(a, l0, _dot(a, l0), None, 0)
+        else:
+            split(a, None)
+
+    nbits = 0
+    for a in ineq_rows:
+        bit = 1 << nbits
+        prior = bit - 1
+        nbits += 1
+        l0 = next((l for l in lineality if _dot(a, l)), None)
+        if l0 is not None:
+            pivot(a, l0, _dot(a, l0), bit, prior)
+        else:
+            split(a, bit)
+
+    basis = _echelon(lineality)
+    seen = set()
+    out_rays = []
+    for vec, _ in rays:
+        red = _reduce_mod(vec, basis)
+        if any(red) and red not in seen:
+            seen.add(red)
+            out_rays.append(red)
+    return sorted(out_rays), basis
+
+
+def reference_vertices_from_h(
+    dim: int,
+    equations: Sequence[tuple[Sequence[int], int]],
+    inequalities: Sequence[tuple[Sequence[int], int]],
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Vertices of {x : eq, ineq} via the homogenization cone; errors if unbounded."""
+    eq_rows = [(-b,) + tuple(a) for a, b in equations]
+    ineq_rows = [(b,) + tuple(-x for x in a) for a, b in inequalities]
+    ineq_rows.append((1,) + (0,) * dim)
+    rays, lin = reference_cone_dual(eq_rows, ineq_rows, dim + 1)
+    if lin:
+        raise ValueError("system is unbounded (contains a line)")
+    vertices = []
+    for ray in rays:
+        if ray[0] == 0:
+            raise ValueError("system is unbounded (recession direction)")
+        vertices.append(tuple(Fraction(x, ray[0]) for x in ray[1:]))
+    return tuple(sorted(set(vertices)))
+
+
+def reference_hull(points: Sequence[Sequence]) -> Polytope:
+    """Convex hull with exact facets, equations, and vertices.
+
+    Works in the dual: each point p contributes the constraint c0 + c.p >= 0
+    on affine functionals (c0, c); lineality directions of that cone are the
+    equations of the hull and extreme rays are its facets.
+    """
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    if not pts:
+        raise ValueError("need at least one point")
+    dim = len(pts[0])
+    if any(len(p) != dim for p in pts):
+        raise ValueError("points have mixed arity")
+    rows = [(Fraction(1),) + p for p in set(pts)]
+    rays, lin = reference_cone_dual([], rows, dim + 1)
+
+    equations = []
+    for l in lin:
+        coeffs, c0 = l[1:], l[0]
+        if not any(coeffs):
+            raise AssertionError("hull produced a contradictory equation")
+        a, b = coeffs, -c0
+        if next(x for x in a if x) < 0:
+            a, b = tuple(-x for x in a), -b
+        equations.append((a, b))
+
+    facets = []
+    for ray in rays:
+        coeffs, c0 = ray[1:], ray[0]
+        if not any(coeffs):
+            continue
+        facets.append((tuple(-x for x in coeffs), c0))
+    eqs = tuple(sorted(set(equations)))
+    fac = tuple(sorted(set(facets)))
+    vertices = reference_vertices_from_h(dim, eqs, fac)
+    return Polytope(dim, eqs, fac, vertices)

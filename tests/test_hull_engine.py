@@ -1,0 +1,256 @@
+"""The double description that skips implied rows against the row-by-row one.
+
+The reference (tests/oracles.py) inserts every inequality, implied or not,
+and builds hull rows from Fraction points; the package drops each row the
+current cone already implies and builds primitive integer rows directly.
+Extreme rays, lineality, and every field of the hull must agree exactly.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from oracles import (
+    random_rational_points,
+    reference_cone_dual,
+    reference_hull,
+    reference_vertices_from_h,
+)
+from paulitope import polytope
+from paulitope.errors import ResourceLimitError
+from paulitope.fixtures import spin_orbital_inequalities
+from paulitope.polytope import _vertices_from_h, cone_dual, hull, pipeline, polytope_from_h
+from paulitope.tableaux import partitions_in_box
+
+
+def assert_same_hull(points):
+    got, want = hull(points), reference_hull(points)
+    assert got.dim == want.dim
+    assert got.equations == want.equations
+    assert got.facets == want.facets
+    assert got.vertices == want.vertices
+
+
+def assert_same_cone(equations, inequalities, dim):
+    assert cone_dual(equations, inequalities, dim) == reference_cone_dual(
+        equations, inequalities, dim
+    )
+
+
+def hull_rows(points):
+    return [(Fraction(1),) + tuple(Fraction(x) for x in p) for p in points]
+
+
+# ------------------------------------------------------------ random clouds
+
+CLOUDS = [(dim, count, seed) for dim, count in ((2, 30), (3, 20), (4, 14), (5, 12)) for seed in range(4)]
+
+
+@pytest.mark.parametrize("dim,count,seed", CLOUDS, ids=[f"d{d}-n{n}-s{s}" for d, n, s in CLOUDS])
+def test_random_cloud_matches_reference(dim, count, seed):
+    pts = random_rational_points(np.random.default_rng(1000 * dim + seed), count, dim)
+    assert_same_cone([], hull_rows(pts), dim + 1)
+    assert_same_hull(pts)
+
+
+# ------------------------------------------------------- degenerate inputs
+
+
+def _affine_cloud(rng, count, dim, span):
+    """Points of a random span-dimensional affine subspace of Q^dim."""
+    base = random_rational_points(rng, 1, dim)[0]
+    dirs = random_rational_points(rng, span, dim, denom=2)
+    pts = []
+    for _ in range(count):
+        coeffs = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 3))) for _ in dirs]
+        pts.append(tuple(b + sum(c * d[i] for c, d in zip(coeffs, dirs)) for i, b in enumerate(base)))
+    return pts
+
+
+DEGENERATE = {
+    "one-point": [(Fraction(3, 2), -1, 4)],
+    "one-point-repeated": [(1, 2)] * 5 + [(Fraction(2, 2), Fraction(4, 2))],
+    "duplicates": [(0, 0), (1, 0), (0, 1), (1, 0), (Fraction(1), 0), (0, 0), (Fraction(1, 3), Fraction(1, 3))],
+    "segment-in-3d": [(0, 0, 0), (2, 4, 6), (1, 2, 3), (Fraction(1, 2), 1, Fraction(3, 2))],
+    "square-in-4d": [(0, 0, 1, 1), (1, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1), (Fraction(1, 2), 0, 1, 1)],
+    "plane-in-4d": _affine_cloud(np.random.default_rng(5), 9, 4, 2),
+    "solid-in-5d": _affine_cloud(np.random.default_rng(6), 10, 5, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_input_matches_reference(name):
+    pts = DEGENERATE[name]
+    assert_same_cone([], hull_rows(pts), len(pts[0]) + 1)
+    assert_same_hull(pts)
+
+
+# ------------------------------------------------------------ H-systems
+
+
+def _recorded_cone_calls(monkeypatch, run):
+    """Every (equations, inequalities, dim) that ``run`` hands to cone_dual."""
+    calls = []
+
+    def recording(equations, inequalities, dim, *rest):
+        equations, inequalities = list(equations), list(inequalities)
+        calls.append((equations, inequalities, dim))
+        return cone_dual(equations, inequalities, dim, *rest)
+
+    monkeypatch.setattr(polytope, "cone_dual", recording)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def test_h_systems_of_random_hulls_match_reference():
+    rng = np.random.default_rng(77)
+    for dim in (2, 3, 4):
+        for _ in range(3):
+            poly = hull(random_rational_points(rng, 9, dim))
+            assert _vertices_from_h(dim, poly.equations, poly.facets) == reference_vertices_from_h(
+                dim, poly.equations, poly.facets
+            )
+
+
+def test_pipeline_h_systems_match_reference(monkeypatch):
+    def run():
+        pipeline((1, 1, 1), 6, 1, [2, 4])
+        pipeline((2, 1), 4, 2, [4], degree_cap=36)
+
+    calls = _recorded_cone_calls(monkeypatch, run)
+    # one hull and its vertex system, one outer system, per cutoff
+    assert len(calls) == 9
+    for equations, inequalities, dim in calls:
+        assert_same_cone(equations, inequalities, dim)
+
+
+def test_spin_orbital_outer_polytope_matches_reference():
+    table = spin_orbital_inequalities()
+    equations, walls = polytope._ambient_system(4, 3, 2)
+    rows = [(r["lambda_coeffs"] + r["mu_coeffs"], r["bound"]) for r in table["rows"]]
+    poly = polytope_from_h(6, equations, walls + rows)
+    assert poly.vertices == reference_vertices_from_h(6, equations, walls + rows)
+    assert len(poly.vertices) == 14
+
+
+# ------------------------------------------------- rank-2 chamber points
+
+
+def _chamber_points(max_den):
+    """Every (2,1), r=4, rank-2 chamber point with denominator <= max_den."""
+    pts = set()
+    for q in range(1, max_den + 1):
+        for lam in partitions_in_box(4, 3 * q, 3 * q):
+            lam = lam + (0,) * (4 - len(lam))
+            for m2 in range(q // 2 + 1):
+                pts.add(tuple(Fraction(x, q) for x in lam + (q - m2, m2)))
+    return sorted(pts)
+
+
+def _inside(point, rows):
+    return all(sum(c * x for c, x in zip(coeffs, point)) <= b for coeffs, b in rows)
+
+
+def test_rank_two_chamber_points_match_reference():
+    pts = _chamber_points(6)
+    assert len(pts) == 579
+    assert_same_hull(pts)
+
+
+def test_rank_two_five_facet_points_match_reference():
+    table = spin_orbital_inequalities()
+    rows = [(r["lambda_coeffs"] + r["mu_coeffs"], r["bound"]) for r in table["rows"]]
+    pts = [p for p in _chamber_points(6) if _inside(p, rows)]
+    assert_same_hull(pts)
+    assert len(hull(pts).facets) > 5
+
+
+# ------------------------------------------------------------ exactness
+
+
+def _recorded_dtypes(monkeypatch):
+    choices = []
+    real = polytope._entry_dtype
+
+    def recording(bound):
+        dtype = real(bound)
+        choices.append((bound, dtype))
+        return dtype
+
+    monkeypatch.setattr(polytope, "_entry_dtype", recording)
+    return choices
+
+
+@pytest.mark.parametrize("limit,dtype", [(2, np.int64), (1, object)])
+def test_product_dtype_at_the_bound(monkeypatch, limit, dtype):
+    # orthant: rows of size 1 against the identity lineality basis in dim 2,
+    # so the first product is bounded by 1 * 1 * 2 (choice 0 is the row matrix)
+    choices = _recorded_dtypes(monkeypatch)
+    monkeypatch.setattr("paulitope.plethysm._INT64_LIMIT", limit)
+    rays, lin = cone_dual([], [(1, 0), (0, 1)], 2)
+    assert choices[1] == (2, dtype)
+    assert (rays, lin) == ([(0, 1), (1, 0)], [])
+
+
+def test_large_coordinates_take_the_python_int_path(monkeypatch):
+    rng = np.random.default_rng(40)
+    big = 2**40
+    pts = [
+        tuple(big + int(rng.integers(-50, 51)) * (1 if i % 2 else -1) for i in range(3))
+        for _ in range(8)
+    ] + [(big, big, big + 7), (Fraction(big, 3), big, big - 1)]
+    choices = _recorded_dtypes(monkeypatch)
+    got = hull(pts)
+    assert any(dtype is object for _, dtype in choices)
+    want = reference_hull(pts)
+    assert (got.equations, got.facets, got.vertices) == (want.equations, want.facets, want.vertices)
+
+
+def test_ray_cap_error_names_the_stage():
+    # the 4-cube in homogenized H form has 16 dual rays; each row cuts a new face
+    ineqs = []
+    for i in range(4):
+        for s in (1, -1):
+            row = [1, 0, 0, 0, 0]
+            row[i + 1] = s
+            ineqs.append(tuple(row))
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^cone_dual: ray count \d+ exceeds cap 8 after inserting \d of 8 inequalities \(dim 5\)$",
+    ):
+        cone_dual([], ineqs, 5, ray_cap=8)
+
+
+# ------------------------------------------------------- input contract
+
+
+def test_hull_accepts_any_iterable():
+    pts = random_rational_points(np.random.default_rng(3), 10, 3)
+    assert hull(iter(pts)) == hull(pts)
+    assert hull(p for p in pts) == hull(pts)
+
+
+def test_int_and_fraction_coordinates_agree():
+    ints = [(0, 0, 0), (3, 0, 1), (0, 2, 5), (1, 1, 1), (4, 4, 0), (2, 0, 3)]
+    fracs = [tuple(Fraction(x) for x in p) for p in ints]
+    assert hull(ints) == hull(fracs)
+    halves = [tuple(Fraction(x, 2) for x in p) for p in ints]
+    as_text = [tuple(f"{x}/2" for x in p) for p in ints]
+    as_float = [tuple(x / 2 for x in p) for p in ints]
+    assert hull(halves) == hull(as_text) == hull(as_float)
+
+
+def test_hull_rejects_empty_and_mixed_arity():
+    with pytest.raises(ValueError, match="at least one point"):
+        hull([])
+    with pytest.raises(ValueError, match="at least one point"):
+        hull(iter(()))
+    with pytest.raises(ValueError, match="mixed arity"):
+        hull([(0, 0), (1, 0, 0)])
+    with pytest.raises(ValueError, match="mixed arity"):
+        hull(itertools.chain([(Fraction(1, 2), 0)], [(1,)]))
