@@ -38,6 +38,7 @@ from .polynomials import (
     divided_difference,
     divided_difference_word,
     grassmannian_schubert,
+    monk_coefficient,
     monk_multiply,
     schubert_expand,
     schubert_polynomial,
@@ -69,6 +70,7 @@ __all__ = [
     "grassmannian_schubert",
     "schubert_expand",
     "monk_multiply",
+    "monk_coefficient",
     "enumerate_ssyt",
     "kostka",
     "littlewood_richardson",

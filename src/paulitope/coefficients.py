@@ -13,12 +13,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import UnmatchedInequalityError
 from .permutations import Permutation, require_minimal
-from .polynomials import (
-    SparsePoly,
-    divided_difference_word,
-    grassmannian_schubert,
-    schubert_polynomial,
-)
+from .polynomials import grassmannian_schubert, monk_coefficient, schubert_polynomial
 from .tableaux import Tableau, content_vector, enumerate_ssyt, normalize, reading_word, size
 
 
@@ -73,9 +68,10 @@ def coefficient(
     """Schubert expansion coefficient c_v^w(a) for the shape-nu system on r levels.
 
     The Schubert polynomial of w is specialized at the linear forms given by
-    the tableaux of the induced spectrum of ``a``, and the divided difference
-    of v is applied to the result.  Both permutations must be minimal in their
-    cosets for the tie blocks of ``a`` and of the induced spectrum.
+    the tableaux of the induced spectrum of ``a``, and the coefficient of S_v
+    in the result is summed over Monk chains below v (``monk_coefficient``).
+    Both permutations must be minimal in their cosets for the tie blocks of
+    ``a`` and of the induced spectrum.
     """
     a = tuple(int(x) for x in a)
     if len(a) != r:
@@ -94,11 +90,7 @@ def coefficient(
     if schubert is None:
         schubert = schubert_polynomial(w)
     forms = [content_vector(e.tableau, r) for e in spectrum[: schubert.nvars]]
-    specialized = schubert.substitute_linear(forms, r)
-    result = divided_difference_word(v, specialized)
-    if not result.is_constant():
-        raise AssertionError("specialized Schubert class did not reduce to a constant")
-    return result.constant_coefficient()
+    return monk_coefficient(schubert, forms, v, r)
 
 
 def _as_int(x, what: str) -> int:

@@ -416,10 +416,10 @@ def inner_points(
     """
     nu = normalize(nu)
     if r > level_cap:
-        raise ResourceLimitError(f"r={r} exceeds the level cap {level_cap}")
+        raise ResourceLimitError(f"inner_points: r={r} exceeds the level cap {level_cap}")
     if size(nu) * m_cap > degree_cap:
         raise ResourceLimitError(
-            f"|nu| * M = {size(nu) * m_cap} exceeds the degree cap {degree_cap}"
+            f"inner_points: |nu| * M = {size(nu) * m_cap} exceeds the degree cap {degree_cap}"
         )
     if rank_bound < 1:
         raise ValueError("rank bound must be at least 1")

@@ -6,7 +6,7 @@ coefficients.  Variables are numbered 1..nvars and written x1, x2, ...
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ResourceLimitError
 from .permutations import Permutation, permutations_of_length
@@ -266,7 +266,7 @@ def schubert_polynomial(w: Permutation, n: int | None = None) -> SparsePoly:
         raise ValueError(f"w moves {w.n} points, ambient {n} too small")
     if n > SCHUBERT_AMBIENT_CAP:
         raise ResourceLimitError(
-            f"Schubert ambient {n} exceeds cap {SCHUBERT_AMBIENT_CAP}"
+            f"schubert_polynomial: ambient {n} exceeds cap {SCHUBERT_AMBIENT_CAP}"
         )
     staircase = SparsePoly(n, {tuple(n - k for k in range(1, n + 1)): 1})
     u = w.inverse() * Permutation.longest(n)
@@ -325,7 +325,7 @@ def schubert_expand(f: SparsePoly, d: int | None = None) -> dict[Permutation, in
         raise ValueError(f"degree mismatch: polynomial has degree {f.degree()}")
     n = f.nvars + d
     if n > SCHUBERT_AMBIENT_CAP:
-        raise ResourceLimitError(f"expansion ambient {n} exceeds cap {SCHUBERT_AMBIENT_CAP}")
+        raise ResourceLimitError(f"schubert_expand: ambient {n} exceeds cap {SCHUBERT_AMBIENT_CAP}")
     g = f.embed(n)
     out: dict[Permutation, int] = {}
     for w in permutations_of_length(n, d):
@@ -333,6 +333,28 @@ def schubert_expand(f: SparsePoly, d: int | None = None) -> dict[Permutation, in
         if c:
             out[w] = c
     return out
+
+
+def _monk_step(u: tuple[int, ...], alpha: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Monk's rule on one-line notation.
+
+    Yields (u t_ij, alpha_i - alpha_j) for i < j <= len(u), in order of (i, j),
+    whenever the coefficient is nonzero and u t_ij is one longer than u: that
+    is, u(i) < u(j) and no position between them holds a value in between.
+    """
+    n = len(u)
+    for i in range(n - 1):
+        ui, ai = u[i], alpha[i]
+        ceiling = n + 1
+        for j in range(i + 1, n):
+            uj = u[j]
+            if ui < uj < ceiling:
+                ceiling = uj
+                coeff = ai - alpha[j]
+                if coeff:
+                    step = list(u)
+                    step[i], step[j] = uj, ui
+                    yield tuple(step), coeff
 
 
 def monk_multiply(alpha: Sequence[int], v: Permutation) -> dict[Permutation, int]:
@@ -344,19 +366,74 @@ def monk_multiply(alpha: Sequence[int], v: Permutation) -> dict[Permutation, int
     """
     alpha = tuple(int(a) for a in alpha)
     m = max(v.n, len(alpha)) + 1
-    out: dict[Permutation, int] = {}
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            ai = alpha[i - 1] if i <= len(alpha) else 0
-            aj = alpha[j - 1] if j <= len(alpha) else 0
-            coeff = ai - aj
-            if not coeff:
-                continue
-            u = v * Permutation.transposition(i, j)
-            if u.length() == v.length() + 1:
-                new = out.get(u, 0) + coeff
-                if new:
-                    out[u] = new
-                else:
-                    del out[u]
-    return out
+    padded = alpha + (0,) * (m - len(alpha))
+    return {Permutation(u): coeff for u, coeff in _monk_step(v.one_line(m), padded)}
+
+
+def _rank_table(u: tuple[int, ...]) -> tuple[int, ...]:
+    """Entries #{a <= i : u(a) >= k} for i = 1..n-1 and k = 1..n, row by row."""
+    counts = [0] * len(u)
+    table: list[int] = []
+    for image in u[:-1]:
+        for k in range(image):
+            counts[k] += 1
+        table.extend(counts)
+    return tuple(table)
+
+
+def _monk_layer(
+    layer: dict[tuple[int, ...], int],
+    alpha: Sequence[int],
+    below: dict[tuple[int, ...], bool],
+    top_table: tuple[int, ...],
+) -> dict[tuple[int, ...], int]:
+    """Multiply a Schubert expansion by one linear form, dropping terms not below v.
+
+    ``below`` memoizes the Bruhat test u <= v, which compares the rank tables
+    of u and v entry by entry.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    for u, c in layer.items():
+        for step, coeff in _monk_step(u, alpha):
+            keep = below.get(step)
+            if keep is None:
+                keep = below[step] = all(map(int.__le__, _rank_table(step), top_table))
+            if keep:
+                out[step] = out.get(step, 0) + c * coeff
+    return {u: c for u, c in out.items() if c}
+
+
+def monk_coefficient(
+    poly: SparsePoly, forms: Sequence[Sequence[int]], v: Permutation, r: int
+) -> int:
+    """Coefficient of S_v in poly with x_{k+1} replaced by the linear form forms[k].
+
+    ``forms[k]`` is a coefficient vector over r variables.  Each monomial is
+    multiplied onto S_id one linear factor at a time by Monk's rule, keeping
+    only the permutations below v in Bruhat order: every saturated chain that
+    ends at v stays inside that interval, so the coefficient of v is the sum
+    over those chains of the products of their edge weights (Postnikov and
+    Stanley, "Chains in the Bruhat order").  poly must be homogeneous of
+    degree l(v), and v may move at most r points.
+    """
+    forms = [tuple(int(c) for c in vec) for vec in forms]
+    if any(len(vec) != r for vec in forms):
+        raise ValueError("linear form has wrong arity")
+    if v.n > r:
+        raise ValueError(f"v moves {v.n} points but the forms have {r} variables")
+    degree = v.length()
+    top = v.one_line(r)
+    top_table = _rank_table(top)
+    below: dict[tuple[int, ...], bool] = {}
+    total = 0
+    for exps, coeff in poly.terms.items():
+        if sum(exps) != degree:
+            raise ValueError(f"term {exps} is not of degree l(v) = {degree}")
+        layer = {tuple(range(1, r + 1)): coeff}
+        for k, e in enumerate(exps):
+            if e and k >= len(forms):
+                raise ValueError(f"no form supplied for variable x{k + 1}")
+            for _ in range(e):
+                layer = _monk_layer(layer, forms[k], below, top_table)
+        total += layer.get(top, 0)
+    return total

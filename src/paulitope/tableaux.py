@@ -117,6 +117,7 @@ def enumerate_ssyt(shape: Iterable[int], max_entry: int) -> list[Tableau]:
 
     out: list[Tableau] = []
     nrows = len(shape)
+    col_len = transpose(shape)
 
     def fill_row(i: int, prev: tuple[int, ...], acc: tuple[tuple[int, ...], ...]) -> None:
         if i == nrows:
@@ -132,7 +133,9 @@ def enumerate_ssyt(shape: Iterable[int], max_entry: int) -> list[Tableau]:
             lo = row[j - 1] if j > 0 else 1
             if i > 0:
                 lo = max(lo, prev[j] + 1)
-            for val in range(lo, max_entry + 1):
+            # the col_len[j] - 1 - i cells below need strictly larger entries
+            cap = max_entry - (col_len[j] - 1 - i)
+            for val in range(lo, cap + 1):
                 row[j] = val
                 cell(j + 1)
 

@@ -9,7 +9,8 @@ and plethysms through multiset expansion or through the dict engine the
 package used before its Cauchy-form lattice engine: a Newton series of
 weight dicts, Jacobi-Trudi determinants for every Schur functor, and
 decomposition by peeling off top weights.  Hulls go through the row-by-row
-double description that inserts every inequality, implied or not.
+double description that inserts every inequality, implied or not, and
+Schubert coefficients through the fully expanded specialized polynomial.
 """
 
 from __future__ import annotations
@@ -22,10 +23,16 @@ from typing import Sequence
 import numpy as np
 import sympy
 
+from paulitope.coefficients import induced_spectrum, value_blocks
 from paulitope.errors import ResourceLimitError
-from paulitope.permutations import Permutation
+from paulitope.permutations import Permutation, require_minimal
 from paulitope.plethysm import SymmetricCharacter, character
-from paulitope.polynomials import SparsePoly, divided_difference_word
+from paulitope.polynomials import (
+    SparsePoly,
+    divided_difference_word,
+    grassmannian_schubert,
+    schubert_polynomial,
+)
 from paulitope.polytope import (
     RAY_CAP,
     IntVec,
@@ -36,7 +43,7 @@ from paulitope.polytope import (
     _reduce_mod,
     _scale_to_int,
 )
-from paulitope.tableaux import normalize, partitions_in_box
+from paulitope.tableaux import content_vector, normalize, partitions_in_box
 
 
 # ------------------------------------------------------------------- tableaux
@@ -423,6 +430,38 @@ def peel_schur(weights: dict, p: int) -> dict:
     if remaining:
         raise AssertionError(f"nonsymmetric residue: {remaining}")
     return out
+
+
+# --------------------------------------------------------------- coefficients
+
+# The route the package took before it summed Monk chains: expand S_w at the
+# linear forms of the induced spectrum into a polynomial in r variables, then
+# apply the divided difference of v and read off the constant.
+
+
+def reference_coefficient(a, nu, r: int, v: Permutation, w: Permutation) -> int:
+    a = tuple(int(x) for x in a)
+    if len(a) != r:
+        raise ValueError(f"test spectrum has {len(a)} entries, expected r={r}")
+    nu = normalize(nu)
+    require_minimal(v, value_blocks(a), "v")
+    spectrum = induced_spectrum(a, nu)
+    dim = len(spectrum)
+    if w.n > dim:
+        raise ValueError(f"w moves {w.n} points but the induced spectrum has {dim}")
+    require_minimal(w, value_blocks([e.value for e in spectrum]), "w")
+    if v.length() != w.length():
+        return 0
+
+    schubert = grassmannian_schubert(w)
+    if schubert is None:
+        schubert = schubert_polynomial(w)
+    forms = [content_vector(e.tableau, r) for e in spectrum[: schubert.nvars]]
+    specialized = schubert.substitute_linear(forms, r)
+    result = divided_difference_word(v, specialized)
+    if not result.is_constant():
+        raise AssertionError("specialized Schubert class did not reduce to a constant")
+    return result.constant_coefficient()
 
 
 # ----------------------------------------------------------------- geometry

@@ -59,6 +59,8 @@ def test_traced_c4_run_feeds_every_counter():
         tracer.run = "solve"
         result = polytope.pipeline((1, 1, 1), 6, 1, [2, 4])
         states.one_particle_rdm(states.slater_determinant(3, 6))
+        # coefficients no longer expand S_w, so the substitution counter is fed here
+        polynomials.SparsePoly(2, {(1, 1): 1}).substitute_linear([(1, 0, 1), (0, 1, 1)], 3)
         tracer.run = None
     assert result["converged_at"] == 4
     spans = [s for s in tracer.spans if s.run == "solve"]

@@ -160,6 +160,15 @@ def test_inner_points_mixed_rank():
         assert sorted(mu, reverse=True) == list(mu)
 
 
+def test_inner_points_cap_errors_name_the_stage():
+    with pytest.raises(ResourceLimitError, match=r"^inner_points: r=9 exceeds the level cap 8$"):
+        inner_points((1, 1, 1), 9, 1, 2)
+    with pytest.raises(
+        ResourceLimitError, match=r"^inner_points: \|nu\| \* M = 27 exceeds the degree cap 24$"
+    ):
+        inner_points((1, 1, 1), 6, 1, 9)
+
+
 def test_inner_points_respects_caps():
     with pytest.raises(ResourceLimitError):
         inner_points((1, 1, 1), 9, 1, 2)

@@ -260,6 +260,13 @@ def test_schubert_ambient_cap_enforced():
         schubert_expand(SparsePoly(11, {tuple([2] + [0] * 10): 1}))
 
 
+def test_schubert_cap_errors_name_the_stage():
+    with pytest.raises(ResourceLimitError, match=r"^schubert_polynomial: ambient 13 exceeds cap 12$"):
+        schubert_polynomial(Permutation.transposition(12, 13))
+    with pytest.raises(ResourceLimitError, match=r"^schubert_expand: ambient 13 exceeds cap 12$"):
+        schubert_expand(SparsePoly(11, {tuple([2] + [0] * 10): 1}))
+
+
 def test_repr_is_readable():
     f = SparsePoly(2, {(2, 0): 1, (0, 1): -3})
     text = repr(f)

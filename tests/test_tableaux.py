@@ -75,13 +75,22 @@ def test_partitions_in_box_fixed_total():
 
 @pytest.mark.parametrize(
     "shape,max_entry",
-    [((2, 1), 3), ((3,), 2), ((2, 2), 3), ((1, 1, 1), 4), ((3, 1), 3), ((2, 2, 1), 3)],
+    [((2, 1), 3), ((3,), 2), ((2, 2), 3), ((1, 1, 1), 4), ((3, 1), 3), ((2, 2, 1), 3)]
+    # max_entry equal to the row count, columns of unequal length: each cell's
+    # cap comes from its own column
+    + [((2, 1), 2), ((3, 1, 1), 3)]
+    + [((1,) * k, k) for k in range(1, 6)],
 )
 def test_enumerate_ssyt_matches_brute_filter(shape, max_entry):
     got = sorted(enumerate_ssyt(shape, max_entry))
     want = sorted(brute_ssyt(shape, max_entry))
     assert got == want
     assert all(is_semistandard(t, shape) for t in got)
+
+
+def test_enumerate_ssyt_full_column_is_one_tableau():
+    # too large for the brute filter (14^14 raw fillings)
+    assert enumerate_ssyt((1,) * 14, 14) == [tuple((k,) for k in range(1, 15))]
 
 
 def test_enumerate_ssyt_count_matches_weyl_dimension():
