@@ -26,13 +26,7 @@ from .generators import (
     series_inequality,
 )
 from .permutations import Permutation
-from .plethysm import (
-    SymmetricCharacter,
-    character,
-    inner_points,
-    plethysm_h,
-    schur_decompose,
-)
+from .plethysm import character, inner_points, schur_decompose
 from .polynomials import (
     SparsePoly,
     divided_difference,
@@ -94,9 +88,7 @@ __all__ = [
     "dadok_kac_spectrum",
     "slater_determinant",
     "verify_vertex",
-    "SymmetricCharacter",
     "character",
-    "plethysm_h",
     "schur_decompose",
     "inner_points",
     "Polytope",

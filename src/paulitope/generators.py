@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import ResourceLimitError
-from .plethysm import SymmetricCharacter, schur_decompose
+from .plethysm import schur_decompose
 from .polynomials import SparsePoly
 from .states import (
     WedgeState,
@@ -312,9 +312,8 @@ def _kind2_expansion(
         product = product * SparsePoly.linear_form(
             [1 if k in subset else 0 for k in range(1, p + 1)]
         )
-    char = SymmetricCharacter(p, product.terms)
     items = []
-    for gamma, mult in sorted(schur_decompose(char).items()):
+    for gamma, mult in sorted(schur_decompose(product).items()):
         framed = FramedDiagram(gamma, p, degree)
         indices = shuffle_vertical_sequence(framed)
         items.append(OccupationInequality(indices, N - 1, gamma, mult))

@@ -2,9 +2,10 @@
 
 A character is a multiset of weights, kept in one of two storages:
 
-* ``SymmetricCharacter`` is a dict from exponent tuples of length r to
-  multiplicities.  It holds sparse inputs: the character of one Schur
-  functor, or a product of linear forms.
+* ``SparsePoly`` (from ``polynomials``) maps exponent tuples of length r to
+  multiplicities, the character being that polynomial in x_1..x_r.  It holds
+  sparse inputs: the character of one Schur functor, or a product of linear
+  forms.
 * ``LatticeCharacter`` is one homogeneous degree of a symmetric-power
   series, on GL_r or on GL_r x GL_k.  The degree fixes the coordinate sum of
   each group (levels, ranks), so the last coordinate of every group is
@@ -33,11 +34,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, permutations as iter_permutations
 from math import comb, factorial, lcm, prod
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ResourceLimitError
+from .polynomials import SparsePoly
 from .tableaux import (
     content_vector,
     enumerate_ssyt,
@@ -53,79 +55,6 @@ INNER_POINT_DEGREE_CAP = 24
 _INT64_LIMIT = int(np.iinfo(np.int64).max)
 # Most (dominant weight, orbit element) pairs one alternation block gathers.
 _GATHER_BLOCK = 1 << 14
-
-
-class SymmetricCharacter:
-    """Formal nonvirtual or virtual character on r levels, stored by weight."""
-
-    __slots__ = ("r", "weights")
-
-    def __init__(self, r: int, weights: Mapping[tuple[int, ...], int] | None = None):
-        self.r = int(r)
-        clean: dict[tuple[int, ...], int] = {}
-        if weights:
-            for wt, mult in weights.items():
-                if len(wt) != self.r:
-                    raise ValueError(f"weight {wt} has wrong arity for r={self.r}")
-                if mult:
-                    clean[tuple(wt)] = int(mult)
-        self.weights = clean
-
-    @staticmethod
-    def unit(r: int) -> "SymmetricCharacter":
-        return SymmetricCharacter(r, {(0,) * r: 1})
-
-    def dimension(self) -> int:
-        return sum(self.weights.values())
-
-    def degree(self) -> int:
-        return max((sum(wt) for wt in self.weights), default=0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymmetricCharacter)
-            and self.r == other.r
-            and self.weights == other.weights
-        )
-
-    def __add__(self, other: "SymmetricCharacter") -> "SymmetricCharacter":
-        self._check(other)
-        out = dict(self.weights)
-        for wt, mult in other.weights.items():
-            new = out.get(wt, 0) + mult
-            if new:
-                out[wt] = new
-            else:
-                del out[wt]
-        return SymmetricCharacter(self.r, out)
-
-    def __sub__(self, other: "SymmetricCharacter") -> "SymmetricCharacter":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "SymmetricCharacter":
-        if not c:
-            return SymmetricCharacter(self.r)
-        return SymmetricCharacter(self.r, {wt: c * m for wt, m in self.weights.items()})
-
-    def __mul__(self, other: "SymmetricCharacter") -> "SymmetricCharacter":
-        self._check(other)
-        out: dict[tuple[int, ...], int] = {}
-        small, big = self.weights, other.weights
-        if len(small) > len(big):
-            small, big = big, small
-        for w1, m1 in small.items():
-            for w2, m2 in big.items():
-                key = tuple(a + b for a, b in zip(w1, w2))
-                new = out.get(key, 0) + m1 * m2
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        return SymmetricCharacter(self.r, out)
-
-    def _check(self, other: "SymmetricCharacter") -> None:
-        if self.r != other.r:
-            raise ValueError(f"level mismatch: {self.r} vs {other.r}")
 
 
 class LatticeCharacter:
@@ -172,7 +101,7 @@ class LatticeCharacter:
         return dict(zip(map(tuple, full.tolist()), self.array.ravel()[flat].tolist()))
 
 
-def character(nu: Iterable[int], r: int) -> SymmetricCharacter:
+def character(nu: Iterable[int], r: int) -> SparsePoly:
     """Character of the irreducible shape-nu representation on r levels."""
     nu = normalize(nu)
     if len(nu) > r:
@@ -181,7 +110,7 @@ def character(nu: Iterable[int], r: int) -> SymmetricCharacter:
     for tab in enumerate_ssyt(nu, r):
         wt = content_vector(tab, r)
         weights[wt] = weights.get(wt, 0) + 1
-    return SymmetricCharacter(r, weights)
+    return SparsePoly(r, weights)
 
 
 def _entry_dtype(bound: int):
@@ -194,7 +123,7 @@ def _strides(shape: tuple[int, ...]) -> list[int]:
     return [prod(shape[axis + 1 :]) for axis in range(len(shape))]
 
 
-def plethysm_h_series(m_max: int, f: SymmetricCharacter, k: int = 1) -> list[LatticeCharacter]:
+def plethysm_h_series(m_max: int, f: SparsePoly, k: int = 1) -> list[LatticeCharacter]:
     """Characters of Sym^0 .. Sym^m_max of f (x) C^k.
 
     With k = 1 these are GL_r characters, the symmetric powers of f; with
@@ -208,17 +137,17 @@ def plethysm_h_series(m_max: int, f: SymmetricCharacter, k: int = 1) -> list[Lat
         raise ValueError("negative power")
     if k < 1:
         raise ValueError("the rank must be at least 1")
-    r = f.r
-    degree = f.degree()
-    if any(sum(wt) != degree for wt in f.weights):
+    if not f.is_homogeneous():
         raise ValueError("symmetric powers need a homogeneous character")
+    r = f.nvars
+    degree = max(f.degree(), 0)  # the zero character's totals stay 0, not -m
     groups = (r,) if k == 1 else (r, k)
     # Weights of f (x) C^k on the free coordinates (Adams_j multiplies them
     # by j), and the largest value of each free coordinate in degree 1.
     units = [tuple(int(a == b) for b in range(k - 1)) for a in range(k)]
-    factor = [(wt[:-1] + e, mult) for wt, mult in f.weights.items() for e in units]
+    factor = [(wt[:-1] + e, mult) for wt, mult in f.terms.items() for e in units]
     caps = [max((wt[axis] for wt, _ in factor), default=0) for axis in range(r + k - 2)]
-    dim_f = f.dimension()
+    dim_f = sum(f.terms.values())
     orbit = prod(factorial(g) for g in groups)
     series = [LatticeCharacter(groups, (0,) * len(groups), np.ones((1,) * len(caps), dtype=np.int64))]
     for m in range(1, m_max + 1):
@@ -238,11 +167,6 @@ def plethysm_h_series(m_max: int, f: SymmetricCharacter, k: int = 1) -> list[Lat
             raise ArithmeticError(f"degree {m} has dimension {term.dimension()}, not {dim_m}")
         series.append(term)
     return series
-
-
-def plethysm_h(m: int, f: SymmetricCharacter) -> LatticeCharacter:
-    """Character of the m-th symmetric power of f."""
-    return plethysm_h_series(m, f)[m]
 
 
 @lru_cache(maxsize=None)
@@ -334,23 +258,21 @@ def _decompose_lattice(f: LatticeCharacter):
     return f._complete(free), mults
 
 
-def _decompose_sparse(f: SymmetricCharacter):
-    """The same for a dict character: keys are looked up by binary search."""
-    r = f.r
-    weights = list(f.weights)
-    if any(x < 0 for wt in weights for x in wt):
-        raise ValueError("a negative exponent is not a polynomial character")
+def _decompose_sparse(f: SparsePoly):
+    """The same for a sparse character: keys are looked up by binary search."""
+    r = f.nvars
+    weights = list(f.terms)
     dominant = [wt for wt in weights if all(wt[i] >= wt[i + 1] for i in range(r - 1))]
     full = np.array(dominant, dtype=np.int64).reshape(-1, r)
     offsets, signs = _signed_delta_orbit((r,))
     box = (max((max(wt) for wt in weights), default=0) + 1,) * r
     # each alternation sum has |orbit| terms of absolute value at most max |mult|
-    bound = len(signs) * max((abs(m) for m in f.weights.values()), default=0)
+    bound = len(signs) * max((abs(m) for m in f.terms.values()), default=0)
     strides = np.array(_strides(box), dtype=_entry_dtype(prod(box)))
     codes = np.array(weights, dtype=np.int64).reshape(-1, r) @ strides
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
-    values = np.array(list(f.weights.values()), dtype=_entry_dtype(bound))[order]
+    values = np.array(list(f.terms.values()), dtype=_entry_dtype(bound))[order]
 
     def gather(idx):
         pos = np.minimum(np.searchsorted(codes, idx), len(codes) - 1)
@@ -359,9 +281,7 @@ def _decompose_sparse(f: SymmetricCharacter):
     return full, _alternate(full, offsets, signs, box, strides, gather)
 
 
-def schur_decompose(
-    f: SymmetricCharacter | LatticeCharacter, validate: bool = True
-) -> dict:
+def schur_decompose(f: SparsePoly | LatticeCharacter, validate: bool = True) -> dict:
     """Highest weights and multiplicities of a character.
 
     Each dominant weight lam in the support is tested with the Weyl
@@ -373,9 +293,11 @@ def schur_decompose(
     """
     if isinstance(f, LatticeCharacter):
         groups = f.groups
+        dimension = f.dimension()
         full, mults = _decompose_lattice(f)
     else:
-        groups = (f.r,)
+        groups = (f.nvars,)
+        dimension = sum(f.terms.values())
         full, mults = _decompose_sparse(f)
     if (mults < 0).any():
         bad = int(np.flatnonzero(mults < 0)[0])
@@ -393,7 +315,7 @@ def schur_decompose(
         for key, mult in result.items():
             parts = (key,) if len(groups) == 1 else key
             total += mult * prod(weyl_dimension(p, g) for p, g in zip(parts, groups))
-        if total != f.dimension():
+        if total != dimension:
             raise ValueError("component dimensions do not sum to the character dimension")
     return result
 

@@ -499,9 +499,7 @@ def pipeline(
     report = None
     for m_cap in m_schedule:
         points = inner_points(nu, r, rank_bound, m_cap, level_cap, degree_cap)
-        coords = sorted(
-            {lam + mu if mixed else lam for lam, mu in points}
-        )
+        coords = [lam + mu if mixed else lam for lam, mu in points]
         inner = hull(coords)
         report = facet_match(inner, nu, r, rank_bound)
         extra = [

@@ -26,7 +26,7 @@ import sympy
 from paulitope.coefficients import induced_spectrum, value_blocks
 from paulitope.errors import ResourceLimitError
 from paulitope.permutations import Permutation, require_minimal
-from paulitope.plethysm import SymmetricCharacter, character
+from paulitope.plethysm import character
 from paulitope.polynomials import (
     SparsePoly,
     divided_difference_word,
@@ -285,67 +285,67 @@ def brute_h_weights(m: int, weights: dict) -> dict:
     return out
 
 
-def power_substitute(f: SymmetricCharacter, k: int) -> SymmetricCharacter:
+def power_substitute(f: SparsePoly, k: int) -> SparsePoly:
     """Replace every weight by k times itself (Adams operation on characters)."""
     if k < 1:
         raise ValueError("power substitution needs k >= 1")
-    return SymmetricCharacter(
-        f.r, {tuple(k * x for x in wt): m for wt, m in f.weights.items()}
+    return SparsePoly(
+        f.nvars, {tuple(k * x for x in wt): m for wt, m in f.terms.items()}
     )
 
 
-def dict_h_series(m_max: int, f: SymmetricCharacter) -> list[SymmetricCharacter]:
+def dict_h_series(m_max: int, f: SparsePoly) -> list[SparsePoly]:
     """Sym^0(f) .. Sym^m_max(f) by the Newton recurrence on weight dicts."""
-    series = [SymmetricCharacter.unit(f.r)]
+    series = [SparsePoly.constant(f.nvars, 1)]
     adams = [None] + [power_substitute(f, k) for k in range(1, m_max + 1)]
     for m in range(1, m_max + 1):
-        acc = SymmetricCharacter(f.r)
+        acc = SparsePoly.zero(f.nvars)
         for k in range(1, m + 1):
             acc = acc + adams[k] * series[m - k]
         out = {}
-        for wt, mult in acc.weights.items():
+        for wt, mult in acc.terms.items():
             q, rem = divmod(mult, m)
             if rem:
                 raise ArithmeticError("Newton recurrence must divide exactly")
             out[wt] = q
-        series.append(SymmetricCharacter(f.r, out))
+        series.append(SparsePoly(f.nvars, out))
     return series
 
 
-def plethysm_schur(mu, f: SymmetricCharacter, h_series=None) -> SymmetricCharacter:
+def plethysm_schur(mu, f: SparsePoly, h_series=None) -> SparsePoly:
     """Character of the mu-shaped Schur functor of f: the Jacobi-Trudi determinant
     of symmetric-power characters h_{mu_i - i + j}."""
     mu = normalize(mu)
     if not mu:
-        return SymmetricCharacter.unit(f.r)
+        return SparsePoly.constant(f.nvars, 1)
     n = len(mu)
     need = mu[0] + n - 1
     if h_series is None or len(h_series) <= need:
         h_series = dict_h_series(need, f)
-    total = SymmetricCharacter(f.r)
+    total = SparsePoly.zero(f.nvars)
     for sigma in itertools.permutations(range(n)):
         indices = [mu[i] - i + sigma[i] for i in range(n)]
         if any(k < 0 for k in indices):
             continue
-        term = SymmetricCharacter.unit(f.r)
+        term = SparsePoly.constant(f.nvars, 1)
         for k in indices:
             term = term * h_series[k]
         total = total + term.scale(_perm_sign(sigma))
     return total
 
 
-def schur_decompose_peel(f: SymmetricCharacter) -> dict:
+def schur_decompose_peel(f: SparsePoly) -> dict:
     """Decomposition by repeatedly peeling the top weight's character."""
-    remaining = dict(f.weights)
+    remaining = dict(f.terms)
     result: dict = {}
     while remaining:
         top = max(remaining)
         mult = remaining[top]
-        if mult < 0 or any(top[i] < top[i + 1] for i in range(f.r - 1)):
+        if mult < 0 or any(top[i] < top[i + 1] for i in range(f.nvars - 1)):
             raise ValueError("not a character")
         lam = normalize(top)
         result[lam] = mult
-        for wt, m in character(lam, f.r).weights.items():
+        for wt, m in character(lam, f.nvars).terms.items():
             new = remaining.get(wt, 0) - mult * m
             if new:
                 remaining[wt] = new

@@ -233,6 +233,9 @@ def test_hull_accepts_any_iterable():
     pts = random_rational_points(np.random.default_rng(3), 10, 3)
     assert hull(iter(pts)) == hull(pts)
     assert hull(p for p in pts) == hull(pts)
+    # the input order does not matter, so callers need not sort
+    shuffled = [pts[i] for i in np.random.default_rng(4).permutation(len(pts))]
+    assert hull(shuffled) == hull(sorted(set(pts)))
 
 
 def test_int_and_fraction_coordinates_agree():
