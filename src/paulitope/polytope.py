@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from numbers import Integral
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -98,11 +100,43 @@ def _reduce_mod_keep_sign(vec: IntVec, basis: Sequence[IntVec]) -> IntVec:
     return reduced
 
 
-def _int_row(row: Sequence) -> IntVec:
-    """Primitive integer form of a row; only rows not already all int go through Fraction."""
-    if set(map(type, row)) == {int}:
-        return _primitive(row)
-    return _scale_to_int(row)
+def _exact(x) -> int | Fraction:
+    """x as an int or a Fraction of ints; numpy integers go through int(), so they cannot wrap."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    return int(x) if isinstance(x, Integral) else Fraction(x)
+
+
+def _row_matrix(entries: list, width: int) -> np.ndarray:
+    """The distinct primitive integer rows of a rational matrix, in lexicographic order.
+
+    ``entries`` holds the matrix row by row, ``width`` entries a row.  Each
+    row is scaled by the lcm of its denominators and divided by the gcd of
+    the result, zero rows are dropped, and the rest are sorted and deduped
+    with one lexsort, so they come out in the order ``sorted(set(rows))``
+    gives.  Ints and Fractions are read as they are and anything else goes
+    through ``_exact``; the numerator and denominator of each entry are read
+    once.  The matrix is int64 when max|numerator| * lcm(denominators)
+    fits and Python ints (dtype=object) otherwise; every scaled entry, and
+    every lcm on the way, is bounded by that product.
+    """
+    if not all(issubclass(t, (int, Fraction)) for t in set(map(type, entries))):
+        entries = [_exact(x) for x in entries]
+    nums = np.fromiter(map(attrgetter("numerator"), entries), dtype=object, count=len(entries))
+    dens = np.fromiter(map(attrgetter("denominator"), entries), dtype=object, count=len(entries))
+    num_max = max(nums.max(initial=0), -nums.min(initial=0))
+    dtype = _entry_dtype(int(num_max) * lcm(*set(dens)))
+    # each object array is dropped once converted, to keep the peak down
+    rows = nums.astype(dtype).reshape(-1, width)
+    del nums
+    dens = dens.astype(dtype).reshape(-1, width)
+    rows *= np.lcm.reduce(dens, axis=1)[:, None] // dens
+    del dens
+    rows //= np.maximum(np.gcd.reduce(rows, axis=1), 1)[:, None]
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = rows.any(axis=1)
+    keep[1:] &= (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 def _implied(pending: np.ndarray, row_max: int, lineality, rays) -> np.ndarray:
@@ -124,16 +158,19 @@ def _implied(pending: np.ndarray, row_max: int, lineality, rays) -> np.ndarray:
 
 def cone_dual(
     equations: Iterable[Sequence],
-    inequalities: Iterable[Sequence],
+    inequalities: Iterable[Sequence] | np.ndarray,
     dim: int,
     ray_cap: int = RAY_CAP,
 ) -> tuple[list[IntVec], list[IntVec]]:
     """Extreme rays and lineality basis of {x : e.x = 0 for all e, a.x >= 0}.
 
-    Equations are eliminated first by pivoting inside the lineality space;
-    inequalities are then inserted in sorted order with the standard double
-    description step, using bitmasks over the inserted inequalities for the
-    adjacency test.
+    The inequalities are one integer matrix of distinct primitive rows in
+    lexicographic order: either the matrix ``_row_matrix`` builds, which
+    ``hull`` passes and which is used as it is, or rows of rationals, which
+    go through ``_row_matrix`` here.  Equations are eliminated first by
+    pivoting inside the lineality space; the inequalities are then inserted
+    in the matrix order with the standard double description step, using
+    bitmasks over the inserted inequalities for the adjacency test.
 
     Before each insertion one matrix product checks every remaining
     inequality against the current lineality basis and rays.  A row that is
@@ -145,8 +182,15 @@ def cone_dual(
     cone; and the kept rows go in in the same order, so the ray count at each
     step, and with it the ray cap, is unchanged.
     """
-    eq_rows = [r for r in map(_int_row, equations) if any(r)]
-    ineq_rows = sorted({r for r in map(_int_row, inequalities) if any(r)})
+    eq_rows = [r for r in map(_scale_to_int, equations) if any(r)]
+    pending = inequalities
+    if not isinstance(pending, np.ndarray):
+        rows = list(pending)
+        if any(len(row) != dim for row in rows):
+            raise ValueError(f"cone_dual: every inequality needs {dim} entries")
+        pending = _row_matrix(list(chain.from_iterable(rows)), dim)
+    n_rows = len(pending)
+    row_max = int(np.abs(pending).max(initial=0))
     lineality: list[IntVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
     ]
@@ -213,7 +257,7 @@ def cone_dual(
         if len(rays) > ray_cap:
             raise ResourceLimitError(
                 f"cone_dual: ray count {len(rays)} exceeds cap {ray_cap} after inserting "
-                f"{nbits} of {len(ineq_rows)} inequalities (dim {dim})"
+                f"{nbits} of {n_rows} inequalities (dim {dim})"
             )
 
     for a in eq_rows:
@@ -223,8 +267,6 @@ def cone_dual(
         else:
             split(a, None)
 
-    row_max = max(map(abs, chain.from_iterable(ineq_rows)), default=0)
-    pending = np.array(ineq_rows, dtype=_entry_dtype(row_max)).reshape(len(ineq_rows), dim)
     while len(pending):
         live = ~_implied(pending, row_max, lineality, rays)
         if not live.any():
@@ -306,13 +348,6 @@ def polytope_from_h(
     return Polytope(dim, eqs, ineqs, _vertices_from_h(dim, eqs, ineqs))
 
 
-def _point_row(point: Sequence) -> IntVec:
-    """The primitive integer row (den, x1*den, ...), den the lcm of the denominators."""
-    pairs = [(x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio() for x in point]
-    den = lcm(*[d for _, d in pairs])
-    return (den, *[n * (den // d) for n, d in pairs])
-
-
 def hull(points: Iterable[Sequence]) -> Polytope:
     """Convex hull with exact facets, equations, and vertices.
 
@@ -320,14 +355,23 @@ def hull(points: Iterable[Sequence]) -> Polytope:
     on affine functionals (c0, c); lineality directions of that cone are the
     equations of the hull and extreme rays are its facets.  Coordinates may
     be ints, Fractions, or anything ``Fraction()`` accepts.
+
+    The points go to ``cone_dual`` as one integer matrix of the primitive
+    rows (den, x1*den, ...), den the lcm of a point's denominators, without
+    repeats and in lexicographic order, so the input order does not matter.
     """
-    rows = {_point_row(p) for p in points}
-    if not rows:
+    entries: list = []
+    dim = None
+    for p in points:
+        if dim is None:
+            dim = len(p)
+        elif len(p) != dim:
+            raise ValueError("points have mixed arity")
+        entries.append(1)
+        entries.extend(p)
+    if dim is None:
         raise ValueError("need at least one point")
-    dim = len(next(iter(rows))) - 1
-    if any(len(row) != dim + 1 for row in rows):
-        raise ValueError("points have mixed arity")
-    rays, lin = cone_dual([], rows, dim + 1)
+    rays, lin = cone_dual([], _row_matrix(entries, dim + 1), dim + 1)
 
     equations = []
     for l in lin:

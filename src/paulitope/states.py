@@ -48,7 +48,32 @@ def _exact_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-class WedgeState:
+class _ExactState:
+    """Value semantics shared by the exact states: equal fields, equal states.
+
+    The fields are the subclass's slots, amplitudes last; the hash reads the
+    amplitudes as a frozenset, so a state can sit in a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        *head, amplitudes = self._fields()
+        return hash((*head, frozenset(amplitudes.items())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
+
+
+class WedgeState(_ExactState):
     """Antisymmetric n-particle state on r levels, supported on basis wedges.
 
     Keys are strictly increasing index tuples of length n_particles with
@@ -97,7 +122,7 @@ class WedgeState:
         return sorted(self.amplitudes)
 
 
-class TableauState:
+class TableauState(_ExactState):
     """State in the shape-nu representation supported on tableau basis vectors."""
 
     __slots__ = ("nu", "levels", "amplitudes")

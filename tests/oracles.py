@@ -613,6 +613,17 @@ def reference_vertices_from_h(
     return tuple(sorted(set(vertices)))
 
 
+# The per-point row builder the package used before hull built its integer
+# matrix with numpy: one Python tuple per point.
+
+
+def reference_point_row(point: Sequence) -> IntVec:
+    """The primitive integer row (den, x1*den, ...), den the lcm of the denominators."""
+    pairs = [(x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio() for x in point]
+    den = math.lcm(*[d for _, d in pairs])
+    return (den, *[n * (den // d) for n, d in pairs])
+
+
 def reference_hull(points: Sequence[Sequence]) -> Polytope:
     """Convex hull with exact facets, equations, and vertices.
 

@@ -170,6 +170,15 @@ def test_kind2_even_particle_count_excludes_the_column():
     assert (2, 3, 4, 5) in {i.indices for i in fam3.items}
 
 
+def test_kind2_families_compare_and_hash_by_value():
+    fam = grassmann_kind2(2, 3)
+    assert fam == grassmann_kind2(2, 3)
+    assert fam != grassmann_kind2(3, 4)
+    assert len({hash(e) for e in fam.excluded}) == len(fam.excluded)
+    assert {hash(e) for e in fam.excluded} == {hash(e) for e in grassmann_kind2(2, 3).excluded}
+    assert "object at 0x" not in repr(fam)
+
+
 def test_kind2_resource_caps():
     with pytest.raises(ResourceLimitError):
         grassmann_kind2(3, 8)

@@ -13,11 +13,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from oracles import (
     random_rational_points,
     reference_cone_dual,
     reference_hull,
+    reference_point_row,
     reference_vertices_from_h,
 )
 from paulitope import polytope
@@ -168,6 +170,107 @@ def test_rank_two_five_facet_points_match_reference():
     pts = [p for p in _chamber_points(6) if _inside(p, rows)]
     assert_same_hull(pts)
     assert len(hull(pts).facets) > 5
+
+
+# ------------------------------------------------------------ point matrix
+
+
+def _hull_matrix(monkeypatch, points):
+    """The inequality matrix that ``hull`` hands to cone_dual, and the hull."""
+    handed = []
+
+    def recording(equations, inequalities, dim, *rest):
+        handed.append(inequalities)
+        return cone_dual(equations, inequalities, dim, *rest)
+
+    monkeypatch.setattr(polytope, "cone_dual", recording)
+    poly = hull(points)
+    return handed[0], poly
+
+
+def assert_reference_rows(matrix, points):
+    assert isinstance(matrix, np.ndarray)
+    assert [tuple(row) for row in matrix.tolist()] == sorted({reference_point_row(p) for p in points})
+
+
+@pytest.mark.parametrize("dim,count,seed", CLOUDS, ids=[f"d{d}-n{n}-s{s}" for d, n, s in CLOUDS])
+def test_point_matrix_matches_reference_rows(monkeypatch, dim, count, seed):
+    pts = random_rational_points(np.random.default_rng(1000 * dim + seed), count, dim)
+    matrix, _ = _hull_matrix(monkeypatch, pts)
+    assert matrix.dtype == np.int64
+    assert_reference_rows(matrix, pts)
+
+
+def test_rank_two_point_matrix_matches_reference_rows(monkeypatch):
+    pts = _chamber_points(6)
+    shuffled = [pts[i] for i in np.random.default_rng(8).permutation(len(pts))]
+    matrix, _ = _hull_matrix(monkeypatch, shuffled)
+    assert matrix.shape == (579, 7)
+    assert_reference_rows(matrix, pts)
+
+
+def test_point_matrix_at_a_patched_limit_takes_the_object_path(monkeypatch):
+    # max|numerator| 6 times lcm(1..4) = 72 does not fit under the limit
+    pts = random_rational_points(np.random.default_rng(41), 12, 3)
+    monkeypatch.setattr("paulitope.plethysm._INT64_LIMIT", 10)
+    matrix, _ = _hull_matrix(monkeypatch, pts)
+    assert matrix.dtype == object
+    assert_reference_rows(matrix, pts)
+    assert_same_hull(pts)
+
+
+def test_point_matrix_beyond_int64_takes_the_object_path(monkeypatch):
+    # every coordinate has its own prime denominator near 2^11, so the lcm of
+    # a row's six denominators is above 2^66
+    rng = np.random.default_rng(42)
+    primes = sympy.primerange(2**11, 2**12)
+    numerators = [-3, -2, -1, 1, 2, 3]
+    pts = [tuple(Fraction(int(rng.choice(numerators)), next(primes)) for _ in range(6)) for _ in range(8)]
+    assert min(reference_point_row(p)[0] for p in pts) > 2**63
+    matrix, _ = _hull_matrix(monkeypatch, pts)
+    assert matrix.dtype == object
+    assert_reference_rows(matrix, pts)
+    assert_same_hull(pts)
+
+
+def test_point_matrix_reads_mixed_coordinate_types(monkeypatch):
+    point = (-3, Fraction(-5, 6), "-7/4", -0.375, 2, Fraction(9, 4))
+    as_fractions = tuple(Fraction(x) for x in point)
+    matrix, got = _hull_matrix(monkeypatch, [point, as_fractions])
+    assert [tuple(row) for row in matrix.tolist()] == [reference_point_row(point)]
+    assert reference_point_row(point) == (24, -72, -20, -42, -9, 48, 54)
+    assert got.vertices == (as_fractions,)
+    assert_same_hull([point])
+
+
+def test_numpy_integer_coordinates_do_not_wrap(monkeypatch):
+    # Fraction(np.int64(x)) keeps an int64 numerator, which the object path
+    # would multiply past 2^63
+    pts = [(np.int64(2**62), Fraction(1, 3)), (np.int64(0), np.int64(0)), (np.int64(1), np.int64(5))]
+    exact = [tuple(int(x) if isinstance(x, np.integer) else x for x in p) for p in pts]
+    matrix, got = _hull_matrix(monkeypatch, pts)
+    assert matrix.dtype == object
+    assert_reference_rows(matrix, exact)
+    assert got == hull(exact)
+    assert_same_hull(exact)
+
+
+def test_row_matrix_matches_the_reference_normalisation():
+    # cone_dual's rows: primitive, zero rows dropped, then sorted without repeats
+    rng = np.random.default_rng(43)
+    rows = [
+        tuple(Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))) for _ in range(4))
+        for _ in range(40)
+    ]
+    rows += [(0, 0, 0, 0), tuple(3 * x for x in rows[0]), rows[1], (Fraction(0), 0, 0, Fraction(0, 7))]
+    matrix = polytope._row_matrix(list(itertools.chain.from_iterable(rows)), 4)
+    want = sorted({r for r in map(polytope._scale_to_int, rows) if any(r)})
+    assert [tuple(row) for row in matrix.tolist()] == want
+
+
+def test_cone_dual_rejects_a_row_of_the_wrong_width():
+    with pytest.raises(ValueError, match="needs 2 entries"):
+        cone_dual([], [(1, 0), (0, 1, 1)], 2)
 
 
 # ------------------------------------------------------------ exactness

@@ -9,6 +9,7 @@ import pytest
 from oracles import tensor_rdm
 from paulitope.fixtures import vertex_table
 from paulitope.states import (
+    TableauState,
     WedgeState,
     amplitude,
     dadok_kac_spectrum,
@@ -53,6 +54,21 @@ def test_wedge_state_validation():
         WedgeState(2, 4, {(1, 5): amplitude(1, 1)})
     with pytest.raises(ValueError):
         WedgeState(2, 4, {(1, 2): amplitude(1, 0)})
+
+
+def test_states_compare_hash_and_print_by_value():
+    psi = WedgeState(2, 4, {(1, 2): amplitude(1, Fraction(1, 2)), (3, 4): amplitude(-1, Fraction(1, 2))})
+    same = WedgeState(2, 4, {(3, 4): (-1, "1/2"), (1, 2): (1, "1/2")})
+    assert psi == same and hash(psi) == hash(same)
+    assert psi != WedgeState(2, 5, same.amplitudes)
+    assert psi != WedgeState(2, 4, {(1, 2): amplitude(1, Fraction(1, 2)), (3, 4): amplitude(1, Fraction(1, 2))})
+    assert eval(repr(psi), {"WedgeState": WedgeState, "Amplitude": type(amplitude(1, 1)), "Fraction": Fraction}) == psi
+    tab = TableauState((2, 1), 3, {((1, 1), (2,)): amplitude(1, 1)})
+    assert tab == TableauState([2, 1], 3, {((1, 1), (2,)): (1, 1)})
+    assert hash(tab) == hash(TableauState((2, 1), 3, {((1, 1), (2,)): (1, 1)}))
+    assert tab != TableauState((2, 1), 3, {((1, 2), (2,)): amplitude(1, 1)})
+    assert repr(tab).startswith("TableauState((2, 1), 3, {")
+    assert psi != tab
 
 
 def test_from_terms_accepts_plain_dicts():
