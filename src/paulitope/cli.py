@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import fixtures
@@ -283,16 +282,6 @@ def cmd_polytope(args) -> int:
     return 0 if report["converged_at"] is not None else 1
 
 
-def _verify_rows_job(payload: tuple) -> list[dict]:
-    name, lo, hi = payload
-    table = fixtures.coefficient_table_raw(name)
-    part = dict(table, rows=table["rows"][lo:hi])
-    report = verify_table(part)
-    for offset, row in enumerate(report["rows"]):
-        row["index"] = lo + offset + 1
-    return report["rows"]
-
-
 def cmd_verify_tables(args) -> int:
     names = args.tables or list(fixtures.COEFFICIENT_TABLES)
     for name in names:
@@ -302,20 +291,7 @@ def cmd_verify_tables(args) -> int:
     reports = {}
     ok = True
     for name in names:
-        table = fixtures.coefficient_table_raw(name)
-        n_rows = len(table["rows"])
-        if args.jobs > 1 and n_rows > 1:
-            chunks = [(name, i, i + 1) for i in range(n_rows)]
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = [row for part in pool.map(_verify_rows_job, chunks) for row in part]
-            report = {
-                "nu": table["nu"],
-                "r": table["r"],
-                "rows": rows,
-                "ok": all(row["ok"] for row in rows),
-            }
-        else:
-            report = verify_table(table)
+        report = verify_table(fixtures.coefficient_table_raw(name))
         reports[name] = report
         ok = ok and report["ok"]
         status = "ok" if report["ok"] else "FAILED"
@@ -403,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-tables", help="replay the coefficient tables")
     p.add_argument("tables", nargs="*", help="table names, default all")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_tables)
 

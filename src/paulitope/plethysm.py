@@ -281,7 +281,7 @@ def _decompose_sparse(f: SparsePoly):
     return full, _alternate(full, offsets, signs, box, strides, gather)
 
 
-def schur_decompose(f: SparsePoly | LatticeCharacter, validate: bool = True) -> dict:
+def schur_decompose(f: SparsePoly | LatticeCharacter) -> dict:
     """Highest weights and multiplicities of a character.
 
     Each dominant weight lam in the support is tested with the Weyl
@@ -310,13 +310,12 @@ def schur_decompose(f: SparsePoly | LatticeCharacter, validate: bool = True) -> 
         row = full[idx].tolist()
         parts = tuple(normalize(row[a:b]) for a, b in zip(bounds, bounds[1:]))
         result[parts[0] if len(parts) == 1 else parts] = int(mults[idx])
-    if validate:
-        total = 0
-        for key, mult in result.items():
-            parts = (key,) if len(groups) == 1 else key
-            total += mult * prod(weyl_dimension(p, g) for p, g in zip(parts, groups))
-        if total != dimension:
-            raise ValueError("component dimensions do not sum to the character dimension")
+    total = 0
+    for key, mult in result.items():
+        parts = (key,) if len(groups) == 1 else key
+        total += mult * prod(weyl_dimension(p, g) for p, g in zip(parts, groups))
+    if total != dimension:
+        raise ValueError("component dimensions do not sum to the character dimension")
     return result
 
 

@@ -37,16 +37,8 @@ IntVec = tuple[int, ...]
 def _scale_to_int(row: Sequence) -> IntVec:
     """Clear denominators and divide by the content; zero rows stay zero."""
     fracs = [Fraction(x) for x in row]
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    den = lcm(*(x.denominator for x in fracs))
+    return _primitive(int(x * den) for x in fracs)
 
 
 def _primitive(vec: Iterable[int]) -> IntVec:
@@ -61,43 +53,39 @@ def _dot(a: IntVec, v: IntVec) -> int:
     return sum(x * y for x, y in zip(a, v))
 
 
+def _pivot(vec: IntVec) -> int:
+    return next(i for i, x in enumerate(vec) if x)
+
+
 def _echelon(vectors: Iterable[IntVec]) -> list[IntVec]:
-    """Reduced integer basis, sorted by pivot position, pivots positive."""
+    """Reduced integer basis, sorted by pivot position, pivots positive.
+
+    Each new vector is reduced against the basis, and then clears its own
+    pivot column in the rows already there, so the basis stays reduced and
+    is sorted once at the end.
+    """
     basis: list[IntVec] = []
     for vec in vectors:
         vec = _reduce_mod(vec, basis)
         if any(vec):
-            pivot = next(i for i, x in enumerate(vec) if x)
-            if vec[pivot] < 0:
+            if vec[_pivot(vec)] < 0:
                 vec = tuple(-x for x in vec)
+            basis = [_reduce_mod(b, [vec]) for b in basis]
             basis.append(vec)
-            basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
-            reduced = []
-            for b in basis:
-                others = [c for c in basis if c is not b]
-                reduced.append(_reduce_mod_keep_sign(b, others))
-            basis = reduced
-    return basis
+    return sorted(basis, key=_pivot)
 
 
 def _reduce_mod(vec: IntVec, basis: Sequence[IntVec]) -> IntVec:
-    """Zero out the pivot coordinates of vec; only positive rescaling is used."""
+    """Zero out the pivot coordinates of vec; only positive rescaling is used.
+
+    Every pivot of basis is positive, as in every basis ``_echelon`` builds.
+    """
     vec = tuple(vec)
     for b in basis:
-        pivot = next(i for i, x in enumerate(b) if x)
-        if vec[pivot]:
-            scale = abs(b[pivot])
-            factor = vec[pivot] if b[pivot] > 0 else -vec[pivot]
-            vec = tuple(scale * x - factor * y for x, y in zip(vec, b))
+        p = _pivot(b)
+        if vec[p]:
+            vec = tuple(b[p] * x - vec[p] * y for x, y in zip(vec, b))
     return _primitive(vec)
-
-
-def _reduce_mod_keep_sign(vec: IntVec, basis: Sequence[IntVec]) -> IntVec:
-    reduced = _reduce_mod(vec, basis)
-    pivot = next(i for i, x in enumerate(reduced) if x)
-    if reduced[pivot] < 0:
-        reduced = tuple(-x for x in reduced)
-    return reduced
 
 
 def _exact(x) -> int | Fraction:
@@ -139,21 +127,34 @@ def _row_matrix(entries: list, width: int) -> np.ndarray:
     return rows[keep]
 
 
-def _implied(pending: np.ndarray, row_max: int, lineality, rays) -> np.ndarray:
-    """Mask of the pending rows that hold on the whole current cone.
+def _products(pending: np.ndarray, row_max: int, gens: list[IntVec]) -> np.ndarray:
+    """The matrix of a.g for every pending row a and generator g.
 
-    A row a is implied when a.l = 0 for every lineality vector l and a.r >= 0
-    for every ray r.  The product is exact: int64 when
-    max|row| * max|generator| * dim fits, Python ints otherwise.
+    The product is exact: int64 when max|row| * max|generator| * dim fits,
+    Python ints otherwise.
     """
-    gens = lineality + [vec for vec, _ in rays]
-    if not gens:
-        return np.ones(len(pending), dtype=bool)
     gen_max = max(map(abs, chain.from_iterable(gens)))
     dtype = _entry_dtype(row_max * gen_max * pending.shape[1])
-    products = pending.astype(dtype, copy=False) @ np.array(gens, dtype=dtype).T
-    n_lin = len(lineality)
-    return (products[:, :n_lin] == 0).all(axis=1) & (products[:, n_lin:] >= 0).all(axis=1)
+    return pending.astype(dtype, copy=False) @ np.array(gens, dtype=dtype).T
+
+
+def _restrict(lineality: list[IntVec], ds: list[int]) -> tuple[list[IntVec], IntVec, int]:
+    """Cut a lineality basis down to a.x = 0, given ds[i] = a.l_i, not all zero.
+
+    The first l0 with d0 = a.l0 != 0 leaves the basis, and every other l
+    with d = a.l != 0 becomes the primitive part of d0*l - d*l0.  Returns
+    the new basis, l0 and d0.
+    """
+    k = next(i for i, d in enumerate(ds) if d)
+    l0, d0 = lineality[k], ds[k]
+    rest = []
+    for i, (l, d) in enumerate(zip(lineality, ds)):
+        if i == k:
+            continue
+        if d:
+            l = _primitive(tuple(d0 * x - d * y for x, y in zip(l, l0)))
+        rest.append(l)
+    return rest, l0, d0
 
 
 def cone_dual(
@@ -167,22 +168,24 @@ def cone_dual(
     The inequalities are one integer matrix of distinct primitive rows in
     lexicographic order: either the matrix ``_row_matrix`` builds, which
     ``hull`` passes and which is used as it is, or rows of rationals, which
-    go through ``_row_matrix`` here.  Equations are eliminated first by
-    pivoting inside the lineality space; the inequalities are then inserted
-    in the matrix order with the standard double description step, using
-    bitmasks over the inserted inequalities for the adjacency test.
+    go through ``_row_matrix`` here.  Equations only restrict the lineality
+    space, and they are eliminated before any inequality, while there are
+    no rays yet.  The inequalities are then inserted in the matrix order
+    with the standard double description step, using bitmasks over the
+    inserted inequalities for the adjacency test.
 
-    Before each insertion one matrix product checks every remaining
-    inequality against the current lineality basis and rays.  A row that is
-    implied by the current cone is implied by every later, smaller cone, so
-    it is dropped for good, and the first row that is not implied is
-    inserted.  The output is the same as inserting every row: extreme rays
-    and lineality depend only on the cone, not on redundant rows; the
+    Before each insertion one matrix product takes every remaining
+    inequality against the current lineality basis and rays.  A row a is
+    implied when a.l = 0 for every lineality vector l and a.r >= 0 for
+    every ray r.  A row that is implied by the current cone is implied by
+    every later, smaller cone, so it is dropped for good, and the first row
+    that is not implied is inserted, driven by its own row of the product.
+    The output is the same as inserting every row: extreme rays and
+    lineality depend only on the cone, not on redundant rows; the
     combinatorial adjacency test is valid for any system that defines the
     cone; and the kept rows go in in the same order, so the ray count at each
     step, and with it the ray cap, is unchanged.
     """
-    eq_rows = [r for r in map(_scale_to_int, equations) if any(r)]
     pending = inequalities
     if not isinstance(pending, np.ndarray):
         rows = list(pending)
@@ -197,44 +200,30 @@ def cone_dual(
     rays: list[tuple[IntVec, int]] = []
     nbits = 0
 
-    def pivot(a: IntVec, l0: IntVec, d0: int, new_bit: int | None, prior_mask: int):
+    def pivot(lin_ds: list[int], ray_ds: list[int], new_bit: int):
         nonlocal lineality, rays
-        new_lin = []
-        for l in lineality:
-            if l is l0:
-                continue
-            d = _dot(a, l)
-            if d:
-                l = _primitive(tuple(d0 * x - d * y for x, y in zip(l, l0)))
-            new_lin.append(l)
-        lineality = new_lin
+        lineality, l0, d0 = _restrict(lineality, lin_ds)
         new_rays = []
-        for vec, zs in rays:
-            d = _dot(a, vec)
+        for (vec, zs), d in zip(rays, ray_ds):
             if d:
                 comb = tuple(d0 * x - d * y for x, y in zip(vec, l0))
                 if d0 < 0:
                     comb = tuple(-x for x in comb)
                 vec = _primitive(comb)
-            if new_bit is not None:
-                zs |= new_bit
-            new_rays.append((vec, zs))
+            new_rays.append((vec, zs | new_bit))
         rays = new_rays
-        if new_bit is not None:
-            r0 = l0 if d0 > 0 else tuple(-x for x in l0)
-            rays.append((_primitive(r0), prior_mask))
+        rays.append((l0 if d0 > 0 else tuple(-x for x in l0), new_bit - 1))
 
-    def split(a: IntVec, new_bit: int | None):
+    def split(ray_ds: list[int], new_bit: int):
         nonlocal rays
         pos, zero, neg = [], [], []
-        for vec, zs in rays:
-            d = _dot(a, vec)
+        for (vec, zs), d in zip(rays, ray_ds):
             if d > 0:
                 pos.append((vec, zs, d))
             elif d < 0:
                 neg.append((vec, zs, d))
             else:
-                zero.append((vec, zs | new_bit if new_bit is not None else zs))
+                zero.append((vec, zs | new_bit))
         combos = []
         for pv, pz, pd in pos:
             for nv, nz, nd in neg:
@@ -249,40 +238,37 @@ def cone_dual(
                 if blocked:
                     continue
                 comb = _primitive(tuple(pd * x - nd * y for x, y in zip(nv, pv)))
-                combos.append((comb, common | new_bit if new_bit is not None else common))
-        if new_bit is None:
-            rays = zero + combos
-        else:
-            rays = [(v, z) for v, z, _ in pos] + zero + combos
+                combos.append((comb, common | new_bit))
+        rays = [(v, z) for v, z, _ in pos] + zero + combos
         if len(rays) > ray_cap:
             raise ResourceLimitError(
                 f"cone_dual: ray count {len(rays)} exceeds cap {ray_cap} after inserting "
                 f"{nbits} of {n_rows} inequalities (dim {dim})"
             )
 
-    for a in eq_rows:
-        l0 = next((l for l in lineality if _dot(a, l)), None)
-        if l0 is not None:
-            pivot(a, l0, _dot(a, l0), None, 0)
-        else:
-            split(a, None)
+    for a in map(_scale_to_int, equations):
+        ds = [_dot(a, l) for l in lineality]
+        if any(ds):
+            lineality = _restrict(lineality, ds)[0]
 
-    while len(pending):
-        live = ~_implied(pending, row_max, lineality, rays)
+    while len(pending) and (lineality or rays):
+        products = _products(pending, row_max, lineality + [vec for vec, _ in rays])
+        n_lin = len(lineality)
+        live = (products[:, :n_lin] != 0).any(axis=1) | (products[:, n_lin:] < 0).any(axis=1)
         if not live.any():
             break
         first = int(live.argmax())
-        a = tuple(pending[first].tolist())
+        ds = products[first].tolist()
+        # the products are dropped before pending is copied, to keep the peak down
+        del products
         live[first] = False
         pending = pending[live]
         bit = 1 << nbits
-        prior = bit - 1
         nbits += 1
-        l0 = next((l for l in lineality if _dot(a, l)), None)
-        if l0 is not None:
-            pivot(a, l0, _dot(a, l0), bit, prior)
+        if any(ds[:n_lin]):
+            pivot(ds[:n_lin], ds[n_lin:], bit)
         else:
-            split(a, bit)
+            split(ds[n_lin:], bit)
 
     basis = _echelon(lineality)
     seen = set()

@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
+from math import gcd
+from typing import Iterable, Sequence
 
 import numpy as np
 import sympy
@@ -33,16 +34,7 @@ from paulitope.polynomials import (
     grassmannian_schubert,
     schubert_polynomial,
 )
-from paulitope.polytope import (
-    RAY_CAP,
-    IntVec,
-    Polytope,
-    _dot,
-    _echelon,
-    _primitive,
-    _reduce_mod,
-    _scale_to_int,
-)
+from paulitope.polytope import RAY_CAP, IntVec, Polytope
 from paulitope.tableaux import content_vector, normalize, partitions_in_box
 
 
@@ -477,6 +469,78 @@ def random_rational_points(rng, count: int, dim: int, denom: int = 4):
             )
         )
     return pts
+
+
+# The integer helpers of the row-by-row double description below, frozen as
+# the package had them before it simplified its own: this echelon form
+# re-sorts and re-reduces the whole basis after every vector, and this
+# reduction accepts pivots of either sign.
+
+
+def _scale_to_int(row: Sequence) -> IntVec:
+    """Clear denominators and divide by the content; zero rows stay zero."""
+    fracs = [Fraction(x) for x in row]
+    den = 1
+    for x in fracs:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in fracs]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    return tuple(ints)
+
+
+def _primitive(vec: Iterable[int]) -> IntVec:
+    vec = tuple(vec)
+    g = gcd(*vec)
+    if g > 1:
+        vec = tuple(v // g for v in vec)
+    return vec
+
+
+def _dot(a: IntVec, v: IntVec) -> int:
+    return sum(x * y for x, y in zip(a, v))
+
+
+def _echelon(vectors: Iterable[IntVec]) -> list[IntVec]:
+    """Reduced integer basis, sorted by pivot position, pivots positive."""
+    basis: list[IntVec] = []
+    for vec in vectors:
+        vec = _reduce_mod(vec, basis)
+        if any(vec):
+            pivot = next(i for i, x in enumerate(vec) if x)
+            if vec[pivot] < 0:
+                vec = tuple(-x for x in vec)
+            basis.append(vec)
+            basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
+            reduced = []
+            for b in basis:
+                others = [c for c in basis if c is not b]
+                reduced.append(_reduce_mod_keep_sign(b, others))
+            basis = reduced
+    return basis
+
+
+def _reduce_mod(vec: IntVec, basis: Sequence[IntVec]) -> IntVec:
+    """Zero out the pivot coordinates of vec; only positive rescaling is used."""
+    vec = tuple(vec)
+    for b in basis:
+        pivot = next(i for i, x in enumerate(b) if x)
+        if vec[pivot]:
+            scale = abs(b[pivot])
+            factor = vec[pivot] if b[pivot] > 0 else -vec[pivot]
+            vec = tuple(scale * x - factor * y for x, y in zip(vec, b))
+    return _primitive(vec)
+
+
+def _reduce_mod_keep_sign(vec: IntVec, basis: Sequence[IntVec]) -> IntVec:
+    reduced = _reduce_mod(vec, basis)
+    pivot = next(i for i, x in enumerate(reduced) if x)
+    if reduced[pivot] < 0:
+        reduced = tuple(-x for x in reduced)
+    return reduced
 
 
 # The row-by-row double description the package used before it learned to

@@ -187,12 +187,6 @@ def test_verify_tables_out_file(tmp_path, capsys):
     assert len(report["3x6"]["rows"]) == 4
 
 
-def test_verify_tables_parallel_matches_serial(capsys):
-    code, out, _ = _run(capsys, "verify-tables", "3x7", "--jobs", "2")
-    assert code == 0
-    assert "table 3x7: 4/4 rows ok" in out
-
-
 def test_verify_vertices(capsys):
     code, out, _ = _run(capsys, "verify-vertices", "3x7")
     assert code == 0

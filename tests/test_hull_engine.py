@@ -4,6 +4,8 @@ The reference (tests/oracles.py) inserts every inequality, implied or not,
 and builds hull rows from Fraction points; the package drops each row the
 current cone already implies and builds primitive integer rows directly.
 Extreme rays, lineality, and every field of the hull must agree exactly.
+The integer helpers (echelon form, reduction, scaling) are checked against
+the frozen copies the reference uses.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 import sympy
 
+import oracles
 from oracles import (
     random_rational_points,
     reference_cone_dual,
@@ -89,6 +92,109 @@ def test_degenerate_input_matches_reference(name):
     pts = DEGENERATE[name]
     assert_same_cone([], hull_rows(pts), len(pts[0]) + 1)
     assert_same_hull(pts)
+
+
+# ----------------------------------------------------------- equations
+
+
+def _integer_rows(rng, count, dim, lo=-3, hi=4):
+    return [tuple(int(x) for x in rng.integers(lo, hi, dim)) for _ in range(count)]
+
+
+def _equation_cases():
+    rng = np.random.default_rng(60)
+    cases = {}
+    for dim in (2, 3, 4, 5):
+        ineqs = _integer_rows(rng, 3 * dim, dim)
+        e1, e2 = _integer_rows(rng, 2, dim)
+        cases[f"d{dim}-none"] = ([], ineqs, dim)
+        cases[f"d{dim}-repeated"] = ([e1, e1, tuple(-2 * x for x in e1)], ineqs, dim)
+        dependent = tuple(2 * x - 3 * y for x, y in zip(e1, e2))
+        cases[f"d{dim}-dependent"] = ([e1, e2, dependent, (0,) * dim], ineqs, dim)
+        halves = [tuple(Fraction(int(x), 2) for x in e) for e in (e1, e2)]
+        cases[f"d{dim}-fractions"] = (halves, ineqs, dim)
+        unit = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+        cases[f"d{dim}-no-lineality"] = (unit[::-1] + [e1], ineqs, dim)
+        cases[f"d{dim}-one-left"] = (unit[1:], ineqs, dim)
+    return cases
+
+
+EQUATION_CASES = _equation_cases()
+
+
+@pytest.mark.parametrize("name", sorted(EQUATION_CASES))
+def test_equations_match_reference(name):
+    equations, inequalities, dim = EQUATION_CASES[name]
+    assert_same_cone(equations, inequalities, dim)
+
+
+# ------------------------------------------------------- integer helpers
+
+
+def _vector_lists():
+    """Seeded vector lists with dependent vectors, zero vectors and negative leading entries."""
+    rng = np.random.default_rng(61)
+    lists = []
+    for dim in range(1, 7):
+        for _ in range(40):
+            vecs = []
+            for _ in range(int(rng.integers(0, 8))):
+                kind = rng.random()
+                if vecs and kind < 0.25:
+                    a, b = (vecs[i] for i in rng.integers(0, len(vecs), 2))
+                    c, d = (int(x) for x in rng.integers(-2, 3, 2))
+                    vecs.append(tuple(c * x + d * y for x, y in zip(a, b)))
+                elif kind < 0.35:
+                    vecs.append((0,) * dim)
+                else:
+                    vec = list(_integer_rows(rng, 1, dim, -5, 6)[0])
+                    lead = int(rng.integers(0, dim))
+                    vec[:lead] = [0] * lead
+                    vec[lead] = -abs(vec[lead]) or -1
+                    vecs.append(tuple(vec) if kind < 0.7 else tuple(-x for x in vec))
+            lists.append((dim, vecs))
+    return lists
+
+
+VECTOR_LISTS = _vector_lists()
+
+
+def test_vector_lists_cover_every_kind():
+    flat = [v for _, vecs in VECTOR_LISTS for v in vecs]
+    assert any(not any(v) for v in flat)
+    assert any(v[next(i for i, x in enumerate(v) if x)] < 0 for v in flat if any(v))
+    assert any(len(oracles._echelon(vecs)) < len(vecs) for _, vecs in VECTOR_LISTS)
+
+
+def test_echelon_matches_frozen_helper():
+    for _, vecs in VECTOR_LISTS:
+        basis = polytope._echelon(vecs)
+        assert basis == oracles._echelon(vecs)
+        pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+        assert pivots == sorted(set(pivots))
+        assert all(b[p] > 0 for b, p in zip(basis, pivots))
+
+
+def test_reduce_mod_matches_frozen_helper():
+    rng = np.random.default_rng(62)
+    for dim, vecs in VECTOR_LISTS:
+        basis = polytope._echelon(vecs)
+        probes = vecs + _integer_rows(rng, 3, dim, -9, 10) + [(0,) * dim]
+        for vec in probes:
+            assert polytope._reduce_mod(vec, basis) == oracles._reduce_mod(vec, basis)
+
+
+def test_scale_to_int_matches_frozen_helper():
+    rng = np.random.default_rng(63)
+    rows = [(), (0,), (0, 0, 0), (Fraction(-4, 6), 0, 2), (-6, 9, 12)]
+    for dim in range(1, 7):
+        for _ in range(60):
+            nums = rng.integers(-12, 13, dim)
+            dens = rng.integers(1, 7, dim)
+            rows.append(tuple(Fraction(int(n), int(d)) for n, d in zip(nums, dens)))
+            rows.append(tuple(int(n) for n in nums))
+    for row in rows:
+        assert polytope._scale_to_int(row) == oracles._scale_to_int(row)
 
 
 # ------------------------------------------------------------ H-systems
