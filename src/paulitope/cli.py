@@ -14,12 +14,10 @@ import sys
 from fractions import Fraction
 
 from . import fixtures
-from .coefficients import coefficient, inequality_to_triple, verify_table
+from .coefficients import coefficient, verify_table
 from .errors import ResourceLimitError
 from .generators import (
-    ExcludedShape,
     InequalityFamily,
-    OccupationInequality,
     grassmann_kind1,
     grassmann_kind2,
     majorization_constraints,
@@ -66,16 +64,6 @@ def _json_default(obj):
         return _fraction_str(obj)
     if isinstance(obj, Permutation):
         return obj.cycle_string()
-    if isinstance(obj, SparsePoly):
-        return poly_to_json(obj)
-    if isinstance(obj, Polytope):
-        return polytope_to_json(obj)
-    if isinstance(obj, WedgeState):
-        return state_to_json(obj)
-    if isinstance(obj, (OccupationInequality, ExcludedShape)):
-        return obj.__dict__ if hasattr(obj, "__dict__") else obj._asdict()
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -9,8 +9,9 @@ inequality is in fact false.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -104,6 +105,17 @@ def majorization_constraints(nu: Iterable[int], r: int) -> InequalityFamily:
     )
 
 
+def _strip_sum(gamma: Partition, column: bool) -> int:
+    """sum_k (-1)^k of the standard fillings of gamma with a strip of k cells removed.
+
+    The strip is a row of k cells, or with ``column`` a column of k cells.
+    """
+    return sum(
+        (-1) ** k * count_skew_standard(gamma, (1,) * k if column else (k,))
+        for k in range(size(gamma) + 1)
+    )
+
+
 def cgamma_kind1(gamma: Iterable[int], n_particles: int, r: int) -> int:
     """Coefficient of the width-(N-1) family member attached to gamma.
 
@@ -115,9 +127,7 @@ def cgamma_kind1(gamma: Iterable[int], n_particles: int, r: int) -> int:
     if size(gamma) != width:
         raise ValueError(f"|gamma| must be {width} for r={r}, N={n_particles}")
     FramedDiagram(gamma, n_particles - 1, width).validate()
-    return sum(
-        (-1) ** k * count_skew_standard(gamma, (k,)) for k in range(size(gamma) + 1)
-    )
+    return _strip_sum(gamma, column=False)
 
 
 def cgamma_kind1_positive(gamma: Iterable[int]) -> int:
@@ -164,9 +174,7 @@ def cgamma_kind2(gamma: Iterable[int], n_particles: int) -> int:
     gamma = normalize(gamma)
     if size(gamma) != n_particles + 1:
         raise ValueError(f"|gamma| must be {n_particles + 1}")
-    return sum(
-        (-1) ** k * count_skew_standard(gamma, (1,) * k) for k in range(size(gamma) + 1)
-    )
+    return _strip_sum(gamma, column=True)
 
 
 def cgamma_kind2_positive(gamma: Iterable[int]) -> int:
@@ -185,18 +193,40 @@ def cgamma_kind2_positive(gamma: Iterable[int]) -> int:
     return total
 
 
-def _certified_violation(
-    gamma: Partition,
-    indices: tuple[int, ...],
-    bound: int,
-    reason: str,
-    state: WedgeState,
-) -> ExcludedShape:
-    occ = occupation_numbers(state)
-    lhs = sum((occ[i - 1] for i in indices), Fraction(0))
-    if lhs <= bound:
-        raise AssertionError(f"claimed countermodel does not violate the bound: {lhs}")
-    return ExcludedShape(gamma, indices, bound, reason, state, lhs)
+_SLATER = "vanishing coefficient; false already for one Slater determinant"
+
+
+def _framed_family(
+    rows: int, cols: int, bound: int, column: bool, witnesses: dict
+) -> tuple[list[OccupationInequality], list[ExcludedShape]]:
+    """Items and excluded shapes over the cols-cell shapes framed by a rows x cols box.
+
+    The coefficient of a shape is its row-strip sum, or its column-strip sum
+    with ``column``.  A shape with a nonzero coefficient gives an item; one
+    whose coefficient vanishes is excluded.  When ``witnesses`` maps it to
+    (reason, make_state), the state is built, checked to violate the bound,
+    and recorded with its left-hand side.
+    """
+    items = []
+    excluded = []
+    for gamma in partitions_in_box(rows, cols, total=cols):
+        indices = shuffle_vertical_sequence(FramedDiagram(gamma, rows, cols))
+        c = _strip_sum(gamma, column)
+        if c:
+            items.append(OccupationInequality(indices, bound, gamma, c))
+        elif gamma in witnesses:
+            reason, make_state = witnesses[gamma]
+            state = make_state()
+            occ = occupation_numbers(state)
+            lhs = sum((occ[i - 1] for i in indices), Fraction(0))
+            if lhs <= bound:
+                raise AssertionError(
+                    f"claimed countermodel does not violate the bound: {lhs}"
+                )
+            excluded.append(ExcludedShape(gamma, indices, bound, reason, state, lhs))
+        else:
+            excluded.append(ExcludedShape(gamma, indices, bound, "vanishing coefficient"))
+    return items, excluded
 
 
 def grassmann_kind1(n_particles: int, r: int) -> InequalityFamily:
@@ -220,39 +250,15 @@ def grassmann_kind1(n_particles: int, r: int) -> InequalityFamily:
             "every attainable partial sum of this length",
         )
     width = r - N + 1
-    items = []
-    excluded = []
-    for gamma in partitions_in_box(N - 1, width, total=width):
-        framed = FramedDiagram(gamma, N - 1, width)
-        indices = shuffle_vertical_sequence(framed)
-        c = cgamma_kind1(gamma, N, r)
-        if c:
-            items.append(OccupationInequality(indices, N - 2, gamma, c))
-            continue
-        if gamma == (1,) * width:
-            excluded.append(
-                _certified_violation(
-                    gamma,
-                    indices,
-                    N - 2,
-                    "vanishing coefficient; false already for one Slater determinant",
-                    slater_determinant(N, r),
-                )
-            )
-        elif len(gamma) == 1 and width % 2 == 1:
-            excluded.append(
-                _certified_violation(
-                    gamma,
-                    indices,
-                    N - 2,
-                    "vanishing coefficient; false for a core plus equal level pairs",
-                    level_merged_state(N, (width + 1) // 2),
-                )
-            )
-        else:
-            excluded.append(
-                ExcludedShape(gamma, indices, N - 2, "vanishing coefficient")
-            )
+    # the single row vanishes exactly when its width is odd
+    witnesses = {
+        (1,) * width: (_SLATER, lambda: slater_determinant(N, r)),
+        (width,): (
+            "vanishing coefficient; false for a core plus equal level pairs",
+            lambda: level_merged_state(N, (width + 1) // 2),
+        ),
+    }
+    items, excluded = _framed_family(N - 1, width, N - 2, False, witnesses)
     return InequalityFamily(
         kind="kind1",
         n_particles=N,
@@ -262,53 +268,20 @@ def grassmann_kind1(n_particles: int, r: int) -> InequalityFamily:
     )
 
 
-def _kind2_closed_form(N: int) -> tuple[list[OccupationInequality], list[ExcludedShape]]:
-    items = []
-    excluded = []
-    for gamma in partitions_in_box(N + 1, N + 1, total=N + 1):
-        framed = FramedDiagram(gamma, N + 1, N + 1)
-        indices = shuffle_vertical_sequence(framed)
-        c = cgamma_kind2(gamma, N)
-        if c:
-            items.append(OccupationInequality(indices, N - 1, gamma, c))
-            continue
-        if len(gamma) == 1:
-            excluded.append(
-                _certified_violation(
-                    gamma,
-                    indices,
-                    N - 1,
-                    "vanishing coefficient; false already for one Slater determinant",
-                    slater_determinant(N, 2 * N + 2),
-                )
-            )
-        elif gamma == (1,) * (N + 1):
-            excluded.append(
-                _certified_violation(
-                    gamma,
-                    indices,
-                    N - 1,
-                    "vanishing coefficient; false for the flat pair superposition",
-                    paired_flat_state(N),
-                )
-            )
-        else:
-            excluded.append(ExcludedShape(gamma, indices, N - 1, "vanishing coefficient"))
-    return items, excluded
-
-
-def _kind2_expansion(
-    N: int, p: int, term_cap: int
-) -> list[OccupationInequality]:
+def _kind2_expansion(N: int, p: int) -> list[OccupationInequality]:
+    if p > KIND2_WIDTH_CAP:
+        raise ResourceLimitError(
+            f"grassmann_kind2: p={p} exceeds the width cap {KIND2_WIDTH_CAP}"
+        )
     degree = comb(p, N)
     estimate = comb(degree + p - 1, p - 1)
-    if estimate > term_cap:
+    if estimate > KIND2_TERM_CAP:
         raise ResourceLimitError(
-            f"expanding the degree-{degree} product over {p} variables may need "
-            f"{estimate} terms (cap {term_cap})"
+            f"grassmann_kind2: expanding the degree-{degree} product over {p} variables "
+            f"may need {estimate} terms (cap {KIND2_TERM_CAP})"
         )
     product = SparsePoly.constant(p, 1)
-    for subset in _subsets(p, N):
+    for subset in combinations(range(1, p + 1), N):
         product = product * SparsePoly.linear_form(
             [1 if k in subset else 0 for k in range(1, p + 1)]
         )
@@ -320,25 +293,14 @@ def _kind2_expansion(
     return items
 
 
-def _subsets(p: int, N: int):
-    from itertools import combinations
-
-    return combinations(range(1, p + 1), N)
-
-
-def grassmann_kind2(
-    n_particles: int,
-    p: int,
-    width_cap: int = KIND2_WIDTH_CAP,
-    term_cap: int = KIND2_TERM_CAP,
-) -> InequalityFamily:
+def grassmann_kind2(n_particles: int, p: int) -> InequalityFamily:
     """All bound-(N-1) inequalities from p-point subsets, for N particles.
 
     The product of the subset-sum forms over all N-element subsets of 1..p is
     decomposed into Schur components; every component gives an inequality on
     any number of levels.  For p = N + 1 the closed column-strip form of the
     coefficients is used and the two vanishing shapes come with violating
-    states; other widths expand the product directly, behind a resource cap.
+    states; other widths expand the product directly, behind resource caps.
     """
     N = int(n_particles)
     if N < 1:
@@ -346,22 +308,21 @@ def grassmann_kind2(
     if p < N:
         raise ValueError(f"need p >= N, got p={p}, N={N}")
     if p == N + 1:
-        items, excluded = _kind2_closed_form(N)
-        return InequalityFamily(
-            kind="kind2",
-            n_particles=N,
-            items=tuple(items),
-            excluded=tuple(excluded),
-            frame_rows=p,
-        )
-    if p > width_cap:
-        raise ResourceLimitError(f"p={p} exceeds the width cap {width_cap}")
-    items = _kind2_expansion(N, p, term_cap)
+        witnesses = {
+            (p,): (_SLATER, lambda: slater_determinant(N, 2 * N + 2)),
+            (1,) * p: (
+                "vanishing coefficient; false for the flat pair superposition",
+                lambda: paired_flat_state(N),
+            ),
+        }
+        items, excluded = _framed_family(p, p, N - 1, True, witnesses)
+    else:
+        items, excluded = _kind2_expansion(N, p), []
     return InequalityFamily(
         kind="kind2",
         n_particles=N,
         items=tuple(items),
-        excluded=(),
+        excluded=tuple(excluded),
         frame_rows=p,
     )
 

@@ -39,14 +39,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ResourceLimitError
-from .polynomials import SparsePoly
-from .tableaux import (
-    content_vector,
-    enumerate_ssyt,
-    normalize,
-    size,
-    weyl_dimension,
-)
+from .polynomials import SparsePoly, schur_polynomial
+from .tableaux import normalize, size, weyl_dimension
 
 INNER_POINT_LEVEL_CAP = 8
 INNER_POINT_DEGREE_CAP = 24
@@ -106,11 +100,7 @@ def character(nu: Iterable[int], r: int) -> SparsePoly:
     nu = normalize(nu)
     if len(nu) > r:
         raise ValueError(f"shape {nu} needs more than {r} levels")
-    weights: dict[tuple[int, ...], int] = {}
-    for tab in enumerate_ssyt(nu, r):
-        wt = content_vector(tab, r)
-        weights[wt] = weights.get(wt, 0) + 1
-    return SparsePoly(r, weights)
+    return schur_polynomial(nu, r)
 
 
 def _entry_dtype(bound: int):

@@ -10,7 +10,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ResourceLimitError
 from .permutations import Permutation, permutations_of_length
-from .tableaux import enumerate_ssyt, normalize
+from .tableaux import content_vector, enumerate_ssyt, normalize
 
 SCHUBERT_AMBIENT_CAP = 12
 
@@ -283,11 +283,7 @@ def schur_polynomial(gamma: Iterable[int], p: int) -> SparsePoly:
         raise ValueError("need at least one variable")
     out: dict[tuple[int, ...], int] = {}
     for tab in enumerate_ssyt(gamma, p):
-        counts = [0] * p
-        for row in tab:
-            for x in row:
-                counts[x - 1] += 1
-        key = tuple(counts)
+        key = content_vector(tab, p)
         out[key] = out.get(key, 0) + 1
     return SparsePoly(p, out)
 
@@ -308,21 +304,18 @@ def grassmannian_schubert(w: Permutation) -> SparsePoly | None:
     return schur_polynomial(gamma, p)
 
 
-def schubert_expand(f: SparsePoly, d: int | None = None) -> dict[Permutation, int]:
+def schubert_expand(f: SparsePoly) -> dict[Permutation, int]:
     """Expand a homogeneous polynomial in the Schubert basis.
 
-    The candidate permutations run over those of length d inside the symmetric
-    group on nvars + d points; the coefficient of S_w is the constant term of
-    the w-th divided difference of f.
+    With d the degree of f, the candidate permutations run over those of
+    length d inside the symmetric group on nvars + d points; the coefficient
+    of S_w is the constant term of the w-th divided difference of f.
     """
     if not f.is_homogeneous():
         raise ValueError("can only expand homogeneous polynomials")
     if f.is_zero():
         return {}
-    if d is None:
-        d = f.degree()
-    if d != f.degree():
-        raise ValueError(f"degree mismatch: polynomial has degree {f.degree()}")
+    d = f.degree()
     n = f.nvars + d
     if n > SCHUBERT_AMBIENT_CAP:
         raise ResourceLimitError(f"schubert_expand: ambient {n} exceeds cap {SCHUBERT_AMBIENT_CAP}")

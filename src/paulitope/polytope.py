@@ -89,10 +89,10 @@ def _reduce_mod(vec: IntVec, basis: Sequence[IntVec]) -> IntVec:
 
 
 def _exact(x) -> int | Fraction:
-    """x as an int or a Fraction of ints; numpy integers go through int(), so they cannot wrap."""
-    if isinstance(x, (int, Fraction)):
-        return x
-    return int(x) if isinstance(x, Integral) else Fraction(x)
+    """x as an int if integral, else a Fraction; numpy ints go through int(), so cannot wrap."""
+    if not isinstance(x, (int, Fraction)):
+        x = int(x) if isinstance(x, Integral) else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _row_matrix(entries: list, width: int) -> np.ndarray:
@@ -192,6 +192,9 @@ def cone_dual(
         if any(len(row) != dim for row in rows):
             raise ValueError(f"cone_dual: every inequality needs {dim} entries")
         pending = _row_matrix(list(chain.from_iterable(rows)), dim)
+    equations = list(equations)
+    if any(len(row) != dim for row in equations):
+        raise ValueError(f"cone_dual: every equation needs {dim} entries")
     n_rows = len(pending)
     row_max = int(np.abs(pending).max(initial=0))
     lineality: list[IntVec] = [
@@ -286,8 +289,8 @@ class Polytope:
     """H and V description of a bounded rational polytope."""
 
     dim: int
-    equations: tuple[tuple[IntVec, int], ...]
-    facets: tuple[tuple[IntVec, int], ...]
+    equations: tuple[tuple[IntVec, int | Fraction], ...]
+    facets: tuple[tuple[IntVec, int | Fraction], ...]
     vertices: tuple[tuple[Fraction, ...], ...]
 
     def contains(self, point: Sequence) -> bool:
@@ -328,9 +331,9 @@ def polytope_from_h(
     equations: Sequence[tuple[Sequence[int], int]],
     inequalities: Sequence[tuple[Sequence[int], int]],
 ) -> Polytope:
-    """Bounded polytope from an explicit H description (kept as given)."""
-    eqs = tuple((tuple(a), int(b)) for a, b in equations)
-    ineqs = tuple((tuple(a), int(b)) for a, b in inequalities)
+    """Bounded polytope from an explicit H description (kept as given, bounds exact)."""
+    eqs = tuple((tuple(a), _exact(b)) for a, b in equations)
+    ineqs = tuple((tuple(a), _exact(b)) for a, b in inequalities)
     return Polytope(dim, eqs, ineqs, _vertices_from_h(dim, eqs, ineqs))
 
 

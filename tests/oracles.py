@@ -11,6 +11,8 @@ weight dicts, Jacobi-Trudi determinants for every Schur functor, and
 decomposition by peeling off top weights.  Hulls go through the row-by-row
 double description that inserts every inequality, implied or not, and
 Schubert coefficients through the fully expanded specialized polynomial.
+The Grassmann inequality families are built by the package's former code,
+one loop for each closed form.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,8 +28,15 @@ import sympy
 
 from paulitope.coefficients import induced_spectrum, value_blocks
 from paulitope.errors import ResourceLimitError
+from paulitope.generators import (
+    KIND2_TERM_CAP,
+    KIND2_WIDTH_CAP,
+    ExcludedShape,
+    InequalityFamily,
+    OccupationInequality,
+)
 from paulitope.permutations import Permutation, require_minimal
-from paulitope.plethysm import character
+from paulitope.plethysm import character, schur_decompose
 from paulitope.polynomials import (
     SparsePoly,
     divided_difference_word,
@@ -35,7 +44,23 @@ from paulitope.polynomials import (
     schubert_polynomial,
 )
 from paulitope.polytope import RAY_CAP, IntVec, Polytope
-from paulitope.tableaux import content_vector, normalize, partitions_in_box
+from paulitope.states import (
+    WedgeState,
+    level_merged_state,
+    occupation_numbers,
+    paired_flat_state,
+    slater_determinant,
+)
+from paulitope.tableaux import (
+    FramedDiagram,
+    Partition,
+    content_vector,
+    count_skew_standard,
+    normalize,
+    partitions_in_box,
+    shuffle_vertical_sequence,
+    size,
+)
 
 
 # ------------------------------------------------------------------- tableaux
@@ -724,3 +749,220 @@ def reference_hull(points: Sequence[Sequence]) -> Polytope:
     fac = tuple(sorted(set(facets)))
     vertices = reference_vertices_from_h(dim, eqs, fac)
     return Polytope(dim, eqs, fac, vertices)
+
+
+# ------------------------------------------------------- inequality families
+
+# The closed-form and expanded Grassmann families, frozen as the package had
+# them before one framed-family loop built both closed forms: each family has
+# its own copy of the loop, and every violating state is checked by one
+# helper.  The caps are the package's.
+
+
+def _cgamma_kind1(gamma: Iterable[int], n_particles: int, r: int) -> int:
+    """Coefficient of the width-(N-1) family member attached to gamma.
+
+    Alternating sum over single-row strips: sum_k (-1)^k of the standard
+    fillings of gamma with a row of k cells removed.
+    """
+    gamma = normalize(gamma)
+    width = r - n_particles + 1
+    if size(gamma) != width:
+        raise ValueError(f"|gamma| must be {width} for r={r}, N={n_particles}")
+    FramedDiagram(gamma, n_particles - 1, width).validate()
+    return sum(
+        (-1) ** k * count_skew_standard(gamma, (k,)) for k in range(size(gamma) + 1)
+    )
+
+def _cgamma_kind2(gamma: Iterable[int], n_particles: int) -> int:
+    """Coefficient of the (N+1)-cell family member attached to gamma.
+
+    Alternating sum over single-column strips: sum_k (-1)^k of the standard
+    fillings of gamma with a column of k cells removed.
+    """
+    gamma = normalize(gamma)
+    if size(gamma) != n_particles + 1:
+        raise ValueError(f"|gamma| must be {n_particles + 1}")
+    return sum(
+        (-1) ** k * count_skew_standard(gamma, (1,) * k) for k in range(size(gamma) + 1)
+    )
+
+def _certified_violation(
+    gamma: Partition,
+    indices: tuple[int, ...],
+    bound: int,
+    reason: str,
+    state: WedgeState,
+) -> ExcludedShape:
+    occ = occupation_numbers(state)
+    lhs = sum((occ[i - 1] for i in indices), Fraction(0))
+    if lhs <= bound:
+        raise AssertionError(f"claimed countermodel does not violate the bound: {lhs}")
+    return ExcludedShape(gamma, indices, bound, reason, state, lhs)
+
+
+def reference_grassmann_kind1(n_particles: int, r: int) -> InequalityFamily:
+    """All bound-(N-2) inequalities for N fermions on r levels.
+
+    One candidate per partition of r - N + 1 inside the (N-1) x (r-N+1)
+    frame; the item list keeps those with nonzero coefficient.  The single
+    column and the odd-length single row vanish, and both are genuinely false,
+    witnessed by explicit states.
+    """
+    N = int(n_particles)
+    if r <= N:
+        raise ValueError(f"need more levels than particles, got N={N}, r={r}")
+    if N < 3:
+        return InequalityFamily(
+            kind="kind1",
+            n_particles=N,
+            items=(),
+            levels=r,
+            note="empty for fewer than 3 particles: the bound N-2 is below "
+            "every attainable partial sum of this length",
+        )
+    width = r - N + 1
+    items = []
+    excluded = []
+    for gamma in partitions_in_box(N - 1, width, total=width):
+        framed = FramedDiagram(gamma, N - 1, width)
+        indices = shuffle_vertical_sequence(framed)
+        c = _cgamma_kind1(gamma, N, r)
+        if c:
+            items.append(OccupationInequality(indices, N - 2, gamma, c))
+            continue
+        if gamma == (1,) * width:
+            excluded.append(
+                _certified_violation(
+                    gamma,
+                    indices,
+                    N - 2,
+                    "vanishing coefficient; false already for one Slater determinant",
+                    slater_determinant(N, r),
+                )
+            )
+        elif len(gamma) == 1 and width % 2 == 1:
+            excluded.append(
+                _certified_violation(
+                    gamma,
+                    indices,
+                    N - 2,
+                    "vanishing coefficient; false for a core plus equal level pairs",
+                    level_merged_state(N, (width + 1) // 2),
+                )
+            )
+        else:
+            excluded.append(
+                ExcludedShape(gamma, indices, N - 2, "vanishing coefficient")
+            )
+    return InequalityFamily(
+        kind="kind1",
+        n_particles=N,
+        items=tuple(items),
+        excluded=tuple(excluded),
+        levels=r,
+    )
+
+
+def _kind2_closed_form(N: int) -> tuple[list[OccupationInequality], list[ExcludedShape]]:
+    items = []
+    excluded = []
+    for gamma in partitions_in_box(N + 1, N + 1, total=N + 1):
+        framed = FramedDiagram(gamma, N + 1, N + 1)
+        indices = shuffle_vertical_sequence(framed)
+        c = _cgamma_kind2(gamma, N)
+        if c:
+            items.append(OccupationInequality(indices, N - 1, gamma, c))
+            continue
+        if len(gamma) == 1:
+            excluded.append(
+                _certified_violation(
+                    gamma,
+                    indices,
+                    N - 1,
+                    "vanishing coefficient; false already for one Slater determinant",
+                    slater_determinant(N, 2 * N + 2),
+                )
+            )
+        elif gamma == (1,) * (N + 1):
+            excluded.append(
+                _certified_violation(
+                    gamma,
+                    indices,
+                    N - 1,
+                    "vanishing coefficient; false for the flat pair superposition",
+                    paired_flat_state(N),
+                )
+            )
+        else:
+            excluded.append(ExcludedShape(gamma, indices, N - 1, "vanishing coefficient"))
+    return items, excluded
+
+
+def _kind2_expansion(
+    N: int, p: int, term_cap: int
+) -> list[OccupationInequality]:
+    degree = comb(p, N)
+    estimate = comb(degree + p - 1, p - 1)
+    if estimate > term_cap:
+        raise ResourceLimitError(
+            f"expanding the degree-{degree} product over {p} variables may need "
+            f"{estimate} terms (cap {term_cap})"
+        )
+    product = SparsePoly.constant(p, 1)
+    for subset in _subsets(p, N):
+        product = product * SparsePoly.linear_form(
+            [1 if k in subset else 0 for k in range(1, p + 1)]
+        )
+    items = []
+    for gamma, mult in sorted(schur_decompose(product).items()):
+        framed = FramedDiagram(gamma, p, degree)
+        indices = shuffle_vertical_sequence(framed)
+        items.append(OccupationInequality(indices, N - 1, gamma, mult))
+    return items
+
+
+def _subsets(p: int, N: int):
+    from itertools import combinations
+
+    return combinations(range(1, p + 1), N)
+
+
+def reference_grassmann_kind2(
+    n_particles: int,
+    p: int,
+    width_cap: int = KIND2_WIDTH_CAP,
+    term_cap: int = KIND2_TERM_CAP,
+) -> InequalityFamily:
+    """All bound-(N-1) inequalities from p-point subsets, for N particles.
+
+    The product of the subset-sum forms over all N-element subsets of 1..p is
+    decomposed into Schur components; every component gives an inequality on
+    any number of levels.  For p = N + 1 the closed column-strip form of the
+    coefficients is used and the two vanishing shapes come with violating
+    states; other widths expand the product directly, behind a resource cap.
+    """
+    N = int(n_particles)
+    if N < 1:
+        raise ValueError("need at least one particle")
+    if p < N:
+        raise ValueError(f"need p >= N, got p={p}, N={N}")
+    if p == N + 1:
+        items, excluded = _kind2_closed_form(N)
+        return InequalityFamily(
+            kind="kind2",
+            n_particles=N,
+            items=tuple(items),
+            excluded=tuple(excluded),
+            frame_rows=p,
+        )
+    if p > width_cap:
+        raise ResourceLimitError(f"p={p} exceeds the width cap {width_cap}")
+    items = _kind2_expansion(N, p, term_cap)
+    return InequalityFamily(
+        kind="kind2",
+        n_particles=N,
+        items=tuple(items),
+        excluded=(),
+        frame_rows=p,
+    )

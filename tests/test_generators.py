@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_cgamma_kind1, brute_cgamma_kind2
+from oracles import (
+    brute_cgamma_kind1,
+    brute_cgamma_kind2,
+    reference_grassmann_kind1,
+    reference_grassmann_kind2,
+)
 from paulitope.errors import ResourceLimitError
 from paulitope.generators import (
     cgamma_kind1,
@@ -184,6 +189,54 @@ def test_kind2_resource_caps():
         grassmann_kind2(3, 8)
     with pytest.raises(ResourceLimitError):
         grassmann_kind2(3, 7)
+
+
+def test_kind2_cap_errors_name_the_stage():
+    with pytest.raises(
+        ResourceLimitError, match=r"^grassmann_kind2: p=8 exceeds the width cap 7$"
+    ):
+        grassmann_kind2(3, 8)
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^grassmann_kind2: expanding the degree-35 product over 7 variables "
+        r"may need 4496388 terms \(cap 600000\)$",
+    ):
+        grassmann_kind2(3, 7)
+
+
+def _outcome(build, *args):
+    """The family and its repr, or the error's type and message."""
+    try:
+        family = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return family, repr(family)
+
+
+def _frozen_outcome(build, *args):
+    kind, text = _outcome(build, *args)
+    if kind is ResourceLimitError:
+        # the cap errors now name their stage
+        text = "grassmann_kind2: " + text
+    return kind, text
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_kind1_matches_the_frozen_builder(N):
+    for r in range(N + 1, N + 9):
+        assert _outcome(grassmann_kind1, N, r) == _frozen_outcome(
+            reference_grassmann_kind1, N, r
+        ), (N, r)
+
+
+@pytest.mark.parametrize("N", range(0, 9))
+def test_kind2_matches_the_frozen_builder(N):
+    for p in range(N - 1, N + 5):
+        if (N, p) == (5, 7):
+            continue  # a 12 s expansion, alone longer than the whole rest of the grid
+        assert _outcome(grassmann_kind2, N, p) == _frozen_outcome(
+            reference_grassmann_kind2, N, p
+        ), (N, p)
 
 
 def test_kind2_rejects_bad_arguments():

@@ -379,6 +379,12 @@ def test_cone_dual_rejects_a_row_of_the_wrong_width():
         cone_dual([], [(1, 0), (0, 1, 1)], 2)
 
 
+@pytest.mark.parametrize("equation", [(1,), (1, 1, 5)], ids=["short", "long"])
+def test_cone_dual_rejects_an_equation_of_the_wrong_width(equation):
+    with pytest.raises(ValueError, match=r"^cone_dual: every equation needs 2 entries$"):
+        cone_dual([equation], [(1, 0)], 2)
+
+
 # ------------------------------------------------------------ exactness
 
 

@@ -105,6 +105,27 @@ def test_polytope_from_h_round_trip():
     assert polytopes_equal(square, rebuilt)
 
 
+def test_polytope_from_h_keeps_a_fractional_bound():
+    poly = polytope_from_h(1, [], [((1,), Fraction(1, 2)), ((-1,), 0)])
+    assert poly.vertices == ((Fraction(0),), (Fraction(1, 2),))
+    assert poly.facets == (((1,), Fraction(1, 2)), ((-1,), 0))
+    assert poly.contains((Fraction(1, 4),))
+    assert not poly.contains((Fraction(3, 4),))
+
+
+def test_polytope_from_h_keeps_a_fractional_equation_value():
+    poly = polytope_from_h(2, [((1, 1), Fraction(1, 2))], [((-1, 0), 0), ((0, -1), 0)])
+    assert poly.equations == (((1, 1), Fraction(1, 2)),)
+    assert poly.vertices == ((0, Fraction(1, 2)), (Fraction(1, 2), 0))
+    assert not poly.contains((Fraction(1, 4), Fraction(1, 2)))
+
+
+def test_polytope_from_h_stores_integral_bounds_as_ints():
+    poly = polytope_from_h(1, [], [((1,), Fraction(4, 2)), ((-1,), 0.0)])
+    assert [type(b) for _, b in poly.facets] == [int, int]
+    assert poly.vertices == ((0,), (2,))
+
+
 def test_polytope_from_h_detects_unbounded():
     with pytest.raises(ValueError):
         polytope_from_h(2, [], [((1, 0), 1)])
