@@ -20,9 +20,10 @@ come from one Newton recurrence.  By the Cauchy identity (Macdonald,
 
 so the GL_r x GL_k highest weights (lam, mu) of degree m are exactly the
 components lam of the plethysms S_mu V.  Each degree is decomposed once, by a
-vectorized Weyl alternation over S_r x S_k.  The dict engine it replaced
-(Jacobi-Trudi plethysms, decomposition by peeling) is kept as the reference
-in ``tests/oracles.py``.
+vectorized Weyl alternation over S_r x S_k, into integer rows of highest
+weights; the dimension check multiplies out Weyl's formula on those rows.
+The dict engine it replaced (Jacobi-Trudi plethysms, decomposition by
+peeling) is kept as the reference in ``tests/oracles.py``.
 
 Every step is exact.  Dense entries are int64 when a bound on them fits and
 Python integers (``dtype=object``) otherwise, through the same code.
@@ -32,15 +33,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, permutations as iter_permutations
+from itertools import accumulate, combinations, permutations as iter_permutations
 from math import comb, factorial, lcm, prod
+from operator import mul
 from typing import Iterable
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .polynomials import SparsePoly, schur_polynomial
-from .tableaux import normalize, size, weyl_dimension
+from .tableaux import normalize, size
 
 INNER_POINT_LEVEL_CAP = 8
 INNER_POINT_DEGREE_CAP = 24
@@ -133,30 +135,42 @@ def plethysm_h_series(m_max: int, f: SparsePoly, k: int = 1) -> list[LatticeChar
     degree = max(f.degree(), 0)  # the zero character's totals stay 0, not -m
     groups = (r,) if k == 1 else (r, k)
     # Weights of f (x) C^k on the free coordinates (Adams_j multiplies them
-    # by j), and the largest value of each free coordinate in degree 1.
+    # by j), and the coordinate sums of each group in degree 1.
     units = [tuple(int(a == b) for b in range(k - 1)) for a in range(k)]
     factor = [(wt[:-1] + e, mult) for wt, mult in f.terms.items() for e in units]
-    caps = [max((wt[axis] for wt, _ in factor), default=0) for axis in range(r + k - 2)]
-    dim_f = sum(f.terms.values())
-    orbit = prod(factorial(g) for g in groups)
-    series = [LatticeCharacter(groups, (0,) * len(groups), np.ones((1,) * len(caps), dtype=np.int64))]
-    for m in range(1, m_max + 1):
-        dim_m = comb(k * dim_f + m - 1, m)
-        dtype = _entry_dtype(m * dim_m * orbit)
-        acc = np.zeros(tuple(m * c + 1 for c in caps), dtype=dtype)
-        for j in range(1, m + 1):
-            prev = series[m - j].array.astype(dtype, copy=False)
-            for shift, mult in factor:
-                window = tuple(slice(j * s, j * s + n) for s, n in zip(shift, prev.shape))
-                acc[window] += prev if mult == 1 else mult * prev
-        if (acc % m).any():
-            raise ArithmeticError(f"Newton recurrence does not divide exactly at degree {m}")
-        totals = (degree * m,) if k == 1 else (degree * m, m)
-        term = LatticeCharacter(groups, totals, acc // m)
-        if term.dimension() != dim_m:
-            raise ArithmeticError(f"degree {m} has dimension {term.dimension()}, not {dim_m}")
-        series.append(term)
+    totals = (degree,) if k == 1 else (degree, 1)
+    series = [LatticeCharacter(groups, (0,) * len(groups), np.ones((1,) * (r + k - 2), dtype=np.int64))]
+    for _ in range(m_max):
+        series.append(_newton_step(series, factor, totals, k * sum(f.terms.values())))
     return series
+
+
+def _newton_step(
+    series: list[LatticeCharacter], factor: list, totals: tuple[int, ...], dim: int
+) -> LatticeCharacter:
+    """Degree m = len(series) of Sym(f (x) C^k), from the degrees below it.
+
+    ``factor`` holds the weights of f (x) C^k on the free coordinates with
+    their multiplicities, ``totals`` the coordinate sum of each group in
+    degree 1, and dim = k dim f.
+    """
+    m = len(series)
+    groups = series[0].groups
+    caps = [max((wt[axis] for wt, _ in factor), default=0) for axis in range(series[0].array.ndim)]
+    dim_m = comb(dim + m - 1, m)
+    dtype = _entry_dtype(m * dim_m * prod(factorial(g) for g in groups))
+    acc = np.zeros(tuple(m * c + 1 for c in caps), dtype=dtype)
+    for j in range(1, m + 1):
+        prev = series[m - j].array.astype(dtype, copy=False)
+        for shift, mult in factor:
+            window = tuple(slice(j * s, j * s + n) for s, n in zip(shift, prev.shape))
+            acc[window] += prev if mult == 1 else mult * prev
+    if (acc % m).any():
+        raise ArithmeticError(f"Newton recurrence does not divide exactly at degree {m}")
+    term = LatticeCharacter(groups, tuple(t * m for t in totals), acc // m)
+    if term.dimension() != dim_m:
+        raise ArithmeticError(f"degree {m} has dimension {term.dimension()}, not {dim_m}")
+    return term
 
 
 @lru_cache(maxsize=None)
@@ -271,15 +285,33 @@ def _decompose_sparse(f: SparsePoly):
     return full, _alternate(full, offsets, signs, box, strides, gather)
 
 
-def schur_decompose(f: SparsePoly | LatticeCharacter) -> dict:
-    """Highest weights and multiplicities of a character.
+def _weyl_dimensions(full: np.ndarray, groups: tuple[int, ...]) -> np.ndarray:
+    """Dimension of the irreducible with each row of complete coordinates as highest weight.
 
-    Each dominant weight lam in the support is tested with the Weyl
-    alternation sum_w sign(w) f(lam + delta - w(delta)) over S_r, or over
-    S_r x S_k for a GL_r x GL_k character.  Keys are partitions for a GL_r
-    character and (lam, mu) pairs of partitions for a GL_r x GL_k one.
+    Each group contributes Weyl's prod_{i<j} (l_i - l_j + j - i) / (j - i),
+    multiplied out exactly: int64 when the bound prod_g (spread + g - 1)^C(g,2)
+    on the numerators fits, spread the largest entry minus the smallest,
+    and Python ints otherwise.  The rows must be dominant.
+    """
+    spread = int(full.max(initial=0)) - int(full.min(initial=0))
+    dtype = _entry_dtype(prod((spread + g - 1) ** comb(g, 2) for g in groups))
+    dims = np.ones(len(full), dtype=dtype)
+    start = 0
+    for g in groups:
+        block = full[:, start : start + g].astype(dtype)
+        for i, j in combinations(range(g), 2):
+            dims *= block[:, i] - block[:, j] + (j - i)
+        dims //= prod(factorial(i) for i in range(g))  # the product of the j - i
+        start += g
+    return dims
+
+
+def _components(f: SparsePoly | LatticeCharacter) -> tuple[np.ndarray, np.ndarray]:
+    """Highest weights of a character, as rows of complete coordinates, and their multiplicities.
+
     Raises ValueError if any multiplicity comes out negative or the
-    dimension count does not add up, since then f was not a character.
+    component dimensions do not sum to the dimension of f, since then f was
+    not a character.
     """
     if isinstance(f, LatticeCharacter):
         groups = f.groups
@@ -294,19 +326,49 @@ def schur_decompose(f: SparsePoly | LatticeCharacter) -> dict:
         raise ValueError(
             f"negative multiplicity {mults[bad]} at {tuple(full[bad].tolist())}: not a character"
         )
-    result: dict = {}
-    bounds = list(accumulate((0,) + groups))
-    for idx in np.flatnonzero(mults).tolist():
-        row = full[idx].tolist()
-        parts = tuple(normalize(row[a:b]) for a, b in zip(bounds, bounds[1:]))
-        result[parts[0] if len(parts) == 1 else parts] = int(mults[idx])
-    total = 0
-    for key, mult in result.items():
-        parts = (key,) if len(groups) == 1 else key
-        total += mult * prod(weyl_dimension(p, g) for p, g in zip(parts, groups))
-    if total != dimension:
+    keep = mults != 0
+    full, mults = full[keep], mults[keep]
+    if sum(map(mul, mults.tolist(), _weyl_dimensions(full, groups).tolist())) != dimension:
         raise ValueError("component dimensions do not sum to the character dimension")
-    return result
+    return full, mults
+
+
+def schur_decompose(f: SparsePoly | LatticeCharacter) -> dict:
+    """Highest weights and multiplicities of a character.
+
+    Each dominant weight lam in the support is tested with the Weyl
+    alternation sum_w sign(w) f(lam + delta - w(delta)) over S_r, or over
+    S_r x S_k for a GL_r x GL_k character.  Keys are partitions for a GL_r
+    character and (lam, mu) pairs of partitions for a GL_r x GL_k one.
+    Raises ValueError if any multiplicity comes out negative or the
+    dimension count does not add up, since then f was not a character.
+    """
+    groups = f.groups if isinstance(f, LatticeCharacter) else (f.nvars,)
+    full, mults = _components(f)
+    # The rows are dominant and nonnegative, so each group's parts are its
+    # leading nonzero entries.
+    parts = []
+    start = 0
+    for g in groups:
+        block = full[:, start : start + g]
+        lengths = np.count_nonzero(block, axis=1)
+        parts.append([tuple(row[:n]) for row, n in zip(block.tolist(), lengths.tolist())])
+        start += g
+    return dict(zip(parts[0] if len(parts) == 1 else zip(*parts), mults.tolist()))
+
+
+def _check_request(nu, r: int, rank_bound: int, m_cap: int, level_cap: int, degree_cap: int) -> None:
+    """Refuse inner points up to degree m_cap before anything is built: caps first, then arguments."""
+    if r > level_cap:
+        raise ResourceLimitError(f"inner_points: r={r} exceeds the level cap {level_cap}")
+    if size(nu) * m_cap > degree_cap:
+        raise ResourceLimitError(
+            f"inner_points: |nu| * M = {size(nu) * m_cap} exceeds the degree cap {degree_cap}"
+        )
+    if rank_bound < 1:
+        raise ValueError("rank bound must be at least 1")
+    if m_cap < 0:
+        raise ValueError("negative power")
 
 
 def inner_points(
@@ -323,17 +385,11 @@ def inner_points(
     component lam of the plethysm of f = character(nu, r) with S_mu yields
     the point (lam / m, mu / m); the first coordinate sums to the particle
     number, the second to one.  The pairs (lam, mu) are the highest weights
-    of Sym^m(f (x) C^rank_bound), by the Cauchy identity.
+    of Sym^m(f (x) C^rank_bound), by the Cauchy identity.  The points are
+    distinct and sorted.
     """
     nu = normalize(nu)
-    if r > level_cap:
-        raise ResourceLimitError(f"inner_points: r={r} exceeds the level cap {level_cap}")
-    if size(nu) * m_cap > degree_cap:
-        raise ResourceLimitError(
-            f"inner_points: |nu| * M = {size(nu) * m_cap} exceeds the degree cap {degree_cap}"
-        )
-    if rank_bound < 1:
-        raise ValueError("rank bound must be at least 1")
+    _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap)
     series = plethysm_h_series(m_cap, character(nu, r), rank_bound)
     # Each point times lcm(1..m_cap) is an integer tuple, which deduplicates
     # and sorts exactly like the fractions and much faster.
@@ -345,10 +401,9 @@ def inner_points(
             lam, mu = (hw, (m,)) if rank_bound == 1 else hw
             padded = lam + (0,) * (r - len(lam)) + mu + (0,) * (rank_bound - len(mu))
             keys.add(tuple(x * step for x in padded))
+    # the coordinates take few distinct values, so each Fraction is made once
+    fraction = {x: Fraction(x, scale) for x in set().union(*keys)}
     return [
-        (
-            tuple(Fraction(x, scale) for x in key[:r]),
-            tuple(Fraction(x, scale) for x in key[r:]),
-        )
+        (tuple(map(fraction.__getitem__, key[:r])), tuple(map(fraction.__getitem__, key[r:])))
         for key in sorted(keys)
     ]

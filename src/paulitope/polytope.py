@@ -24,6 +24,7 @@ from .errors import ResourceLimitError, UnmatchedInequalityError
 from .plethysm import (
     INNER_POINT_DEGREE_CAP,
     INNER_POINT_LEVEL_CAP,
+    _check_request,
     _entry_dtype,
     inner_points,
 )
@@ -385,12 +386,28 @@ def hull(points: Iterable[Sequence]) -> Polytope:
 
 
 def polytopes_equal(p: Polytope, q: Polytope) -> bool:
-    """Set equality via mutual vertex containment."""
+    """Set equality via mutual vertex containment, on integer rows."""
     if p.dim != q.dim:
         return False
-    return all(q.contains(v) for v in p.vertices) and all(
-        p.contains(v) for v in q.vertices
-    )
+    return _vertices_inside(p, q) and _vertices_inside(q, p)
+
+
+def _vertices_inside(p: Polytope, q: Polytope) -> bool:
+    """Whether every vertex of p satisfies the equations and facets of q, exactly.
+
+    Vertices x become the rows (den, x*den); an equation a.x = b becomes the
+    row (-b, a) and a facet a.x <= b the row (b, -a), each scaled to
+    integers.  One product then holds every vertex against every row: it
+    must be 0 for the equations and >= 0 for the facets.
+    """
+    width = p.dim + 1
+    eqs = _row_matrix([x for a, b in q.equations for x in (-b, *a)], width).tolist()
+    facets = _row_matrix([x for a, b in q.facets for x in (b, *(-c for c in a))], width).tolist()
+    if not eqs and not facets:
+        return True
+    vertices = _row_matrix([x for v in p.vertices for x in (1, *v)], width)
+    products = _products(vertices, int(np.abs(vertices).max(initial=0)), eqs + facets)
+    return not products[:, : len(eqs)].any() and bool((products[:, len(eqs) :] >= 0).all())
 
 
 def canonical_inequality(
@@ -514,14 +531,18 @@ def pipeline(
 ) -> dict:
     """Inner-outer moment polytope computation with certificates.
 
-    For each cutoff M in the schedule, the hull of the normalized component
-    points is computed, its faces are matched against test-spectrum triples,
-    and the outer polytope cut by the matched inequalities (inside the
-    ambient chamber) is intersected with the chamber.  The run stops at the
-    first M where inner and outer polytopes agree; the report carries the full
-    history either way.
+    Every cutoff of the schedule is checked against the caps before any
+    degree is built.  For each cutoff M in the schedule, the hull of the
+    normalized component points is computed, its faces are matched against
+    test-spectrum triples, and the outer polytope cut by the matched
+    inequalities (inside the ambient chamber) is intersected with the
+    chamber.  The run stops at the first M where inner and outer polytopes
+    agree; the report carries the full history either way.
     """
     nu = normalize(nu)
+    m_schedule = list(m_schedule)
+    for m_cap in m_schedule:
+        _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap)
     n_particles = size(nu)
     mixed = rank_bound > 1
     d = r + (rank_bound if mixed else 0)

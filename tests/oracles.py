@@ -12,7 +12,8 @@ decomposition by peeling off top weights.  Hulls go through the row-by-row
 double description that inserts every inequality, implied or not, and
 Schubert coefficients through the fully expanded specialized polynomial.
 The Grassmann inequality families are built by the package's former code,
-one loop for each closed form.
+one loop for each closed form, and the pipeline by its former decomposition
+(a dict checked key by key) and its former equality check (Fraction sums).
 """
 
 from __future__ import annotations
@@ -36,14 +37,31 @@ from paulitope.generators import (
     OccupationInequality,
 )
 from paulitope.permutations import Permutation, require_minimal
-from paulitope.plethysm import character, schur_decompose
+from paulitope.plethysm import (
+    INNER_POINT_DEGREE_CAP,
+    INNER_POINT_LEVEL_CAP,
+    LatticeCharacter,
+    _decompose_lattice,
+    _decompose_sparse,
+    character,
+    plethysm_h_series,
+    schur_decompose,
+)
 from paulitope.polynomials import (
     SparsePoly,
     divided_difference_word,
     grassmannian_schubert,
     schubert_polynomial,
 )
-from paulitope.polytope import RAY_CAP, IntVec, Polytope
+from paulitope.polytope import (
+    RAY_CAP,
+    IntVec,
+    Polytope,
+    _ambient_system,
+    facet_match,
+    hull,
+    polytope_from_h,
+)
 from paulitope.states import (
     WedgeState,
     level_merged_state,
@@ -60,6 +78,7 @@ from paulitope.tableaux import (
     partitions_in_box,
     shuffle_vertical_sequence,
     size,
+    weyl_dimension,
 )
 
 
@@ -749,6 +768,142 @@ def reference_hull(points: Sequence[Sequence]) -> Polytope:
     fac = tuple(sorted(set(facets)))
     vertices = reference_vertices_from_h(dim, eqs, fac)
     return Polytope(dim, eqs, fac, vertices)
+
+
+# The pipeline's inner path as the package had it before its decomposition
+# and equality check went integer: each degree is decomposed into a dict
+# checked by one Weyl dimension per key, each point coordinate is a Fraction
+# of its own, and equality is checked with Fraction sums.  The Newton
+# recurrence, the Weyl alternation and the double description are the
+# package's own.
+
+
+def reference_schur_decompose(f: SparsePoly | LatticeCharacter) -> dict:
+    """Highest weights and multiplicities, checked key by key against the dimension."""
+    if isinstance(f, LatticeCharacter):
+        groups = f.groups
+        dimension = f.dimension()
+        full, mults = _decompose_lattice(f)
+    else:
+        groups = (f.nvars,)
+        dimension = sum(f.terms.values())
+        full, mults = _decompose_sparse(f)
+    if (mults < 0).any():
+        bad = int(np.flatnonzero(mults < 0)[0])
+        raise ValueError(
+            f"negative multiplicity {mults[bad]} at {tuple(full[bad].tolist())}: not a character"
+        )
+    result: dict = {}
+    bounds = list(itertools.accumulate((0,) + groups))
+    for idx in np.flatnonzero(mults).tolist():
+        row = full[idx].tolist()
+        parts = tuple(normalize(row[a:b]) for a, b in zip(bounds, bounds[1:]))
+        result[parts[0] if len(parts) == 1 else parts] = int(mults[idx])
+    total = 0
+    for key, mult in result.items():
+        parts = (key,) if len(groups) == 1 else key
+        total += mult * math.prod(weyl_dimension(p, g) for p, g in zip(parts, groups))
+    if total != dimension:
+        raise ValueError("component dimensions do not sum to the character dimension")
+    return result
+
+
+def reference_inner_points(
+    nu,
+    r: int,
+    rank_bound: int,
+    m_cap: int,
+    level_cap: int = INNER_POINT_LEVEL_CAP,
+    degree_cap: int = INNER_POINT_DEGREE_CAP,
+) -> list:
+    """Sorted normalized points (lam / m, mu / m) of the components up to degree m_cap."""
+    nu = normalize(nu)
+    if r > level_cap:
+        raise ResourceLimitError(f"inner_points: r={r} exceeds the level cap {level_cap}")
+    if size(nu) * m_cap > degree_cap:
+        raise ResourceLimitError(
+            f"inner_points: |nu| * M = {size(nu) * m_cap} exceeds the degree cap {degree_cap}"
+        )
+    if rank_bound < 1:
+        raise ValueError("rank bound must be at least 1")
+    series = plethysm_h_series(m_cap, character(nu, r), rank_bound)
+    scale = math.lcm(*range(1, m_cap + 1))
+    keys: set[tuple[int, ...]] = set()
+    for m in range(1, m_cap + 1):
+        step = scale // m
+        for hw in reference_schur_decompose(series[m]):
+            lam, mu = (hw, (m,)) if rank_bound == 1 else hw
+            padded = lam + (0,) * (r - len(lam)) + mu + (0,) * (rank_bound - len(mu))
+            keys.add(tuple(x * step for x in padded))
+    return [
+        (
+            tuple(Fraction(x, scale) for x in key[:r]),
+            tuple(Fraction(x, scale) for x in key[r:]),
+        )
+        for key in sorted(keys)
+    ]
+
+
+def reference_polytopes_equal(p: Polytope, q: Polytope) -> bool:
+    """Set equality via mutual vertex containment, by Fraction sums."""
+    if p.dim != q.dim:
+        return False
+    return all(q.contains(v) for v in p.vertices) and all(p.contains(v) for v in q.vertices)
+
+
+def reference_pipeline(
+    nu,
+    r: int,
+    rank_bound: int,
+    m_schedule: Sequence[int],
+    level_cap: int = INNER_POINT_LEVEL_CAP,
+    degree_cap: int = INNER_POINT_DEGREE_CAP,
+) -> dict:
+    """The inner-outer loop on the reference points and the Fraction equality check."""
+    nu = normalize(nu)
+    n_particles = size(nu)
+    mixed = rank_bound > 1
+    d = r + (rank_bound if mixed else 0)
+    ambient_eqs, ambient_ineqs = _ambient_system(r, n_particles, rank_bound)
+    history = []
+    converged_at = None
+    inner = None
+    report = None
+    for m_cap in m_schedule:
+        points = reference_inner_points(nu, r, rank_bound, m_cap, level_cap, degree_cap)
+        coords = [lam + mu if mixed else lam for lam, mu in points]
+        inner = hull(coords)
+        report = facet_match(inner, nu, r, rank_bound)
+        extra = [
+            (tuple(e["lambda_coeffs"]) + tuple(e["mu_coeffs"]), e["bound"])
+            for e in report["matched"]
+        ]
+        outer = polytope_from_h(d, ambient_eqs, ambient_ineqs + extra)
+        converged = reference_polytopes_equal(inner, outer)
+        history.append(
+            {
+                "M": m_cap,
+                "points": len(coords),
+                "vertices": len(inner.vertices),
+                "facets": len(inner.facets),
+                "equations": len(inner.equations),
+                "matched": len(report["matched"]),
+                "unmatched": len(report["unmatched"]),
+                "converged": converged,
+            }
+        )
+        if converged:
+            converged_at = m_cap
+            break
+    return {
+        "nu": list(nu),
+        "r": r,
+        "rank_bound": rank_bound,
+        "converged_at": converged_at,
+        "history": history,
+        "polytope": inner,
+        "match": report,
+    }
 
 
 # ------------------------------------------------------- inequality families

@@ -1,0 +1,127 @@
+"""The pipeline against the path it had before its decomposition and equality check went integer.
+
+The reference (tests/oracles.py) decomposes each degree by a dict loop over
+the dominant weights with one Weyl dimension per component, and checks
+equality with Fraction sums.  The package decomposes on integer arrays,
+checks equality with one integer matrix product, and refuses an oversized
+schedule before it builds anything.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from oracles import reference_pipeline, reference_polytopes_equal
+from paulitope import plethysm
+from paulitope.errors import ResourceLimitError
+from paulitope.polytope import hull, pipeline, polytope_from_h, polytopes_equal
+
+RUNS = {
+    "c4": (((1, 1, 1), 6, 1, [2, 4]), {}),
+    "fermion-r7-m5": (((1, 1, 1), 7, 1, [2, 4, 5]), {}),
+    "mixed-r4-m8": (((2, 1), 4, 2, [4, 8]), {"degree_cap": 36}),
+    "c6": (((2, 1), 4, 2, [4, 8, 12]), {"degree_cap": 36}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_pipeline_reports_match_reference_at_every_cutoff(name):
+    (nu, r, k, schedule), caps = RUNS[name]
+    for stop in range(1, len(schedule) + 1):
+        got = pipeline(nu, r, k, schedule[:stop], **caps)
+        want = reference_pipeline(nu, r, k, schedule[:stop], **caps)
+        assert got == want, (name, schedule[:stop])
+
+
+def _counted_newton_steps(monkeypatch) -> list[int]:
+    degrees: list[int] = []
+    step = plethysm._newton_step
+
+    def counted(series, *args):
+        degrees.append(len(series))
+        return step(series, *args)
+
+    monkeypatch.setattr(plethysm, "_newton_step", counted)
+    return degrees
+
+
+def test_schedule_is_refused_before_any_degree_is_built(monkeypatch):
+    degrees = _counted_newton_steps(monkeypatch)
+    with pytest.raises(
+        ResourceLimitError, match=r"^inner_points: \|nu\| \* M = 90 exceeds the degree cap 24$"
+    ):
+        pipeline((1, 1, 1), 6, 1, [2, 30])
+    with pytest.raises(ResourceLimitError, match=r"^inner_points: r=9 exceeds the level cap 8$"):
+        pipeline((1, 1, 1), 9, 1, [2])
+    assert degrees == []
+
+
+def test_early_convergence_builds_no_degree_above_it(monkeypatch):
+    degrees = _counted_newton_steps(monkeypatch)
+    result = pipeline((1, 1, 1), 6, 1, [2, 4, 6])
+    assert result["converged_at"] == 4
+    assert [h["M"] for h in result["history"]] == [2, 4]
+    # each cutoff builds its own series, one Newton step per degree up to it
+    assert degrees == [1, 2, 1, 2, 3, 4]
+
+
+def test_empty_schedule_builds_nothing(monkeypatch):
+    degrees = _counted_newton_steps(monkeypatch)
+    # nu has more rows than r, which only building the character would refuse
+    result = pipeline((1, 1, 1), 2, 1, [])
+    assert result["converged_at"] is None and result["history"] == [] and degrees == []
+
+
+def test_schedule_out_of_order_matches_reference():
+    # a cutoff below an earlier one sees only its own degrees
+    args = ((2, 1), 3, 2, [3, 2, 4])
+    assert pipeline(*args) == reference_pipeline(*args)
+
+
+def _box(dim: int, lo, hi) -> tuple:
+    """The box [lo, hi]^dim as facets a.x <= b."""
+    facets = []
+    for i in range(dim):
+        unit = tuple(int(j == i) for j in range(dim))
+        facets += [(unit, hi), (tuple(-x for x in unit), -lo)]
+    return facets
+
+
+def _pairs(rng: random.Random):
+    """Equal and unequal polytope pairs, some with rational bounds and equations."""
+    for _ in range(6):
+        dim = rng.randint(1, 4)
+        points = [
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
+            for _ in range(dim + 3)
+        ]
+        p = hull(points)
+        yield p, polytope_from_h(dim, p.equations, p.facets)
+        yield p, hull(points[:-1])
+        # one vertex pushed just outside its polytope
+        outside = list(points)
+        v = p.vertices[0]
+        centre = [sum(c) / len(p.vertices) for c in zip(*p.vertices)]
+        outside.append(tuple(x + (x - c) / 97 for x, c in zip(v, centre)))
+        yield p, hull(outside)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    square = polytope_from_h(2, [], _box(2, -half, third))
+    yield square, hull([(-half, -half), (-half, third), (third, -half), (third, third)])
+    yield square, hull([(-half, -half), (-half, third), (third, -half), (third, Fraction(34, 100))])
+    yield square, polytope_from_h(3, [], _box(3, -half, third))
+    # a segment on a rational line: equations with a rational right-hand side
+    segment = hull([(0, third), (1, third + 1)])
+    yield segment, polytope_from_h(2, segment.equations, segment.facets)
+    yield segment, hull([(0, third), (1, third + Fraction(101, 100))])
+
+
+def test_polytopes_equal_matches_reference():
+    outcomes = []
+    for p, q in _pairs(random.Random(11)):
+        got = polytopes_equal(p, q)
+        assert got == reference_polytopes_equal(p, q) == polytopes_equal(q, p), (p, q)
+        outcomes.append(got)
+    assert True in outcomes and False in outcomes

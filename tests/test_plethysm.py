@@ -10,6 +10,7 @@ from oracles import (
     peel_schur,
     plethysm_schur,
     power_substitute,
+    reference_schur_decompose,
     schur_decompose_peel,
 )
 from paulitope.errors import ResourceLimitError
@@ -115,6 +116,7 @@ def test_schur_decompose_matches_littlewood_richardson():
     for mu, pi in [((2, 1), (1,)), ((1, 1), (1, 1)), ((2,), (2, 1))]:
         f = character(mu, 4) * character(pi, 4)
         decomp = schur_decompose(f)
+        assert decomp == reference_schur_decompose(f)
         total = sum(mu) + sum(pi)
         for nu in partitions_in_box(4, total, total=total):
             assert decomp.get(nu, 0) == littlewood_richardson(mu, pi, nu)
@@ -130,7 +132,7 @@ def test_schur_decompose_agrees_with_peel_and_oracle():
     # takes 30 s on the largest, so it checks only the smallest
     products = [kind2_product(n, p) for n, p in [(2, 4), (2, 5), (3, 5)]]
     for f in products:
-        assert schur_decompose(f) == schur_decompose_peel(f)
+        assert schur_decompose(f) == schur_decompose_peel(f) == reference_schur_decompose(f)
     assert schur_decompose(products[0]) == peel_schur(dict(products[0].terms), 4)
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import cauchy_components, cauchy_points
+from oracles import cauchy_components, cauchy_points, reference_inner_points, reference_schur_decompose
 from paulitope import plethysm
 from paulitope.plethysm import (
     LatticeCharacter,
@@ -23,6 +23,7 @@ from paulitope.plethysm import (
     plethysm_h_series,
     schur_decompose,
 )
+from paulitope.tableaux import weyl_dimension
 
 SHAPES = [(1,), (2,), (1, 1), (2, 1), (1, 1, 1)]
 GRID = [(nu, r) for nu in SHAPES for r in range(1, 6) if len(nu) <= r]
@@ -52,9 +53,11 @@ def test_engine_matches_dict_engine(nu, r):
         series = plethysm_h_series(M_MAX, character(nu, r), k)
         for m in range(1, M_MAX + 1):
             assert schur_decompose(series[m]) == expected[m], (k, m)
+            assert reference_schur_decompose(series[m]) == expected[m], (k, m)
         for m_cap in range(1, M_MAX + 1):
             got = inner_points(nu, r, k, m_cap)
             assert got == cauchy_points(expected, r, k, m_cap), (k, m_cap)
+            assert got == reference_inner_points(nu, r, k, m_cap), (k, m_cap)
 
 
 def test_reference_is_the_unrestricted_dict_engine():
@@ -110,6 +113,37 @@ def test_lattice_decompose_rejects_non_characters():
     lopsided = LatticeCharacter((2,), (1,), np.array([0, 1], dtype=np.int64))
     with pytest.raises(ValueError, match="dimensions"):
         schur_decompose(lopsided)
+    # Sym^3 C^3 with the multiplicity of the weight (0, 0, 3) bumped to 2
+    h3 = plethysm_h_series(3, character((1,), 3))[3]
+    bumped = h3.array.copy()
+    bumped[0, 0] += 1
+    with pytest.raises(ValueError, match="component dimensions do not sum"):
+        schur_decompose(LatticeCharacter(h3.groups, h3.totals, bumped))
+
+
+def _random_partitions(rng, r: int, count: int) -> np.ndarray:
+    """Rows of r weakly decreasing parts in 0..12, as complete coordinates."""
+    parts = rng.integers(0, 13, size=(count, r))
+    return -np.sort(-parts, axis=1)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_weyl_dimensions_match_weyl_dimension(r, monkeypatch):
+    rng = np.random.default_rng(r)
+    rows = _random_partitions(rng, r, 40)
+    want = [weyl_dimension(row, r) for row in rows.tolist()]
+    fast = plethysm._weyl_dimensions(rows, (r,))
+    # the numerator bound is (12 + r - 1)^C(r, 2): 17^15 fits int64, 18^21
+    # does not, and for r = 8 even 7^28, with all parts equal, does not
+    assert fast.dtype == (object if r >= 7 else np.int64)
+    assert fast.tolist() == want
+    monkeypatch.setattr(plethysm, "_INT64_LIMIT", 0)
+    slow = plethysm._weyl_dimensions(rows, (r,))
+    assert slow.dtype == object and slow.tolist() == want
+    # two groups multiply their dimensions
+    pairs = np.concatenate([rows, _random_partitions(rng, 3, 40)], axis=1)
+    both = plethysm._weyl_dimensions(pairs, (r, 3))
+    assert both.tolist() == [a * weyl_dimension(mu, 3) for a, mu in zip(want, pairs[:, r:].tolist())]
 
 
 def test_series_rejects_inhomogeneous_and_bad_rank():
