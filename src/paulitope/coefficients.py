@@ -5,16 +5,22 @@ spectrum ``a``, a permutation ``v`` recording how the inequality selects
 one-body levels, and a permutation ``w`` recording where the induced spectrum
 of ``a`` is cut.  The integer produced by ``coefficient`` decides whether the
 corresponding occupation-number inequality is a theorem.
+
+The induced spectrum reads the tableaux of a shape, and their content rows,
+from the cache in ``tableaux``: each value is ``a`` dotted with a content
+row, and the leading content rows are the linear forms ``coefficient``
+hands to ``monk_coefficient``.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import UnmatchedInequalityError
 from .permutations import Permutation, require_minimal
 from .polynomials import grassmannian_schubert, monk_coefficient, schubert_polynomial
-from .tableaux import Tableau, content_vector, enumerate_ssyt, normalize, reading_word, size
+from .tableaux import Partition, Tableau, _ssyt, normalize, size
 
 
 class SpectrumEntry(NamedTuple):
@@ -35,16 +41,23 @@ def induced_spectrum(a: Sequence[int], nu: Iterable[int]) -> list[SpectrumEntry]
     ``a`` over its entries.  Entries are sorted by decreasing value, ties by
     the row reading word of the tableau.
     """
+    return [SpectrumEntry(value, tab) for value, tab, _ in _spectrum(a, normalize(nu))]
+
+
+def _spectrum(a: Sequence[int], nu: Partition) -> list[tuple[int, Tableau, tuple[int, ...]]]:
+    """(value, tableau, content row) per tableau, in the order of ``induced_spectrum``.
+
+    A value is ``a`` dotted with the content row.  The tableaux come sorted by
+    reading word, and distinct tableaux of one shape have distinct reading
+    words, so one stable sort on the value alone breaks ties by reading word.
+    """
     a = tuple(int(x) for x in a)
     if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
         raise ValueError(f"test spectrum not weakly decreasing: {a}")
-    nu = normalize(nu)
-    entries = [
-        SpectrumEntry(sum(a[t - 1] for row in tab for t in row), tab)
-        for tab in enumerate_ssyt(nu, len(a))
-    ]
-    entries.sort(key=lambda e: (-e.value, reading_word(e.tableau)))
-    return entries
+    tableaux, contents = _ssyt(nu, len(a))
+    rows = [(sum(map(mul, a, row)), tab, row) for tab, row in zip(tableaux, contents)]
+    rows.sort(key=lambda row: -row[0])
+    return rows
 
 
 def value_blocks(values: Sequence[int]) -> list[list[int]]:
@@ -68,8 +81,9 @@ def coefficient(
     """Schubert expansion coefficient c_v^w(a) for the shape-nu system on r levels.
 
     The Schubert polynomial of w is specialized at the linear forms given by
-    the tableaux of the induced spectrum of ``a``, and the coefficient of S_v
-    in the result is summed over Monk chains below v (``monk_coefficient``).
+    the content rows of the leading tableaux of the induced spectrum of
+    ``a``, and the coefficient of S_v in the result is summed over Monk
+    chains below v (``monk_coefficient``).
     Both permutations must be minimal in their cosets for the tie blocks of
     ``a`` and of the induced spectrum.
     """
@@ -78,18 +92,18 @@ def coefficient(
         raise ValueError(f"test spectrum has {len(a)} entries, expected r={r}")
     nu = normalize(nu)
     require_minimal(v, value_blocks(a), "v")
-    spectrum = induced_spectrum(a, nu)
+    spectrum = _spectrum(a, nu)
     dim = len(spectrum)
     if w.n > dim:
         raise ValueError(f"w moves {w.n} points but the induced spectrum has {dim}")
-    require_minimal(w, value_blocks([e.value for e in spectrum]), "w")
+    require_minimal(w, value_blocks([value for value, _, _ in spectrum]), "w")
     if v.length() != w.length():
         return 0
 
     schubert = grassmannian_schubert(w)
     if schubert is None:
         schubert = schubert_polynomial(w)
-    forms = [content_vector(e.tableau, r) for e in spectrum[: schubert.nvars]]
+    forms = [row for _, _, row in spectrum[: schubert.nvars]]
     return monk_coefficient(schubert, forms, v, r)
 
 
@@ -132,7 +146,7 @@ def inequality_to_triple(
     v = Permutation(order)
     a = tuple(g[i - 1] + shift for i in order)
 
-    values = [e.value for e in induced_spectrum(a, nu)]
+    values = [value for value, _, _ in _spectrum(a, nu)]
     targets = [b + shift * n_particles - hj for hj in h]
 
     used: set[int] = set()

@@ -6,11 +6,12 @@ coefficients.  Variables are numbered 1..nvars and written x1, x2, ...
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ResourceLimitError
 from .permutations import Permutation, permutations_of_length
-from .tableaux import content_vector, enumerate_ssyt, normalize
+from .tableaux import _ssyt, normalize
 
 SCHUBERT_AMBIENT_CAP = 12
 
@@ -281,11 +282,7 @@ def schur_polynomial(gamma: Iterable[int], p: int) -> SparsePoly:
     gamma = normalize(gamma)
     if p < 1:
         raise ValueError("need at least one variable")
-    out: dict[tuple[int, ...], int] = {}
-    for tab in enumerate_ssyt(gamma, p):
-        key = content_vector(tab, p)
-        out[key] = out.get(key, 0) + 1
-    return SparsePoly(p, out)
+    return SparsePoly(p, Counter(_ssyt(gamma, p)[1]))
 
 
 def grassmannian_schubert(w: Permutation) -> SparsePoly | None:
@@ -328,12 +325,15 @@ def schubert_expand(f: SparsePoly) -> dict[Permutation, int]:
     return out
 
 
-def _monk_step(u: tuple[int, ...], alpha: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+def _monk_step(
+    u: tuple[int, ...], alpha: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
     """Monk's rule on one-line notation.
 
-    Yields (u t_ij, alpha_i - alpha_j) for i < j <= len(u), in order of (i, j),
-    whenever the coefficient is nonzero and u t_ij is one longer than u: that
-    is, u(i) < u(j) and no position between them holds a value in between.
+    Yields (u t_ij, i, j, alpha_i - alpha_j) for 0-based i < j < len(u), in
+    order of (i, j), whenever the coefficient is nonzero and u t_ij is one
+    longer than u: that is, u(i) < u(j) and no position between them holds a
+    value in between.
     """
     n = len(u)
     for i in range(n - 1):
@@ -347,7 +347,7 @@ def _monk_step(u: tuple[int, ...], alpha: Sequence[int]) -> Iterator[tuple[tuple
                 if coeff:
                     step = list(u)
                     step[i], step[j] = uj, ui
-                    yield tuple(step), coeff
+                    yield tuple(step), i, j, coeff
 
 
 def monk_multiply(alpha: Sequence[int], v: Permutation) -> dict[Permutation, int]:
@@ -360,38 +360,51 @@ def monk_multiply(alpha: Sequence[int], v: Permutation) -> dict[Permutation, int
     alpha = tuple(int(a) for a in alpha)
     m = max(v.n, len(alpha)) + 1
     padded = alpha + (0,) * (m - len(alpha))
-    return {Permutation(u): coeff for u, coeff in _monk_step(v.one_line(m), padded)}
+    return {Permutation(u): coeff for u, _, _, coeff in _monk_step(v.one_line(m), padded)}
 
 
-def _rank_table(u: tuple[int, ...]) -> tuple[int, ...]:
-    """Entries #{a <= i : u(a) >= k} for i = 1..n-1 and k = 1..n, row by row."""
+def _rank_table(u: tuple[int, ...]) -> list[list[int]]:
+    """Rows #{a <= i : u(a) >= k} over k = 1..n, for i = 1..n-1."""
     counts = [0] * len(u)
-    table: list[int] = []
+    table = []
     for image in u[:-1]:
         for k in range(image):
             counts[k] += 1
-        table.extend(counts)
-    return tuple(table)
+        table.append(counts.copy())
+    return table
 
 
 def _monk_layer(
     layer: dict[tuple[int, ...], int],
     alpha: Sequence[int],
-    below: dict[tuple[int, ...], bool],
-    top_table: tuple[int, ...],
+    tables: dict[tuple[int, ...], list[list[int]] | None],
+    top_table: list[list[int]],
 ) -> dict[tuple[int, ...], int]:
     """Multiply a Schubert expansion by one linear form, dropping terms not below v.
 
-    ``below`` memoizes the Bruhat test u <= v, which compares the rank tables
-    of u and v entry by entry.
+    ``tables`` holds the rank table of each permutation met so far that is
+    below v in Bruhat order, and None for one that is not.  Every u in
+    ``layer`` is below v.  Swapping u(i) < u(j) raises u's table by one in
+    rows i..j-1 and columns u(i)..u(j)-1 (0-based) and nowhere else, so
+    u t_ij is below v exactly when each of those entries of u's table is
+    still less than v's.
     """
     out: dict[tuple[int, ...], int] = {}
     for u, c in layer.items():
-        for step, coeff in _monk_step(u, alpha):
-            keep = below.get(step)
-            if keep is None:
-                keep = below[step] = all(map(int.__le__, _rank_table(step), top_table))
-            if keep:
+        table = tables[u]
+        for step, i, j, coeff in _monk_step(u, alpha):
+            if step not in tables:
+                lo, hi = u[i], u[j]
+                rows = table[i:j]
+                if any(
+                    any(map(int.__ge__, row[lo:hi], bound[lo:hi]))
+                    for row, bound in zip(rows, top_table[i:j])
+                ):
+                    tables[step] = None
+                else:
+                    raised = [row[:lo] + [x + 1 for x in row[lo:hi]] + row[hi:] for row in rows]
+                    tables[step] = table[:i] + raised + table[j:]
+            if tables[step] is not None:
                 out[step] = out.get(step, 0) + c * coeff
     return {u: c for u, c in out.items() if c}
 
@@ -406,8 +419,10 @@ def monk_coefficient(
     only the permutations below v in Bruhat order: every saturated chain that
     ends at v stays inside that interval, so the coefficient of v is the sum
     over those chains of the products of their edge weights (Postnikov and
-    Stanley, "Chains in the Bruhat order").  poly must be homogeneous of
-    degree l(v), and v may move at most r points.
+    Stanley, "Chains in the Bruhat order").  Each permutation kept carries
+    its rank table, and a step u t_ij is tested against v on the one
+    rectangle of entries the swap raises (``_monk_layer``).  poly must be
+    homogeneous of degree l(v), and v may move at most r points.
     """
     forms = [tuple(int(c) for c in vec) for vec in forms]
     if any(len(vec) != r for vec in forms):
@@ -417,16 +432,17 @@ def monk_coefficient(
     degree = v.length()
     top = v.one_line(r)
     top_table = _rank_table(top)
-    below: dict[tuple[int, ...], bool] = {}
+    identity = tuple(range(1, r + 1))
+    tables = {identity: _rank_table(identity)}
     total = 0
     for exps, coeff in poly.terms.items():
         if sum(exps) != degree:
             raise ValueError(f"term {exps} is not of degree l(v) = {degree}")
-        layer = {tuple(range(1, r + 1)): coeff}
+        layer = {identity: coeff}
         for k, e in enumerate(exps):
             if e and k >= len(forms):
                 raise ValueError(f"no form supplied for variable x{k + 1}")
             for _ in range(e):
-                layer = _monk_layer(layer, forms[k], below, top_table)
+                layer = _monk_layer(layer, forms[k], tables, top_table)
         total += layer.get(top, 0)
     return total

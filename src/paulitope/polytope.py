@@ -373,10 +373,13 @@ def hull(points: Iterable[Sequence]) -> Polytope:
             a, b = tuple(-x for x in a), -b
         equations.append((a, b))
 
+    # a ray whose functional is constant on the affine hull is the trivial
+    # row 1 >= 0 modulo the lineality basis, tight at no point
+    normals = _echelon(a for a, _ in equations)
     facets = []
     for ray in rays:
         coeffs, c0 = ray[1:], ray[0]
-        if not any(coeffs):
+        if not any(_reduce_mod(coeffs, normals)):
             continue
         facets.append((tuple(-x for x in coeffs), c0))
     eqs = tuple(sorted(set(equations)))

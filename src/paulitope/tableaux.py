@@ -105,15 +105,28 @@ def enumerate_ssyt(shape: Iterable[int], max_entry: int) -> list[Tableau]:
     """All semistandard tableaux of the given shape with entries in 1..max_entry.
 
     The result is sorted by row reading word; the list is empty when the shape
-    has more rows than ``max_entry`` allows.
+    has more rows than ``max_entry`` allows.  Each call returns a new list.
     """
-    shape = normalize(shape)
+    return list(_ssyt(normalize(shape), max_entry)[0])
+
+
+@lru_cache(maxsize=None)
+def _ssyt(
+    shape: Partition, max_entry: int
+) -> tuple[tuple[Tableau, ...], tuple[tuple[int, ...], ...]]:
+    """The tableaux of ``enumerate_ssyt`` and their content rows, built once per argument pair."""
     if max_entry < 1:
         raise ValueError("max_entry must be at least 1")
+    tableaux = _fill_ssyt(shape, max_entry)
+    return tableaux, tuple(content_vector(tab, max_entry) for tab in tableaux)
+
+
+def _fill_ssyt(shape: Partition, max_entry: int) -> tuple[Tableau, ...]:
+    """Fill the normalized shape row by row, then sort by reading word."""
     if not shape:
-        return [()]
+        return ((),)
     if len(shape) > max_entry:
-        return []
+        return ()
 
     out: list[Tableau] = []
     nrows = len(shape)
@@ -143,7 +156,7 @@ def enumerate_ssyt(shape: Iterable[int], max_entry: int) -> list[Tableau]:
 
     fill_row(0, (), ())
     out.sort(key=reading_word)
-    return out
+    return tuple(out)
 
 
 def count_skew_standard(gamma: Iterable[int], tau: Iterable[int]) -> int:

@@ -11,6 +11,8 @@ weight dicts, Jacobi-Trudi determinants for every Schur functor, and
 decomposition by peeling off top weights.  Hulls go through the row-by-row
 double description that inserts every inequality, implied or not, and
 Schubert coefficients through the fully expanded specialized polynomial.
+Induced spectra enumerate their tableaux on every call, and Monk chain sums
+test each permutation against v with its whole rank table.
 The Grassmann inequality families are built by the package's former code,
 one loop for each closed form, and the pipeline by its former decomposition
 (a dict checked key by key) and its former equality check (Fraction sums).
@@ -27,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import sympy
 
-from paulitope.coefficients import induced_spectrum, value_blocks
+from paulitope.coefficients import SpectrumEntry, value_blocks
 from paulitope.errors import ResourceLimitError
 from paulitope.generators import (
     KIND2_TERM_CAP,
@@ -74,8 +76,10 @@ from paulitope.tableaux import (
     Partition,
     content_vector,
     count_skew_standard,
+    enumerate_ssyt,
     normalize,
     partitions_in_box,
+    reading_word,
     shuffle_vertical_sequence,
     size,
     weyl_dimension,
@@ -481,7 +485,7 @@ def reference_coefficient(a, nu, r: int, v: Permutation, w: Permutation) -> int:
         raise ValueError(f"test spectrum has {len(a)} entries, expected r={r}")
     nu = normalize(nu)
     require_minimal(v, value_blocks(a), "v")
-    spectrum = induced_spectrum(a, nu)
+    spectrum = reference_induced_spectrum(a, nu)
     dim = len(spectrum)
     if w.n > dim:
         raise ValueError(f"w moves {w.n} points but the induced spectrum has {dim}")
@@ -498,6 +502,87 @@ def reference_coefficient(a, nu, r: int, v: Permutation, w: Permutation) -> int:
     if not result.is_constant():
         raise AssertionError("specialized Schubert class did not reduce to a constant")
     return result.constant_coefficient()
+
+
+# The engine ``coefficient`` ran on before it read tableaux from one cache
+# per (shape, levels): the spectrum enumerates its tableaux on every call and
+# sorts on (-value, reading word), and the Monk chain sum tests each new
+# permutation against v by building its whole rank table.
+
+
+def reference_induced_spectrum(a, nu) -> list[SpectrumEntry]:
+    a = tuple(int(x) for x in a)
+    if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
+        raise ValueError(f"test spectrum not weakly decreasing: {a}")
+    entries = [
+        SpectrumEntry(sum(a[t - 1] for row in tab for t in row), tab)
+        for tab in enumerate_ssyt(normalize(nu), len(a))
+    ]
+    entries.sort(key=lambda e: (-e.value, reading_word(e.tableau)))
+    return entries
+
+
+def _reference_rank_table(u: tuple[int, ...]) -> tuple[int, ...]:
+    counts = [0] * len(u)
+    table: list[int] = []
+    for image in u[:-1]:
+        for k in range(image):
+            counts[k] += 1
+        table.extend(counts)
+    return tuple(table)
+
+
+def reference_bruhat_leq(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+    """u <= v in Bruhat order, by comparing the whole rank tables."""
+    return all(map(int.__le__, _reference_rank_table(u), _reference_rank_table(v)))
+
+
+def _reference_monk_steps(u: tuple[int, ...], alpha):
+    n = len(u)
+    for i in range(n - 1):
+        ceiling = n + 1
+        for j in range(i + 1, n):
+            if u[i] < u[j] < ceiling:
+                ceiling = u[j]
+                coeff = alpha[i] - alpha[j]
+                if coeff:
+                    step = list(u)
+                    step[i], step[j] = u[j], u[i]
+                    yield tuple(step), coeff
+
+
+def reference_monk_coefficient(poly: SparsePoly, forms, v: Permutation, r: int) -> int:
+    forms = [tuple(int(c) for c in vec) for vec in forms]
+    if any(len(vec) != r for vec in forms):
+        raise ValueError("linear form has wrong arity")
+    if v.n > r:
+        raise ValueError(f"v moves {v.n} points but the forms have {r} variables")
+    degree = v.length()
+    top = v.one_line(r)
+    top_table = _reference_rank_table(top)
+    below: dict[tuple[int, ...], bool] = {}
+    total = 0
+    for exps, coeff in poly.terms.items():
+        if sum(exps) != degree:
+            raise ValueError(f"term {exps} is not of degree l(v) = {degree}")
+        layer = {tuple(range(1, r + 1)): coeff}
+        for k, e in enumerate(exps):
+            if e and k >= len(forms):
+                raise ValueError(f"no form supplied for variable x{k + 1}")
+            for _ in range(e):
+                out: dict[tuple[int, ...], int] = {}
+                for u, c in layer.items():
+                    for step, weight in _reference_monk_steps(u, forms[k]):
+                        keep = below.get(step)
+                        if keep is None:
+                            keep = below[step] = all(
+                                map(int.__le__, _reference_rank_table(step), top_table)
+                            )
+                        if keep:
+                            out[step] = out.get(step, 0) + c * weight
+                layer = {u: c for u, c in out.items() if c}
+        total += layer.get(top, 0)
+    return total
 
 
 # ----------------------------------------------------------------- geometry
@@ -761,7 +846,8 @@ def reference_hull(points: Sequence[Sequence]) -> Polytope:
     facets = []
     for ray in rays:
         coeffs, c0 = ray[1:], ray[0]
-        if not any(coeffs):
+        # a facet is tight at some point; a ray tight at none is not a facet
+        if all(c0 + sum(c * x for c, x in zip(coeffs, p)) for p in pts):
             continue
         facets.append((tuple(-x for x in coeffs), c0))
     eqs = tuple(sorted(set(equations)))

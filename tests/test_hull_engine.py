@@ -472,3 +472,24 @@ def test_hull_rejects_empty_and_mixed_arity():
         hull([(0, 0), (1, 0, 0)])
     with pytest.raises(ValueError, match="mixed arity"):
         hull(itertools.chain([(Fraction(1, 2), 0)], [(1,)]))
+
+
+# ------------------------------------------------------------ tight facets
+
+
+def test_hull_of_one_point_has_no_facets():
+    for pts in ([(1, 2, 3)], [(Fraction(3, 2), -1, 4)] * 3):
+        poly = hull(pts)
+        assert poly.facets == ()
+        assert len(poly.equations) == 3
+        assert poly.vertices == (tuple(Fraction(x) for x in pts[0]),)
+    history = pipeline((1, 1, 1), 6, 1, [1])["history"]
+    assert [(h["vertices"], h["facets"], h["equations"]) for h in history] == [(1, 0, 6)]
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_every_facet_is_tight_at_a_vertex(name):
+    poly = hull(DEGENERATE[name])
+    for a, b in poly.facets:
+        assert any(sum(c * x for c, x in zip(a, v)) == b for v in poly.vertices), (a, b)
+    assert len(poly.facets) != 1

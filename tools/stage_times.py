@@ -1,24 +1,33 @@
-"""Per-stage wall times of one pipeline run, measured in-process.
+"""Per-stage wall times of a pipeline run or of the table replay, measured in-process.
 
 Usage (from the repository root; point PYTHONPATH at another checkout's
 ``src`` to time that checkout with the same script):
 
     PYTHONPATH=src python3 tools/stage_times.py --schedule 8 --runs 11
+    PYTHONPATH=src python3 tools/stage_times.py --mode tables --runs 11
 
-It runs ``pipeline((2, 1), 4, 2, schedule, degree_cap=36)``, the system of
-the ``mixed-r4-m8`` benchmark workload, once to warm the caches and then
-``--runs`` times, and prints one JSON object: the median milliseconds of
-the whole run and of each stage.  A stage's time is the time spent in calls
-to its functions minus the time of other stages' calls nested in them.
-``rows`` is the rest of the run: turning components into points,
-and the loop itself.
+The ``pipeline`` mode (the default) runs ``pipeline((2, 1), 4, 2, schedule,
+degree_cap=36)``, the system of the ``mixed-r4-m8`` benchmark workload, once
+to warm the caches and then ``--runs`` times.  The ``tables`` mode runs
+``verify_table`` on the four bundled coefficient tables, the coefficient
+part of the ``replay`` workload, once and then ``--runs`` times, and clears
+every ``lru_cache`` of the package before each run, so that each run pays
+what a fresh interpreter pays.  Either mode prints one JSON object: the
+median milliseconds of the whole run and of each stage.  A stage's time is
+the time spent in calls to its functions minus the time of other stages'
+calls nested in them.  The rest of the run is ``rows`` in the pipeline
+mode (turning components into points, and the loop itself) and ``rest`` in
+the tables mode (triple reconstruction outside the stages, and the report).
 
 A stage lists every function name that has carried it: the Newton
 recurrence is ``plethysm_h_series`` and, where the series is built one
 degree per call, ``_newton_step``; the decomposition is ``schur_decompose``
 and, where the dict is a wrapper over an array-level helper,
-``_components``.  Names a checkout does not have are skipped.  ``hull``
-includes building its integer matrix from the Fraction points.
+``_components``; the induced spectrum is ``induced_spectrum`` and, where
+the coefficient reads content rows, ``_spectrum``.  Names a checkout does
+not have are skipped.  ``hull`` includes building its integer matrix from
+the Fraction points.  The table stages are wrapped where ``coefficients``
+calls them, since it imports them by name.
 """
 
 from __future__ import annotations
@@ -26,22 +35,35 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import sys
 import time
 from collections import defaultdict
 
-from paulitope import plethysm, polytope
+from paulitope import coefficients, fixtures, plethysm, polytope
 
-STAGES = {
-    "newton": [(plethysm, "_newton_step"), (plethysm, "plethysm_h_series")],
-    "decompose": [(plethysm, "_components"), (plethysm, "schur_decompose")],
-    "hull": [(polytope, "hull")],
-    "match": [(polytope, "facet_match")],
-    "outer": [(polytope, "polytope_from_h")],
-    "equal": [(polytope, "polytopes_equal")],
+MODES = {
+    "pipeline": {
+        "newton": [(plethysm, "_newton_step"), (plethysm, "plethysm_h_series")],
+        "decompose": [(plethysm, "_components"), (plethysm, "schur_decompose")],
+        "hull": [(polytope, "hull")],
+        "match": [(polytope, "facet_match")],
+        "outer": [(polytope, "polytope_from_h")],
+        "equal": [(polytope, "polytopes_equal")],
+    },
+    "tables": {
+        "spectrum": [(coefficients, "_spectrum"), (coefficients, "induced_spectrum")],
+        "schubert": [
+            (coefficients, "grassmannian_schubert"),
+            (coefficients, "schubert_polynomial"),
+        ],
+        "monk": [(coefficients, "monk_coefficient")],
+        "minimal": [(coefficients, "require_minimal")],
+    },
 }
+REST = {"pipeline": "rows", "tables": "rest"}
 
 
-def install(totals: dict[str, float]) -> None:
+def install(stages: dict, totals: dict[str, float]) -> None:
     """Wrap every stage function that exists, adding exclusive times to ``totals``."""
     stack: list[list[float]] = []  # time of the nested stage calls, one entry per open call
 
@@ -60,31 +82,49 @@ def install(totals: dict[str, float]) -> None:
 
         return timed
 
-    for stage, names in STAGES.items():
+    for stage, names in stages.items():
         for module, name in names:
             if hasattr(module, name):
                 setattr(module, name, wrap(stage, getattr(module, name)))
 
 
+def clear_caches() -> None:
+    """Empty every ``lru_cache`` in the package's modules."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("paulitope."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--mode", choices=sorted(MODES), default="pipeline")
     parser.add_argument("--schedule", type=int, nargs="+", default=[8])
     parser.add_argument("--runs", type=int, default=11)
     args = parser.parse_args()
+    stages = MODES[args.mode]
+    tables = [fixtures.coefficient_table_raw(name) for name in fixtures.COEFFICIENT_TABLES]
     totals: dict[str, float] = defaultdict(float)
-    install(totals)
+    install(stages, totals)
     samples: dict[str, list[float]] = defaultdict(list)
     for run in range(args.runs + 1):
         totals.clear()
+        if args.mode == "tables":
+            clear_caches()
         start = time.perf_counter()
-        polytope.pipeline((2, 1), 4, 2, args.schedule, degree_cap=36)
+        if args.mode == "tables":
+            for table in tables:
+                coefficients.verify_table(table)
+        else:
+            polytope.pipeline((2, 1), 4, 2, args.schedule, degree_cap=36)
         total = time.perf_counter() - start
         if run == 0:
             continue
         samples["total"].append(total)
-        for stage in STAGES:
+        for stage in stages:
             samples[stage].append(totals[stage])
-        samples["rows"].append(total - sum(totals[stage] for stage in STAGES))
+        samples[REST[args.mode]].append(total - sum(totals[stage] for stage in stages))
     print(json.dumps({key: round(1000 * statistics.median(v), 2) for key, v in samples.items()}))
 
 
