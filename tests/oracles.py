@@ -559,7 +559,6 @@ def reference_monk_coefficient(poly: SparsePoly, forms, v: Permutation, r: int) 
         raise ValueError(f"v moves {v.n} points but the forms have {r} variables")
     degree = v.length()
     top = v.one_line(r)
-    top_table = _reference_rank_table(top)
     below: dict[tuple[int, ...], bool] = {}
     total = 0
     for exps, coeff in poly.terms.items():
@@ -575,9 +574,7 @@ def reference_monk_coefficient(poly: SparsePoly, forms, v: Permutation, r: int) 
                     for step, weight in _reference_monk_steps(u, forms[k]):
                         keep = below.get(step)
                         if keep is None:
-                            keep = below[step] = all(
-                                map(int.__le__, _reference_rank_table(step), top_table)
-                            )
+                            keep = below[step] = reference_bruhat_leq(step, top)
                         if keep:
                             out[step] = out.get(step, 0) + c * weight
                 layer = {u: c for u, c in out.items() if c}
