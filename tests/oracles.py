@@ -9,7 +9,8 @@ and plethysms through multiset expansion or through the dict engine the
 package used before its Cauchy-form lattice engine: a Newton series of
 weight dicts, Jacobi-Trudi determinants for every Schur functor, and
 decomposition by peeling off top weights.  Hulls go through the row-by-row
-double description that inserts every inequality, implied or not, and
+double description that inserts every inequality, implied or not, or
+through the full-product loop that the package's forward scan replaced, and
 Schubert coefficients through the fully expanded specialized polynomial.
 Induced spectra enumerate their tableaux on every call, and Monk chain sums
 test each permutation against v with its whole rank table.
@@ -60,6 +61,9 @@ from paulitope.polytope import (
     IntVec,
     Polytope,
     _ambient_system,
+    _products,
+    _restrict,
+    _row_matrix,
     facet_match,
     hull,
     polytope_from_h,
@@ -771,6 +775,122 @@ def reference_cone_dual(
             pivot(a, l0, _dot(a, l0), bit, prior)
         else:
             split(a, bit)
+
+    basis = _echelon(lineality)
+    seen = set()
+    out_rays = []
+    for vec, _ in rays:
+        red = _reduce_mod(vec, basis)
+        if any(red) and red not in seen:
+            seen.add(red)
+            out_rays.append(red)
+    return sorted(out_rays), basis
+
+
+# The double description the package used before its forward scan: before
+# each insertion one product takes every remaining row against the cone,
+# and the rows the cone implies are dropped by copying the rest.
+
+
+def full_product_cone_dual(
+    equations: Iterable[Sequence],
+    inequalities: Iterable[Sequence] | np.ndarray,
+    dim: int,
+    ray_cap: int = RAY_CAP,
+    inserted: list | None = None,
+) -> tuple[list[IntVec], list[IntVec]]:
+    """Extreme rays and lineality basis of {x : e.x = 0 for all e, a.x >= 0}.
+
+    A numpy matrix is used as it is; other rows go through ``_row_matrix``.
+    Each inserted row is appended to ``inserted`` when it is given.
+    """
+    pending = inequalities
+    if not isinstance(pending, np.ndarray):
+        rows = list(pending)
+        if any(len(row) != dim for row in rows):
+            raise ValueError(f"cone_dual: every inequality needs {dim} entries")
+        pending = _row_matrix(list(itertools.chain.from_iterable(rows)), dim)
+    equations = list(equations)
+    if any(len(row) != dim for row in equations):
+        raise ValueError(f"cone_dual: every equation needs {dim} entries")
+    n_rows = len(pending)
+    row_max = int(np.abs(pending).max(initial=0))
+    lineality: list[IntVec] = [
+        tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
+    ]
+    rays: list[tuple[IntVec, int]] = []
+    nbits = 0
+
+    def pivot(lin_ds: list[int], ray_ds: list[int], new_bit: int):
+        nonlocal lineality, rays
+        lineality, l0, d0 = _restrict(lineality, lin_ds)
+        new_rays = []
+        for (vec, zs), d in zip(rays, ray_ds):
+            if d:
+                comb = tuple(d0 * x - d * y for x, y in zip(vec, l0))
+                if d0 < 0:
+                    comb = tuple(-x for x in comb)
+                vec = _primitive(comb)
+            new_rays.append((vec, zs | new_bit))
+        rays = new_rays
+        rays.append((l0 if d0 > 0 else tuple(-x for x in l0), new_bit - 1))
+
+    def split(ray_ds: list[int], new_bit: int):
+        nonlocal rays
+        pos, zero, neg = [], [], []
+        for (vec, zs), d in zip(rays, ray_ds):
+            if d > 0:
+                pos.append((vec, zs, d))
+            elif d < 0:
+                neg.append((vec, zs, d))
+            else:
+                zero.append((vec, zs | new_bit))
+        combos = []
+        for pv, pz, pd in pos:
+            for nv, nz, nd in neg:
+                common = pz & nz
+                blocked = False
+                for vec, zs in rays:
+                    if vec is pv or vec is nv:
+                        continue
+                    if common & zs == common:
+                        blocked = True
+                        break
+                if blocked:
+                    continue
+                comb = _primitive(tuple(pd * x - nd * y for x, y in zip(nv, pv)))
+                combos.append((comb, common | new_bit))
+        rays = [(v, z) for v, z, _ in pos] + zero + combos
+        if len(rays) > ray_cap:
+            raise ResourceLimitError(
+                f"cone_dual: ray count {len(rays)} exceeds cap {ray_cap} after inserting "
+                f"{nbits} of {n_rows} inequalities (dim {dim})"
+            )
+
+    for a in map(_scale_to_int, equations):
+        ds = [_dot(a, l) for l in lineality]
+        if any(ds):
+            lineality = _restrict(lineality, ds)[0]
+
+    while len(pending) and (lineality or rays):
+        products = _products(pending, row_max, lineality + [vec for vec, _ in rays])
+        n_lin = len(lineality)
+        live = (products[:, :n_lin] != 0).any(axis=1) | (products[:, n_lin:] < 0).any(axis=1)
+        if not live.any():
+            break
+        first = int(live.argmax())
+        ds = products[first].tolist()
+        if inserted is not None:
+            inserted.append(tuple(pending[first].tolist()))
+        del products
+        live[first] = False
+        pending = pending[live]
+        bit = 1 << nbits
+        nbits += 1
+        if any(ds[:n_lin]):
+            pivot(ds[:n_lin], ds[n_lin:], bit)
+        else:
+            split(ds[n_lin:], bit)
 
     basis = _echelon(lineality)
     seen = set()

@@ -5,6 +5,7 @@ Usage (from the repository root; point PYTHONPATH at another checkout's
 
     PYTHONPATH=src python3 tools/stage_times.py --schedule 8 --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode tables --runs 11
+    PYTHONPATH=src python3 tools/stage_times.py --mode hull --runs 11
 
 The ``pipeline`` mode (the default) runs ``pipeline((2, 1), 4, 2, schedule,
 degree_cap=36)``, the system of the ``mixed-r4-m8`` benchmark workload, once
@@ -12,12 +13,18 @@ to warm the caches and then ``--runs`` times.  The ``tables`` mode runs
 ``verify_table`` on the four bundled coefficient tables, the coefficient
 part of the ``replay`` workload, once and then ``--runs`` times, and clears
 every ``lru_cache`` of the package before each run, so that each run pays
-what a fresh interpreter pays.  Either mode prints one JSON object: the
-median milliseconds of the whole run and of each stage.  A stage's time is
-the time spent in calls to its functions minus the time of other stages'
-calls nested in them.  The rest of the run is ``rows`` in the pipeline
-mode (turning components into points, and the loop itself) and ``rest`` in
-the tables mode (triple reconstruction outside the stages, and the report).
+what a fresh interpreter pays.  The ``hull`` mode runs the timed part of
+the ``hull-mixed`` benchmark workload (hull, facet match, outer polytope
+and equality check) on its 24,526 points, which it builds with the
+benchmark's own integer enumeration from ``perfbench/workloads.py``, once
+and then ``--runs`` times.  Each mode prints one JSON object: the median
+milliseconds of the whole run and of each stage.  A stage's time is the
+time spent in calls to its functions minus the time of other stages' calls
+nested in them.  The rest of the run is ``rows`` in the pipeline mode
+(turning components into points, and the loop itself) and ``rest`` in the
+other modes (triple reconstruction outside the stages, and the report, in
+the tables mode; the hull's equations, facets and the calls around them in
+the hull mode).
 
 A stage lists every function name that has carried it: the Newton
 recurrence is ``plethysm_h_series`` and, where the series is built one
@@ -25,9 +32,12 @@ degree per call, ``_newton_step``; the decomposition is ``schur_decompose``
 and, where the dict is a wrapper over an array-level helper,
 ``_components``; the induced spectrum is ``induced_spectrum`` and, where
 the coefficient reads content rows, ``_spectrum``.  Names a checkout does
-not have are skipped.  ``hull`` includes building its integer matrix from
-the Fraction points.  The table stages are wrapped where ``coefficients``
-calls them, since it imports them by name.
+not have are skipped.  In the pipeline mode ``hull`` includes building its
+integer matrix from the Fraction points; the hull mode splits it into
+``rows`` (every integer matrix ``_row_matrix`` builds, the equality
+check's too), ``dual`` (``cone_dual``) and ``vertices`` (the rest of
+``_vertices_from_h``).  The table stages are wrapped where
+``coefficients`` calls them, since it imports them by name.
 """
 
 from __future__ import annotations
@@ -38,6 +48,8 @@ import statistics
 import sys
 import time
 from collections import defaultdict
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 
 from paulitope import coefficients, fixtures, plethysm, polytope
 
@@ -59,8 +71,16 @@ MODES = {
         "monk": [(coefficients, "monk_coefficient")],
         "minimal": [(coefficients, "require_minimal")],
     },
+    "hull": {
+        "rows": [(polytope, "_row_matrix")],
+        "dual": [(polytope, "cone_dual")],
+        "vertices": [(polytope, "_vertices_from_h")],
+        "match": [(polytope, "facet_match")],
+        "outer": [(polytope, "polytope_from_h")],
+        "equal": [(polytope, "polytopes_equal")],
+    },
 }
-REST = {"pipeline": "rows", "tables": "rest"}
+REST = {"pipeline": "rows", "tables": "rest", "hull": "rest"}
 
 
 def install(stages: dict, totals: dict[str, float]) -> None:
@@ -97,6 +117,20 @@ def clear_caches() -> None:
                     obj.cache_clear()
 
 
+def hull_mixed_run():
+    """The timed part of the ``hull-mixed`` workload, on the benchmark's own points, once checked."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = spec_from_file_location("perfbench_workloads", path)
+    workloads = module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS["hull-mixed"]
+    inputs, fx = workload.prepare(workload.inputs(0)), workload.fixtures()
+    failed = [label for label, ok in workload.check(workload.solve(inputs, fx), fx) if not ok]
+    if failed:
+        raise SystemExit(f"hull-mixed failed its checks: {failed}")
+    return lambda: workload.solve(inputs, fx)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mode", choices=sorted(MODES), default="pipeline")
@@ -105,6 +139,7 @@ def main() -> None:
     args = parser.parse_args()
     stages = MODES[args.mode]
     tables = [fixtures.coefficient_table_raw(name) for name in fixtures.COEFFICIENT_TABLES]
+    hull_run = hull_mixed_run() if args.mode == "hull" else None
     totals: dict[str, float] = defaultdict(float)
     install(stages, totals)
     samples: dict[str, list[float]] = defaultdict(list)
@@ -116,6 +151,8 @@ def main() -> None:
         if args.mode == "tables":
             for table in tables:
                 coefficients.verify_table(table)
+        elif args.mode == "hull":
+            hull_run()
         else:
             polytope.pipeline((2, 1), 4, 2, args.schedule, degree_cap=36)
         total = time.perf_counter() - start
