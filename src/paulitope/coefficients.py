@@ -17,7 +17,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import UnmatchedInequalityError
+from .errors import UnmatchedInequalityError, as_int
 from .permutations import Permutation, require_minimal
 from .polynomials import grassmannian_schubert, monk_coefficient, schubert_polynomial
 from .tableaux import Partition, Tableau, _ssyt, normalize, size
@@ -107,16 +107,6 @@ def coefficient(
     return monk_coefficient(schubert, forms, v, r)
 
 
-def _as_int(x, what: str) -> int:
-    if isinstance(x, int):
-        return x
-    num = getattr(x, "numerator", None)
-    den = getattr(x, "denominator", None)
-    if num is not None and den == 1:
-        return int(num)
-    raise ValueError(f"{what} must be an integer, got {x!r}")
-
-
 def inequality_to_triple(
     lambda_coeffs: Sequence[int],
     bound,
@@ -133,13 +123,13 @@ def inequality_to_triple(
     places those targets inside the induced spectrum of ``a``.  Raises
     UnmatchedInequalityError when no placement with matching lengths exists.
     """
-    g = [_as_int(x, "lambda coefficient") for x in lambda_coeffs]
-    b = _as_int(bound, "bound")
+    g = [as_int(x, "lambda coefficient") for x in lambda_coeffs]
+    b = as_int(bound, "bound")
     nu = normalize(nu)
     n_particles = size(nu)
     if len(g) != r:
         raise ValueError(f"expected {r} lambda coefficients, got {len(g)}")
-    h = [_as_int(x, "mu coefficient") for x in mu_coeffs] if mu_coeffs else [0]
+    h = [as_int(x, "mu coefficient") for x in mu_coeffs] if mu_coeffs else [0]
 
     shift = -min(g)
     order = sorted(range(1, r + 1), key=lambda i: (-g[i - 1], i))

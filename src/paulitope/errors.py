@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer check every constructor uses."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -11,3 +11,17 @@ class MinimalityError(ValueError):
 
 class UnmatchedInequalityError(ValueError):
     """An inequality cannot be written in the test-spectrum form."""
+
+
+def as_int(x, what: str) -> int:
+    """``x`` as an int if it is an integer (an int, a numpy integer, an integral Fraction).
+
+    Anything else, a float or a fractional Fraction included, raises ValueError
+    rather than being truncated.
+    """
+    if type(x) is int:
+        return x
+    num = getattr(x, "numerator", None)
+    if num is not None and getattr(x, "denominator", None) == 1:
+        return int(num)
+    raise ValueError(f"{what} must be an integer, got {x!r}")

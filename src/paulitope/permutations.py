@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import MinimalityError
+from .errors import MinimalityError, as_int
 
 
 class Permutation:
@@ -24,7 +24,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
-        imgs = tuple(int(x) for x in images)
+        imgs = tuple(x if type(x) is int else as_int(x, "permutation image") for x in images)
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
         while imgs and imgs[-1] == len(imgs):

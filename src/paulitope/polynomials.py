@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, as_int
 from .permutations import Permutation, permutations_of_length
 from .tableaux import _ssyt, normalize
 
@@ -28,10 +28,14 @@ class SparsePoly:
             for exps, coeff in terms.items():
                 if len(exps) != self.nvars:
                     raise ValueError(f"exponent tuple {exps} has wrong arity")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
+                if any(type(e) is not int or e < 0 for e in exps):
+                    exps = tuple(as_int(e, "exponent") for e in exps)
+                    if any(e < 0 for e in exps):
+                        raise ValueError(f"negative exponent in {exps}")
+                if type(coeff) is not int:
+                    coeff = as_int(coeff, "coefficient")
                 if coeff:
-                    clean[tuple(exps)] = int(coeff)
+                    clean[tuple(exps)] = coeff
         self.terms = clean
 
     @staticmethod

@@ -14,7 +14,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .tableaux import Tableau, content_vector, is_semistandard, normalize, size
+from .errors import as_int
+from .tableaux import Tableau, content_vector, is_semistandard, normalize
 
 EIGENVALUE_TOLERANCE = 1e-9
 
@@ -30,7 +31,7 @@ class Amplitude(NamedTuple):
 
 
 def amplitude(sign: int, radicand) -> Amplitude:
-    sign = int(sign)
+    sign = as_int(sign, "sign")
     radicand = Fraction(radicand)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -49,13 +50,34 @@ def _exact_sqrt(q: Fraction) -> Fraction | None:
 
 
 class _ExactState:
-    """Value semantics shared by the exact states: equal fields, equal states.
+    """Amplitude store and value semantics shared by the exact states.
 
-    The fields are the subclass's slots, amplitudes last; the hash reads the
-    amplitudes as a frozenset, so a state can sit in a frozen dataclass.
+    A subclass sets its own fields, then hands its amplitudes to ``_store``,
+    which runs the subclass's ``_key`` check on every key before coercing its
+    amplitude, and keeps the nonzero ones.  The fields are the subclass's
+    slots, amplitudes last; equal fields make equal states, and the hash reads
+    the amplitudes as a frozenset, so a state can sit in a frozen dataclass.
     """
 
     __slots__ = ()
+
+    def _store(self, amplitudes: Mapping) -> None:
+        clean = {}
+        for raw, amp in amplitudes.items():
+            key = self._key(raw)
+            if not isinstance(amp, Amplitude):
+                amp = amplitude(*amp)
+            if amp.radicand:
+                clean[key] = amp
+        if not clean:
+            raise ValueError("state has no nonzero amplitude")
+        self.amplitudes = clean
+
+    def norm_squared(self) -> Fraction:
+        return sum((a.radicand for a in self.amplitudes.values()), Fraction(0))
+
+    def support(self) -> list:
+        return sorted(self.amplitudes)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -88,24 +110,19 @@ class WedgeState(_ExactState):
         levels: int,
         amplitudes: Mapping[Sequence[int], Amplitude],
     ):
-        self.n_particles = int(n_particles)
-        self.levels = int(levels)
-        clean: dict[tuple[int, ...], Amplitude] = {}
-        for subset, amp in amplitudes.items():
-            key = tuple(int(x) for x in subset)
-            if len(key) != self.n_particles:
-                raise ValueError(f"wedge {key} has wrong particle count")
-            if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
-                raise ValueError(f"wedge indices must be strictly increasing: {key}")
-            if key and (key[0] < 1 or key[-1] > self.levels):
-                raise ValueError(f"wedge indices out of range 1..{self.levels}: {key}")
-            if not isinstance(amp, Amplitude):
-                amp = amplitude(*amp)
-            if amp.radicand:
-                clean[key] = amp
-        if not clean:
-            raise ValueError("state has no nonzero amplitude")
-        self.amplitudes = clean
+        self.n_particles = as_int(n_particles, "particle count")
+        self.levels = as_int(levels, "level count")
+        self._store(amplitudes)
+
+    def _key(self, subset: Sequence[int]) -> tuple[int, ...]:
+        key = tuple(as_int(x, "wedge index") for x in subset)
+        if len(key) != self.n_particles:
+            raise ValueError(f"wedge {key} has wrong particle count")
+        if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
+            raise ValueError(f"wedge indices must be strictly increasing: {key}")
+        if key and (key[0] < 1 or key[-1] > self.levels):
+            raise ValueError(f"wedge indices out of range 1..{self.levels}: {key}")
+        return key
 
     @staticmethod
     def from_terms(n_particles: int, levels: int, terms: Iterable[Mapping]) -> "WedgeState":
@@ -115,12 +132,6 @@ class WedgeState(_ExactState):
         }
         return WedgeState(n_particles, levels, amps)
 
-    def norm_squared(self) -> Fraction:
-        return sum((a.radicand for a in self.amplitudes.values()), Fraction(0))
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.amplitudes)
-
 
 class TableauState(_ExactState):
     """State in the shape-nu representation supported on tableau basis vectors."""
@@ -129,27 +140,16 @@ class TableauState(_ExactState):
 
     def __init__(self, nu, levels: int, amplitudes: Mapping[Tableau, Amplitude]):
         self.nu = normalize(nu)
-        self.levels = int(levels)
-        clean: dict[Tableau, Amplitude] = {}
-        for tab, amp in amplitudes.items():
-            key = tuple(tuple(int(x) for x in row) for row in tab)
-            if not is_semistandard(key, self.nu):
-                raise ValueError(f"not a semistandard tableau of shape {self.nu}: {key}")
-            if any(x < 1 or x > self.levels for row in key for x in row):
-                raise ValueError(f"entries out of range 1..{self.levels}: {key}")
-            if not isinstance(amp, Amplitude):
-                amp = amplitude(*amp)
-            if amp.radicand:
-                clean[key] = amp
-        if not clean:
-            raise ValueError("state has no nonzero amplitude")
-        self.amplitudes = clean
+        self.levels = as_int(levels, "level count")
+        self._store(amplitudes)
 
-    def norm_squared(self) -> Fraction:
-        return sum((a.radicand for a in self.amplitudes.values()), Fraction(0))
-
-    def support(self) -> list[Tableau]:
-        return sorted(self.amplitudes)
+    def _key(self, tab: Tableau) -> Tableau:
+        key = tuple(tuple(as_int(x, "tableau entry") for x in row) for row in tab)
+        if not is_semistandard(key, self.nu):
+            raise ValueError(f"not a semistandard tableau of shape {self.nu}: {key}")
+        if any(x < 1 or x > self.levels for row in key for x in row):
+            raise ValueError(f"entries out of range 1..{self.levels}: {key}")
+        return key
 
 
 class OneParticleRDM(NamedTuple):
@@ -176,63 +176,45 @@ def one_particle_rdm(psi: WedgeState) -> OneParticleRDM:
     The (i, j) entry pairs every wedge containing level i with the wedge where
     i is replaced by j; the fermionic sign counts the occupied levels strictly
     between i and j.  All entries are exact rationals when every amplitude
-    product involved is a perfect square.
+    product involved is a perfect square; otherwise every entry is a float.
     """
-    r = psi.levels
-    norm2 = psi.norm_squared()
+    r, amps = psi.levels, psi.amplitudes
     diag = [Fraction(0)] * r
-    for subset, amp in psi.amplitudes.items():
-        for i in subset:
-            diag[i - 1] += amp.radicand
-    off_terms: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for subset, amp in psi.amplitudes.items():
+    # (i, j) -> [(sign, radicand product, its rational root or None)]
+    off: dict[tuple[int, int], list[tuple[int, Fraction, Fraction | None]]] = {}
+    for subset, amp in amps.items():
         occupied = set(subset)
         for i in subset:
+            diag[i - 1] += amp.radicand
             for j in range(i + 1, r + 1):
                 if j in occupied:
                     continue
-                partner = tuple(sorted(occupied - {i} | {j}))
-                other = psi.amplitudes.get(partner)
+                other = amps.get(tuple(sorted(occupied - {i} | {j})))
                 if other is None:
                     continue
                 between = sum(1 for x in subset if i < x < j)
-                sign = amp.sign * other.sign * (-1) ** between
-                off_terms.setdefault((i, j), []).append(
-                    (sign, amp.radicand * other.radicand)
+                rad = amp.radicand * other.radicand
+                off.setdefault((i, j), []).append(
+                    (amp.sign * other.sign * (-1) ** between, rad, _exact_sqrt(rad))
                 )
+    exact = all(root is not None for terms in off.values() for _, _, root in terms)
 
-    exact = True
-    off_exact: dict[tuple[int, int], Fraction] = {}
-    for key, terms in off_terms.items():
-        total = Fraction(0)
-        for sign, rad in terms:
-            root = _exact_sqrt(rad)
-            if root is None:
-                exact = False
-                break
-            total += sign * root
-        if not exact:
-            break
-        off_exact[key] = total
-
+    norm2 = psi.norm_squared()
     if exact:
-        rows = [[Fraction(0)] * r for _ in range(r)]
-        for i in range(r):
-            rows[i][i] = diag[i] / norm2
-        for (i, j), val in off_exact.items():
-            rows[i - 1][j - 1] = val / norm2
-            rows[j - 1][i - 1] = val / norm2
-        return OneParticleRDM(tuple(tuple(row) for row in rows), True)
-
-    fnorm = float(norm2)
-    frows = [[0.0] * r for _ in range(r)]
-    for i in range(r):
-        frows[i][i] = float(diag[i]) / fnorm
-    for (i, j), terms in off_terms.items():
-        val = sum(sign * math.sqrt(float(rad)) for sign, rad in terms) / fnorm
-        frows[i - 1][j - 1] = val
-        frows[j - 1][i - 1] = val
-    return OneParticleRDM(tuple(tuple(row) for row in frows), False)
+        zero, norm = Fraction(0), norm2
+        values = {key: [sign * root for sign, _, root in terms] for key, terms in off.items()}
+    else:
+        zero, norm, diag = 0.0, float(norm2), [float(d) for d in diag]
+        values = {
+            key: [sign * math.sqrt(float(rad)) for sign, rad, _ in terms]
+            for key, terms in off.items()
+        }
+    rows = [[zero] * r for _ in range(r)]
+    for i, d in enumerate(diag):
+        rows[i][i] = d / norm
+    for (i, j), terms in values.items():
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = sum(terms) / norm
+    return OneParticleRDM(tuple(map(tuple, rows)), exact)
 
 
 def occupation_numbers(psi: WedgeState):
@@ -248,34 +230,20 @@ def occupation_numbers(psi: WedgeState):
     return tuple(sorted((float(x) for x in eigs), reverse=True))
 
 
-def _support_contents(support: Sequence, levels: int) -> list[tuple[int, ...]]:
-    contents = []
-    for item in support:
-        if item and isinstance(item[0], tuple):
-            contents.append(content_vector(item, levels))
-        else:
-            vec = [0] * levels
-            for x in item:
-                vec[x - 1] += 1
-            contents.append(tuple(vec))
-    return contents
+def _rows(item: Sequence) -> Sequence[Sequence[int]]:
+    """A basis vector as rows of levels: a tableau as it is, a wedge as one row."""
+    return item if item and isinstance(item[0], tuple) else (item,)
 
 
-def weight_graph_disconnected(support: Sequence, levels: int | None = None) -> bool:
+def weight_graph_disconnected(support: Sequence) -> bool:
     """True when no two support vectors are coupled by a one-level move.
 
     Two basis vectors interact in the one-particle density matrix only when
     their level contents differ by moving a single particle; a support with no
     such pair has an exactly diagonal matrix.
     """
-    if levels is None:
-        levels = max(
-            (x for item in support for x in (
-                (y for row in item for y in row) if item and isinstance(item[0], tuple) else item
-            )),
-            default=1,
-        )
-    contents = _support_contents(support, levels)
+    levels = max((x for item in support for row in _rows(item) for x in row), default=1)
+    contents = [content_vector(_rows(item), levels) for item in support]
     for i in range(len(contents)):
         for j in range(i + 1, len(contents)):
             delta = [a - b for a, b in zip(contents[i], contents[j])]
@@ -292,14 +260,13 @@ def dadok_kac_spectrum(state: "TableauState | WedgeState") -> tuple[Fraction, ..
     vectors are coupled, since the density matrix need not be diagonal then.
     """
     support = state.support()
-    if not weight_graph_disconnected(support, state.levels):
+    if not weight_graph_disconnected(support):
         raise ValueError("support vectors are coupled; the diagonal formula does not apply")
-    contents = _support_contents(support, state.levels)
     norm2 = state.norm_squared()
     occ = [Fraction(0)] * state.levels
-    for item, content in zip(support, contents):
+    for item in support:
         rad = state.amplitudes[item].radicand
-        for i, mult in enumerate(content):
+        for i, mult in enumerate(content_vector(_rows(item), state.levels)):
             if mult:
                 occ[i] += mult * rad
     return tuple(x / norm2 for x in occ)

@@ -11,13 +11,15 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Iterable, Iterator, NamedTuple
 
+from .errors import as_int
+
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
 
 
 def normalize(parts: Iterable[int]) -> Partition:
     """Canonical partition: validated weakly decreasing, trailing zeros removed."""
-    p = tuple(int(x) for x in parts)
+    p = tuple(x if type(x) is int else as_int(x, "partition part") for x in parts)
     for i in range(len(p) - 1):
         if p[i] < p[i + 1]:
             raise ValueError(f"parts not weakly decreasing: {p}")

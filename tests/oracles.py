@@ -4,7 +4,8 @@ Everything here deliberately takes a different route from the library code:
 semistandard tableaux are filled by rejection over raw products, skew
 standard counts come from linear-extension enumeration, divided differences
 go through sympy's exact division, Schur polynomials through the bialternant
-quotient, one-particle density matrices through full antisymmetrized tensors,
+quotient, one-particle density matrices through full antisymmetrized tensors
+(or, for exact comparison, the former two-block assembly and state classes),
 and plethysms through multiset expansion or through the dict engine the
 package used before its Cauchy-form lattice engine: a Newton series of
 weight dicts, Jacobi-Trudi determinants for every Schur functor, and
@@ -69,7 +70,10 @@ from paulitope.polytope import (
     polytope_from_h,
 )
 from paulitope.states import (
+    Amplitude,
+    OneParticleRDM,
     WedgeState,
+    _exact_sqrt,
     level_merged_state,
     occupation_numbers,
     paired_flat_state,
@@ -81,6 +85,7 @@ from paulitope.tableaux import (
     content_vector,
     count_skew_standard,
     enumerate_ssyt,
+    is_semistandard,
     normalize,
     partitions_in_box,
     reading_word,
@@ -312,6 +317,219 @@ def tensor_rdm(psi) -> np.ndarray:
     rho = flat @ flat.T
     norm = float(psi.norm_squared())
     return n * rho / norm
+
+
+# The state constructors, density-matrix assembly and content route the
+# package used before its single amplitude store: an exact and a float block
+# per matrix, a copy of the store in each state class, and wedge contents
+# counted apart from tableau contents.  Reprs print the package's class names,
+# so a frozen state and a package state can be compared by repr.
+
+
+def reference_amplitude(sign: int, radicand) -> Amplitude:
+    sign = int(sign)
+    radicand = Fraction(radicand)
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if radicand < 0:
+        raise ValueError(f"radicand must be nonnegative, got {radicand}")
+    return Amplitude(sign, radicand)
+
+
+class _ReferenceExactState:
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        *head, amplitudes = self._fields()
+        return hash((*head, frozenset(amplitudes.items())))
+
+    def __repr__(self) -> str:
+        name = type(self).__name__.removeprefix("Reference")
+        return f"{name}({', '.join(map(repr, self._fields()))})"
+
+
+class ReferenceWedgeState(_ReferenceExactState):
+    __slots__ = ("n_particles", "levels", "amplitudes")
+
+    def __init__(self, n_particles: int, levels: int, amplitudes):
+        self.n_particles = int(n_particles)
+        self.levels = int(levels)
+        clean: dict[tuple[int, ...], Amplitude] = {}
+        for subset, amp in amplitudes.items():
+            key = tuple(int(x) for x in subset)
+            if len(key) != self.n_particles:
+                raise ValueError(f"wedge {key} has wrong particle count")
+            if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
+                raise ValueError(f"wedge indices must be strictly increasing: {key}")
+            if key and (key[0] < 1 or key[-1] > self.levels):
+                raise ValueError(f"wedge indices out of range 1..{self.levels}: {key}")
+            if not isinstance(amp, Amplitude):
+                amp = reference_amplitude(*amp)
+            if amp.radicand:
+                clean[key] = amp
+        if not clean:
+            raise ValueError("state has no nonzero amplitude")
+        self.amplitudes = clean
+
+    @staticmethod
+    def from_terms(n_particles: int, levels: int, terms) -> "ReferenceWedgeState":
+        amps = {
+            tuple(t["subset"]): reference_amplitude(t.get("sign", 1), Fraction(str(t["radicand"])))
+            for t in terms
+        }
+        return ReferenceWedgeState(n_particles, levels, amps)
+
+    def norm_squared(self) -> Fraction:
+        return sum((a.radicand for a in self.amplitudes.values()), Fraction(0))
+
+    def support(self) -> list[tuple[int, ...]]:
+        return sorted(self.amplitudes)
+
+
+class ReferenceTableauState(_ReferenceExactState):
+    __slots__ = ("nu", "levels", "amplitudes")
+
+    def __init__(self, nu, levels: int, amplitudes):
+        self.nu = normalize(nu)
+        self.levels = int(levels)
+        clean = {}
+        for tab, amp in amplitudes.items():
+            key = tuple(tuple(int(x) for x in row) for row in tab)
+            if not is_semistandard(key, self.nu):
+                raise ValueError(f"not a semistandard tableau of shape {self.nu}: {key}")
+            if any(x < 1 or x > self.levels for row in key for x in row):
+                raise ValueError(f"entries out of range 1..{self.levels}: {key}")
+            if not isinstance(amp, Amplitude):
+                amp = reference_amplitude(*amp)
+            if amp.radicand:
+                clean[key] = amp
+        if not clean:
+            raise ValueError("state has no nonzero amplitude")
+        self.amplitudes = clean
+
+    def norm_squared(self) -> Fraction:
+        return sum((a.radicand for a in self.amplitudes.values()), Fraction(0))
+
+    def support(self) -> list:
+        return sorted(self.amplitudes)
+
+
+def reference_one_particle_rdm(psi) -> OneParticleRDM:
+    """The density matrix built by an exact block, or else a float block."""
+    r = psi.levels
+    norm2 = psi.norm_squared()
+    diag = [Fraction(0)] * r
+    for subset, amp in psi.amplitudes.items():
+        for i in subset:
+            diag[i - 1] += amp.radicand
+    off_terms: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for subset, amp in psi.amplitudes.items():
+        occupied = set(subset)
+        for i in subset:
+            for j in range(i + 1, r + 1):
+                if j in occupied:
+                    continue
+                partner = tuple(sorted(occupied - {i} | {j}))
+                other = psi.amplitudes.get(partner)
+                if other is None:
+                    continue
+                between = sum(1 for x in subset if i < x < j)
+                sign = amp.sign * other.sign * (-1) ** between
+                off_terms.setdefault((i, j), []).append((sign, amp.radicand * other.radicand))
+
+    exact = True
+    off_exact: dict[tuple[int, int], Fraction] = {}
+    for key, terms in off_terms.items():
+        total = Fraction(0)
+        for sign, rad in terms:
+            root = _exact_sqrt(rad)
+            if root is None:
+                exact = False
+                break
+            total += sign * root
+        if not exact:
+            break
+        off_exact[key] = total
+
+    if exact:
+        rows = [[Fraction(0)] * r for _ in range(r)]
+        for i in range(r):
+            rows[i][i] = diag[i] / norm2
+        for (i, j), val in off_exact.items():
+            rows[i - 1][j - 1] = val / norm2
+            rows[j - 1][i - 1] = val / norm2
+        return OneParticleRDM(tuple(tuple(row) for row in rows), True)
+
+    fnorm = float(norm2)
+    frows = [[0.0] * r for _ in range(r)]
+    for i in range(r):
+        frows[i][i] = float(diag[i]) / fnorm
+    for (i, j), terms in off_terms.items():
+        val = sum(sign * math.sqrt(float(rad)) for sign, rad in terms) / fnorm
+        frows[i - 1][j - 1] = val
+        frows[j - 1][i - 1] = val
+    return OneParticleRDM(tuple(tuple(row) for row in frows), False)
+
+
+def reference_occupation_numbers(psi):
+    rdm = reference_one_particle_rdm(psi)
+    if rdm.exact and rdm.is_diagonal():
+        return tuple(sorted((rdm.entries[i][i] for i in range(psi.levels)), reverse=True))
+    eigs = np.linalg.eigvalsh(rdm.as_array())
+    return tuple(sorted((float(x) for x in eigs), reverse=True))
+
+
+def _reference_support_contents(support, levels: int) -> list[tuple[int, ...]]:
+    contents = []
+    for item in support:
+        if item and isinstance(item[0], tuple):
+            contents.append(content_vector(item, levels))
+        else:
+            vec = [0] * levels
+            for x in item:
+                vec[x - 1] += 1
+            contents.append(tuple(vec))
+    return contents
+
+
+def reference_weight_graph_disconnected(support, levels: int | None = None) -> bool:
+    if levels is None:
+        levels = max(
+            (x for item in support for x in (
+                (y for row in item for y in row) if item and isinstance(item[0], tuple) else item
+            )),
+            default=1,
+        )
+    contents = _reference_support_contents(support, levels)
+    for i in range(len(contents)):
+        for j in range(i + 1, len(contents)):
+            delta = [a - b for a, b in zip(contents[i], contents[j])]
+            if sorted(x for x in delta if x) == [-1, 1]:
+                return False
+    return True
+
+
+def reference_dadok_kac_spectrum(state) -> tuple[Fraction, ...]:
+    support = state.support()
+    if not reference_weight_graph_disconnected(support, state.levels):
+        raise ValueError("support vectors are coupled; the diagonal formula does not apply")
+    contents = _reference_support_contents(support, state.levels)
+    norm2 = state.norm_squared()
+    occ = [Fraction(0)] * state.levels
+    for item, content in zip(support, contents):
+        rad = state.amplitudes[item].radicand
+        for i, mult in enumerate(content):
+            if mult:
+                occ[i] += mult * rad
+    return tuple(x / norm2 for x in occ)
 
 
 # ----------------------------------------------------------------- plethysm

@@ -211,3 +211,13 @@ def test_console_script_is_installed():
     import shutil
 
     assert shutil.which("paulitope") is not None
+
+
+def test_occupation_fractional_index_exits_2(tmp_path, capsys):
+    state = {"n_particles": 2, "levels": 4, "terms": [{"subset": [1.5, 3], "radicand": "1"}]}
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    code, out, err = _run(capsys, "occupation", str(path))
+    assert code == 2
+    assert out == ""
+    assert "wedge index must be an integer, got 1.5" in err

@@ -174,3 +174,8 @@ def test_permutation_rejects_non_bijections():
         Permutation([1, 1])
     with pytest.raises(ValueError):
         Permutation([0, 2])
+
+
+def test_permutation_refuses_fractional_images():
+    with pytest.raises(ValueError, match="permutation image must be an integer"):
+        Permutation([2.9, 1.2])

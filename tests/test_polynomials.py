@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -271,3 +272,24 @@ def test_repr_is_readable():
     f = SparsePoly(2, {(2, 0): 1, (0, 1): -3})
     text = repr(f)
     assert "x1^2" in text and "x2" in text
+
+
+def test_sparse_poly_refuses_a_fractional_float_coefficient():
+    with pytest.raises(ValueError, match="coefficient must be an integer"):
+        SparsePoly(1, {(1,): 0.5})
+
+
+def test_sparse_poly_refuses_a_fractional_fraction_coefficient():
+    with pytest.raises(ValueError, match="coefficient must be an integer"):
+        SparsePoly(2, {(1, 0): Fraction(3, 2)})
+
+
+def test_sparse_poly_refuses_a_fractional_exponent():
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        SparsePoly(1, {(1.5,): 1})
+    # integral numpy and Fraction inputs are stored as ints
+    poly = SparsePoly(2, {(np.int64(1), Fraction(2)): Fraction(4, 2), (0, 1): np.int64(-3)})
+    assert poly == SparsePoly(2, {(1, 2): 2, (0, 1): -3})
+    assert all(type(x) is int for e, c in poly.terms.items() for x in (*e, c))
+    with pytest.raises(ValueError, match="negative exponent"):
+        SparsePoly(1, {(np.int64(-1),): 1})

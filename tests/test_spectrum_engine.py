@@ -194,7 +194,7 @@ def _stage_times():
     return module
 
 
-@pytest.mark.parametrize("mode", ["pipeline", "tables", "hull"])
+@pytest.mark.parametrize("mode", ["pipeline", "tables", "hull", "vertices"])
 def test_every_timed_stage_resolves_to_a_package_name(mode):
     stages = _stage_times().MODES[mode]
     assert stages

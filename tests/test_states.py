@@ -144,7 +144,7 @@ def test_weight_graph_disconnected():
     assert weight_graph_disconnected([(1, 2), (3, 4)])
     assert not weight_graph_disconnected([(1, 2), (1, 3)])
     # moving two particles at once does not couple the pair
-    assert weight_graph_disconnected([(1, 2), (3, 4), (5, 6)], levels=6)
+    assert weight_graph_disconnected([(1, 2), (3, 4), (5, 6)])
 
 
 def test_dadok_kac_spectrum_matches_eigenvalues():
@@ -209,3 +209,21 @@ def test_verify_vertex_rejects_wrong_ratio():
         verify_vertex(psi, (1, 1, 0))
     with pytest.raises(ValueError):
         verify_vertex(psi, (0, 0, 0, 0))
+
+
+def test_wedge_state_refuses_fractional_indices():
+    with pytest.raises(ValueError, match="wedge index must be an integer"):
+        WedgeState(2, 4, {(1.9, 3.2): amplitude(1, 1)})
+
+
+def test_tableau_state_refuses_fractional_entries():
+    with pytest.raises(ValueError, match="tableau entry must be an integer"):
+        TableauState((2, 1), 3, {((1.5, 1.9), (2.2,)): (1, 1)})
+
+
+def test_amplitude_refuses_a_fractional_sign():
+    with pytest.raises(ValueError, match="sign must be an integer"):
+        amplitude(1.7, 1)
+    # integral numpy and Fraction inputs are still read as ints
+    assert amplitude(np.int64(-1), 1) == amplitude(Fraction(-1), 1) == (-1, 1)
+    assert WedgeState(2, 4, {(np.int64(1), Fraction(3)): (1, 1)}).support() == [(1, 3)]

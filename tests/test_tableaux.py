@@ -238,3 +238,8 @@ def test_complement_diagram():
 def test_complement_diagram_rejects_oversize():
     with pytest.raises(ValueError):
         complement_diagram((3,), 2, 2)
+
+
+def test_normalize_refuses_fractional_parts():
+    with pytest.raises(ValueError, match="partition part must be an integer"):
+        normalize((2.5, 1))

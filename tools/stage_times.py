@@ -6,6 +6,7 @@ Usage (from the repository root; point PYTHONPATH at another checkout's
     PYTHONPATH=src python3 tools/stage_times.py --schedule 8 --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode tables --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode hull --runs 11
+    PYTHONPATH=src python3 tools/stage_times.py --mode vertices --runs 11
 
 The ``pipeline`` mode (the default) runs ``pipeline((2, 1), 4, 2, schedule,
 degree_cap=36)``, the system of the ``mixed-r4-m8`` benchmark workload, once
@@ -17,14 +18,16 @@ what a fresh interpreter pays.  The ``hull`` mode runs the timed part of
 the ``hull-mixed`` benchmark workload (hull, facet match, outer polytope
 and equality check) on its 24,526 points, which it builds with the
 benchmark's own integer enumeration from ``perfbench/workloads.py``, once
-and then ``--runs`` times.  Each mode prints one JSON object: the median
-milliseconds of the whole run and of each stage.  A stage's time is the
+and then ``--runs`` times.  The ``vertices`` mode runs ``verify_vertex`` on
+the 70 rows of the bundled vertex tables, the vertex part of the ``replay``
+workload, once and then ``--runs`` times.  Each mode prints one JSON object:
+the median milliseconds of the whole run and of each stage.  A stage's time is the
 time spent in calls to its functions minus the time of other stages' calls
 nested in them.  The rest of the run is ``rows`` in the pipeline mode
 (turning components into points, and the loop itself) and ``rest`` in the
 other modes (triple reconstruction outside the stages, and the report, in
 the tables mode; the hull's equations, facets and the calls around them in
-the hull mode).
+the hull mode; the loop over the rows in the vertices mode).
 
 A stage lists every function name that has carried it: the Newton
 recurrence is ``plethysm_h_series`` and, where the series is built one
@@ -37,7 +40,11 @@ integer matrix from the Fraction points; the hull mode splits it into
 ``rows`` (every integer matrix ``_row_matrix`` builds, the equality
 check's too), ``dual`` (``cone_dual``) and ``vertices`` (the rest of
 ``_vertices_from_h``).  The table stages are wrapped where
-``coefficients`` calls them, since it imports them by name.
+``coefficients`` calls them, since it imports them by name.  The vertices
+mode splits each call into ``rdm`` (``one_particle_rdm``), ``spectrum``
+(the rest of ``occupation_numbers``: the diagonal read or the eigensolver)
+and ``ratio`` (the rest of ``verify_vertex``: the expected spectrum and the
+comparison).
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from collections import defaultdict
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
-from paulitope import coefficients, fixtures, plethysm, polytope
+from paulitope import coefficients, fixtures, plethysm, polytope, states
 
 MODES = {
     "pipeline": {
@@ -79,8 +86,13 @@ MODES = {
         "outer": [(polytope, "polytope_from_h")],
         "equal": [(polytope, "polytopes_equal")],
     },
+    "vertices": {
+        "rdm": [(states, "one_particle_rdm")],
+        "spectrum": [(states, "occupation_numbers")],
+        "ratio": [(states, "verify_vertex")],
+    },
 }
-REST = {"pipeline": "rows", "tables": "rest", "hull": "rest"}
+REST = {"pipeline": "rows", "tables": "rest", "hull": "rest", "vertices": "rest"}
 
 
 def install(stages: dict, totals: dict[str, float]) -> None:
@@ -140,6 +152,11 @@ def main() -> None:
     stages = MODES[args.mode]
     tables = [fixtures.coefficient_table_raw(name) for name in fixtures.COEFFICIENT_TABLES]
     hull_run = hull_mixed_run() if args.mode == "hull" else None
+    vertex_rows = (
+        [row for name in fixtures.VERTEX_TABLES for row in fixtures.vertex_table(name)["rows"]]
+        if args.mode == "vertices"
+        else []
+    )
     totals: dict[str, float] = defaultdict(float)
     install(stages, totals)
     samples: dict[str, list[float]] = defaultdict(list)
@@ -153,6 +170,10 @@ def main() -> None:
                 coefficients.verify_table(table)
         elif args.mode == "hull":
             hull_run()
+        elif args.mode == "vertices":
+            for row in vertex_rows:
+                if not states.verify_vertex(row["state"], row["ratio"]):
+                    raise SystemExit(f"vertex row {row['ratio']} failed its check")
         else:
             polytope.pipeline((2, 1), 4, 2, args.schedule, degree_cap=36)
         total = time.perf_counter() - start
