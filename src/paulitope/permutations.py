@@ -40,6 +40,8 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
+        if type(i) is not int:
+            i = as_int(i, "point")
         if i < 1:
             raise ValueError(f"points are 1-based, got {i}")
         return self.images[i - 1] if i <= len(self.images) else i

@@ -22,7 +22,7 @@ class SparsePoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
-        self.nvars = int(nvars)
+        self.nvars = nvars if type(nvars) is int else as_int(nvars, "variable count")
         clean: dict[tuple[int, ...], int] = {}
         if terms:
             for exps, coeff in terms.items():

@@ -24,6 +24,7 @@ from .errors import ResourceLimitError, UnmatchedInequalityError
 from .plethysm import (
     INNER_POINT_DEGREE_CAP,
     INNER_POINT_LEVEL_CAP,
+    _INT64_LIMIT,
     _check_request,
     _entry_dtype,
     inner_points,
@@ -99,36 +100,74 @@ def _exact(x) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-def _row_matrix(entries: list, width: int) -> np.ndarray:
+def _lcm_int64(dens: np.ndarray) -> int:
+    """The lcm of positive int64 entries, or a partial lcm past int64 if the lcm is.
+
+    The running lcm takes the largest entry it does not divide, so it at
+    least doubles each step.  The entries are read 4096 at a time, so that
+    no temporary is as large as the input.
+    """
+    l = 1
+    for start in range(0, len(dens), 4096):
+        block = dens[start : start + 4096]
+        while (block := block[l % block != 0]).size:
+            l = lcm(l, int(block.max()))
+            if l > _INT64_LIMIT:
+                return l
+    return l
+
+
+def _row_matrix(rows: Sequence[Sequence], width: int, lead: bool = False) -> np.ndarray:
     """The distinct primitive integer rows of a rational matrix, in lexicographic order.
 
-    ``entries`` holds the matrix row by row, ``width`` entries a row.  Each
-    row is scaled by the lcm of its denominators and divided by the gcd of
-    the result, zero rows are dropped, and the rest are sorted and deduped
-    with one lexsort, so they come out in the order ``sorted(set(rows))``
-    gives.  Ints and Fractions are read as they are and anything else goes
-    through ``_exact``; the numerator and denominator of each entry are read
-    once.  The matrix is int64 when max|numerator| * lcm(denominators)
-    fits and Python ints (dtype=object) otherwise; every scaled entry, and
-    every lcm on the way, is bounded by that product.
+    Each row has ``width`` entries; ``lead`` puts a 1 before each, so points
+    become the rows (den, x1*den, ...) of their homogenization.  Each row is
+    scaled by the lcm of its denominators and divided by the gcd of the
+    result; zero rows are dropped and the rest come out in the order
+    ``sorted(set(rows))`` gives.  Numerators, then denominators, are read in
+    one pass each straight into int64: through the ``_numerator`` and
+    ``_denominator`` slots (C-level, where the public properties run Python
+    code) when every entry is exactly a ``Fraction``, through the properties
+    for other ints and Fractions, and after ``_exact`` for anything else.
+    The matrix is int64 when max|numerator| * lcm(denominators), the leading
+    1 included, fits; otherwise it holds Python ints (dtype=object), read
+    again through ``int()`` so that numpy-int numerators cannot wrap.  Every
+    scaled entry, and every lcm on the way, is bounded by that product.
     """
-    if not all(issubclass(t, (int, Fraction)) for t in set(map(type, entries))):
-        entries = [_exact(x) for x in entries]
-    nums = np.fromiter(map(attrgetter("numerator"), entries), dtype=object, count=len(entries))
-    dens = np.fromiter(map(attrgetter("denominator"), entries), dtype=object, count=len(entries))
-    num_max = max(nums.max(initial=0), -nums.min(initial=0))
-    dtype = _entry_dtype(int(num_max) * lcm(*set(dens)))
-    # each object array is dropped once converted, to keep the peak down
-    rows = nums.astype(dtype).reshape(-1, width)
-    del nums
-    dens = dens.astype(dtype).reshape(-1, width)
-    rows *= np.lcm.reduce(dens, axis=1)[:, None] // dens
+    n = len(rows)
+    types = set(map(type, chain.from_iterable(rows)))
+    if types <= {Fraction}:
+        attrs = ("_numerator", "_denominator")
+    else:
+        attrs = ("numerator", "denominator")
+        if not all(issubclass(t, (int, Fraction)) for t in types):
+            rows = [[_exact(x) for x in row] for row in rows]
+    try:
+        nums, dens = (
+            np.fromiter(map(attrgetter(a), chain.from_iterable(rows)), np.int64, n * width) for a in attrs
+        )
+    except OverflowError:
+        dtype = object
+    else:
+        num_max = max(int(nums.max(initial=0)), -int(nums.min(initial=0)), lead)
+        dtype = _entry_dtype(num_max * _lcm_int64(dens))
+    if dtype is object:
+        nums, dens = (
+            np.fromiter(map(int, map(attrgetter(a), chain.from_iterable(rows))), object, n * width)
+            for a in attrs
+        )
+    nums, dens = nums.reshape(n, width), dens.reshape(n, width)
+    scale = np.lcm.reduce(dens, axis=1, initial=1)
+    np.floor_divide(scale[:, None], dens, out=dens)
+    nums *= dens
     del dens
-    rows //= np.maximum(np.gcd.reduce(rows, axis=1), 1)[:, None]
-    rows = rows[np.lexsort(rows.T[::-1])]
-    keep = rows.any(axis=1)
-    keep[1:] &= (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+    if lead:
+        nums = np.column_stack((scale, nums))
+    nums //= np.maximum(np.gcd.reduce(nums, axis=1), 1)[:, None]
+    nums = nums[np.lexsort(nums.T[::-1])]
+    keep = nums.any(axis=1)
+    keep[1:] &= (nums[1:] != nums[:-1]).any(axis=1)
+    return nums[keep]
 
 
 def _products(pending: np.ndarray, row_max: int, gens: list[IntVec]) -> np.ndarray:
@@ -209,7 +248,7 @@ def cone_dual(
         rows = list(pending)
         if any(len(row) != dim for row in rows):
             raise ValueError(f"cone_dual: every inequality needs {dim} entries")
-        pending = _row_matrix(list(chain.from_iterable(rows)), dim)
+        pending = _row_matrix(rows, dim)
     equations = list(equations)
     if any(len(row) != dim for row in equations):
         raise ValueError(f"cone_dual: every equation needs {dim} entries")
@@ -365,19 +404,18 @@ def hull(points: Iterable[Sequence]) -> Polytope:
     The points go to ``cone_dual`` as one integer matrix of the primitive
     rows (den, x1*den, ...), den the lcm of a point's denominators, without
     repeats and in lexicographic order, so the input order does not matter.
+    ``_row_matrix`` reads it, through the Fraction slots when every
+    coordinate is exactly a Fraction; it is int64 when max|numerator| *
+    lcm(denominators) fits and holds Python ints otherwise.
     """
-    entries: list = []
-    dim = None
-    for p in points:
-        if dim is None:
-            dim = len(p)
-        elif len(p) != dim:
-            raise ValueError("points have mixed arity")
-        entries.append(1)
-        entries.extend(p)
-    if dim is None:
+    points = list(points)
+    arities = set(map(len, points))
+    if not arities:
         raise ValueError("need at least one point")
-    rays, lin = cone_dual([], _row_matrix(entries, dim + 1), dim + 1)
+    if len(arities) > 1:
+        raise ValueError("points have mixed arity")
+    (dim,) = arities
+    rays, lin = cone_dual([], _row_matrix(points, dim, lead=True), dim + 1)
 
     equations = []
     for l in lin:
@@ -420,11 +458,11 @@ def _vertices_inside(p: Polytope, q: Polytope) -> bool:
     must be 0 for the equations and >= 0 for the facets.
     """
     width = p.dim + 1
-    eqs = _row_matrix([x for a, b in q.equations for x in (-b, *a)], width).tolist()
-    facets = _row_matrix([x for a, b in q.facets for x in (b, *(-c for c in a))], width).tolist()
+    eqs = _row_matrix([(-b, *a) for a, b in q.equations], width).tolist()
+    facets = _row_matrix([(b, *(-c for c in a)) for a, b in q.facets], width).tolist()
     if not eqs and not facets:
         return True
-    vertices = _row_matrix([x for v in p.vertices for x in (1, *v)], width)
+    vertices = _row_matrix(p.vertices, p.dim, lead=True)
     products = _products(vertices, int(np.abs(vertices).max(initial=0)), eqs + facets)
     return not products[:, : len(eqs)].any() and bool((products[:, len(eqs) :] >= 0).all())
 

@@ -283,10 +283,12 @@ def verify_vertex(
     comparison is exact on the rational path and within ``tolerance`` on the
     eigensolver path.
     """
-    ratio = [Fraction(str(x)) for x in expected_ratio]
+    # ints and Fractions are exact already; anything else keeps its decimal
+    # meaning, so the float 0.1 reads as 1/10
+    ratio = [x if type(x) in (int, Fraction) else Fraction(str(x)) for x in expected_ratio]
     if len(ratio) != psi.levels:
         raise ValueError(f"expected {psi.levels} ratio entries, got {len(ratio)}")
-    total = sum(ratio)
+    total = Fraction(sum(ratio))
     if total <= 0:
         raise ValueError("ratio must have positive sum")
     expected = sorted((x * psi.n_particles / total for x in ratio), reverse=True)

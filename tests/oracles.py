@@ -25,7 +25,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,6 +48,7 @@ from paulitope.plethysm import (
     LatticeCharacter,
     _decompose_lattice,
     _decompose_sparse,
+    _entry_dtype,
     character,
     plethysm_h_series,
     schur_decompose,
@@ -62,9 +64,9 @@ from paulitope.polytope import (
     IntVec,
     Polytope,
     _ambient_system,
+    _exact,
     _products,
     _restrict,
-    _row_matrix,
     facet_match,
     hull,
     polytope_from_h,
@@ -1005,6 +1007,35 @@ def reference_cone_dual(
     return sorted(out_rays), basis
 
 
+# The rational-matrix reader the package used before it read numerators and
+# denominators straight into int64: both are read through the public
+# properties into object arrays, and a matrix too large for int64 keeps
+# whatever integer type each numerator had, numpy ints included.
+
+
+def reference_row_matrix(entries: list, width: int) -> np.ndarray:
+    """The distinct primitive integer rows of a rational matrix, in lexicographic order.
+
+    ``entries`` holds the matrix row by row, ``width`` entries a row.  The
+    matrix is int64 when max|numerator| * lcm(denominators) fits and
+    dtype=object otherwise.
+    """
+    if not all(issubclass(t, (int, Fraction)) for t in set(map(type, entries))):
+        entries = [_exact(x) for x in entries]
+    nums = np.fromiter(map(attrgetter("numerator"), entries), dtype=object, count=len(entries))
+    dens = np.fromiter(map(attrgetter("denominator"), entries), dtype=object, count=len(entries))
+    num_max = max(nums.max(initial=0), -nums.min(initial=0))
+    dtype = _entry_dtype(int(num_max) * lcm(*set(dens)))
+    rows = nums.astype(dtype).reshape(-1, width)
+    dens = dens.astype(dtype).reshape(-1, width)
+    rows *= np.lcm.reduce(dens, axis=1)[:, None] // dens
+    rows //= np.maximum(np.gcd.reduce(rows, axis=1), 1)[:, None]
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = rows.any(axis=1)
+    keep[1:] &= (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
 # The double description the package used before its forward scan: before
 # each insertion one product takes every remaining row against the cone,
 # and the rows the cone implies are dropped by copying the rest.
@@ -1019,7 +1050,7 @@ def full_product_cone_dual(
 ) -> tuple[list[IntVec], list[IntVec]]:
     """Extreme rays and lineality basis of {x : e.x = 0 for all e, a.x >= 0}.
 
-    A numpy matrix is used as it is; other rows go through ``_row_matrix``.
+    A numpy matrix is used as it is; other rows go through ``reference_row_matrix``.
     Each inserted row is appended to ``inserted`` when it is given.
     """
     pending = inequalities
@@ -1027,7 +1058,7 @@ def full_product_cone_dual(
         rows = list(pending)
         if any(len(row) != dim for row in rows):
             raise ValueError(f"cone_dual: every inequality needs {dim} entries")
-        pending = _row_matrix(list(itertools.chain.from_iterable(rows)), dim)
+        pending = reference_row_matrix(list(itertools.chain.from_iterable(rows)), dim)
     equations = list(equations)
     if any(len(row) != dim for row in equations):
         raise ValueError(f"cone_dual: every equation needs {dim} entries")

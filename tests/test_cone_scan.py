@@ -174,7 +174,7 @@ def test_hull_reads_each_row_about_once(monkeypatch):
     for equations, inequalities, dim in calls:
         order: list = []
         full_product_cone_dual(equations, inequalities, dim, inserted=order)
-        n_rows += len(polytope._row_matrix([x for row in inequalities for x in row], dim))
+        n_rows += len(polytope._row_matrix(list(inequalities), dim))
         inserted += len(order)
     assert n_rows > 6837
     assert sum(rows_read) <= n_rows + inserted * polytope._SCAN_BLOCK

@@ -369,7 +369,7 @@ def test_row_matrix_matches_the_reference_normalisation():
         for _ in range(40)
     ]
     rows += [(0, 0, 0, 0), tuple(3 * x for x in rows[0]), rows[1], (Fraction(0), 0, 0, Fraction(0, 7))]
-    matrix = polytope._row_matrix(list(itertools.chain.from_iterable(rows)), 4)
+    matrix = polytope._row_matrix(rows, 4)
     want = sorted({r for r in map(polytope._scale_to_int, rows) if any(r)})
     assert [tuple(row) for row in matrix.tolist()] == want
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from paulitope.errors import MinimalityError
@@ -179,3 +180,9 @@ def test_permutation_rejects_non_bijections():
 def test_permutation_refuses_fractional_images():
     with pytest.raises(ValueError, match="permutation image must be an integer"):
         Permutation([2.9, 1.2])
+
+
+def test_permutation_refuses_a_fractional_point():
+    with pytest.raises(ValueError, match="point must be an integer"):
+        Permutation([2, 1])(1.5)
+    assert Permutation([2, 1])(np.int64(1)) == 2

@@ -293,3 +293,11 @@ def test_sparse_poly_refuses_a_fractional_exponent():
     assert all(type(x) is int for e, c in poly.terms.items() for x in (*e, c))
     with pytest.raises(ValueError, match="negative exponent"):
         SparsePoly(1, {(np.int64(-1),): 1})
+
+
+def test_sparse_poly_refuses_a_fractional_variable_count():
+    with pytest.raises(ValueError, match="variable count must be an integer"):
+        SparsePoly(1.5)
+    with pytest.raises(ValueError, match="variable count must be an integer"):
+        SparsePoly(2.7, {(1, 0): 1})
+    assert type(SparsePoly(np.int64(2)).nvars) is int

@@ -1,0 +1,201 @@
+"""The int64 row reader against the object-array reader it replaced.
+
+``polytope._row_matrix`` reads every entry's numerator and denominator
+straight into int64, through the ``Fraction`` slots when every entry is
+exactly a ``Fraction``, and falls back to Python ints past int64.  The
+reference (``oracles.reference_row_matrix``) reads both through the public
+properties into object arrays.  On every input here both must give the same
+matrix, values and dtype; with ``lead`` the reader must match the reference
+on the rows with a leading 1 written out.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from operator import attrgetter
+
+import numpy as np
+import pytest
+
+from oracles import random_rational_points, reference_row_matrix
+from paulitope import polytope
+from paulitope.plethysm import inner_points
+from paulitope.polytope import Polytope, cone_dual, hull
+from test_cone_scan import _mixed_lattice_points
+
+INT64_MAX = 2**63 - 1
+
+
+class Ratio(Fraction):
+    """A Fraction subclass, which the reader must read through the public properties."""
+
+
+def assert_same_matrix(rows, width, lead=False):
+    got = polytope._row_matrix(rows, width, lead=lead)
+    written = [(1, *row) for row in rows] if lead else rows
+    want = reference_row_matrix(list(itertools.chain.from_iterable(written)), width + lead)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tolist() == want.tolist()
+    if got.dtype == object:
+        assert all(type(x) is int for x in got.flat)
+    return got
+
+
+def random_rows(rng, count, width, denom=6, size=9):
+    return [
+        tuple(Fraction(int(rng.integers(-size, size + 1)), int(rng.integers(1, denom + 1))) for _ in range(width))
+        for _ in range(count)
+    ]
+
+
+# ---------------------------------------------------------------- values
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+@pytest.mark.parametrize("lead", [False, True], ids=["rows", "points"])
+def test_random_rational_matrices(width, lead):
+    rng = np.random.default_rng(700 + width)
+    rows = random_rows(rng, 60, width)
+    # repeats, multiples and zero rows, which the reader drops or merges
+    rows += rows[:5] + [tuple(3 * x for x in rows[5])] + [(0,) * width, (Fraction(0, 5),) * width]
+    assert assert_same_matrix(rows, width, lead).dtype == np.int64
+
+
+def test_random_point_clouds():
+    for dim, seed in itertools.product((2, 3, 5), range(3)):
+        pts = random_rational_points(np.random.default_rng(10 * dim + seed), 25, dim)
+        assert_same_matrix(pts, dim, lead=True)
+
+
+MIXES = {
+    "int-fraction": [(1, Fraction(-2, 3), 4), (Fraction(5, 2), 0, -7)],
+    "bool": [(True, False, Fraction(1, 2)), (False, True, 3)],
+    "numpy-int": [(np.int64(3), np.int32(-4), 5), (np.int8(1), Fraction(np.int64(6), 4), np.uint16(9))],
+    "float": [(0.5, -0.375, 2.0), (1, Fraction(1, 8), 0.25)],
+    "string": [("1/3", "-2/7", "5"), ("0.5", 1, Fraction(2, 3))],
+    "subclass": [(Ratio(1, 3), Ratio(-4, 6), Ratio(5)), (Ratio(7, 2), Fraction(1, 2), 3)],
+    "all-subclass": [(Ratio(1, 3), Ratio(-4, 6), Ratio(5)), (Ratio(7, 2), Ratio(1, 2), Ratio(3))],
+    "everything": [(True, np.int64(-2), 0.75), ("3/4", Ratio(5, 9), Fraction(np.int64(4), 6))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXES))
+@pytest.mark.parametrize("lead", [False, True], ids=["rows", "points"])
+def test_entry_type_mixes(name, lead):
+    assert_same_matrix(MIXES[name], 3, lead)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(INT64_MAX, 1), (1, 2)],
+        [(-INT64_MAX, 1), (0, 1)],
+        [(-(2**63), 1), (1, 0)],
+        [(-(2**63), 0)],
+        [(Fraction(INT64_MAX, 2), 1)],
+        [(2**63, 1)],
+        [(Fraction(1, 2**63), 1)],
+        [(Fraction(1, INT64_MAX), Fraction(1, 2))],
+    ],
+    ids=["max", "minus-max", "min", "min-alone", "max-half", "past-max", "den-past-max", "den-max"],
+)
+def test_numerators_at_the_int64_edges(rows):
+    assert_same_matrix(rows, 2)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 11, 12, 13, 29, 30, 31])
+@pytest.mark.parametrize("lead", [False, True], ids=["rows", "points"])
+def test_dtype_straddles_a_patched_limit(monkeypatch, limit, lead):
+    # the bound max|numerator| * lcm(denominators) is 5 * lcm(2, 3) = 30 for
+    # all four rows, and 4 * 3 = 12 for the middle two
+    monkeypatch.setattr("paulitope.plethysm._INT64_LIMIT", limit)
+    rows = [(Fraction(5, 2), 1, 0), (Fraction(-1, 3), 2, 4), (0, 0, 0), (Fraction(5, 2), 1, 0)]
+    assert_same_matrix(rows, 3, lead)
+    assert_same_matrix(rows[1:3], 3, lead)
+
+
+def test_zero_rows_repeats_and_empty_input():
+    for width in (1, 3):
+        assert assert_same_matrix([], width).shape == (0, width)
+        assert assert_same_matrix([(0,) * width] * 4, width).shape == (0, width)
+    assert assert_same_matrix([(0, 0), (0, 0)], 2, lead=True).tolist() == [[1, 0, 0]]
+    assert assert_same_matrix([(2, 4), (1, 2), (Fraction(-1), -2), (1, 2)], 2).tolist() == [[-1, -2], [1, 2]]
+
+
+def test_hull_of_the_zero_dimensional_point():
+    assert assert_same_matrix([()], 0, lead=True).tolist() == [[1]]
+    assert hull([()]) == Polytope(dim=0, equations=(), facets=(), vertices=((),))
+
+
+# ---------------------------------------------------------- real inputs
+
+
+def _pipeline_points(nu, r, rank_bound, m_cap, **caps):
+    points = inner_points(nu, r, rank_bound, m_cap, **caps)
+    return [lam + mu if rank_bound > 1 else lam for lam, mu in points]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["hull-mixed", "c4", "c6", "mixed-r4-m8"],
+)
+def test_benchmark_and_pipeline_points(name):
+    if name == "hull-mixed":
+        pts = _mixed_lattice_points(16)
+        assert len(pts) == 24526
+    elif name == "c4":
+        pts = _pipeline_points((1, 1, 1), 6, 1, 4)
+    elif name == "c6":
+        pts = _pipeline_points((2, 1), 4, 2, 12, degree_cap=36)
+    else:
+        pts = _pipeline_points((2, 1), 4, 2, 8, degree_cap=36)
+    assert all(type(x) is Fraction for x in itertools.chain.from_iterable(pts))
+    assert_same_matrix(pts, len(pts[0]), lead=True)
+
+
+# ------------------------------------------------------ the slot read
+
+
+def test_fraction_slots_equal_the_public_properties():
+    # the reader reads these slots when every entry is a Fraction; a Python
+    # whose Fraction lacks them must fail here, not misread
+    rng = np.random.default_rng(71)
+    fracs = [Fraction(int(n), int(d)) for n, d in zip(rng.integers(-(2**40), 2**40, 500), rng.integers(1, 2**20, 500))]
+    fracs += [Fraction(0), Fraction(-7), Fraction(2**70, 3), Fraction(np.int64(6), 4)]
+    for slot, prop in (("_numerator", "numerator"), ("_denominator", "denominator")):
+        assert list(map(attrgetter(slot), fracs)) == list(map(attrgetter(prop), fracs))
+
+
+def test_only_exact_fractions_take_the_slot_read(monkeypatch):
+    read = []
+    real = polytope.attrgetter
+
+    def recording(name):
+        read.append(name)
+        return real(name)
+
+    monkeypatch.setattr(polytope, "attrgetter", recording)
+    polytope._row_matrix([(Fraction(1, 2), Fraction(3))], 2)
+    assert read == ["_numerator", "_denominator"]
+    read.clear()
+    polytope._row_matrix([(Fraction(1, 2), 3)], 2)
+    polytope._row_matrix([(Fraction(1, 2), Ratio(3))], 2)
+    assert read == ["numerator", "denominator"] * 2
+
+
+# ------------------------------------------------ numpy-int numerators
+
+
+def test_numpy_int_numerators_do_not_wrap():
+    # Fraction(np.int64(x), q) keeps an int64 numerator; past int64 the
+    # matrix must hold Python ints, or the products wrap
+    rows = [(Fraction(np.int64(2**62), 3), Fraction(np.int64(-(2**62 - 1)), 5)), (0, 1)]
+    assert type(rows[0][0].numerator) is np.int64
+    matrix = polytope._row_matrix(rows, 2)
+    assert matrix.dtype == object
+    assert all(type(x) is int for x in matrix.flat)
+    rays, lin = cone_dual([], rows, 2)
+    assert (rays, lin) == ([(1, 0), (13835058055282163709, 23058430092136939520)], [])
+    assert all(type(x) is int for x in rays[1])

@@ -227,3 +227,15 @@ def test_amplitude_refuses_a_fractional_sign():
     # integral numpy and Fraction inputs are still read as ints
     assert amplitude(np.int64(-1), 1) == amplitude(Fraction(-1), 1) == (-1, 1)
     assert WedgeState(2, 4, {(np.int64(1), Fraction(3)): (1, 1)}).support() == [(1, 3)]
+
+
+def test_verify_vertex_reads_each_ratio_type_exactly():
+    psi = level_merged_state(3, 3)  # spectrum (1, 1/3, ..., 1/3)
+    assert verify_vertex(psi, (3, 1, 1, 1, 1, 1, 1))
+    assert verify_vertex(psi, (Fraction(3, 10),) + (Fraction(1, 10),) * 6)
+    assert verify_vertex(psi, ("3/10",) + ("0.1",) * 6)
+    # a float keeps its decimal meaning: as a binary fraction, 0.3 is not 3 * 0.1
+    assert verify_vertex(psi, (0.3,) + (0.1,) * 6)
+    assert not verify_vertex(psi, (Fraction(0.3),) + (Fraction(0.1),) * 6)
+    with pytest.raises(ValueError):
+        verify_vertex(psi, (True,) * 7)

@@ -37,9 +37,11 @@ and, where the dict is a wrapper over an array-level helper,
 the coefficient reads content rows, ``_spectrum``.  Names a checkout does
 not have are skipped.  In the pipeline mode ``hull`` includes building its
 integer matrix from the Fraction points; the hull mode splits it into
-``rows`` (every integer matrix ``_row_matrix`` builds, the equality
-check's too), ``dual`` (``cone_dual``) and ``vertices`` (the rest of
-``_vertices_from_h``).  The table stages are wrapped where
+``rows`` (``_row_matrix``, which reads every point or row into an
+integer matrix, adds the hull's homogenizing column and sorts the rows,
+for the equality check's matrices too), ``dual`` (``cone_dual``) and
+``vertices`` (the rest of ``_vertices_from_h``); ``hull``'s arity check
+before the read is in ``rest``.  The table stages are wrapped where
 ``coefficients`` calls them, since it imports them by name.  The vertices
 mode splits each call into ``rdm`` (``one_particle_rdm``), ``spectrum``
 (the rest of ``occupation_numbers``: the diagonal read or the eigensolver)
