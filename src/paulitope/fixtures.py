@@ -63,9 +63,7 @@ def coefficient_table(name: str) -> dict:
     inequality coefficients, its bound, the pinned permutation pair in
     cycle form, and the expected structure coefficient.
     """
-    if name not in COEFFICIENT_TABLES:
-        raise KeyError(f"unknown coefficient table {name!r}")
-    raw = _load(f"table_{name}.json")
+    raw = coefficient_table_raw(name)
     return {
         "name": raw["name"],
         "nu": tuple(raw["nu"]),

@@ -185,16 +185,6 @@ class Permutation:
         return Permutation(mapping.get(i, i) for i in range(1, m + 1))
 
 
-def length(w: Permutation) -> int:
-    """Coxeter length (inversion count) of w."""
-    return w.length()
-
-
-def reduced_word(w: Permutation) -> tuple[int, ...]:
-    """A reduced word for w."""
-    return w.reduced_word()
-
-
 def is_minimal_coset_rep(w: Permutation, blocks: Sequence[Sequence[int]]) -> bool:
     """True when w is increasing on every block of consecutive positions.
 

@@ -6,7 +6,8 @@ coefficients.  Variables are numbered 1..nvars and written x1, x2, ...
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ResourceLimitError, as_int
@@ -17,7 +18,11 @@ SCHUBERT_AMBIENT_CAP = 12
 
 
 class SparsePoly:
-    """Multivariate polynomial with integer coefficients, sparse storage."""
+    """Multivariate polynomial with integer coefficients, sparse storage.
+
+    The constructor is the one place a zero coefficient is dropped: the
+    operators add up their terms and pass the sums to it.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -56,12 +61,9 @@ class SparsePoly:
     @staticmethod
     def linear_form(coeffs: Sequence[int]) -> "SparsePoly":
         n = len(coeffs)
-        terms = {}
-        for k, c in enumerate(coeffs):
-            if c:
-                exps = tuple(1 if j == k else 0 for j in range(n))
-                terms[exps] = int(c)
-        return SparsePoly(n, terms)
+        return SparsePoly(
+            n, {tuple(int(j == k) for j in range(n)): int(c) for k, c in enumerate(coeffs)}
+        )
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -97,13 +99,9 @@ class SparsePoly:
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_arity(other)
-        out = dict(self.terms)
+        out = defaultdict(int, self.terms)
         for e, c in other.terms.items():
-            new = out.get(e, 0) + c
-            if new:
-                out[e] = new
-            else:
-                out.pop(e, None)
+            out[e] += c
         return SparsePoly(self.nvars, out)
 
     def __neg__(self) -> "SparsePoly":
@@ -119,18 +117,10 @@ class SparsePoly:
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_arity(other)
-        out: dict[tuple[int, ...], int] = {}
-        small, big = (self.terms, other.terms)
-        if len(small) > len(big):
-            small, big = big, small
-        for e1, c1 in small.items():
-            for e2, c2 in big.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(key, 0) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
+        out: defaultdict[tuple[int, ...], int] = defaultdict(int)
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                out[tuple(map(add, e1, e2))] += c1 * c2
         return SparsePoly(self.nvars, out)
 
     def power(self, k: int) -> "SparsePoly":
@@ -188,22 +178,11 @@ class SparsePoly:
         ``forms[k]`` is the coefficient vector of the form replacing x_{k+1};
         forms must be supplied for every variable that actually occurs.
         """
-        form_polys: list[SparsePoly | None] = []
+        form_polys: list[SparsePoly] = []
         for vec in forms:
             if len(vec) != nvars_out:
                 raise ValueError("linear form has wrong arity")
             form_polys.append(SparsePoly.linear_form(vec))
-        powers: dict[tuple[int, int], SparsePoly] = {}
-
-        def form_power(k: int, e: int) -> SparsePoly:
-            key = (k, e)
-            if key not in powers:
-                if e == 1:
-                    powers[key] = form_polys[k]
-                else:
-                    powers[key] = form_power(k, e - 1) * form_polys[k]
-            return powers[key]
-
         out = SparsePoly.zero(nvars_out)
         for exps, coeff in self.terms.items():
             prod = SparsePoly.constant(nvars_out, coeff)
@@ -211,7 +190,7 @@ class SparsePoly:
                 if e:
                     if k >= len(form_polys):
                         raise ValueError(f"no form supplied for variable x{k + 1}")
-                    prod = prod * form_power(k, e)
+                    prod = prod * form_polys[k].power(e)
             out = out + prod
         return out
 
@@ -223,7 +202,7 @@ def divided_difference(i: int, f: SparsePoly) -> SparsePoly:
     """
     if not 1 <= i <= f.nvars - 1:
         raise ValueError(f"divided difference index {i} needs variables x{i}, x{i + 1}")
-    out: dict[tuple[int, ...], int] = {}
+    out: defaultdict[tuple[int, ...], int] = defaultdict(int)
     a_idx, b_idx = i - 1, i
     for exps, coeff in f.terms.items():
         a, b = exps[a_idx], exps[b_idx]
@@ -238,12 +217,7 @@ def divided_difference(i: int, f: SparsePoly) -> SparsePoly:
         for t in range(lo, hi):
             base[a_idx] = t
             base[b_idx] = a + b - 1 - t
-            key = tuple(base)
-            new = out.get(key, 0) + sign * coeff
-            if new:
-                out[key] = new
-            else:
-                del out[key]
+            out[tuple(base)] += sign * coeff
     return SparsePoly(f.nvars, out)
 
 
@@ -393,7 +367,7 @@ def _monk_layer(
     u t_ij is below v exactly when each of those entries of u's table is
     still less than v's.
     """
-    out: dict[tuple[int, ...], int] = {}
+    out: defaultdict[tuple[int, ...], int] = defaultdict(int)
     for u, c in layer.items():
         table = tables[u]
         for step, i, j, coeff in _monk_step(u, alpha):
@@ -409,7 +383,7 @@ def _monk_layer(
                     raised = [row[:lo] + [x + 1 for x in row[lo:hi]] + row[hi:] for row in rows]
                     tables[step] = table[:i] + raised + table[j:]
             if tables[step] is not None:
-                out[step] = out.get(step, 0) + c * coeff
+                out[step] += c * coeff
     return {u: c for u, c in out.items() if c}
 
 

@@ -18,6 +18,9 @@ test each permutation against v with its whole rank table.
 The Grassmann inequality families are built by the package's former code,
 one loop for each closed form, and the pipeline by its former decomposition
 (a dict checked key by key) and its former equality check (Fraction sums).
+Sparse polynomial sums, products, substitutions and divided differences
+also have their former code here, which dropped each zero coefficient by
+hand as it arose.
 """
 
 from __future__ import annotations
@@ -214,6 +217,122 @@ def sympy_divided_difference(poly: SparsePoly, i: int) -> dict:
     swapped = expr.subs({a: b, b: a}, simultaneous=True)
     quotient = sympy.cancel((expr - swapped) / (a - b))
     return sympy_to_terms(sympy.expand(quotient), xs)
+
+
+# ------------------------------------------------ former SparsePoly operators
+#
+# The package's sums, products, substitutions and divided differences as they
+# were when each operator dropped a zero coefficient the moment it arose.
+
+
+def _reference_check_arity(p: SparsePoly, q: SparsePoly) -> None:
+    if p.nvars != q.nvars:
+        raise ValueError(f"arity mismatch: {p.nvars} vs {q.nvars}")
+
+
+def reference_poly_add(p: SparsePoly, q: SparsePoly) -> SparsePoly:
+    _reference_check_arity(p, q)
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        new = out.get(e, 0) + c
+        if new:
+            out[e] = new
+        else:
+            out.pop(e, None)
+    return SparsePoly(p.nvars, out)
+
+
+def reference_poly_mul(p: SparsePoly, q: SparsePoly) -> SparsePoly:
+    _reference_check_arity(p, q)
+    out: dict[tuple[int, ...], int] = {}
+    small, big = (p.terms, q.terms)
+    if len(small) > len(big):
+        small, big = big, small
+    for e1, c1 in small.items():
+        for e2, c2 in big.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            new = out.get(key, 0) + c1 * c2
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return SparsePoly(p.nvars, out)
+
+
+def _reference_linear_form(coeffs) -> SparsePoly:
+    n = len(coeffs)
+    terms = {}
+    for k, c in enumerate(coeffs):
+        if c:
+            exps = tuple(1 if j == k else 0 for j in range(n))
+            terms[exps] = int(c)
+    return SparsePoly(n, terms)
+
+
+def reference_substitute_linear(poly: SparsePoly, forms, nvars_out: int) -> SparsePoly:
+    """Each x_{k+1} replaced by the form forms[k], with one memo of form powers."""
+    form_polys: list[SparsePoly | None] = []
+    for vec in forms:
+        if len(vec) != nvars_out:
+            raise ValueError("linear form has wrong arity")
+        form_polys.append(_reference_linear_form(vec))
+    powers: dict[tuple[int, int], SparsePoly] = {}
+
+    def form_power(k: int, e: int) -> SparsePoly:
+        key = (k, e)
+        if key not in powers:
+            if e == 1:
+                powers[key] = form_polys[k]
+            else:
+                powers[key] = reference_poly_mul(form_power(k, e - 1), form_polys[k])
+        return powers[key]
+
+    out = SparsePoly.zero(nvars_out)
+    for exps, coeff in poly.terms.items():
+        prod = SparsePoly.constant(nvars_out, coeff)
+        for k, e in enumerate(exps):
+            if e:
+                if k >= len(form_polys):
+                    raise ValueError(f"no form supplied for variable x{k + 1}")
+                prod = reference_poly_mul(prod, form_power(k, e))
+        out = reference_poly_add(out, prod)
+    return out
+
+
+def reference_divided_difference(i: int, f: SparsePoly) -> SparsePoly:
+    if not 1 <= i <= f.nvars - 1:
+        raise ValueError(f"divided difference index {i} needs variables x{i}, x{i + 1}")
+    out: dict[tuple[int, ...], int] = {}
+    a_idx, b_idx = i - 1, i
+    for exps, coeff in f.terms.items():
+        a, b = exps[a_idx], exps[b_idx]
+        if a == b:
+            continue
+        sign = 1
+        lo, hi = b, a
+        if a < b:
+            sign = -1
+            lo, hi = a, b
+        base = list(exps)
+        for t in range(lo, hi):
+            base[a_idx] = t
+            base[b_idx] = a + b - 1 - t
+            key = tuple(base)
+            new = out.get(key, 0) + sign * coeff
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return SparsePoly(f.nvars, out)
+
+
+def reference_schubert_polynomial(w: Permutation) -> SparsePoly:
+    """S_w from the staircase monomial through the former divided differences."""
+    n = max(w.n, 1)
+    f = SparsePoly(n, {tuple(n - k for k in range(1, n + 1)): 1})
+    for i in reversed((w.inverse() * Permutation.longest(n)).reduced_word()):
+        f = reference_divided_difference(i, f)
+    return f
 
 
 def bialternant_schur(gamma, p: int) -> dict:

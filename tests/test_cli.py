@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from paulitope.cli import main
+from paulitope.cli import family_to_json, main
+from paulitope.generators import majorization_constraints
 
 
 def _run(capsys, *argv):
@@ -116,6 +117,14 @@ def test_generate_kind1(capsys):
     assert indices == {(1, 6), (2, 5), (3, 4)}
 
 
+def test_generate_majorization(capsys):
+    code, out, _ = _run(capsys, "generate", "majorization", "--nu", "2,1", "-r", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload == family_to_json(majorization_constraints((2, 1), 4))
+    assert [(item["indices"], item["bound"]) for item in payload["items"]] == [([1], 2)]
+
+
 def test_generate_kind2_includes_certificates(capsys):
     code, out, _ = _run(capsys, "generate", "kind2", "-N", "3", "-p", "4")
     assert code == 0
@@ -158,6 +167,14 @@ def test_polytope_non_convergence_exit_code(capsys):
     code, out, _ = _run(capsys, "polytope", "--nu", "1,1,1", "-r", "6", "-M", "2")
     assert code == 1
     assert json.loads(out)["converged_at"] is None
+
+
+def test_polytope_odd_cutoff_ends_the_schedule(capsys):
+    code, out, _ = _run(capsys, "polytope", "--nu", "1,1,1", "-r", "6", "-M", "3")
+    assert code == 1
+    payload = json.loads(out)
+    assert [step["M"] for step in payload["history"]] == [2, 3]
+    assert payload["converged_at"] is None
 
 
 def test_polytope_level_cap_exits_3(capsys):

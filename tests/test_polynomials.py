@@ -45,6 +45,7 @@ def test_arithmetic_basics():
     assert p == x * x - y * y
     assert (p - p).is_zero()
     assert p.scale(3) == p + p + p
+    assert p.scale(0) == p.scale(0.0) == SparsePoly.zero(2)
     assert (x + y).power(2) == x * x + x * y.scale(2) + y * y
 
 

@@ -131,6 +131,9 @@ def test_polytope_from_h_detects_unbounded():
         polytope_from_h(2, [], [((1, 0), 1)])
     with pytest.raises(ValueError):
         polytope_from_h(1, [], [])
+    # x >= 0 has no line but the ray x -> infinity
+    with pytest.raises(ValueError, match="recession direction"):
+        polytope_from_h(1, [], [((-1,), 0)])
 
 
 def test_polytopes_equal_is_description_independent():
@@ -140,6 +143,13 @@ def test_polytopes_equal_is_description_independent():
     c = hull([(0, 0), (1, 0), (0, 1)])
     assert not polytopes_equal(a, c)
     assert not polytopes_equal(a, hull([(0, 0, 0)]))
+
+
+def test_polytopes_equal_on_the_zero_dimensional_point():
+    # no equations and no facets: every vertex is inside without a product
+    point = hull([()])
+    assert polytopes_equal(point, hull([()]))
+    assert not polytopes_equal(point, hull([(0,)]))
 
 
 def test_hull_round_trip_random_rational_points():
