@@ -51,7 +51,7 @@ def _spectrum(a: Sequence[int], nu: Partition) -> list[tuple[int, Tableau, tuple
     reading word, and distinct tableaux of one shape have distinct reading
     words, so one stable sort on the value alone breaks ties by reading word.
     """
-    a = tuple(int(x) for x in a)
+    a = tuple(x if type(x) is int else as_int(x, "test spectrum entry") for x in a)
     if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
         raise ValueError(f"test spectrum not weakly decreasing: {a}")
     tableaux, contents = _ssyt(nu, len(a))
@@ -87,7 +87,7 @@ def coefficient(
     Both permutations must be minimal in their cosets for the tie blocks of
     ``a`` and of the induced spectrum.
     """
-    a = tuple(int(x) for x in a)
+    a = tuple(x if type(x) is int else as_int(x, "test spectrum entry") for x in a)
     if len(a) != r:
         raise ValueError(f"test spectrum has {len(a)} entries, expected r={r}")
     nu = normalize(nu)

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, as_int
 from .plethysm import schur_decompose
 from .polynomials import SparsePoly
 from .states import (
@@ -237,7 +237,7 @@ def grassmann_kind1(n_particles: int, r: int) -> InequalityFamily:
     column and the odd-length single row vanish, and both are genuinely false,
     witnessed by explicit states.
     """
-    N = int(n_particles)
+    N = as_int(n_particles, "particle count")
     if r <= N:
         raise ValueError(f"need more levels than particles, got N={N}, r={r}")
     if N < 3:
@@ -302,7 +302,7 @@ def grassmann_kind2(n_particles: int, p: int) -> InequalityFamily:
     coefficients is used and the two vanishing shapes come with violating
     states; other widths expand the product directly, behind resource caps.
     """
-    N = int(n_particles)
+    N = as_int(n_particles, "particle count")
     if N < 1:
         raise ValueError("need at least one particle")
     if p < N:
@@ -333,7 +333,7 @@ def series_inequality(n_particles: int, p: int) -> OccupationInequality:
     Its k-th index is k + C(k-1, N-1); for p = N + 1 it reduces to the hook
     (2, 1, ..., 1) transposed shape with coefficient 1.
     """
-    N = int(n_particles)
+    N = as_int(n_particles, "particle count")
     if p < N:
         raise ValueError(f"need p >= N, got p={p}, N={N}")
     indices = tuple(k + comb(k - 1, N - 1) for k in range(1, p + 1))
@@ -358,5 +358,5 @@ def hole_dual_inequality(
     vector around with a sign flip and shifts the bound by s times the
     coefficient sum.
     """
-    g = [int(c) for c in coeffs]
-    return tuple(-x for x in reversed(g)), int(bound) - s * sum(g)
+    g = [as_int(c, "coefficient") for c in coeffs]
+    return tuple(-x for x in reversed(g)), as_int(bound, "bound") - s * sum(g)

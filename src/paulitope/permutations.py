@@ -79,10 +79,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return not self.images
 
-    def max_moved(self) -> int:
-        """Largest non-fixed point (0 for the identity)."""
-        return self.n
-
     def length(self) -> int:
         """Number of inversions."""
         imgs = self.images
@@ -174,7 +170,7 @@ class Permutation:
         """Build from disjoint cycles; (a b c) sends a to b, b to c, c to a."""
         mapping: dict[int, int] = {}
         for cyc in cycles:
-            cyc = tuple(int(x) for x in cyc)
+            cyc = tuple(as_int(x, "cycle point") for x in cyc)
             for k, x in enumerate(cyc):
                 if x < 1:
                     raise ValueError(f"points are 1-based, got {x}")
@@ -215,20 +211,6 @@ def require_minimal(w: Permutation, blocks: Sequence[Sequence[int]], role: str) 
         raise MinimalityError(
             f"{role} is not increasing on the tied blocks {[list(b) for b in blocks]}"
         )
-
-
-def grassmann_shuffle(first: Sequence[int], second: Sequence[int]) -> Permutation:
-    """Permutation whose one-line notation lists ``first`` then ``second``.
-
-    The two index sequences must be increasing and partition 1..(p+q); the
-    result is the minimal representative of its double coset.
-    """
-    a, b = tuple(first), tuple(second)
-    if list(a) != sorted(a) or list(b) != sorted(b):
-        raise ValueError("index sequences must be increasing")
-    if sorted(a + b) != list(range(1, len(a) + len(b) + 1)):
-        raise ValueError(f"sequences do not partition 1..{len(a) + len(b)}")
-    return Permutation(a + b)
 
 
 def cycle_permutation(k: int) -> Permutation:

@@ -62,7 +62,7 @@ class SparsePoly:
     def linear_form(coeffs: Sequence[int]) -> "SparsePoly":
         n = len(coeffs)
         return SparsePoly(
-            n, {tuple(int(j == k) for j in range(n)): int(c) for k, c in enumerate(coeffs)}
+            n, {tuple(int(j == k) for j in range(n)): c for k, c in enumerate(coeffs)}
         )
 
     def is_zero(self) -> bool:
@@ -335,7 +335,7 @@ def monk_multiply(alpha: Sequence[int], v: Permutation) -> dict[Permutation, int
     (a_i - a_j) S_{v t_ij} over transpositions t_ij, i < j, that raise the
     length of v by exactly one.
     """
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(as_int(a, "form entry") for a in alpha)
     m = max(v.n, len(alpha)) + 1
     padded = alpha + (0,) * (m - len(alpha))
     return {Permutation(u): coeff for u, _, _, coeff in _monk_step(v.one_line(m), padded)}
@@ -402,7 +402,7 @@ def monk_coefficient(
     rectangle of entries the swap raises (``_monk_layer``).  poly must be
     homogeneous of degree l(v), and v may move at most r points.
     """
-    forms = [tuple(int(c) for c in vec) for vec in forms]
+    forms = [tuple(c if type(c) is int else as_int(c, "form entry") for c in vec) for vec in forms]
     if any(len(vec) != r for vec in forms):
         raise ValueError("linear form has wrong arity")
     if v.n > r:

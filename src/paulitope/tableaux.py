@@ -8,7 +8,6 @@ increasing along rows and strictly increasing down columns.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, prod
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import as_int
@@ -33,11 +32,6 @@ def normalize(parts: Iterable[int]) -> Partition:
 def size(shape: Iterable[int]) -> int:
     """Number of cells."""
     return sum(normalize(shape))
-
-
-def height(shape: Iterable[int]) -> int:
-    """Number of nonzero rows."""
-    return len(normalize(shape))
 
 
 def transpose(shape: Iterable[int]) -> Partition:
@@ -189,7 +183,7 @@ def _skew_standard(gamma: Partition, tau: Partition) -> int:
 def kostka(shape: Iterable[int], content: Iterable[int]) -> int:
     """Number of semistandard tableaux of the given shape and content."""
     shape = normalize(shape)
-    content = tuple(int(c) for c in content)
+    content = tuple(as_int(c, "content entry") for c in content)
     if any(c < 0 for c in content):
         return 0
     if sum(content) != size(shape):
@@ -276,29 +270,6 @@ def littlewood_richardson(mu: Iterable[int], pi: Iterable[int], nu: Iterable[int
     return total
 
 
-def weyl_dimension(shape: Iterable[int], r: int) -> int:
-    """Dimension of the degree-r polynomial representation with highest weight shape.
-
-    The hook-content formula: the product of r + c over the cells, c = j - i
-    the content, divided by the product of the hook lengths.  With
-    l_i = shape_i + n - 1 - i for n rows, the hook lengths in row i are
-    1 .. l_i without the differences l_i - l_j, j > i.
-    """
-    shape = normalize(shape)
-    if len(shape) > r:
-        return 0
-    n = len(shape)
-    ell = [part + n - 1 - i for i, part in enumerate(shape)]
-    num = den = 1
-    for i, part in enumerate(shape):
-        num *= prod(range(r - i, r - i + part))
-        den *= factorial(ell[i]) // prod([ell[i] - e for e in ell[i + 1 :]])
-    dim, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"hook-content quotient for {shape} on {r} levels is not an integer")
-    return dim
-
-
 class FramedDiagram(NamedTuple):
     """A partition together with the rectangle (rows x cols) that frames it."""
 
@@ -323,25 +294,3 @@ def shuffle_vertical_sequence(framed: FramedDiagram) -> tuple[int, ...]:
     p, q = framed.rows, framed.cols
     padded = framed.diagram + (0,) * (p - len(framed.diagram))
     return tuple(k + padded[p - k] for k in range(1, p + 1))
-
-
-def diagram_from_indices(indices: Iterable[int], rows: int, cols: int) -> FramedDiagram:
-    """Inverse of shuffle_vertical_sequence; validates the index sequence."""
-    idx = tuple(int(i) for i in indices)
-    if len(idx) != rows:
-        raise ValueError(f"expected {rows} indices, got {len(idx)}")
-    if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
-        raise ValueError(f"indices not strictly increasing: {idx}")
-    if idx and (idx[0] < 1 or idx[-1] > rows + cols):
-        raise ValueError(f"indices out of range 1..{rows + cols}: {idx}")
-    parts = tuple(idx[k - 1] - k for k in range(rows, 0, -1))
-    return FramedDiagram(normalize(parts), rows, cols)
-
-
-def complement_diagram(nu: Iterable[int], r: int, s: int) -> Partition:
-    """Complement of nu inside the r x s rectangle, rotated by a half turn."""
-    nu = normalize(nu)
-    if len(nu) > r or (nu and nu[0] > s):
-        raise ValueError(f"{nu} does not fit in a {r}x{s} rectangle")
-    padded = nu + (0,) * (r - len(nu))
-    return normalize(tuple(s - padded[r - 1 - i] for i in range(r)))

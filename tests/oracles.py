@@ -1,8 +1,9 @@
 """Independent reference implementations used to validate the package.
 
 Everything here deliberately takes a different route from the library code:
-semistandard tableaux are filled by rejection over raw products, skew
-standard counts come from linear-extension enumeration, divided differences
+semistandard tableaux are filled by rejection over raw products, their
+number by the hook-content formula, skew standard counts come from
+linear-extension enumeration, divided differences
 go through sympy's exact division, Schur polynomials through the bialternant
 quotient, one-particle density matrices through full antisymmetrized tensors
 (or, for exact comparison, the former two-block assembly and state classes),
@@ -96,7 +97,6 @@ from paulitope.tableaux import (
     reading_word,
     shuffle_vertical_sequence,
     size,
-    weyl_dimension,
 )
 
 
@@ -181,6 +181,42 @@ def brute_kostka(shape, content) -> int:
         if tuple(counts) == target:
             hits += 1
     return hits
+
+
+def weyl_dimension(shape, r: int) -> int:
+    """Dimension of the degree-r polynomial representation with highest weight shape.
+
+    The hook-content formula: the product of r + c over the cells, c = j - i
+    the content, divided by the product of the hook lengths.  With
+    l_i = shape_i + n - 1 - i for n rows, the hook lengths in row i are
+    1 .. l_i without the differences l_i - l_j, j > i.
+    """
+    shape = normalize(shape)
+    if len(shape) > r:
+        return 0
+    n = len(shape)
+    ell = [part + n - 1 - i for i, part in enumerate(shape)]
+    num = den = 1
+    for i, part in enumerate(shape):
+        num *= math.prod(range(r - i, r - i + part))
+        den *= math.factorial(ell[i]) // math.prod([ell[i] - e for e in ell[i + 1 :]])
+    dim, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"hook-content quotient for {shape} on {r} levels is not an integer")
+    return dim
+
+
+def diagram_from_indices(indices: Iterable[int], rows: int, cols: int) -> FramedDiagram:
+    """Inverse of shuffle_vertical_sequence; validates the index sequence."""
+    idx = tuple(int(i) for i in indices)
+    if len(idx) != rows:
+        raise ValueError(f"expected {rows} indices, got {len(idx)}")
+    if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
+        raise ValueError(f"indices not strictly increasing: {idx}")
+    if idx and (idx[0] < 1 or idx[-1] > rows + cols):
+        raise ValueError(f"indices out of range 1..{rows + cols}: {idx}")
+    parts = tuple(idx[k - 1] - k for k in range(rows, 0, -1))
+    return FramedDiagram(normalize(parts), rows, cols)
 
 
 # ---------------------------------------------------------- sympy polynomials
@@ -370,7 +406,7 @@ def product_coefficient(product: SparsePoly, gamma, descent: int) -> int:
     coefficient, by duality of the basis under these operators.
     """
     w = grassmann_permutation(gamma, descent)
-    ambient = max(w.max_moved() + 1, product.nvars)
+    ambient = max(w.n + 1, product.nvars)
     result = divided_difference_word(w, product.embed(ambient))
     if not result.is_constant():
         raise AssertionError(f"nonconstant remainder for gamma={gamma}")

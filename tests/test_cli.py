@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
 
 from paulitope.cli import family_to_json, main
+from paulitope.fixtures import vertex_table
 from paulitope.generators import majorization_constraints
 
 
@@ -238,3 +240,42 @@ def test_occupation_fractional_index_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "wedge index must be an integer, got 1.5" in err
+
+
+def test_schubert_malformed_cycles_exit_2(capsys):
+    code, out, err = _run(capsys, "schubert", "(1 2")
+    assert code == 2
+    assert out == ""
+    assert "malformed cycle notation" in err
+
+
+def test_occupation_reads_the_state_from_stdin(tmp_path, monkeypatch, capsys):
+    state = {
+        "n_particles": 2,
+        "levels": 4,
+        "terms": [{"subset": [1, 2], "radicand": "1/2"}, {"subset": [3, 4], "radicand": "1/2"}],
+    }
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    code, from_file, _ = _run(capsys, "occupation", str(path))
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(state)))
+    code, from_stdin, _ = _run(capsys, "occupation", "-")
+    assert code == 0
+    assert from_stdin == from_file
+    assert json.loads(from_stdin)["occupation_numbers"] == ["1/2"] * 4
+
+
+def test_verify_vertices_out_file(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    code, out, _ = _run(capsys, "verify-vertices", "3x7", "--out", str(out_path))
+    assert code == 0
+    assert "vertices 3x7: 10/10 rows ok" in out
+    report = json.loads(out_path.read_text())
+    assert list(report) == ["3x7"]
+    assert report["3x7"]["ok"] is True
+    rows = report["3x7"]["rows"]
+    assert [row["index"] for row in rows] == list(range(1, 11))
+    assert all(row["ok"] is True for row in rows)
+    table = vertex_table("3x7")["rows"]
+    assert [row["ratio"] for row in rows] == [list(row["ratio"]) for row in table]

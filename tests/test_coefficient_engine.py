@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from oracles import reference_coefficient
+from oracles import reference_coefficient, weyl_dimension
 from paulitope import polytope
 from paulitope.coefficients import coefficient, induced_spectrum, inequality_to_triple, value_blocks
 from paulitope.fixtures import coefficient_table
@@ -26,7 +26,6 @@ from paulitope.polynomials import (
     monk_coefficient,
     schubert_expand,
 )
-from paulitope.tableaux import weyl_dimension
 
 TABLES = ("3x6", "3x7", "3x8", "4x8")
 TABLE_ROWS = [

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import brute_ssyt
@@ -202,3 +204,16 @@ def test_verify_table_reports_row_errors():
     report = verify_table(table)
     assert not report["ok"]
     assert "error" in report["rows"][0]
+
+
+def test_induced_spectrum_refuses_a_fractional_test_spectrum():
+    with pytest.raises(ValueError, match="test spectrum entry must be an integer"):
+        induced_spectrum((1.7, 0), (1,))
+    assert induced_spectrum((np.int64(1), Fraction(0)), (1,)) == induced_spectrum((1, 0), (1,))
+
+
+def test_coefficient_refuses_a_fractional_test_spectrum():
+    w = Permutation([2, 1])
+    with pytest.raises(ValueError, match="test spectrum entry must be an integer"):
+        coefficient((1.7, 0), (1,), 2, w, w)
+    assert coefficient((np.int64(1), Fraction(0)), (1,), 2, w, w) == 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import (
@@ -309,3 +310,29 @@ def test_hole_dual_preserves_validity():
     dual_lam = hole_dual_spectrum(lam, 6)
     dual_coeffs, dual_bound = hole_dual_inequality(coeffs, bound)
     assert sum(c * x for c, x in zip(dual_coeffs, dual_lam)) <= dual_bound
+
+
+def test_grassmann_kind1_refuses_a_fractional_particle_count():
+    with pytest.raises(ValueError, match="particle count must be an integer"):
+        grassmann_kind1(3.7, 6)
+    assert grassmann_kind1(np.int64(3), 6) == grassmann_kind1(3, 6)
+
+
+def test_grassmann_kind2_refuses_a_fractional_particle_count():
+    with pytest.raises(ValueError, match="particle count must be an integer"):
+        grassmann_kind2(3.7, 4)
+    assert grassmann_kind2(Fraction(3), 4) == grassmann_kind2(3, 4)
+
+
+def test_series_inequality_refuses_a_fractional_particle_count():
+    with pytest.raises(ValueError, match="particle count must be an integer"):
+        series_inequality(3.7, 4)
+    assert series_inequality(np.int64(3), 4) == series_inequality(3, 4)
+
+
+def test_hole_dual_inequality_refuses_fractional_input():
+    with pytest.raises(ValueError, match="coefficient must be an integer"):
+        hole_dual_inequality((1.5, 0), 1.2)
+    with pytest.raises(ValueError, match="bound must be an integer"):
+        hole_dual_inequality((1, 0), 1.2)
+    assert hole_dual_inequality((Fraction(1), np.int64(0)), np.int64(1)) == ((0, -1), 0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from paulitope.errors import MinimalityError
 from paulitope.permutations import (
     Permutation,
     cycle_permutation,
-    grassmann_shuffle,
     is_minimal_coset_rep,
     permutations_of_length,
     require_minimal,
@@ -152,16 +152,6 @@ def test_require_minimal_raises_with_role():
     require_minimal(Permutation.identity(), [[1, 2]], "cut")
 
 
-def test_grassmann_shuffle():
-    w = grassmann_shuffle([2, 4], [1, 3])
-    assert w.one_line() == (2, 4, 1, 3)
-    assert w.descents() == (2,)
-    with pytest.raises(ValueError):
-        grassmann_shuffle([4, 2], [1, 3])
-    with pytest.raises(ValueError):
-        grassmann_shuffle([2, 4], [1, 5])
-
-
 def test_permutation_is_hashable_and_ordered():
     a = Permutation([2, 1])
     b = Permutation([2, 1, 3])
@@ -186,3 +176,9 @@ def test_permutation_refuses_a_fractional_point():
     with pytest.raises(ValueError, match="point must be an integer"):
         Permutation([2, 1])(1.5)
     assert Permutation([2, 1])(np.int64(1)) == 2
+
+
+def test_from_cycles_refuses_a_fractional_point():
+    with pytest.raises(ValueError, match="cycle point must be an integer"):
+        Permutation.from_cycles([[1.5, 2]])
+    assert Permutation.from_cycles([[np.int64(1), Fraction(2)]]) == Permutation([2, 1])

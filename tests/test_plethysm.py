@@ -12,6 +12,7 @@ from oracles import (
     power_substitute,
     reference_schur_decompose,
     schur_decompose_peel,
+    weyl_dimension,
 )
 from paulitope.errors import ResourceLimitError
 from paulitope.plethysm import (
@@ -21,7 +22,7 @@ from paulitope.plethysm import (
     schur_decompose,
 )
 from paulitope.polynomials import SparsePoly
-from paulitope.tableaux import littlewood_richardson, partitions_in_box, weyl_dimension
+from paulitope.tableaux import littlewood_richardson, partitions_in_box
 
 
 def test_character_dimension_matches_weyl_formula():

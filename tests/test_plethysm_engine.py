@@ -14,7 +14,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import cauchy_components, cauchy_points, reference_inner_points, reference_schur_decompose
+from oracles import (
+    cauchy_components,
+    cauchy_points,
+    reference_inner_points,
+    reference_schur_decompose,
+    weyl_dimension,
+)
 from paulitope import plethysm
 from paulitope.plethysm import (
     LatticeCharacter,
@@ -23,7 +29,6 @@ from paulitope.plethysm import (
     plethysm_h_series,
     schur_decompose,
 )
-from paulitope.tableaux import weyl_dimension
 
 SHAPES = [(1,), (2,), (1, 1), (2, 1), (1, 1, 1)]
 GRID = [(nu, r) for nu in SHAPES for r in range(1, 6) if len(nu) <= r]

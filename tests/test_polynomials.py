@@ -16,6 +16,7 @@ from paulitope.polynomials import (
     divided_difference,
     divided_difference_word,
     grassmannian_schubert,
+    monk_coefficient,
     monk_multiply,
     schubert_expand,
     schubert_polynomial,
@@ -302,3 +303,25 @@ def test_sparse_poly_refuses_a_fractional_variable_count():
     with pytest.raises(ValueError, match="variable count must be an integer"):
         SparsePoly(2.7, {(1, 0): 1})
     assert type(SparsePoly(np.int64(2)).nvars) is int
+
+
+def test_linear_form_refuses_a_fractional_entry():
+    with pytest.raises(ValueError, match="coefficient must be an integer"):
+        SparsePoly.linear_form([1.5, 0.4])
+    form = SparsePoly.linear_form([Fraction(3), np.int64(2)])
+    assert form == SparsePoly(2, {(1, 0): 3, (0, 1): 2})
+
+
+def test_monk_multiply_refuses_a_fractional_form_entry():
+    with pytest.raises(ValueError, match="form entry must be an integer"):
+        monk_multiply([1.5, 0], Permutation([2, 1]))
+    assert monk_multiply([np.int64(1), Fraction(0)], Permutation([2, 1])) == monk_multiply(
+        [1, 0], Permutation([2, 1])
+    )
+
+
+def test_monk_coefficient_refuses_a_fractional_form_entry():
+    x1 = SparsePoly(1, {(1,): 1})
+    with pytest.raises(ValueError, match="form entry must be an integer"):
+        monk_coefficient(x1, [[1.7, 0.2]], Permutation([2, 1]), 2)
+    assert monk_coefficient(x1, [[np.int64(1), Fraction(0)]], Permutation([2, 1]), 2) == 1
