@@ -52,8 +52,7 @@ def _parse_permutation(text: str) -> Permutation:
     return Permutation(_parse_ints(text))
 
 
-def _fraction_str(q) -> object:
-    q = Fraction(q)
+def _fraction_str(q: Fraction) -> object:
     if q.denominator == 1:
         return int(q)
     return f"{q.numerator}/{q.denominator}"
@@ -80,7 +79,7 @@ def polytope_to_json(poly: Polytope) -> dict:
         "dim": poly.dim,
         "equations": [{"coeffs": list(a), "value": b} for a, b in poly.equations],
         "facets": [{"coeffs": list(a), "bound": b} for a, b in poly.facets],
-        "vertices": [[_fraction_str(x) for x in v] for v in poly.vertices],
+        "vertices": [list(v) for v in poly.vertices],
     }
 
 
@@ -89,7 +88,7 @@ def state_to_json(psi: WedgeState) -> dict:
         "n_particles": psi.n_particles,
         "levels": psi.levels,
         "terms": [
-            {"subset": list(sub), "sign": amp.sign, "radicand": _fraction_str(amp.radicand)}
+            {"subset": list(sub), "sign": amp.sign, "radicand": amp.radicand}
             for sub, amp in sorted(psi.amplitudes.items())
         ],
     }
@@ -116,7 +115,7 @@ def family_to_json(family: InequalityFamily) -> dict:
                 "reason": exc.reason,
                 "counterexample": {
                     "state": state_to_json(exc.state) if exc.state is not None else None,
-                    "lhs": _fraction_str(exc.lhs) if exc.lhs is not None else None,
+                    "lhs": exc.lhs,
                 },
             }
             for exc in family.excluded
@@ -201,9 +200,7 @@ def cmd_occupation(args) -> int:
     payload = {
         "n_particles": psi.n_particles,
         "levels": psi.levels,
-        "occupation_numbers": [
-            _fraction_str(x) if exact else float(x) for x in spectrum
-        ],
+        "occupation_numbers": spectrum if exact else [float(x) for x in spectrum],
         "exact": exact,
     }
     table_name = f"{psi.n_particles}x{psi.levels}"
@@ -221,7 +218,7 @@ def cmd_occupation(args) -> int:
                 {
                     "lambda_coeffs": list(row["lambda_coeffs"]),
                     "bound": row["bound"],
-                    "lhs": _fraction_str(lhs) if exact else float(lhs),
+                    "lhs": lhs if exact else float(lhs),
                     "holds": holds,
                 }
             )
@@ -270,50 +267,43 @@ def cmd_polytope(args) -> int:
     return 0 if report["converged_at"] is not None else 1
 
 
-def cmd_verify_tables(args) -> int:
-    names = args.tables or list(fixtures.COEFFICIENT_TABLES)
+def _replay(args, known, default, what: str, label: str, report_of) -> int:
+    """Report on each named table (``default`` if none); an unknown name exits 2 first."""
+    names = args.tables or default
     for name in names:
-        if name not in fixtures.COEFFICIENT_TABLES:
-            print(f"unknown table {name!r}", file=sys.stderr)
+        if name not in known:
+            print(f"unknown {what} {name!r}", file=sys.stderr)
             return 2
     reports = {}
-    ok = True
     for name in names:
-        report = verify_table(fixtures.coefficient_table_raw(name))
-        reports[name] = report
-        ok = ok and report["ok"]
-        status = "ok" if report["ok"] else "FAILED"
+        report = reports[name] = report_of(name)
         good = sum(1 for row in report["rows"] if row["ok"])
-        print(f"table {name}: {good}/{len(report['rows'])} rows {status}")
+        status = "ok" if report["ok"] else "FAILED"
+        print(f"{label} {name}: {good}/{len(report['rows'])} rows {status}")
     if args.out:
         _emit(reports, args.out)
-    return 0 if ok else 1
+    return 0 if all(report["ok"] for report in reports.values()) else 1
+
+
+def cmd_verify_tables(args) -> int:
+    tables = fixtures.COEFFICIENT_TABLES
+    return _replay(
+        args, tables, tables, "table", "table",
+        lambda name: verify_table(fixtures.coefficient_table_raw(name)),
+    )
 
 
 def cmd_verify_vertices(args) -> int:
-    names = args.tables or ["4x8", "3x8"]
-    for name in names:
-        if name not in fixtures.VERTEX_TABLES:
-            print(f"unknown vertex table {name!r}", file=sys.stderr)
-            return 2
-    reports = {}
-    ok = True
-    for name in names:
-        table = fixtures.vertex_table(name)
+    def report_of(name: str) -> dict:
         rows = []
-        good = 0
-        for idx, row in enumerate(table["rows"], start=1):
+        for idx, row in enumerate(fixtures.vertex_table(name)["rows"], start=1):
             match = verify_vertex(row["state"], row["ratio"], tolerance=args.tolerance)
-            good += bool(match)
             rows.append({"index": idx, "ratio": list(row["ratio"]), "ok": match})
-        table_ok = good == len(rows)
-        ok = ok and table_ok
-        reports[name] = {"rows": rows, "ok": table_ok}
-        status = "ok" if table_ok else "FAILED"
-        print(f"vertices {name}: {good}/{len(rows)} rows {status}")
-    if args.out:
-        _emit(reports, args.out)
-    return 0 if ok else 1
+        return {"rows": rows, "ok": all(row["ok"] for row in rows)}
+
+    return _replay(
+        args, fixtures.VERTEX_TABLES, ["4x8", "3x8"], "vertex table", "vertices", report_of
+    )
 
 
 # ----------------------------------------------------------------- entry point
@@ -330,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("perm", nargs="?", help="permutation, one-line or cycles")
     p.add_argument("-n", type=int, default=None, help="ambient size")
     p.add_argument("--table-s4", action="store_true", help="recompute the S4 table")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_schubert)
 
     p = sub.add_parser("coeff", help="compute one structure coefficient")
@@ -339,13 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", type=int, required=True, help="number of levels")
     p.add_argument("--v", required=True, help="permutation v")
     p.add_argument("--w", required=True, help="permutation w")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_coeff)
 
     p = sub.add_parser("occupation", help="occupation numbers of a wedge state")
     p.add_argument("state", help="JSON state file, or - for stdin")
     p.add_argument("--tolerance", type=float, default=EIGENVALUE_TOLERANCE)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_occupation)
 
     p = sub.add_parser("generate", help="emit an inequality family")
@@ -354,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", type=int, default=None, help="number of levels")
     p.add_argument("-p", type=int, default=None, help="index count for kind2")
     p.add_argument("--nu", default=None, help="shape for majorization")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("polytope", help="run the moment polytope pipeline")
@@ -362,20 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", type=int, required=True, help="number of levels")
     p.add_argument("-M", type=int, default=8, help="largest degree cutoff")
     p.add_argument("--rank-bound", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("verify-tables", help="replay the coefficient tables")
     p.add_argument("tables", nargs="*", help="table names, default all")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_tables)
 
     p = sub.add_parser("verify-vertices", help="replay the extremal state tables")
     p.add_argument("tables", nargs="*", help="table names, default both")
     p.add_argument("--tolerance", type=float, default=EIGENVALUE_TOLERANCE)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_vertices)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 

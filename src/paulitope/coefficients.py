@@ -174,13 +174,13 @@ def verify_table(table: dict) -> dict:
     whether the reconstructed triple and the recomputed coefficient agree.
     """
     nu = normalize(table["nu"])
-    r = int(table["r"])
+    r = as_int(table["r"], "level count")
     rows_report = []
     all_ok = True
     for idx, row in enumerate(table["rows"], start=1):
         expected_v = Permutation.from_cycles(row["v_cycles"])
         expected_w = Permutation.from_cycles(row["w_cycles"])
-        expected_c = int(row["c"])
+        expected_c = as_int(row["c"], "expected coefficient")
         report = {
             "index": idx,
             "lambda_coeffs": list(row["lambda_coeffs"]),

@@ -359,4 +359,4 @@ def hole_dual_inequality(
     coefficient sum.
     """
     g = [as_int(c, "coefficient") for c in coeffs]
-    return tuple(-x for x in reversed(g)), as_int(bound, "bound") - s * sum(g)
+    return tuple(-x for x in reversed(g)), as_int(bound, "bound") - as_int(s, "shift") * sum(g)

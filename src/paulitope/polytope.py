@@ -467,6 +467,11 @@ def _vertices_inside(p: Polytope, q: Polytope) -> bool:
     return not products[:, : len(eqs)].any() and bool((products[:, len(eqs) :] >= 0).all())
 
 
+def _coordinate_groups(r: int, n_particles: int, rank_bound: int) -> list[tuple[int, int, int]]:
+    """(start, end, trace) per group: the r levels with trace N, then k > 1 ranks with trace 1."""
+    return [(0, r, n_particles)] + ([(r, r + rank_bound, 1)] if rank_bound > 1 else [])
+
+
 def canonical_inequality(
     coeffs: Sequence,
     bound,
@@ -480,42 +485,34 @@ def canonical_inequality(
     trace) and likewise for the rank part (whose trace is one); the result is
     scaled to coprime integers.
     """
+    groups = _coordinate_groups(r, n_particles, rank_bound)
     vec = [Fraction(x) for x in coeffs]
-    expected = r + (rank_bound if rank_bound > 1 else 0)
-    if len(vec) != expected:
-        raise ValueError(f"expected {expected} coefficients, got {len(vec)}")
+    if len(vec) != groups[-1][1]:
+        raise ValueError(f"expected {groups[-1][1]} coefficients, got {len(vec)}")
     b = Fraction(bound)
-    gl = vec[:r]
-    gm = vec[r:]
-    tshift = min(gl)
-    gl = [x - tshift for x in gl]
-    b -= tshift * n_particles
-    if gm:
-        mshift = min(gm)
-        gm = [x - mshift for x in gm]
-        b -= mshift
-    scaled = _scale_to_int(gl + gm + [b])
+    for start, end, trace in groups:
+        shift = min(vec[start:end])
+        vec[start:end] = [x - shift for x in vec[start:end]]
+        b -= shift * trace
+    scaled = _scale_to_int(vec + [b])
     return scaled[:r], scaled[r:-1], scaled[-1]
 
 
 def _ambient_system(r: int, n_particles: int, rank_bound: int):
     """Trace equations (a, b) for a.x = b, and chamber walls (a, b) for a.x <= b.
 
-    The walls order each coordinate group (levels, then ranks) and keep its
-    last coordinate non-negative.
+    The walls order each coordinate group and keep its last coordinate
+    non-negative.
     """
-    d = r + (rank_bound if rank_bound > 1 else 0)
-    equations = [(tuple([1] * r + [0] * (d - r)), n_particles)]
-    groups = [(0, r)]
-    if rank_bound > 1:
-        equations.append((tuple([0] * r + [1] * rank_bound), 1))
-        groups.append((r, rank_bound))
-    walls = []
-    for start, length in groups:
-        for i in range(start, start + length):
+    groups = _coordinate_groups(r, n_particles, rank_bound)
+    d = groups[-1][1]
+    equations, walls = [], []
+    for start, end, trace in groups:
+        equations.append((tuple(int(start <= i < end) for i in range(d)), trace))
+        for i in range(start, end):
             vec = [0] * d
             vec[i] = -1
-            if i + 1 < start + length:
+            if i + 1 < end:
                 vec[i + 1] = 1
             walls.append((tuple(vec), 0))
     return equations, walls
@@ -554,9 +551,7 @@ def facet_match(poly: Polytope, nu, r: int, rank_bound: int = 1) -> dict:
             "from_equation": from_eq,
         }
         try:
-            triple = inequality_to_triple(
-                gl, bb, nu, r, mu_coeffs=gm if rank_bound > 1 else None
-            )
+            triple = inequality_to_triple(gl, bb, nu, r, mu_coeffs=gm)
             c = coefficient(triple.a, nu, r, triple.v, triple.w)
         except (UnmatchedInequalityError, ValueError) as exc:
             entry["reason"] = str(exc)
@@ -602,7 +597,6 @@ def pipeline(
         _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap)
     n_particles = size(nu)
     mixed = rank_bound > 1
-    d = r + (rank_bound if mixed else 0)
     ambient_eqs, ambient_ineqs = _ambient_system(r, n_particles, rank_bound)
     history = []
     converged_at = None
@@ -617,7 +611,7 @@ def pipeline(
             (tuple(e["lambda_coeffs"]) + tuple(e["mu_coeffs"]), e["bound"])
             for e in report["matched"]
         ]
-        outer = polytope_from_h(d, ambient_eqs, ambient_ineqs + extra)
+        outer = polytope_from_h(inner.dim, ambient_eqs, ambient_ineqs + extra)
         converged = polytopes_equal(inner, outer)
         history.append(
             {

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from paulitope import cli, fixtures
 from paulitope.cli import family_to_json, main
 from paulitope.fixtures import vertex_table
 from paulitope.generators import majorization_constraints
@@ -279,3 +280,46 @@ def test_verify_vertices_out_file(tmp_path, capsys):
     assert all(row["ok"] is True for row in rows)
     table = vertex_table("3x7")["rows"]
     assert [row["ratio"] for row in rows] == [list(row["ratio"]) for row in table]
+
+
+def test_verify_tables_failed_row_exits_1(tmp_path, monkeypatch, capsys):
+    real = fixtures.coefficient_table_raw
+
+    def bumped(name):
+        table = real(name)
+        rows = [dict(table["rows"][0], c=table["rows"][0]["c"] + 1)] + table["rows"][1:]
+        return dict(table, rows=rows)
+
+    monkeypatch.setattr(fixtures, "coefficient_table_raw", bumped)
+    out_path = tmp_path / "report.json"
+    code, out, _ = _run(capsys, "verify-tables", "3x6", "3x7", "--out", str(out_path))
+    assert code == 1
+    assert out.splitlines() == ["table 3x6: 3/4 rows FAILED", "table 3x7: 3/4 rows FAILED"]
+    report = json.loads(out_path.read_text())
+    assert report["3x6"]["ok"] is False
+    assert [row["ok"] for row in report["3x6"]["rows"]] == [False, True, True, True]
+
+
+def test_verify_vertices_failed_row_exits_1(tmp_path, monkeypatch, capsys):
+    real = cli.verify_vertex
+    first_ratio = vertex_table("3x7")["rows"][0]["ratio"]
+
+    def check(state, ratio, tolerance):
+        return ratio != first_ratio and real(state, ratio, tolerance=tolerance)
+
+    monkeypatch.setattr(cli, "verify_vertex", check)
+    out_path = tmp_path / "report.json"
+    code, out, _ = _run(capsys, "verify-vertices", "3x7", "--out", str(out_path))
+    assert code == 1
+    assert out == "vertices 3x7: 9/10 rows FAILED\n"
+    report = json.loads(out_path.read_text())
+    assert report["3x7"]["ok"] is False
+    assert [row["ok"] for row in report["3x7"]["rows"]] == [False] + [True] * 9
+
+
+def test_verify_vertices_defaults_to_4x8_then_3x8(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    code, out, _ = _run(capsys, "verify-vertices", "--out", str(out_path))
+    assert code == 0
+    assert out.splitlines() == ["vertices 4x8: 22/22 rows ok", "vertices 3x8: 38/38 rows ok"]
+    assert list(json.loads(out_path.read_text())) == ["4x8", "3x8"]

@@ -206,6 +206,17 @@ def test_verify_table_reports_row_errors():
     assert "error" in report["rows"][0]
 
 
+def test_verify_table_refuses_a_fractional_level_count_or_coefficient():
+    raw = coefficient_table_raw("3x6")
+    with pytest.raises(ValueError, match="level count must be an integer, got 6.9"):
+        verify_table(dict(raw, r=6.9))
+    rows = [dict(raw["rows"][0], c=1.5)] + raw["rows"][1:]
+    with pytest.raises(ValueError, match="expected coefficient must be an integer, got 1.5"):
+        verify_table(dict(raw, rows=rows))
+    rows = [dict(row, c=Fraction(row["c"])) for row in raw["rows"]]
+    assert verify_table(dict(raw, r=np.int64(raw["r"]), rows=rows)) == verify_table(raw)
+
+
 def test_induced_spectrum_refuses_a_fractional_test_spectrum():
     with pytest.raises(ValueError, match="test spectrum entry must be an integer"):
         induced_spectrum((1.7, 0), (1,))

@@ -336,3 +336,10 @@ def test_hole_dual_inequality_refuses_fractional_input():
     with pytest.raises(ValueError, match="bound must be an integer"):
         hole_dual_inequality((1, 0), 1.2)
     assert hole_dual_inequality((Fraction(1), np.int64(0)), np.int64(1)) == ((0, -1), 0)
+
+
+def test_hole_dual_inequality_refuses_a_fractional_shift():
+    with pytest.raises(ValueError, match="shift must be an integer, got 0.5"):
+        hole_dual_inequality((1, 0), 1, s=0.5)
+    assert hole_dual_inequality((1, 0), 1, s=Fraction(2)) == ((0, -1), -1)
+    assert hole_dual_inequality((1, 0), 1, s=np.int64(2)) == ((0, -1), -1)
