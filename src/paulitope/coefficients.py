@@ -91,6 +91,8 @@ def coefficient(
     if len(a) != r:
         raise ValueError(f"test spectrum has {len(a)} entries, expected r={r}")
     nu = normalize(nu)
+    if v.n > r:
+        raise ValueError(f"v moves {v.n} points but the test spectrum has {r}")
     require_minimal(v, value_blocks(a), "v")
     spectrum = _spectrum(a, nu)
     dim = len(spectrum)

@@ -31,7 +31,7 @@ def _poly_from_terms(terms: dict, nvars: int) -> SparsePoly:
     parsed = {}
     for key, coeff in terms.items():
         exps = tuple(int(part) for part in key.split(","))
-        parsed[exps] = int(coeff)
+        parsed[exps] = coeff
     return SparsePoly(nvars, parsed)
 
 

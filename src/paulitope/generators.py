@@ -48,6 +48,11 @@ class OccupationInequality:
     gamma: Partition | None = None
     c_gamma: int | None = None
 
+    def __post_init__(self):
+        idx = [as_int(i, "occupation index") for i in self.indices]
+        if any(a >= b for a, b in zip([0] + idx, idx)):
+            raise ValueError(f"indices must be strictly increasing integers >= 1, got {self.indices}")
+
     def coefficient_vector(self, r: int) -> tuple[int, ...]:
         if self.indices and self.indices[-1] > r:
             raise ValueError(f"index {self.indices[-1]} exceeds r={r}")

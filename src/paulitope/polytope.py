@@ -342,7 +342,7 @@ def cone_dual(
 
 @dataclass(frozen=True)
 class Polytope:
-    """H and V description of a bounded rational polytope."""
+    """A bounded rational polytope, H and V: ``vertices`` is its exact vertex set, sorted, without repeats."""
 
     dim: int
     equations: tuple[tuple[IntVec, int | Fraction], ...]
@@ -367,7 +367,7 @@ def _vertices_from_h(
     equations: Sequence[tuple[Sequence[int], int]],
     inequalities: Sequence[tuple[Sequence[int], int]],
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """Vertices of {x : eq, ineq} via the homogenization cone; errors if unbounded."""
+    """The sorted vertex set of {x : eq, ineq}, via the homogenization cone; errors if unbounded."""
     eq_rows = [(-b,) + tuple(a) for a, b in equations]
     ineq_rows = [(b,) + tuple(-x for x in a) for a, b in inequalities]
     ineq_rows.append((1,) + (0,) * dim)
@@ -443,28 +443,8 @@ def hull(points: Iterable[Sequence]) -> Polytope:
 
 
 def polytopes_equal(p: Polytope, q: Polytope) -> bool:
-    """Set equality via mutual vertex containment, on integer rows."""
-    if p.dim != q.dim:
-        return False
-    return _vertices_inside(p, q) and _vertices_inside(q, p)
-
-
-def _vertices_inside(p: Polytope, q: Polytope) -> bool:
-    """Whether every vertex of p satisfies the equations and facets of q, exactly.
-
-    Vertices x become the rows (den, x*den); an equation a.x = b becomes the
-    row (-b, a) and a facet a.x <= b the row (b, -a), each scaled to
-    integers.  One product then holds every vertex against every row: it
-    must be 0 for the equations and >= 0 for the facets.
-    """
-    width = p.dim + 1
-    eqs = _row_matrix([(-b, *a) for a, b in q.equations], width).tolist()
-    facets = _row_matrix([(b, *(-c for c in a)) for a, b in q.facets], width).tolist()
-    if not eqs and not facets:
-        return True
-    vertices = _row_matrix(p.vertices, p.dim, lead=True)
-    products = _products(vertices, int(np.abs(vertices).max(initial=0)), eqs + facets)
-    return not products[:, : len(eqs)].any() and bool((products[:, len(eqs) :] >= 0).all())
+    """Equal dimension and equal vertex sets, which for bounded polytopes is set equality."""
+    return p.dim == q.dim and set(p.vertices) == set(q.vertices)
 
 
 def _coordinate_groups(r: int, n_particles: int, rank_bound: int) -> list[tuple[int, int, int]]:

@@ -55,6 +55,9 @@ def partitions_in_box(rows: int, cols: int, total: int | None = None) -> Iterato
 
     With ``total`` set, only partitions of that size are produced.
     """
+    rows, cols = as_int(rows, "rows"), as_int(cols, "cols")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"box needs rows, cols >= 0, got {rows} x {cols}")
 
     def rec(remaining_rows: int, cap: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
         yield normalize(prefix)
@@ -63,9 +66,7 @@ def partitions_in_box(rows: int, cols: int, total: int | None = None) -> Iterato
         for part in range(cap, 0, -1):
             yield from rec(remaining_rows - 1, part, prefix + (part,))
 
-    for p in rec(rows, cols, ()):
-        if total is None or size(p) == total:
-            yield p
+    return (p for p in rec(rows, cols, ()) if total is None or size(p) == total)
 
 
 def reading_word(tab: Tableau) -> tuple[int, ...]:

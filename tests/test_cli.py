@@ -76,6 +76,14 @@ def test_coeff_rejects_increasing_spectrum(capsys):
     assert "weakly decreasing" in err
 
 
+def test_coeff_oversized_v_error_names_v(capsys):
+    code, _, err = _run(
+        capsys, "coeff", "--a", "1,0", "--nu", "1", "-r", "2", "--v", "(1 3)", "--w", "(1 2)"
+    )
+    assert code == 2
+    assert "v moves 3 points but the test spectrum has 2" in err
+
+
 def test_occupation_exact_state(tmp_path, capsys):
     state = {
         "n_particles": 3,

@@ -102,6 +102,13 @@ def test_coefficient_rejects_oversized_w():
         coefficient((1, 0), (1,), 2, Permutation.identity(), big)
 
 
+def test_coefficient_refuses_an_oversized_v_by_name():
+    # the minimality test would refuse it first, in a message naming its own parameter w
+    v, w = Permutation.transposition(1, 3), Permutation.transposition(1, 2)
+    with pytest.raises(ValueError, match=r"^v moves 3 points but the test spectrum has 2$"):
+        coefficient((1, 0), (1,), 2, v, w)
+
+
 def test_inequality_to_triple_pauli():
     triple = inequality_to_triple([1, 0], 1, (1,), 2)
     assert triple.a == (1, 0)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from paulitope import fixtures
 from paulitope.fixtures import (
     COEFFICIENT_TABLES,
     VERTEX_TABLES,
@@ -24,6 +25,13 @@ def test_schubert_s4_table_shape():
     assert len(set(labels)) == 24
     perms = {row["permutation"] for row in rows}
     assert len(perms) == 24
+
+
+def test_poly_from_terms_refuses_a_fractional_coefficient():
+    # a table coefficient is read as it is written, never truncated
+    with pytest.raises(ValueError, match="coefficient must be an integer"):
+        fixtures._poly_from_terms({"1,0": 1.5}, 2)
+    assert fixtures._poly_from_terms({"1,0": 2, "0,1": -1}, 2).terms == {(1, 0): 2, (0, 1): -1}
 
 
 def test_schubert_s4_labels_encode_one_line():

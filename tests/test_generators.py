@@ -13,6 +13,7 @@ from oracles import (
 )
 from paulitope.errors import ResourceLimitError
 from paulitope.generators import (
+    OccupationInequality,
     cgamma_kind1,
     cgamma_kind1_positive,
     cgamma_kind1_recurrence,
@@ -272,6 +273,17 @@ def test_occupation_inequality_helpers():
         item.coefficient_vector(5)
     assert item.holds_for([1, 1, 1, 0, 0, 0])
     assert not item.holds_for([1, 1, 0.5, 0.5, 0.5, 0.5])
+
+
+def test_occupation_inequality_refuses_indices_outside_one_to_r():
+    # index 0 would read spectrum[-1], and coefficient_vector would drop it or an unsorted index
+    for indices in [(0,), (3, 1), (0, 1), (2, 2)]:
+        with pytest.raises(ValueError, match=r"strictly increasing integers >= 1"):
+            OccupationInequality(indices, 1)
+    with pytest.raises(ValueError, match="occupation index must be an integer"):
+        OccupationInequality((1, Fraction(5, 2)), 1)
+    item = OccupationInequality((np.int64(1), Fraction(3)), 1)
+    assert item.coefficient_vector(3) == (1, 0, 1)
 
 
 def test_majorization_constraints():

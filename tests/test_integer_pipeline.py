@@ -1,9 +1,10 @@
-"""The pipeline against the path it had before its decomposition and equality check went integer.
+"""The pipeline against the path it had before its decomposition went integer.
 
 The reference (tests/oracles.py) decomposes each degree by a dict loop over
 the dominant weights with one Weyl dimension per component, and checks
-equality with Fraction sums.  The package decomposes on integer arrays,
-checks equality with one integer matrix product, and refuses an oversized
+equality by Fraction sums, each polytope's vertices against the other's
+facets.  The package decomposes on integer arrays, compares the exact vertex
+sets that every hull and H description carries, and refuses an oversized
 schedule before it builds anything.
 """
 
@@ -14,10 +15,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reference_pipeline, reference_polytopes_equal
+from oracles import reference_hull, reference_pipeline, reference_polytopes_equal
 from paulitope import plethysm
 from paulitope.errors import ResourceLimitError
-from paulitope.polytope import hull, pipeline, polytope_from_h, polytopes_equal
+from paulitope.fixtures import VERTEX_TABLES, coefficient_table, vertex_table
+from paulitope.polytope import _ambient_system, hull, pipeline, polytope_from_h, polytopes_equal
+from paulitope.tableaux import size
 
 RUNS = {
     "c4": (((1, 1, 1), 6, 1, [2, 4]), {}),
@@ -116,6 +119,10 @@ def _pairs(rng: random.Random):
     segment = hull([(0, third), (1, third + 1)])
     yield segment, polytope_from_h(2, segment.equations, segment.facets)
     yield segment, hull([(0, third), (1, third + Fraction(101, 100))])
+    # two infeasible systems are both empty, so equal; the empty set is not a point
+    empty = polytope_from_h(2, [], _box(2, third, -half))
+    yield empty, polytope_from_h(2, [((1, 1), 1)], _box(2, 1, 0))
+    yield empty, hull([(0, 0)])
 
 
 def test_polytopes_equal_matches_reference():
@@ -125,3 +132,39 @@ def test_polytopes_equal_matches_reference():
         assert got == reference_polytopes_equal(p, q) == polytopes_equal(q, p), (p, q)
         outcomes.append(got)
     assert True in outcomes and False in outcomes
+
+
+def test_every_built_polytope_carries_its_exact_vertex_set():
+    # polytopes_equal compares vertex sets, so each one must be exactly the
+    # polytope's vertices: strictly increasing, and all of them extreme
+    polys = [poly for pair in _pairs(random.Random(11)) for poly in pair]
+    for name in ("c4", "c6"):
+        (nu, r, k, schedule), caps = RUNS[name]
+        polys.append(pipeline(nu, r, k, schedule, **caps)["polytope"])
+    assert any(not poly.vertices for poly in polys)
+    for poly in polys:
+        vertices = poly.vertices
+        assert all(a < b for a, b in zip(vertices, vertices[1:])), poly
+        if vertices:
+            assert reference_hull(vertices).vertices == vertices, poly
+
+
+def _table_closure(name: str, drop_first: bool = False):
+    """The hull of a vertex table's points and the H description of its inequality table."""
+    table = coefficient_table(name)
+    n, r = size(table["nu"]), table["r"]
+    points = []
+    for row in vertex_table(name)["rows"]:
+        ratio = row["ratio"]
+        points.append(tuple(Fraction(n * x, sum(ratio)) for x in ratio))
+    traces, walls = _ambient_system(r, n, 1)
+    rows = [(row["lambda_coeffs"], row["bound"]) for row in table["rows"]]
+    return hull(points), polytope_from_h(r, traces, walls + (rows[1:] if drop_first else rows))
+
+
+@pytest.mark.parametrize("name", VERTEX_TABLES)
+def test_vertex_and_inequality_tables_cut_out_the_same_polytope(name):
+    inner, outer = _table_closure(name)
+    assert polytopes_equal(inner, outer) and reference_polytopes_equal(inner, outer)
+    inner, outer = _table_closure(name, drop_first=True)
+    assert not polytopes_equal(inner, outer) and not reference_polytopes_equal(inner, outer)

@@ -146,7 +146,7 @@ def test_polytopes_equal_is_description_independent():
 
 
 def test_polytopes_equal_on_the_zero_dimensional_point():
-    # no equations and no facets: every vertex is inside without a product
+    # no equations and no facets: the vertex set is the one empty point ()
     point = hull([()])
     assert polytopes_equal(point, hull([()]))
     assert not polytopes_equal(point, hull([(0,)]))

@@ -71,6 +71,18 @@ def test_partitions_in_box_fixed_total():
     assert got == {(3,), (2, 1)}
 
 
+def test_partitions_in_box_refuses_a_negative_or_fractional_box():
+    # a negative row count would enumerate forever, or with a total recurse without end
+    for rows, cols in [(-1, 2), (2, -1)]:
+        for total in (None, 2):
+            with pytest.raises(ValueError, match=r"rows, cols >= 0"):
+                partitions_in_box(rows, cols, total=total)
+    with pytest.raises(ValueError, match="rows must be an integer"):
+        partitions_in_box(1.5, 2)
+    assert list(partitions_in_box(0, 0)) == [()]
+    assert list(partitions_in_box(np.int64(2), Fraction(2))) == list(partitions_in_box(2, 2))
+
+
 @pytest.mark.parametrize(
     "shape,max_entry",
     [((2, 1), 3), ((3,), 2), ((2, 2), 3), ((1, 1, 1), 4), ((3, 1), 3), ((2, 2, 1), 3)]

@@ -39,7 +39,7 @@ not have are skipped.  In the pipeline mode ``hull`` includes building its
 integer matrix from the Fraction points; the hull mode splits it into
 ``rows`` (``_row_matrix``, which reads every point or row into an
 integer matrix, adds the hull's homogenizing column and sorts the rows,
-for the equality check's matrices too), ``dual`` (``cone_dual``) and
+for the inequalities of each vertex computation too), ``dual`` (``cone_dual``) and
 ``vertices`` (the rest of ``_vertices_from_h``); ``hull``'s arity check
 before the read is in ``rest``.  The table stages are wrapped where
 ``coefficients`` calls them, since it imports them by name.  The vertices
