@@ -60,17 +60,6 @@ def _spectrum(a: Sequence[int], nu: Partition) -> list[tuple[int, Tableau, tuple
     return rows
 
 
-def value_blocks(values: Sequence[int]) -> list[list[int]]:
-    """Runs of equal values as 1-based position blocks."""
-    blocks: list[list[int]] = []
-    for pos, val in enumerate(values, start=1):
-        if blocks and values[pos - 2] == val:
-            blocks[-1].append(pos)
-        else:
-            blocks.append([pos])
-    return blocks
-
-
 def coefficient(
     a: Sequence[int],
     nu: Iterable[int],
@@ -84,8 +73,8 @@ def coefficient(
     the content rows of the leading tableaux of the induced spectrum of
     ``a``, and the coefficient of S_v in the result is summed over Monk
     chains below v (``monk_coefficient``).
-    Both permutations must be minimal in their cosets for the tie blocks of
-    ``a`` and of the induced spectrum.
+    Both permutations must be minimal in their cosets for the ties of ``a``
+    and of the induced spectrum values.
     """
     a = tuple(x if type(x) is int else as_int(x, "test spectrum entry") for x in a)
     if len(a) != r:
@@ -93,12 +82,12 @@ def coefficient(
     nu = normalize(nu)
     if v.n > r:
         raise ValueError(f"v moves {v.n} points but the test spectrum has {r}")
-    require_minimal(v, value_blocks(a), "v")
+    require_minimal(v, a, "v")
     spectrum = _spectrum(a, nu)
     dim = len(spectrum)
     if w.n > dim:
         raise ValueError(f"w moves {w.n} points but the induced spectrum has {dim}")
-    require_minimal(w, value_blocks([value for value, _, _ in spectrum]), "w")
+    require_minimal(w, [value for value, _, _ in spectrum], "w")
     if v.length() != w.length():
         return 0
 
@@ -160,7 +149,7 @@ def inequality_to_triple(
         one_line[k - 1] = placement.get(k) or next(rest)
     w = Permutation(one_line)
 
-    require_minimal(w, value_blocks(values), "w")
+    require_minimal(w, values, "w")
     if w.length() != v.length():
         raise UnmatchedInequalityError(
             f"cut permutation has length {w.length()} but the level permutation has {v.length()}"

@@ -52,6 +52,7 @@ class OccupationInequality:
         idx = [as_int(i, "occupation index") for i in self.indices]
         if any(a >= b for a, b in zip([0] + idx, idx)):
             raise ValueError(f"indices must be strictly increasing integers >= 1, got {self.indices}")
+        as_int(self.bound, "bound")
 
     def coefficient_vector(self, r: int) -> tuple[int, ...]:
         if self.indices and self.indices[-1] > r:
@@ -94,6 +95,7 @@ def majorization_constraints(nu: Iterable[int], r: int) -> InequalityFamily:
     informative once the trace is fixed.
     """
     nu = normalize(nu)
+    r = as_int(r, "level count")
     if len(nu) > r:
         raise ValueError(f"shape {nu} needs more than {r} levels")
     items = []
@@ -243,6 +245,7 @@ def grassmann_kind1(n_particles: int, r: int) -> InequalityFamily:
     witnessed by explicit states.
     """
     N = as_int(n_particles, "particle count")
+    r = as_int(r, "level count")
     if r <= N:
         raise ValueError(f"need more levels than particles, got N={N}, r={r}")
     if N < 3:
@@ -308,6 +311,7 @@ def grassmann_kind2(n_particles: int, p: int) -> InequalityFamily:
     states; other widths expand the product directly, behind resource caps.
     """
     N = as_int(n_particles, "particle count")
+    p = as_int(p, "width")
     if N < 1:
         raise ValueError("need at least one particle")
     if p < N:
@@ -339,6 +343,7 @@ def series_inequality(n_particles: int, p: int) -> OccupationInequality:
     (2, 1, ..., 1) transposed shape with coefficient 1.
     """
     N = as_int(n_particles, "particle count")
+    p = as_int(p, "width")
     if p < N:
         raise ValueError(f"need p >= N, got p={p}, N={N}")
     indices = tuple(k + comb(k - 1, N - 1) for k in range(1, p + 1))

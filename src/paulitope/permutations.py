@@ -8,6 +8,7 @@ transpositions.
 
 from __future__ import annotations
 
+from itertools import count, groupby
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MinimalityError, as_int
@@ -181,36 +182,17 @@ class Permutation:
         return Permutation(mapping.get(i, i) for i in range(1, m + 1))
 
 
-def is_minimal_coset_rep(w: Permutation, blocks: Sequence[Sequence[int]]) -> bool:
-    """True when w is increasing on every block of consecutive positions.
+def require_minimal(w: Permutation, values: Sequence[int], role: str) -> None:
+    """Raise MinimalityError unless w is minimal in its coset for the ties of ``values``.
 
-    ``blocks`` must partition 1..m for some m at least as large as every point
-    moved by w.
+    The ties are the runs of equal values, and w is minimal exactly when it is
+    increasing on each run: w(i) < w(i+1) wherever values[i-1] == values[i].
     """
-    flat = [i for block in blocks for i in block]
-    if sorted(flat) != list(range(1, len(flat) + 1)):
-        raise ValueError(f"blocks do not partition an initial segment: {blocks}")
-    for block in blocks:
-        b = list(block)
-        if b != sorted(b):
-            raise ValueError(f"block positions not increasing: {b}")
-        if b and b != list(range(b[0], b[-1] + 1)):
-            raise ValueError(f"block not a run of consecutive positions: {b}")
-    if w.n > len(flat):
-        raise ValueError(f"w moves {w.n} points but blocks cover only {len(flat)}")
-    for block in blocks:
-        imgs = [w(i) for i in block]
-        if any(imgs[k] > imgs[k + 1] for k in range(len(imgs) - 1)):
-            return False
-    return True
-
-
-def require_minimal(w: Permutation, blocks: Sequence[Sequence[int]], role: str) -> None:
-    """Raise MinimalityError unless w is minimal in its coset for blocks."""
-    if not is_minimal_coset_rep(w, blocks):
-        raise MinimalityError(
-            f"{role} is not increasing on the tied blocks {[list(b) for b in blocks]}"
-        )
+    imgs, pairs = w.images, range(min(w.n, len(values)) - 1)
+    if any(values[k] == values[k + 1] and imgs[k] > imgs[k + 1] for k in pairs):
+        pos = count(1)
+        blocks = [[next(pos) for _ in run] for _, run in groupby(values)]
+        raise MinimalityError(f"{role} is not increasing on the tied blocks {blocks}")
 
 
 def cycle_permutation(k: int) -> Permutation:

@@ -15,7 +15,8 @@ double description that inserts every inequality, implied or not, or
 through the full-product loop that the package's forward scan replaced, and
 Schubert coefficients through the fully expanded specialized polynomial.
 Induced spectra enumerate their tableaux on every call, and Monk chain sums
-test each permutation against v with its whole rank table.
+test each permutation against v with its whole rank table.  Coset
+minimality is tested on position blocks built from the tied values.
 The Grassmann inequality families are built by the package's former code,
 one loop for each closed form, and the pipeline by its former decomposition
 (a dict checked key by key) and its former equality check (Fraction sums).
@@ -36,8 +37,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import sympy
 
-from paulitope.coefficients import SpectrumEntry, value_blocks
-from paulitope.errors import ResourceLimitError
+from paulitope.coefficients import SpectrumEntry
+from paulitope.errors import MinimalityError, ResourceLimitError
 from paulitope.generators import (
     KIND2_TERM_CAP,
     KIND2_WIDTH_CAP,
@@ -45,7 +46,7 @@ from paulitope.generators import (
     InequalityFamily,
     OccupationInequality,
 )
-from paulitope.permutations import Permutation, require_minimal
+from paulitope.permutations import Permutation
 from paulitope.plethysm import (
     INNER_POINT_DEGREE_CAP,
     INNER_POINT_LEVEL_CAP,
@@ -853,6 +854,55 @@ def peel_schur(weights: dict, p: int) -> dict:
 
 # --------------------------------------------------------------- coefficients
 
+# The coset test the package ran before it read the ties from the value
+# sequence: the runs of equal values become position blocks, the blocks are
+# checked to partition 1..m into runs of consecutive positions, and w is then
+# tested block by block.
+
+
+def value_blocks(values: Sequence[int]) -> list[list[int]]:
+    """Runs of equal values as 1-based position blocks."""
+    blocks: list[list[int]] = []
+    for pos, val in enumerate(values, start=1):
+        if blocks and values[pos - 2] == val:
+            blocks[-1].append(pos)
+        else:
+            blocks.append([pos])
+    return blocks
+
+
+def is_minimal_coset_rep(w: Permutation, blocks: Sequence[Sequence[int]]) -> bool:
+    """True when w is increasing on every block of consecutive positions.
+
+    ``blocks`` must partition 1..m for some m at least as large as every point
+    moved by w.
+    """
+    flat = [i for block in blocks for i in block]
+    if sorted(flat) != list(range(1, len(flat) + 1)):
+        raise ValueError(f"blocks do not partition an initial segment: {blocks}")
+    for block in blocks:
+        b = list(block)
+        if b != sorted(b):
+            raise ValueError(f"block positions not increasing: {b}")
+        if b and b != list(range(b[0], b[-1] + 1)):
+            raise ValueError(f"block not a run of consecutive positions: {b}")
+    if w.n > len(flat):
+        raise ValueError(f"w moves {w.n} points but blocks cover only {len(flat)}")
+    for block in blocks:
+        imgs = [w(i) for i in block]
+        if any(imgs[k] > imgs[k + 1] for k in range(len(imgs) - 1)):
+            return False
+    return True
+
+
+def reference_require_minimal(w: Permutation, blocks: Sequence[Sequence[int]], role: str) -> None:
+    """Raise MinimalityError unless w is minimal in its coset for blocks."""
+    if not is_minimal_coset_rep(w, blocks):
+        raise MinimalityError(
+            f"{role} is not increasing on the tied blocks {[list(b) for b in blocks]}"
+        )
+
+
 # The route the package took before it summed Monk chains: expand S_w at the
 # linear forms of the induced spectrum into a polynomial in r variables, then
 # apply the divided difference of v and read off the constant.
@@ -863,12 +913,12 @@ def reference_coefficient(a, nu, r: int, v: Permutation, w: Permutation) -> int:
     if len(a) != r:
         raise ValueError(f"test spectrum has {len(a)} entries, expected r={r}")
     nu = normalize(nu)
-    require_minimal(v, value_blocks(a), "v")
+    reference_require_minimal(v, value_blocks(a), "v")
     spectrum = reference_induced_spectrum(a, nu)
     dim = len(spectrum)
     if w.n > dim:
         raise ValueError(f"w moves {w.n} points but the induced spectrum has {dim}")
-    require_minimal(w, value_blocks([e.value for e in spectrum]), "w")
+    reference_require_minimal(w, value_blocks([e.value for e in spectrum]), "w")
     if v.length() != w.length():
         return 0
 

@@ -84,6 +84,15 @@ def test_coeff_oversized_v_error_names_v(capsys):
     assert "v moves 3 points but the test spectrum has 2" in err
 
 
+def test_coeff_nonminimal_v_error_lists_the_tied_blocks(capsys):
+    code, out, err = _run(
+        capsys, "coeff", "--a", "1,1", "--nu", "1", "-r", "2", "--v", "(1 2)", "--w", "(1 2)"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: v is not increasing on the tied blocks [[1, 2]]\n"
+
+
 def test_occupation_exact_state(tmp_path, capsys):
     state = {
         "n_particles": 3,

@@ -15,11 +15,11 @@ import random
 
 import pytest
 
-from oracles import reference_coefficient, weyl_dimension
+from oracles import is_minimal_coset_rep, reference_coefficient, value_blocks, weyl_dimension
 from paulitope import polytope
-from paulitope.coefficients import coefficient, induced_spectrum, inequality_to_triple, value_blocks
+from paulitope.coefficients import coefficient, induced_spectrum, inequality_to_triple
 from paulitope.fixtures import coefficient_table
-from paulitope.permutations import Permutation, is_minimal_coset_rep, permutations_of_length
+from paulitope.permutations import Permutation, permutations_of_length
 from paulitope.polynomials import (
     SparsePoly,
     grassmannian_schubert,

@@ -6,12 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import brute_ssyt
+from oracles import brute_ssyt, value_blocks
 from paulitope.coefficients import (
     coefficient,
     induced_spectrum,
     inequality_to_triple,
-    value_blocks,
     verify_table,
 )
 from paulitope.errors import MinimalityError, UnmatchedInequalityError

@@ -282,6 +282,9 @@ def test_occupation_inequality_refuses_indices_outside_one_to_r():
             OccupationInequality(indices, 1)
     with pytest.raises(ValueError, match="occupation index must be an integer"):
         OccupationInequality((1, Fraction(5, 2)), 1)
+    for bound in (0.5, 1.0):
+        with pytest.raises(ValueError, match="bound must be an integer"):
+            OccupationInequality((1,), bound)
     item = OccupationInequality((np.int64(1), Fraction(3)), 1)
     assert item.coefficient_vector(3) == (1, 0, 1)
 
@@ -355,3 +358,19 @@ def test_hole_dual_inequality_refuses_a_fractional_shift():
         hole_dual_inequality((1, 0), 1, s=0.5)
     assert hole_dual_inequality((1, 0), 1, s=Fraction(2)) == ((0, -1), -1)
     assert hole_dual_inequality((1, 0), 1, s=np.int64(2)) == ((0, -1), -1)
+
+
+def test_family_builders_refuse_fractional_level_and_width_counts():
+    with pytest.raises(ValueError, match="level count must be an integer, got 4.5"):
+        majorization_constraints((2, 1), 4.5)
+    with pytest.raises(ValueError, match="level count must be an integer, got 6.5"):
+        grassmann_kind1(3, 6.5)
+    with pytest.raises(ValueError, match="width must be an integer, got 4.5"):
+        grassmann_kind2(3, 4.5)
+    with pytest.raises(ValueError, match="width must be an integer, got 4.5"):
+        series_inequality(3, 4.5)
+    assert majorization_constraints((2, 1), np.int64(4)) == majorization_constraints((2, 1), 4)
+    assert type(majorization_constraints((2, 1), np.int64(4)).levels) is int
+    assert grassmann_kind1(3, Fraction(6)) == grassmann_kind1(3, 6)
+    assert grassmann_kind2(3, np.int64(4)) == grassmann_kind2(3, 4)
+    assert series_inequality(3, Fraction(4)) == series_inequality(3, 4)

@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import reference_require_minimal, value_blocks
 from paulitope.errors import MinimalityError
 from paulitope.permutations import (
     Permutation,
     cycle_permutation,
-    is_minimal_coset_rep,
     permutations_of_length,
     require_minimal,
 )
@@ -115,41 +115,56 @@ def test_permutations_of_length_matches_brute_count():
             assert got == by_length.get(target, set()), (n, target)
 
 
-def _brute_minimal(w: Permutation, blocks) -> bool:
-    m = sum(len(b) for b in blocks)
+def _brute_minimal(w: Permutation, values) -> bool:
+    # no permutation of the positions that keeps the values gives a shorter w * sigma
+    m = len(values)
     best = w.length()
-    for sub in itertools.product(*[itertools.permutations(b) for b in blocks]):
-        images = list(range(1, m + 1))
-        for block, perm in zip(blocks, sub):
-            for src, dst in zip(block, perm):
-                images[src - 1] = dst
-        sigma = Permutation(images)
-        if (w * sigma).length() < best:
-            return False
+    for images in itertools.permutations(range(1, m + 1)):
+        if all(values[i - 1] == values[j] for j, i in enumerate(images)):
+            if (w * Permutation(images)).length() < best:
+                return False
     return True
 
 
+def _failure(check, w: Permutation, ties) -> str | None:
+    """The MinimalityError message of ``check(w, ties, "w")``, or None when it passes."""
+    try:
+        check(w, ties, "w")
+    except MinimalityError as exc:
+        return str(exc)
+    return None
+
+
 def test_is_minimal_coset_rep_matches_brute():
-    blocks = [[1, 2], [3, 4, 5]]
-    for images in itertools.permutations(range(1, 6)):
-        w = Permutation(images)
-        assert is_minimal_coset_rep(w, blocks) == _brute_minimal(w, blocks)
-
-
-def test_is_minimal_coset_rep_rejects_bad_blocks():
-    w = Permutation([2, 1])
-    with pytest.raises(ValueError):
-        is_minimal_coset_rep(w, [[1], [3]])
-    with pytest.raises(ValueError):
-        is_minimal_coset_rep(w, [[1, 3], [2]])
-    with pytest.raises(ValueError):
-        is_minimal_coset_rep(Permutation([3, 1, 2]), [[1, 2]])
+    for values in [(3, 3, 1, 1, 1), (2, 1, 1, 1, 0)]:
+        for images in itertools.permutations(range(1, 6)):
+            w = Permutation(images)
+            minimal = _failure(require_minimal, w, values) is None
+            assert minimal == _brute_minimal(w, values), (values, images)
 
 
 def test_require_minimal_raises_with_role():
-    with pytest.raises(MinimalityError, match="cut"):
-        require_minimal(Permutation([2, 1]), [[1, 2]], "cut")
-    require_minimal(Permutation.identity(), [[1, 2]], "cut")
+    with pytest.raises(MinimalityError) as exc:
+        require_minimal(Permutation([2, 1, 3]), (3, 3, 2), "cut")
+    assert str(exc.value) == "cut is not increasing on the tied blocks [[1, 2], [3]]"
+    require_minimal(Permutation.identity(), (1, 1), "cut")
+    # a descent between two different values is allowed
+    require_minimal(Permutation([1, 3, 2]), [3, 3, 2], "cut")
+
+
+def test_require_minimal_matches_the_block_reference():
+    # every weakly decreasing sequence over {0, 1, 2} of length at most 6,
+    # against every permutation of that length: 23,116 pairs
+    pairs = 0
+    for m in range(7):
+        perms = [Permutation(images) for images in itertools.permutations(range(1, m + 1))]
+        for values in itertools.combinations_with_replacement((2, 1, 0), m):
+            blocks = value_blocks(values)
+            for w in perms:
+                pairs += 1
+                want = _failure(reference_require_minimal, w, blocks)
+                assert _failure(require_minimal, w, values) == want, (values, w)
+    assert pairs == 23_116
 
 
 def test_permutation_is_hashable_and_ordered():
