@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, permutations as iter_permutations
+from itertools import accumulate, combinations
 from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Iterable
@@ -60,13 +60,16 @@ class LatticeCharacter:
     group, and ``array`` has one axis per free coordinate: every coordinate
     of a group but its last, which the total fixes.  A weight's multiplicity
     sits at its free coordinates; a free position whose last coordinate would
-    be negative holds 0.
+    be negative holds 0.  The array is made read-only, and the weight dict and
+    the components are each computed once, on first use.
     """
 
     def __init__(self, groups: tuple[int, ...], totals: tuple[int, ...], array: np.ndarray):
         self.groups = groups
         self.totals = totals
         self.array = array
+        # the weights and components are cached, so the array must not change
+        array.flags.writeable = False
 
     def dimension(self) -> int:
         return int(self.array.sum())
@@ -96,6 +99,13 @@ class LatticeCharacter:
         full = self._complete(self._free_coordinates(flat))
         return dict(zip(map(tuple, full.tolist()), self.array.ravel()[flat].tolist()))
 
+    @cached_property
+    def components(self) -> tuple[np.ndarray, np.ndarray]:
+        """Highest weights and multiplicities, as ``_components`` gives them, read-only."""
+        full, mults = _components(self)
+        full.flags.writeable = mults.flags.writeable = False
+        return full, mults
+
 
 def character(nu: Iterable[int], r: int) -> SparsePoly:
     """Character of the irreducible shape-nu representation on r levels."""
@@ -115,7 +125,9 @@ def _strides(shape: tuple[int, ...]) -> list[int]:
     return [prod(shape[axis + 1 :]) for axis in range(len(shape))]
 
 
-def plethysm_h_series(m_max: int, f: SparsePoly, k: int = 1) -> list[LatticeCharacter]:
+def plethysm_h_series(
+    m_max: int, f: SparsePoly, k: int = 1, *, series: list[LatticeCharacter] | None = None
+) -> list[LatticeCharacter]:
     """Characters of Sym^0 .. Sym^m_max of f (x) C^k.
 
     With k = 1 these are GL_r characters, the symmetric powers of f; with
@@ -124,6 +136,13 @@ def plethysm_h_series(m_max: int, f: SparsePoly, k: int = 1) -> list[LatticeChar
     Adams weight shifts the dense array of h_{m-j} into the accumulator.  The
     division by m must be exact, and the dimension of every degree must be
     C(k dim f + m - 1, m); either failure raises ArithmeticError.
+
+    ``series``, if given, must be a list this function returned or filled
+    earlier for the same f and k.  It is extended in place with the degrees
+    it lacks, so each degree is built once however often the series is
+    asked for; the return value is a new list of degrees 0..m_max either
+    way.  A series of other groups, or whose degree 0 is not trivial or
+    whose degree 1 is not f (x) C^k, raises ValueError before any step.
     """
     if m_max < 0:
         raise ValueError("negative power")
@@ -134,15 +153,37 @@ def plethysm_h_series(m_max: int, f: SparsePoly, k: int = 1) -> list[LatticeChar
     r = f.nvars
     degree = max(f.degree(), 0)  # the zero character's totals stay 0, not -m
     groups = (r,) if k == 1 else (r, k)
-    # Weights of f (x) C^k on the free coordinates (Adams_j multiplies them
-    # by j), and the coordinate sums of each group in degree 1.
-    units = [tuple(int(a == b) for b in range(k - 1)) for a in range(k)]
-    factor = [(wt[:-1] + e, mult) for wt, mult in f.terms.items() for e in units]
+    # The weights of C^k (none for k = 1), those of f (x) C^k on the free
+    # coordinates (Adams_j multiplies them by j), and the coordinate sums of
+    # each group in degree 1.
+    units = [tuple(int(a == b) for b in range(k)) for a in range(k)] if k > 1 else [()]
+    factor = [(wt[:-1] + e[:-1], mult) for wt, mult in f.terms.items() for e in units]
     totals = (degree,) if k == 1 else (degree, 1)
-    series = [LatticeCharacter(groups, (0,) * len(groups), np.ones((1,) * (r + k - 2), dtype=np.int64))]
-    for _ in range(m_max):
+    if series is None:
+        series = []
+    else:
+        _require_same_series(series, groups, {wt + e: c for wt, c in f.terms.items() for e in units})
+    if not series:
+        trivial = np.ones((1,) * (r + k - 2), dtype=np.int64)
+        series.append(LatticeCharacter(groups, (0,) * len(groups), trivial))
+    while len(series) <= m_max:
         series.append(_newton_step(series, factor, totals, k * sum(f.terms.values())))
-    return series
+    return series[: m_max + 1]
+
+
+def _require_same_series(series: list, groups: tuple[int, ...], degree_one: dict) -> None:
+    """Raise ValueError unless ``series`` holds the first degrees of the series of ``degree_one``.
+
+    ``degree_one`` maps the complete weights of f (x) C^k to their
+    multiplicities.  Degree 0 must be the trivial character of the groups,
+    and degree 1, which is f (x) C^k itself, fixes every degree above it.
+    """
+    if any(not isinstance(term, LatticeCharacter) or term.groups != groups for term in series):
+        raise ValueError(f"the series given is not one of characters of groups {groups}")
+    if series and (any(series[0].totals) or series[0].dimension() != 1):
+        raise ValueError("the series given does not start with the trivial character")
+    if len(series) > 1 and series[1].weights != degree_one:
+        raise ValueError("the series given was built for another character or rank bound")
 
 
 def _newton_step(
@@ -167,10 +208,27 @@ def _newton_step(
             acc[window] += prev if mult == 1 else mult * prev
     if (acc % m).any():
         raise ArithmeticError(f"Newton recurrence does not divide exactly at degree {m}")
-    term = LatticeCharacter(groups, tuple(t * m for t in totals), acc // m)
+    acc //= m
+    term = LatticeCharacter(groups, tuple(t * m for t in totals), acc)
     if term.dimension() != dim_m:
         raise ArithmeticError(f"degree {m} has dimension {term.dimension()}, not {dim_m}")
     return term
+
+
+def _lex_permutations(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation of range(g) in lexicographic order, one row each, and its inversion count.
+
+    The rows with first entry a are those of S_{g-1} with every entry >= a
+    raised by one, in their own order; a precedes exactly a smaller entries.
+    """
+    perms = np.zeros((1, 0), dtype=np.int64)
+    inversions = np.zeros(1, dtype=np.int64)
+    for n in range(1, g + 1):
+        perms = np.concatenate(
+            [np.column_stack([np.full(len(perms), a), perms + (perms >= a)]) for a in range(n)]
+        )
+        inversions = np.concatenate([inversions + a for a in range(n)])
+    return perms, inversions
 
 
 @lru_cache(maxsize=None)
@@ -178,16 +236,13 @@ def _signed_delta_orbit(groups: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray
     """Offsets delta - w(delta) and signs of every w in S_g1 x S_g2 x ..., one row each.
 
     The offset columns are the complete coordinates of all groups side by
-    side.  The arrays are cached, so they are made read-only.
+    side, and the rows run through each S_g in lexicographic order.  The
+    arrays are cached, so they are made read-only.
     """
     offsets = np.zeros((1, 0), dtype=np.int64)
     signs = np.ones(1, dtype=np.int64)
     for g in groups:
-        perms = np.array(list(iter_permutations(range(g))), dtype=np.int64)
-        inversions = np.zeros(len(perms), dtype=np.int64)
-        for i in range(g):
-            for j in range(i + 1, g):
-                inversions += perms[:, i] > perms[:, j]
+        perms, inversions = _lex_permutations(g)
         delta = np.arange(g - 1, -1, -1, dtype=np.int64)
         offsets = np.concatenate(
             [np.repeat(offsets, len(perms), axis=0), np.tile(delta - delta[perms], (len(offsets), 1))],
@@ -343,8 +398,10 @@ def schur_decompose(f: SparsePoly | LatticeCharacter) -> dict:
     Raises ValueError if any multiplicity comes out negative or the
     dimension count does not add up, since then f was not a character.
     """
-    groups = f.groups if isinstance(f, LatticeCharacter) else (f.nvars,)
-    full, mults = _components(f)
+    if isinstance(f, LatticeCharacter):
+        groups, (full, mults) = f.groups, f.components
+    else:
+        groups, (full, mults) = (f.nvars,), _components(f)
     # The rows are dominant and nonnegative, so each group's parts are its
     # leading nonzero entries.
     parts = []
@@ -378,6 +435,8 @@ def inner_points(
     m_cap: int,
     level_cap: int = INNER_POINT_LEVEL_CAP,
     degree_cap: int = INNER_POINT_DEGREE_CAP,
+    *,
+    series: list[LatticeCharacter] | None = None,
 ) -> list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
     """Normalized highest-weight points of all Schur functors up to degree m_cap.
 
@@ -387,10 +446,15 @@ def inner_points(
     number, the second to one.  The pairs (lam, mu) are the highest weights
     of Sym^m(f (x) C^rank_bound), by the Cauchy identity.  The points are
     distinct and sorted.
+
+    ``series`` is passed on to ``plethysm_h_series``: a caller that keeps one
+    list for rising cutoffs of the same nu, r and rank bound builds each
+    degree once, and decomposes each degree once, since a degree caches its
+    components.  The points are those of the cutoff either way.
     """
     nu = normalize(nu)
     _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap)
-    series = plethysm_h_series(m_cap, character(nu, r), rank_bound)
+    series = plethysm_h_series(m_cap, character(nu, r), rank_bound, series=series)
     # Each point times lcm(1..m_cap) is an integer tuple, which deduplicates
     # and sorts exactly like the fractions and much faster.
     scale = lcm(*range(1, m_cap + 1))

@@ -41,9 +41,9 @@ IntVec = tuple[int, ...]
 
 def _scale_to_int(row: Sequence) -> IntVec:
     """Clear denominators and divide by the content; zero rows stay zero."""
-    fracs = [Fraction(x) for x in row]
-    den = lcm(*(x.denominator for x in fracs))
-    return _primitive(int(x * den) for x in fracs)
+    exact = [_exact(x) for x in row]  # ints stay ints, so integer rows make no Fraction
+    den = lcm(*(x.denominator for x in exact))
+    return _primitive(int(x * den) for x in exact)
 
 
 def _primitive(vec: Iterable[int]) -> IntVec:
@@ -466,10 +466,10 @@ def canonical_inequality(
     scaled to coprime integers.
     """
     groups = _coordinate_groups(r, n_particles, rank_bound)
-    vec = [Fraction(x) for x in coeffs]
+    # ints stay ints (the traces are ints too), so integer input makes no Fraction
+    *vec, b = map(_exact, (*coeffs, bound))
     if len(vec) != groups[-1][1]:
         raise ValueError(f"expected {groups[-1][1]} coefficients, got {len(vec)}")
-    b = Fraction(bound)
     for start, end, trace in groups:
         shift = min(vec[start:end])
         vec[start:end] = [x - shift for x in vec[start:end]]
@@ -564,9 +564,11 @@ def pipeline(
     """Inner-outer moment polytope computation with certificates.
 
     Every cutoff of the schedule is checked against the caps before any
-    degree is built.  For each cutoff M in the schedule, the hull of the
-    normalized component points is computed, its faces are matched against
-    test-spectrum triples, and the outer polytope cut by the matched
+    degree is built.  One Newton series serves the whole run: each cutoff's
+    ``inner_points`` call extends it up to that cutoff, so every degree is
+    built and decomposed once.  For each cutoff M in the schedule, the hull
+    of the normalized component points is computed, its faces are matched
+    against test-spectrum triples, and the outer polytope cut by the matched
     inequalities (inside the ambient chamber) is intersected with the
     chamber.  The run stops at the first M where inner and outer polytopes
     agree; the report carries the full history either way.
@@ -582,8 +584,9 @@ def pipeline(
     converged_at = None
     inner = None
     report = None
+    series: list = []  # filled on the first cutoff, so an empty schedule builds nothing
     for m_cap in m_schedule:
-        points = inner_points(nu, r, rank_bound, m_cap, level_cap, degree_cap)
+        points = inner_points(nu, r, rank_bound, m_cap, level_cap, degree_cap, series=series)
         coords = [lam + mu if mixed else lam for lam, mu in points]
         inner = hull(coords)
         report = facet_match(inner, nu, r, rank_bound)

@@ -19,7 +19,10 @@ test each permutation against v with its whole rank table.  Coset
 minimality is tested on position blocks built from the tied values.
 The Grassmann inequality families are built by the package's former code,
 one loop for each closed form, and the pipeline by its former decomposition
-(a dict checked key by key) and its former equality check (Fraction sums).
+(a dict checked key by key) and its former equality check (Fraction sums),
+or, with the package's own stages, by rebuilding its Newton series at every
+cutoff.  The Weyl group orbit of the alternation is enumerated by
+``itertools.permutations``.
 Sparse polynomial sums, products, substitutions and divided differences
 also have their former code here, which dropped each zero coefficient by
 hand as it arose.
@@ -55,6 +58,7 @@ from paulitope.plethysm import (
     _decompose_sparse,
     _entry_dtype,
     character,
+    inner_points,
     plethysm_h_series,
     schur_decompose,
 )
@@ -75,6 +79,7 @@ from paulitope.polytope import (
     facet_match,
     hull,
     polytope_from_h,
+    polytopes_equal,
 )
 from paulitope.states import (
     Amplitude,
@@ -772,6 +777,29 @@ def schur_decompose_peel(f: SparsePoly) -> dict:
             else:
                 del remaining[wt]
     return result
+
+
+def reference_signed_delta_orbit(groups: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets delta - w(delta) and signs over S_g1 x S_g2 x ..., as the package built them before.
+
+    Each S_g comes from ``itertools.permutations`` (lexicographic order) and
+    its signs from counting the inverted pairs of every row.
+    """
+    offsets = np.zeros((1, 0), dtype=np.int64)
+    signs = np.ones(1, dtype=np.int64)
+    for g in groups:
+        perms = np.array(list(itertools.permutations(range(g))), dtype=np.int64)
+        inversions = np.zeros(len(perms), dtype=np.int64)
+        for i in range(g):
+            for j in range(i + 1, g):
+                inversions += perms[:, i] > perms[:, j]
+        delta = np.arange(g - 1, -1, -1, dtype=np.int64)
+        offsets = np.concatenate(
+            [np.repeat(offsets, len(perms), axis=0), np.tile(delta - delta[perms], (len(offsets), 1))],
+            axis=1,
+        )
+        signs = np.repeat(signs, len(perms)) * np.tile(1 - 2 * (inversions % 2), len(signs))
+    return offsets, signs
 
 
 def cauchy_components(nu, r: int, k: int, m_max: int) -> list[dict]:
@@ -1515,8 +1543,15 @@ def reference_pipeline(
     m_schedule: Sequence[int],
     level_cap: int = INNER_POINT_LEVEL_CAP,
     degree_cap: int = INNER_POINT_DEGREE_CAP,
+    *,
+    points_of=reference_inner_points,
+    equal=reference_polytopes_equal,
 ) -> dict:
-    """The inner-outer loop on the reference points and the Fraction equality check."""
+    """The inner-outer loop on the reference points and the Fraction equality check.
+
+    Every cutoff computes its points afresh with ``points_of``; ``equal`` is
+    the equality check.
+    """
     nu = normalize(nu)
     n_particles = size(nu)
     mixed = rank_bound > 1
@@ -1527,7 +1562,7 @@ def reference_pipeline(
     inner = None
     report = None
     for m_cap in m_schedule:
-        points = reference_inner_points(nu, r, rank_bound, m_cap, level_cap, degree_cap)
+        points = points_of(nu, r, rank_bound, m_cap, level_cap, degree_cap)
         coords = [lam + mu if mixed else lam for lam, mu in points]
         inner = hull(coords)
         report = facet_match(inner, nu, r, rank_bound)
@@ -1536,7 +1571,7 @@ def reference_pipeline(
             for e in report["matched"]
         ]
         outer = polytope_from_h(d, ambient_eqs, ambient_ineqs + extra)
-        converged = reference_polytopes_equal(inner, outer)
+        converged = equal(inner, outer)
         history.append(
             {
                 "M": m_cap,
@@ -1561,6 +1596,18 @@ def reference_pipeline(
         "polytope": inner,
         "match": report,
     }
+
+
+def rebuild_pipeline(nu, r: int, rank_bound: int, m_schedule: Sequence[int], **caps) -> dict:
+    """The package's pipeline as it was before one Newton series served a whole run.
+
+    Every cutoff calls the package's ``inner_points`` without a series, so it
+    builds and decomposes every degree from 1 again; the equality check is
+    the package's.
+    """
+    return reference_pipeline(
+        nu, r, rank_bound, m_schedule, points_of=inner_points, equal=polytopes_equal, **caps
+    )
 
 
 # ------------------------------------------------------- inequality families

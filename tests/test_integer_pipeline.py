@@ -67,8 +67,8 @@ def test_early_convergence_builds_no_degree_above_it(monkeypatch):
     result = pipeline((1, 1, 1), 6, 1, [2, 4, 6])
     assert result["converged_at"] == 4
     assert [h["M"] for h in result["history"]] == [2, 4]
-    # each cutoff builds its own series, one Newton step per degree up to it
-    assert degrees == [1, 2, 1, 2, 3, 4]
+    # one series serves every cutoff: each degree is built once, none above 4
+    assert degrees == [1, 2, 3, 4]
 
 
 def test_empty_schedule_builds_nothing(monkeypatch):

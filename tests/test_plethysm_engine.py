@@ -19,6 +19,7 @@ from oracles import (
     cauchy_points,
     reference_inner_points,
     reference_schur_decompose,
+    reference_signed_delta_orbit,
     weyl_dimension,
 )
 from paulitope import plethysm
@@ -124,6 +125,18 @@ def test_lattice_decompose_rejects_non_characters():
     bumped[0, 0] += 1
     with pytest.raises(ValueError, match="component dimensions do not sum"):
         schur_decompose(LatticeCharacter(h3.groups, h3.totals, bumped))
+
+
+ORBIT_GROUPS = [(g,) for g in range(1, 9)] + [(4, 2), (3, 3), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("groups", ORBIT_GROUPS, ids=map(str, ORBIT_GROUPS))
+def test_orbit_table_matches_the_itertools_table_row_for_row(groups):
+    offsets, signs = plethysm._signed_delta_orbit(groups)
+    want_offsets, want_signs = reference_signed_delta_orbit(groups)
+    assert offsets.dtype == want_offsets.dtype and signs.dtype == want_signs.dtype
+    assert np.array_equal(offsets, want_offsets) and np.array_equal(signs, want_signs)
+    assert not offsets.flags.writeable and not signs.flags.writeable
 
 
 def _random_partitions(rng, r: int, count: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from oracles import random_rational_points
 from paulitope.errors import ResourceLimitError
 from paulitope.polytope import (
     Polytope,
+    _scale_to_int,
     canonical_inequality,
     cone_dual,
     facet_match,
@@ -205,6 +206,35 @@ def test_canonical_inequality_mixed():
 def test_canonical_inequality_fractions():
     gl, gm, b = canonical_inequality([Fraction(1, 2), 0], Fraction(1, 4), 2, 1)
     assert (gl, gm, b) == ((2, 0), (), 1)
+
+
+def _spellings(row):
+    """The same integer row as Fractions, floats, numpy ints, and bools where it is 0/1."""
+    yield [Fraction(x) for x in row]
+    yield [float(x) for x in row]
+    yield [np.int64(x) for x in row]
+    yield [np.int32(x) for x in row]
+    if all(x in (0, 1) for x in row):
+        yield [bool(x) for x in row]
+
+
+INT_ROWS = [[0, 0, 0, 0, 0], [1, 0, 1, 1, 1], [2, -2, 4, 0, 6], [1, -1, 0, 0, 1], [3, 0, -6, 9, 12]]
+
+
+def test_integer_rows_give_python_int_tuples_in_every_spelling():
+    for row in INT_ROWS:
+        want = _scale_to_int(row)
+        form = canonical_inequality(row[:4], row[4], 4, 2)
+        assert all(type(x) is int for x in want + form[0] + form[1] + (form[2],))
+        for spelled in _spellings(row):
+            got = _scale_to_int(spelled)
+            assert got == want and all(type(x) is int for x in got), spelled
+            got = canonical_inequality(spelled[:4], spelled[4], 4, 2)
+            assert got == form, spelled
+            assert all(type(x) is int for x in got[0] + got[1] + (got[2],)), spelled
+    # a row with a fraction takes the same normal form from Fractions and floats
+    half = canonical_inequality([Fraction(1, 2), 0, 0, Fraction(-3, 2), 1], 1, 5, 2)
+    assert canonical_inequality([0.5, 0, 0, -1.5, True], 1.0, 5, 2) == half
 
 
 def test_canonical_inequality_arity():

@@ -4,14 +4,18 @@ Usage (from the repository root; point PYTHONPATH at another checkout's
 ``src`` to time that checkout with the same script):
 
     PYTHONPATH=src python3 tools/stage_times.py --schedule 8 --runs 11
+    PYTHONPATH=src python3 tools/stage_times.py --mode fermion --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode tables --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode hull --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode vertices --runs 11
 
 The ``pipeline`` mode (the default) runs ``pipeline((2, 1), 4, 2, schedule,
 degree_cap=36)``, the system of the ``mixed-r4-m8`` benchmark workload, once
-to warm the caches and then ``--runs`` times.  The ``tables`` mode runs
-``verify_table`` on the four bundled coefficient tables, the coefficient
+to warm the caches and then ``--runs`` times; ``--schedule`` defaults to
+``8``.  The ``fermion`` mode does the same with ``pipeline((1, 1, 1), 7, 1,
+schedule)``, the system of the ``fermion-r7-m5`` benchmark workload, and
+``--schedule`` defaults to that workload's ``2 4 5``.  The ``tables`` mode
+runs ``verify_table`` on the four bundled coefficient tables, the coefficient
 part of the ``replay`` workload, once and then ``--runs`` times, and clears
 every ``lru_cache`` of the package before each run, so that each run pays
 what a fresh interpreter pays.  The ``hull`` mode runs the timed part of
@@ -23,7 +27,7 @@ the 70 rows of the bundled vertex tables, the vertex part of the ``replay``
 workload, once and then ``--runs`` times.  Each mode prints one JSON object:
 the median milliseconds of the whole run and of each stage.  A stage's time is the
 time spent in calls to its functions minus the time of other stages' calls
-nested in them.  The rest of the run is ``rows`` in the pipeline mode
+nested in them.  The rest of the run is ``rows`` in the two pipeline modes
 (turning components into points, and the loop itself) and ``rest`` in the
 other modes (triple reconstruction outside the stages, and the report, in
 the tables mode; the hull's equations, facets and the calls around them in
@@ -35,8 +39,8 @@ degree per call, ``_newton_step``; the decomposition is ``schur_decompose``
 and, where the dict is a wrapper over an array-level helper,
 ``_components``; the induced spectrum is ``induced_spectrum`` and, where
 the coefficient reads content rows, ``_spectrum``.  Names a checkout does
-not have are skipped.  In the pipeline mode ``hull`` includes building its
-integer matrix from the Fraction points; the hull mode splits it into
+not have are skipped.  In the two pipeline modes ``hull`` includes building
+its integer matrix from the Fraction points; the hull mode splits it into
 ``rows`` (``_row_matrix``, which reads every point or row into an
 integer matrix, adds the hull's homogenizing column and sorts the rows,
 for the inequalities of each vertex computation too), ``dual`` (``cone_dual``) and
@@ -62,15 +66,22 @@ from pathlib import Path
 
 from paulitope import coefficients, fixtures, plethysm, polytope, states
 
+PIPELINE_STAGES = {
+    "newton": [(plethysm, "_newton_step"), (plethysm, "plethysm_h_series")],
+    "decompose": [(plethysm, "_components"), (plethysm, "schur_decompose")],
+    "hull": [(polytope, "hull")],
+    "match": [(polytope, "facet_match")],
+    "outer": [(polytope, "polytope_from_h")],
+    "equal": [(polytope, "polytopes_equal")],
+}
+# mode -> (pipeline arguments before the schedule, keyword caps, default schedule)
+PIPELINES = {
+    "pipeline": (((2, 1), 4, 2), {"degree_cap": 36}, [8]),
+    "fermion": (((1, 1, 1), 7, 1), {}, [2, 4, 5]),
+}
 MODES = {
-    "pipeline": {
-        "newton": [(plethysm, "_newton_step"), (plethysm, "plethysm_h_series")],
-        "decompose": [(plethysm, "_components"), (plethysm, "schur_decompose")],
-        "hull": [(polytope, "hull")],
-        "match": [(polytope, "facet_match")],
-        "outer": [(polytope, "polytope_from_h")],
-        "equal": [(polytope, "polytopes_equal")],
-    },
+    "pipeline": PIPELINE_STAGES,
+    "fermion": PIPELINE_STAGES,
     "tables": {
         "spectrum": [(coefficients, "_spectrum"), (coefficients, "induced_spectrum")],
         "schubert": [
@@ -94,7 +105,7 @@ MODES = {
         "ratio": [(states, "verify_vertex")],
     },
 }
-REST = {"pipeline": "rows", "tables": "rest", "hull": "rest", "vertices": "rest"}
+REST = {"pipeline": "rows", "fermion": "rows", "tables": "rest", "hull": "rest", "vertices": "rest"}
 
 
 def install(stages: dict, totals: dict[str, float]) -> None:
@@ -148,7 +159,7 @@ def hull_mixed_run():
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mode", choices=sorted(MODES), default="pipeline")
-    parser.add_argument("--schedule", type=int, nargs="+", default=[8])
+    parser.add_argument("--schedule", type=int, nargs="+", help="pipeline cutoffs (pipeline modes)")
     parser.add_argument("--runs", type=int, default=11)
     args = parser.parse_args()
     stages = MODES[args.mode]
@@ -177,7 +188,8 @@ def main() -> None:
                 if not states.verify_vertex(row["state"], row["ratio"]):
                     raise SystemExit(f"vertex row {row['ratio']} failed its check")
         else:
-            polytope.pipeline((2, 1), 4, 2, args.schedule, degree_cap=36)
+            system, caps, schedule = PIPELINES[args.mode]
+            polytope.pipeline(*system, args.schedule or schedule, **caps)
         total = time.perf_counter() - start
         if run == 0:
             continue
