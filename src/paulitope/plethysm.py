@@ -20,8 +20,12 @@ come from one Newton recurrence.  By the Cauchy identity (Macdonald,
 
 so the GL_r x GL_k highest weights (lam, mu) of degree m are exactly the
 components lam of the plethysms S_mu V.  Each degree is decomposed once, by a
-vectorized Weyl alternation over S_r x S_k, into integer rows of highest
-weights; the dimension check multiplies out Weyl's formula on those rows.
+Weyl alternation over S_r x S_k, direct or pruned, chosen per degree by term
+count, into integer rows of highest weights; the dimension check multiplies
+out Weyl's formula on those rows.  The direct alternation gathers the whole
+orbit for every dominant weight and masks the terms outside the degree's
+array; the pruned one assigns each permutation one coordinate at a time and
+keeps only the terms inside it.
 The dict engine it replaced (Jacobi-Trudi plethysms, decomposition by
 peeling) is kept as the reference in ``tests/oracles.py``.
 
@@ -49,8 +53,12 @@ INNER_POINT_DEGREE_CAP = 24
 
 # Largest entry an int64 array may hold; bounds above it switch to Python ints.
 _INT64_LIMIT = int(np.iinfo(np.int64).max)
-# Most (dominant weight, orbit element) pairs one alternation block gathers.
+# Most (dominant weight, orbit element) pairs one direct alternation block
+# gathers; a degree with no more direct terms than this takes the direct
+# route whatever its pruned bound.
 _GATHER_BLOCK = 1 << 14
+# Most partial permutations, by their bound, a pruned alternation step holds.
+_FRONTIER_BUDGET = 1 << 18
 
 
 class LatticeCharacter:
@@ -263,6 +271,9 @@ def _free_columns(groups: tuple[int, ...]) -> list[int]:
 def _alternate(coords, offsets, signs, box, strides, gather) -> np.ndarray:
     """Weyl alternation sums sum_w sign(w) f(coords + offset(w)), one per row of coords.
 
+    The direct route: every row meets the whole orbit, and a term whose key
+    falls outside the box is masked to zero after it is built.  It is the
+    route for dense orbits and the reference for ``_alternate_pruned``.
     ``box`` is the shape the coordinates index into, ``strides`` its flat
     index steps, and ``gather`` maps flat indices to multiplicities, with -1
     for a key outside the box.  The (rows, orbit) index array is built in
@@ -302,23 +313,147 @@ def _dominant_flat(f: LatticeCharacter) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+@lru_cache(maxsize=None)
+def _value_tables(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bits of each mask of values of range(g), and the moves of a pruned step.
+
+    A state is a mask of used values plus a parity bit, bit g.  ``bits`` is
+    the (2^g, g) table of the bits of each mask; ``moves[state * g + v]`` is
+    the state after placing the unused value v.  The parity flips by (the
+    used values above v) + v: the first term counts the inversions that v
+    adds, and the + v makes the group's last position, which takes the value
+    u left over and adds g - 1 - u inversions, a constant of the group,
+    since u = C(g, 2) - (the sum of the others).  The tables are cached, so
+    they are read-only.
+    """
+    states = np.arange(2 << g)[:, None]
+    v = np.arange(g)
+    above = sum(((states >> b) & 1) * (v < b) for b in range(g))
+    bits = ((states[: 1 << g] >> v) & 1) == 1
+    moves = ((states | (1 << v)) ^ (((above + v) & 1) << g)).ravel()
+    for table in (bits, moves):
+        table.flags.writeable = False
+    return bits, moves
+
+
+def _extend(allowed, stride, g, row, flat, state):
+    """One pruned step: each partial permutation takes every value its row allows and it has not used.
+
+    ``allowed`` holds per row the mask of values pi(i) that keep the key of
+    the free axis i being assigned in the box, and ``stride`` is that axis's
+    flat index step.  ``row``, ``flat`` and ``state`` (the group's used
+    values and the parity, see ``_value_tables``) describe the frontier, one
+    entry per partial permutation, grouped by row; the new one keeps that
+    order.
+    """
+    bits, moves = _value_tables(g)
+    at, v = np.divmod(np.flatnonzero(np.take(bits, allowed[row] & ~state, axis=0)), g)
+    return row[at], flat[at] + stride * v, np.take(moves, state[at] * g + v)
+
+
+def _pruned_block(key, allowed, groups, strides, values) -> np.ndarray:
+    """The alternation sums of the rows of ``key``, by pruned steps; see ``_alternate_pruned``."""
+    row = np.arange(len(key))
+    flat = key @ strides  # the identity's keys; each step adds stride * pi(i)
+    parity = np.zeros(len(key), dtype=np.int64)
+    axis = 0
+    for g in groups:
+        state = parity << g
+        for _ in range(g - 1):
+            row, flat, state = _extend(allowed[:, axis], strides[axis], g, row, flat, state)
+            axis += 1
+        parity = (state >> g) ^ ((g - 1 - comb(g, 2)) & 1)  # the last position, see _value_tables
+    terms = values[flat] * (1 - 2 * parity)
+    # every row keeps its identity term, so each row starts one run of ``row``
+    return np.add.reduceat(terms, np.flatnonzero(np.r_[True, row[1:] != row[:-1]]))
+
+
+def _alternate_pruned(key, allowed, bounds, groups, strides, values) -> np.ndarray:
+    """The sums of ``_alternate``, over only the orbit elements whose keys stay in the box.
+
+    The pruned route.  On free axis i of a group the key is lam_i + delta_i
+    - delta_pi(i) = key_i + pi(i), with ``key`` = lam_i - i and pi the
+    group's permutation, and ``allowed`` holds the mask of the values pi(i)
+    that keep it in the box.  Each pi is built one position at a time, the
+    coset split S_g = S_{g-1} t_0 + ... + S_{g-1} t_{g-1} on the first
+    value, so a partial permutation survives only while every key assigned
+    so far is in the box.  The last position of a group takes the value left
+    over; the total fixes its coordinate, and the array holds 0 where that
+    is negative.  Each term carries its row, flat index, used values and
+    inversion parity forward step by step, and the terms are summed per row
+    exactly, in the dtype of ``values`` (int64 or Python ints).
+
+    ``bounds`` gives each row's product, over the free axes, of the values
+    it allows, which bounds that row's frontier at every step.  Rows go in
+    blocks whose bounds sum to at most _FRONTIER_BUDGET, a row exceeding it
+    going alone.  So a step's frontiers, before and after it, have at most
+    _FRONTIER_BUDGET entries each, and the step's arrays peak at about 70
+    bytes per entry (68 measured), some 18 MB at the budget.  Real frontiers
+    stay far below their bound: on Sym^7(Lambda^3 C^8) the row bounds fill
+    38 blocks, and no frontier passes 11,400 entries.
+    """
+    ends = np.cumsum(bounds)
+    sums = []
+    start = 0
+    while start < len(key):
+        reach = ends[start] - bounds[start] + _FRONTIER_BUDGET
+        stop = max(start + 1, int(np.searchsorted(ends, reach, side="right")))
+        sums.append(_pruned_block(key[start:stop], allowed[start:stop], groups, strides, values))
+        start = stop
+    return np.concatenate(sums)
+
+
+def _takes_pruned_route(direct: int, bound: int) -> bool:
+    """Whether a degree is alternated by the pruned route, from sizes known before any term.
+
+    ``direct`` is the direct route's term count, rows x |orbit|, and
+    ``bound`` the pruned route's bound, the sum of the rows' bounds.  A
+    degree that fits one gather block stays direct: a pruned step costs a
+    few numpy calls per free axis, more than one block's gather.
+    """
+    return bound < direct and direct > _GATHER_BLOCK
+
+
 def _decompose_lattice(f: LatticeCharacter):
-    """Dominant weights, as complete coordinate rows, and their alternation sums."""
+    """Dominant weights, as complete coordinate rows, and their alternation sums.
+
+    The route, direct (``_alternate``) or pruned (``_alternate_pruned``), is
+    chosen per degree by ``_takes_pruned_route`` from two term counts known
+    before any term is gathered, and the orbit table is built only for the
+    direct one.
+    """
     free = f._free_coordinates(_dominant_flat(f))
-    offsets, signs = _signed_delta_orbit(f.groups)
-    values = f.array.ravel()
-
-    def gather(idx):
-        return np.where(idx >= 0, values[idx], 0)
-
     shape = f.array.shape
     strides = np.array(_strides(shape), dtype=np.int64)
-    mults = _alternate(free, offsets[:, _free_columns(f.groups)], signs, shape, strides, gather)
+    values = f.array.ravel()
+    # The key on free axis i of a group of size g is lam_i - i + pi(i), and
+    # the values pi(i) in 0..g-1 that keep it in the box form one run,
+    # which holds pi(i) = i, the row's own weight.
+    sizes = np.array([g for g in f.groups for _ in range(g - 1)], dtype=np.int64)
+    key = free - np.array([i for g in f.groups for i in range(g - 1)], dtype=np.int64)
+    low = np.maximum(0, -key)
+    admitted = np.minimum(sizes, np.array(shape, dtype=np.int64) - key) - low
+    bounds = admitted.prod(axis=1)
+    direct = len(free) * prod(factorial(g) for g in f.groups)
+    if _takes_pruned_route(direct, int(bounds.sum())):
+        allowed = ((1 << admitted) - 1) << low
+        mults = _alternate_pruned(key, allowed, bounds, f.groups, strides, values)
+    else:
+        offsets, signs = _signed_delta_orbit(f.groups)
+
+        def gather(idx):
+            return np.where(idx >= 0, values[idx], 0)
+
+        mults = _alternate(free, offsets[:, _free_columns(f.groups)], signs, shape, strides, gather)
     return f._complete(free), mults
 
 
 def _decompose_sparse(f: SparsePoly):
-    """The same for a sparse character: keys are looked up by binary search."""
+    """The same for a sparse character: keys are looked up by binary search.
+
+    It keeps the direct route.  In the package its inputs are the subset-sum
+    products of ``generators``' second-kind expansion, on a few variables.
+    """
     r = f.nvars
     weights = list(f.terms)
     dominant = [wt for wt in weights if all(wt[i] >= wt[i + 1] for i in range(r - 1))]
@@ -393,10 +528,13 @@ def schur_decompose(f: SparsePoly | LatticeCharacter) -> dict:
 
     Each dominant weight lam in the support is tested with the Weyl
     alternation sum_w sign(w) f(lam + delta - w(delta)) over S_r, or over
-    S_r x S_k for a GL_r x GL_k character.  Keys are partitions for a GL_r
-    character and (lam, mu) pairs of partitions for a GL_r x GL_k one.
-    Raises ValueError if any multiplicity comes out negative or the
-    dimension count does not add up, since then f was not a character.
+    S_r x S_k for a GL_r x GL_k character.  A degree of the series takes the
+    direct or the pruned alternation, chosen per degree by term count (see
+    ``_decompose_lattice``); a sparse character takes the direct one.  Keys
+    are partitions for a GL_r character and (lam, mu) pairs of partitions
+    for a GL_r x GL_k one.  Raises ValueError if any multiplicity comes out
+    negative or the dimension count does not add up, since then f was not a
+    character.
     """
     if isinstance(f, LatticeCharacter):
         groups, (full, mults) = f.groups, f.components

@@ -1460,7 +1460,9 @@ def reference_hull(points: Sequence[Sequence]) -> Polytope:
 # checked by one Weyl dimension per key, each point coordinate is a Fraction
 # of its own, and equality is checked with Fraction sums.  The Newton
 # recurrence, the Weyl alternation and the double description are the
-# package's own.
+# package's own; the alternation is ``_decompose_lattice``'s, direct or pruned
+# as the package chooses per degree (tests/test_alternation_routes.py holds
+# the two routes to each other), and the direct one for a sparse character.
 
 
 def reference_schur_decompose(f: SparsePoly | LatticeCharacter) -> dict:

@@ -5,21 +5,25 @@ Usage (from the repository root; point PYTHONPATH at another checkout's
 
     PYTHONPATH=src python3 tools/stage_times.py --schedule 8 --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode fermion --runs 11
+    PYTHONPATH=src python3 tools/stage_times.py --mode fermion-4x8 --runs 3
     PYTHONPATH=src python3 tools/stage_times.py --mode tables --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode hull --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode vertices --runs 11
 
 The ``pipeline`` mode (the default) runs ``pipeline((2, 1), 4, 2, schedule,
 degree_cap=36)``, the system of the ``mixed-r4-m8`` benchmark workload, once
-to warm the caches and then ``--runs`` times; ``--schedule`` defaults to
-``8``.  The ``fermion`` mode does the same with ``pipeline((1, 1, 1), 7, 1,
-schedule)``, the system of the ``fermion-r7-m5`` benchmark workload, and
-``--schedule`` defaults to that workload's ``2 4 5``.  The ``tables`` mode
-runs ``verify_table`` on the four bundled coefficient tables, the coefficient
-part of the ``replay`` workload, once and then ``--runs`` times, and clears
-every ``lru_cache`` of the package before each run, so that each run pays
-what a fresh interpreter pays.  The ``hull`` mode runs the timed part of
-the ``hull-mixed`` benchmark workload (hull, facet match, outer polytope
+and then ``--runs`` times; ``--schedule`` defaults to ``8``.  The
+``fermion`` mode does the same with ``pipeline((1, 1, 1), 7, 1, schedule)``,
+the system of the ``fermion-r7-m5`` benchmark workload, and ``--schedule``
+defaults to that workload's ``2 4 5``.  The ``fermion-4x8`` mode does the
+same with ``pipeline((1, 1, 1, 1), 8, 1, schedule, degree_cap=40)``, the
+eight-level Lambda^4 C^8 system, and ``--schedule`` defaults to ``8``.  The
+``tables`` mode runs ``verify_table`` on the four bundled coefficient tables,
+the coefficient part of the ``replay`` workload, once and then ``--runs``
+times.  These four modes clear every ``lru_cache`` of the package before
+each run, so that each run pays what a fresh interpreter pays, the orbit
+tables of the Weyl alternation included.  The ``hull`` mode runs the timed
+part of the ``hull-mixed`` benchmark workload (hull, facet match, outer polytope
 and equality check) on its 24,526 points, which it builds with the
 benchmark's own integer enumeration from ``perfbench/workloads.py``, once
 and then ``--runs`` times.  The ``vertices`` mode runs ``verify_vertex`` on
@@ -27,7 +31,7 @@ the 70 rows of the bundled vertex tables, the vertex part of the ``replay``
 workload, once and then ``--runs`` times.  Each mode prints one JSON object:
 the median milliseconds of the whole run and of each stage.  A stage's time is the
 time spent in calls to its functions minus the time of other stages' calls
-nested in them.  The rest of the run is ``rows`` in the two pipeline modes
+nested in them.  The rest of the run is ``rows`` in the three pipeline modes
 (turning components into points, and the loop itself) and ``rest`` in the
 other modes (triple reconstruction outside the stages, and the report, in
 the tables mode; the hull's equations, facets and the calls around them in
@@ -39,7 +43,7 @@ degree per call, ``_newton_step``; the decomposition is ``schur_decompose``
 and, where the dict is a wrapper over an array-level helper,
 ``_components``; the induced spectrum is ``induced_spectrum`` and, where
 the coefficient reads content rows, ``_spectrum``.  Names a checkout does
-not have are skipped.  In the two pipeline modes ``hull`` includes building
+not have are skipped.  In the three pipeline modes ``hull`` includes building
 its integer matrix from the Fraction points; the hull mode splits it into
 ``rows`` (``_row_matrix``, which reads every point or row into an
 integer matrix, adds the hull's homogenizing column and sorts the rows,
@@ -78,10 +82,9 @@ PIPELINE_STAGES = {
 PIPELINES = {
     "pipeline": (((2, 1), 4, 2), {"degree_cap": 36}, [8]),
     "fermion": (((1, 1, 1), 7, 1), {}, [2, 4, 5]),
+    "fermion-4x8": (((1, 1, 1, 1), 8, 1), {"degree_cap": 40}, [8]),
 }
-MODES = {
-    "pipeline": PIPELINE_STAGES,
-    "fermion": PIPELINE_STAGES,
+MODES = {mode: PIPELINE_STAGES for mode in PIPELINES} | {
     "tables": {
         "spectrum": [(coefficients, "_spectrum"), (coefficients, "induced_spectrum")],
         "schubert": [
@@ -105,7 +108,7 @@ MODES = {
         "ratio": [(states, "verify_vertex")],
     },
 }
-REST = {"pipeline": "rows", "fermion": "rows", "tables": "rest", "hull": "rest", "vertices": "rest"}
+REST = {mode: "rows" for mode in PIPELINES} | {"tables": "rest", "hull": "rest", "vertices": "rest"}
 
 
 def install(stages: dict, totals: dict[str, float]) -> None:
@@ -175,7 +178,7 @@ def main() -> None:
     samples: dict[str, list[float]] = defaultdict(list)
     for run in range(args.runs + 1):
         totals.clear()
-        if args.mode == "tables":
+        if args.mode == "tables" or args.mode in PIPELINES:
             clear_caches()
         start = time.perf_counter()
         if args.mode == "tables":
