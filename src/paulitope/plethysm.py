@@ -296,21 +296,31 @@ def _alternate(coords, offsets, signs, box, strides, gather) -> np.ndarray:
 
 
 def _dominant_flat(f: LatticeCharacter) -> np.ndarray:
-    """Flat indices of the dominant weights (weakly decreasing in each group) in the support."""
+    """Flat indices, ascending, of the dominant weights (weakly decreasing in each group) in the support.
+
+    Only the dominant weights inside the box are visited, one free axis at a
+    time: on the axis of part i of a group, each partial weight takes every
+    part from ceil(rest / (g - i)), since it is the largest of the g - i
+    parts left, to the least of the part before it, the rest of the group's
+    total and the box; the group's last part is what is left.  The parts
+    are taken in increasing order within each partial weight, so the flat
+    indices come out ascending.
+    """
     shape = f.array.shape
-    mask = f.array != 0
+    strides = _strides(shape)
+    flat = np.zeros(1, dtype=np.int64)
     axis = 0
     for g, total in zip(f.groups, f.totals):
-        free = [
-            np.arange(shape[a]).reshape([-1 if b == a else 1 for b in range(len(shape))])
-            for a in range(axis, axis + g - 1)
-        ]
-        if free:
-            chain = free + [total - sum(free)]
-            for upper, lower in zip(chain, chain[1:]):
-                mask &= upper >= lower
-        axis += g - 1
-    return np.flatnonzero(mask)
+        rest = part = np.full(len(flat), total, dtype=np.int64)
+        for i in range(g - 1):
+            low = -(-rest // (g - i))
+            count = np.maximum(np.minimum(np.minimum(part, rest), shape[axis] - 1) - low + 1, 0)
+            at = np.repeat(np.arange(len(flat)), count)
+            part = low[at] + np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count)
+            flat = flat[at] + strides[axis] * part
+            rest = rest[at] - part
+            axis += 1
+    return flat[f.array.take(flat) != 0]
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from numbers import Integral
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -35,6 +35,13 @@ RAY_CAP = 20000
 # Rows one step of the double description's forward scan takes against the
 # cone.  On the hull-mixed rows 128 to 1024 are about equally fast; 2048 is slower.
 _SCAN_BLOCK = 512
+# Rows ``_row_matrix`` reads per block; only one block's entries are held in
+# Python lists at a time, so the read adds no input-sized list to the peak.
+_READ_BLOCK = 2048
+# Fewest rows ``_sorted_rows`` sorts on one integer key.  Below about 100
+# rows ``np.lexsort`` is as fast, and it makes fewer numpy calls, which is
+# what a pipeline's small hull and vertex systems pay for.
+_KEY_SORT_ROWS = 128
 
 IntVec = tuple[int, ...]
 
@@ -117,6 +124,77 @@ def _lcm_int64(dens: np.ndarray) -> int:
     return l
 
 
+def _read_entries(rows: Sequence[Sequence], width: int, lead: bool, dtype=np.int64):
+    """Numerators and denominators of a rational matrix, one column per row of the result.
+
+    Returns the (lead + width, n) numerators, whose first ``lead`` row holds
+    1s, and the (width, n) denominators, as arrays of ``dtype``; entry j of
+    input row i sits at column i.  Rows are read _READ_BLOCK at a time, so
+    that only one block's entries are held in lists.  A block whose entries
+    are all exactly ``Fraction``s is read through the ``_numerator`` and
+    ``_denominator`` slots, which a comprehension loads at C level where the
+    public properties run Python code.  Any other block is read through the
+    properties, after ``_exact`` unless every entry is an int or a
+    ``Fraction`` (a ``Fraction`` subclass takes the properties too).  An
+    object read sends every entry through ``int()``, so that numpy-int
+    numerators cannot wrap; an int64 read raises OverflowError on an entry
+    past int64.
+    """
+    n = len(rows)
+    nums = np.empty((lead + width, n), dtype)
+    nums[:lead] = 1
+    dens = np.empty((width, n), dtype)
+    for start in range(0, n, _READ_BLOCK):
+        block = rows[start : start + _READ_BLOCK]
+        stop, size = start + len(block), len(block) * width
+        num = [x._numerator for row in block for x in row if type(x) is Fraction]
+        if len(num) == size:
+            den = [x._denominator for row in block for x in row]
+        else:
+            entries = list(chain.from_iterable(block))
+            if not all(issubclass(t, (int, Fraction)) for t in set(map(type, entries))):
+                entries = [_exact(x) for x in entries]
+            num, den = map(attrgetter("numerator"), entries), map(attrgetter("denominator"), entries)
+        if dtype is object:
+            num, den = map(int, num), map(int, den)
+        nums[lead:, start:stop] = np.fromiter(num, dtype, size).reshape(stop - start, width).T
+        dens[:, start:stop] = np.fromiter(den, dtype, size).reshape(stop - start, width).T
+    return nums, dens
+
+
+def _sorted_rows(columns: np.ndarray) -> np.ndarray:
+    """The distinct nonzero rows, in lexicographic order, of the integer matrix whose columns are given.
+
+    ``columns`` holds column j of the matrix as its row j.  An int64 matrix
+    of at least _KEY_SORT_ROWS rows is sorted on one int64 key: each column,
+    less its minimum, is one digit, in the base of the column's span, when
+    the product of the spans fits in int64; rows with equal keys are equal.
+    A smaller matrix, a larger product, or a matrix of Python ints, is
+    sorted by ``np.lexsort`` over the columns.
+    """
+    n = columns.shape[1]
+    keyed = n >= _KEY_SORT_ROWS and columns.dtype != object
+    if keyed:
+        lo = columns.min(axis=1)
+        spans = [h - l + 1 for l, h in zip(lo.tolist(), columns.max(axis=1).tolist())]
+        keyed = prod(spans) <= _INT64_LIMIT
+    if not keyed:
+        matrix = columns.T[np.lexsort(columns[::-1])]
+        keep = matrix.any(axis=1)
+        keep[1:] &= (matrix[1:] != matrix[:-1]).any(axis=1)
+        return matrix[keep]
+    radix = np.array([prod(spans[j + 1 :]) for j in range(len(spans))], dtype=np.int64)
+    key = radix @ (columns - lo[:, None])
+    order = np.argsort(key)
+    key = key[order]
+    new = np.ones(n, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    del key
+    matrix = columns.T[order[new]]
+    nonzero = matrix.any(axis=1)
+    return matrix if nonzero.all() else matrix[nonzero]
+
+
 def _row_matrix(rows: Sequence[Sequence], width: int, lead: bool = False) -> np.ndarray:
     """The distinct primitive integer rows of a rational matrix, in lexicographic order.
 
@@ -124,50 +202,40 @@ def _row_matrix(rows: Sequence[Sequence], width: int, lead: bool = False) -> np.
     become the rows (den, x1*den, ...) of their homogenization.  Each row is
     scaled by the lcm of its denominators and divided by the gcd of the
     result; zero rows are dropped and the rest come out in the order
-    ``sorted(set(rows))`` gives.  Numerators, then denominators, are read in
-    one pass each straight into int64: through the ``_numerator`` and
-    ``_denominator`` slots (C-level, where the public properties run Python
-    code) when every entry is exactly a ``Fraction``, through the properties
-    for other ints and Fractions, and after ``_exact`` for anything else.
-    The matrix is int64 when max|numerator| * lcm(denominators), the leading
-    1 included, fits; otherwise it holds Python ints (dtype=object), read
-    again through ``int()`` so that numpy-int numerators cannot wrap.  Every
-    scaled entry, and every lcm on the way, is bounded by that product.
+    ``sorted(set(rows))`` gives.  ``_read_entries`` reads the numerators and
+    denominators straight into int64, block by block, one matrix column to
+    an array row; so the lcm and the gcd of each matrix row are reductions
+    across those array rows, one binary ufunc call per column over all the
+    matrix rows at once.  ``_sorted_rows`` orders the rows and drops the
+    repeats.  The matrix is int64 when max|numerator| * lcm(denominators),
+    the leading 1 included, fits; otherwise, or when an entry does not fit
+    in int64, the entries are read again into Python ints (dtype=object).
+    Every scaled entry, and every lcm on the way, is bounded by that
+    product.
+
+    On the 24,526 ``hull-mixed`` points (2-vCPU Xeon VM, in process) the
+    reader takes about 33 ms: 22 for the read, 7 for the scaling and 3 for
+    the order.  The one-pass reader it replaced took about 52 ms, with a
+    type check over the whole matrix, a reduction along each row and a
+    ``np.lexsort`` over seven columns.
     """
-    n = len(rows)
-    types = set(map(type, chain.from_iterable(rows)))
-    if types <= {Fraction}:
-        attrs = ("_numerator", "_denominator")
-    else:
-        attrs = ("numerator", "denominator")
-        if not all(issubclass(t, (int, Fraction)) for t in types):
-            rows = [[_exact(x) for x in row] for row in rows]
     try:
-        nums, dens = (
-            np.fromiter(map(attrgetter(a), chain.from_iterable(rows)), np.int64, n * width) for a in attrs
-        )
+        nums, dens = _read_entries(rows, width, lead)
     except OverflowError:
         dtype = object
     else:
-        num_max = max(int(nums.max(initial=0)), -int(nums.min(initial=0)), lead)
-        dtype = _entry_dtype(num_max * _lcm_int64(dens))
+        num_max = max(int(nums.max(initial=0)), -int(nums.min(initial=0)))
+        dtype = _entry_dtype(num_max * _lcm_int64(dens.ravel()))
     if dtype is object:
-        nums, dens = (
-            np.fromiter(map(int, map(attrgetter(a), chain.from_iterable(rows))), object, n * width)
-            for a in attrs
-        )
-    nums, dens = nums.reshape(n, width), dens.reshape(n, width)
-    scale = np.lcm.reduce(dens, axis=1, initial=1)
-    np.floor_divide(scale[:, None], dens, out=dens)
-    nums *= dens
-    del dens
+        nums, dens = _read_entries(rows, width, lead, object)
+    scale = np.lcm.reduce(dens, axis=0, initial=1)
+    np.floor_divide(scale, dens, out=dens)
+    nums[lead:] *= dens
     if lead:
-        nums = np.column_stack((scale, nums))
-    nums //= np.maximum(np.gcd.reduce(nums, axis=1), 1)[:, None]
-    nums = nums[np.lexsort(nums.T[::-1])]
-    keep = nums.any(axis=1)
-    keep[1:] &= (nums[1:] != nums[:-1]).any(axis=1)
-    return nums[keep]
+        nums[0] = scale
+    del dens, scale  # the sort below holds the matrix twice; nothing else input-sized stays
+    nums //= np.maximum(np.gcd.reduce(nums, axis=0), 1)
+    return _sorted_rows(nums)
 
 
 def _products(pending: np.ndarray, row_max: int, gens: list[IntVec]) -> np.ndarray:
@@ -222,7 +290,8 @@ def cone_dual(
     ``hull`` passes and which is used as it is (as is any int64 or
     Python-int matrix of width ``dim``, in its own row order), or rows of
     rationals, as a list or any other array, which go through
-    ``_row_matrix`` here.  Equations only restrict the lineality
+    ``_row_matrix`` here: read in blocks, scaled column by column and
+    sorted, on one integer key when there are many.  Equations only restrict the lineality
     space, and they are eliminated before any inequality, while there are
     no rays yet.  The inequalities are then inserted in the matrix order
     with the standard double description step, using bitmasks over the
@@ -404,9 +473,10 @@ def hull(points: Iterable[Sequence]) -> Polytope:
     The points go to ``cone_dual`` as one integer matrix of the primitive
     rows (den, x1*den, ...), den the lcm of a point's denominators, without
     repeats and in lexicographic order, so the input order does not matter.
-    ``_row_matrix`` reads it, through the Fraction slots when every
-    coordinate is exactly a Fraction; it is int64 when max|numerator| *
-    lcm(denominators) fits and holds Python ints otherwise.
+    ``_row_matrix`` reads it in blocks of points, through the Fraction slots
+    for a block whose coordinates are all exactly Fractions, and sorts it,
+    on one integer key when there are many points; it is int64 when
+    max|numerator| * lcm(denominators) fits and holds Python ints otherwise.
     """
     points = list(points)
     arities = set(map(len, points))

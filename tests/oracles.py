@@ -22,7 +22,10 @@ one loop for each closed form, and the pipeline by its former decomposition
 (a dict checked key by key) and its former equality check (Fraction sums),
 or, with the package's own stages, by rebuilding its Newton series at every
 cutoff.  The Weyl group orbit of the alternation is enumerated by
-``itertools.permutations``.
+``itertools.permutations``, and the dominant weights of a degree are found
+by testing every entry of its array.  Rational matrices are read into
+integer rows by the object-array reader and by the one-pass int64 reader
+that the block reader replaced.
 Sparse polynomial sums, products, substitutions and divided differences
 also have their former code here, which dropped each zero coefficient by
 hand as it arose.
@@ -74,6 +77,7 @@ from paulitope.polytope import (
     Polytope,
     _ambient_system,
     _exact,
+    _lcm_int64,
     _products,
     _restrict,
     facet_match,
@@ -779,6 +783,28 @@ def schur_decompose_peel(f: SparsePoly) -> dict:
     return result
 
 
+# The dominant-weight scan the package used before it enumerated partitions:
+# one broadcast comparison per free axis over every entry of the degree's array.
+
+
+def reference_dominant_flat(f: LatticeCharacter) -> np.ndarray:
+    """Flat indices of the dominant weights (weakly decreasing in each group) in the support."""
+    shape = f.array.shape
+    mask = f.array != 0
+    axis = 0
+    for g, total in zip(f.groups, f.totals):
+        free = [
+            np.arange(shape[a]).reshape([-1 if b == a else 1 for b in range(len(shape))])
+            for a in range(axis, axis + g - 1)
+        ]
+        if free:
+            chain = free + [total - sum(free)]
+            for upper, lower in zip(chain, chain[1:]):
+                mask &= upper >= lower
+        axis += g - 1
+    return np.flatnonzero(mask)
+
+
 def reference_signed_delta_orbit(groups: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Offsets delta - w(delta) and signs over S_g1 x S_g2 x ..., as the package built them before.
 
@@ -1267,6 +1293,66 @@ def reference_row_matrix(entries: list, width: int) -> np.ndarray:
     keep = rows.any(axis=1)
     keep[1:] &= (rows[1:] != rows[:-1]).any(axis=1)
     return rows[keep]
+
+
+# The int64 reader the package used before it read in blocks: one
+# ``np.fromiter`` pass over ``attrgetter`` of every entry for the numerators
+# and one for the denominators, after one type check over the whole
+# matrix; the lcm and gcd reduced along each row; and ``np.lexsort`` over
+# the columns.
+
+
+def attrgetter_row_matrix(rows: Sequence[Sequence], width: int, lead: bool = False) -> np.ndarray:
+    """The distinct primitive integer rows of a rational matrix, in lexicographic order.
+
+    Each row has ``width`` entries; ``lead`` puts a 1 before each, so points
+    become the rows (den, x1*den, ...) of their homogenization.  Each row is
+    scaled by the lcm of its denominators and divided by the gcd of the
+    result; zero rows are dropped and the rest come out in the order
+    ``sorted(set(rows))`` gives.  Numerators, then denominators, are read in
+    one pass each straight into int64: through the ``_numerator`` and
+    ``_denominator`` slots (C-level, where the public properties run Python
+    code) when every entry is exactly a ``Fraction``, through the properties
+    for other ints and Fractions, and after ``_exact`` for anything else.
+    The matrix is int64 when max|numerator| * lcm(denominators), the leading
+    1 included, fits; otherwise it holds Python ints (dtype=object), read
+    again through ``int()`` so that numpy-int numerators cannot wrap.  Every
+    scaled entry, and every lcm on the way, is bounded by that product.
+    """
+    n = len(rows)
+    types = set(map(type, itertools.chain.from_iterable(rows)))
+    if types <= {Fraction}:
+        attrs = ("_numerator", "_denominator")
+    else:
+        attrs = ("numerator", "denominator")
+        if not all(issubclass(t, (int, Fraction)) for t in types):
+            rows = [[_exact(x) for x in row] for row in rows]
+    try:
+        nums, dens = (
+            np.fromiter(map(attrgetter(a), itertools.chain.from_iterable(rows)), np.int64, n * width) for a in attrs
+        )
+    except OverflowError:
+        dtype = object
+    else:
+        num_max = max(int(nums.max(initial=0)), -int(nums.min(initial=0)), lead)
+        dtype = _entry_dtype(num_max * _lcm_int64(dens))
+    if dtype is object:
+        nums, dens = (
+            np.fromiter(map(int, map(attrgetter(a), itertools.chain.from_iterable(rows))), object, n * width)
+            for a in attrs
+        )
+    nums, dens = nums.reshape(n, width), dens.reshape(n, width)
+    scale = np.lcm.reduce(dens, axis=1, initial=1)
+    np.floor_divide(scale[:, None], dens, out=dens)
+    nums *= dens
+    del dens
+    if lead:
+        nums = np.column_stack((scale, nums))
+    nums //= np.maximum(np.gcd.reduce(nums, axis=1), 1)[:, None]
+    nums = nums[np.lexsort(nums.T[::-1])]
+    keep = nums.any(axis=1)
+    keep[1:] &= (nums[1:] != nums[:-1]).any(axis=1)
+    return nums[keep]
 
 
 # The double description the package used before its forward scan: before

@@ -5,6 +5,8 @@ orbit S_g1 x S_g2 ..., or by the pruned enumeration that keeps only the
 orbit elements whose keys stay in the degree's array.  Forced onto every
 degree, the two routes must give the same rows and multiplicities, in the
 same dtype, and refuse the same non-characters with the same message.
+Both routes start from the dominant weights that ``_dominant_flat``
+enumerates, which must be those the former scan of the whole array found.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import reference_dominant_flat
 from paulitope import plethysm
 from paulitope.plethysm import LatticeCharacter, character, plethysm_h_series
 
@@ -47,6 +50,28 @@ def test_routes_agree_on_the_engine_grid(nu, r, monkeypatch):
 def test_routes_agree_on_seven_and_eight_levels(nu, r, m_max, monkeypatch):
     for term in plethysm_h_series(m_max, character(nu, r))[1:]:
         _assert_routes_agree(monkeypatch, term)
+
+
+@pytest.mark.parametrize(
+    "nu,r,ks",
+    [(nu, r, (1, 2, 3)) for nu, r in GRID] + [((1, 1, 1), 8, (1,)), ((1, 1, 1, 1), 8, (1,))],
+    ids=[f"nu{''.join(map(str, nu))}-r{r}" for nu, r in GRID] + ["nu111-r8", "nu1111-r8"],
+)
+def test_dominant_weights_match_the_full_scan(nu, r, ks):
+    for k in ks:
+        for term in plethysm_h_series(6, character(nu, r), k):
+            got = plethysm._dominant_flat(term)
+            assert got.dtype == np.int64
+            assert got.tolist() == reference_dominant_flat(term).tolist()
+
+
+def test_dominant_weights_of_python_int_and_non_character_arrays(monkeypatch):
+    for term in _non_characters():
+        assert plethysm._dominant_flat(term).tolist() == reference_dominant_flat(term).tolist()
+    monkeypatch.setattr(plethysm, "_INT64_LIMIT", 0)
+    for term in plethysm_h_series(4, character((2, 1), 3), 2)[1:]:
+        assert term.array.dtype == object
+        assert plethysm._dominant_flat(term).tolist() == reference_dominant_flat(term).tolist()
 
 
 def test_routes_agree_in_python_ints(monkeypatch):

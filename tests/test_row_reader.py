@@ -1,24 +1,31 @@
-"""The int64 row reader against the object-array reader it replaced.
+"""The block row reader against the two readers it replaced.
 
 ``polytope._row_matrix`` reads every entry's numerator and denominator
-straight into int64, through the ``Fraction`` slots when every entry is
-exactly a ``Fraction``, and falls back to Python ints past int64.  The
-reference (``oracles.reference_row_matrix``) reads both through the public
-properties into object arrays.  On every input here both must give the same
-matrix, values and dtype; with ``lead`` the reader must match the reference
-on the rows with a leading 1 written out.
+into int64 one block of rows at a time, through the ``Fraction`` slots for a
+block whose entries are all exactly ``Fraction``s, takes the lcm and gcd
+one column at a time, and sorts the rows on one int64 key, or by
+``np.lexsort`` for a small matrix or a key past int64; it falls back to
+Python ints past int64.  The
+references are the object-array reader (``oracles.reference_row_matrix``),
+which reads both through the public properties, and the one-pass int64
+reader (``oracles.attrgetter_row_matrix``).  On every input here all three
+must give the same matrix, values, dtype and shape; with ``lead`` the reader
+must match the object-array reader on the rows with a leading 1 written out.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
+from functools import lru_cache
+from math import prod
 from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from oracles import random_rational_points, reference_row_matrix
+from oracles import attrgetter_row_matrix, random_rational_points, reference_row_matrix
 from paulitope import polytope
 from paulitope.plethysm import inner_points
 from paulitope.polytope import Polytope, cone_dual, hull
@@ -33,11 +40,16 @@ class Ratio(Fraction):
 
 def assert_same_matrix(rows, width, lead=False):
     got = polytope._row_matrix(rows, width, lead=lead)
+    # the integer-key sort, which only larger matrices take, on every input
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polytope, "_KEY_SORT_ROWS", 1)
+        keyed = polytope._row_matrix(rows, width, lead=lead)
     written = [(1, *row) for row in rows] if lead else rows
     want = reference_row_matrix(list(itertools.chain.from_iterable(written)), width + lead)
-    assert got.dtype == want.dtype
-    assert got.shape == want.shape
-    assert got.tolist() == want.tolist()
+    for ref in (want, attrgetter_row_matrix(rows, width, lead), keyed):
+        assert got.dtype == ref.dtype
+        assert got.shape == ref.shape
+        assert got.tolist() == ref.tolist()
     if got.dtype == object:
         assert all(type(x) is int for x in got.flat)
     return got
@@ -98,8 +110,10 @@ def test_entry_type_mixes(name, lead):
         [(2**63, 1)],
         [(Fraction(1, 2**63), 1)],
         [(Fraction(1, INT64_MAX), Fraction(1, 2))],
+        # key digits 2^62 * 2 + 1 would wrap past int64 without the column minimum taken off
+        [(2**62 + 1, 2), (2**62, 1), (2**62 - 1, 1)],
     ],
-    ids=["max", "minus-max", "min", "min-alone", "max-half", "past-max", "den-past-max", "den-max"],
+    ids=["max", "minus-max", "min", "min-alone", "max-half", "past-max", "den-past-max", "den-max", "key-offset"],
 )
 def test_numerators_at_the_int64_edges(rows):
     assert_same_matrix(rows, 2)
@@ -137,13 +151,18 @@ def _pipeline_points(nu, r, rank_bound, m_cap, **caps):
     return [lam + mu if rank_bound > 1 else lam for lam, mu in points]
 
 
+@lru_cache(maxsize=None)
+def _hull_mixed_sorted():
+    return tuple(_mixed_lattice_points(16))
+
+
 @pytest.mark.parametrize(
     "name",
     ["hull-mixed", "c4", "c6", "mixed-r4-m8"],
 )
 def test_benchmark_and_pipeline_points(name):
     if name == "hull-mixed":
-        pts = _mixed_lattice_points(16)
+        pts = list(_hull_mixed_sorted())
         assert len(pts) == 24526
     elif name == "c4":
         pts = _pipeline_points((1, 1, 1), 6, 1, 4)
@@ -153,6 +172,86 @@ def test_benchmark_and_pipeline_points(name):
         pts = _pipeline_points((2, 1), 4, 2, 8, degree_cap=36)
     assert all(type(x) is Fraction for x in itertools.chain.from_iterable(pts))
     assert_same_matrix(pts, len(pts[0]), lead=True)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_hull_mixed_points_in_benchmark_order(seed):
+    # the benchmark shuffles the sorted points with random.Random(seed), and
+    # the order is what the sort sees
+    pts = list(_hull_mixed_sorted())
+    random.Random(seed).shuffle(pts)
+    assert assert_same_matrix(pts, 6, lead=True).shape == (24526, 7)
+
+
+# ------------------------------------------------------------ blocks
+
+
+def test_a_past_int64_numerator_in_the_last_block_reads_every_block_again(monkeypatch):
+    monkeypatch.setattr(polytope, "_READ_BLOCK", 16)
+    rows = random_rows(np.random.default_rng(81), 50, 3)
+    assert_same_matrix(rows, 3)
+    rows[-1] = (Fraction(2**64, 3), 1, 0)
+    assert assert_same_matrix(rows, 3).dtype == object
+
+
+@pytest.mark.parametrize("block", [None, 16], ids=["read-block", "patched-16"])
+@pytest.mark.parametrize("last", [7, Ratio(7, 2), 0.5, "2/9"], ids=["int", "subclass", "float", "string"])
+def test_a_non_fraction_entry_only_in_the_last_block(monkeypatch, block, last):
+    if block:
+        monkeypatch.setattr(polytope, "_READ_BLOCK", block)
+    n = 2 * polytope._READ_BLOCK + 1
+    rows = random_rows(np.random.default_rng(82), n, 3, denom=12, size=50)
+    rows[-1] = (Fraction(1, 3), last, Fraction(-5, 4))
+    assert_same_matrix(rows, 3)
+    assert_same_matrix(rows, 3, lead=True)
+
+
+# -------------------------------------------------------------- the order
+
+
+def _lexsort_calls(monkeypatch, rows, width, lead=False):
+    """The matrix ``_row_matrix`` gives, and how often it called ``np.lexsort``."""
+    calls = []
+    real = np.lexsort
+
+    def recording(keys, *args, **kwargs):
+        calls.append(len(keys))
+        return real(keys, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "lexsort", recording)
+        got = polytope._row_matrix(rows, width, lead)
+    return got, len(calls)
+
+
+@pytest.mark.parametrize("lead", [False, True], ids=["rows", "points"])
+def test_a_small_matrix_or_a_key_past_int64_takes_lexsort(monkeypatch, lead):
+    # no zero rows, so the column spans of the output are those of the key
+    rows = [row for row in random_rows(np.random.default_rng(83), 200, 4) if any(row)]
+    got, calls = _lexsort_calls(monkeypatch, rows, 4, lead)
+    assert calls == 0
+    assert _lexsort_calls(monkeypatch, rows[: polytope._KEY_SORT_ROWS - 1], 4, lead)[1] == 1
+    spans = prod(int(c.max()) - int(c.min()) + 1 for c in got.T)
+    for limit, want_calls in ((spans, 0), (spans - 1, 1), (0, 1)):
+        monkeypatch.setattr(polytope, "_INT64_LIMIT", limit)
+        fell_back, calls = _lexsort_calls(monkeypatch, rows, 4, lead)
+        assert calls == want_calls
+        assert fell_back.dtype == np.int64 and fell_back.tolist() == got.tolist()
+        assert_same_matrix(rows, 4, lead)
+
+
+def test_python_int_matrices_are_sorted_by_lexsort(monkeypatch):
+    monkeypatch.setattr(polytope, "_READ_BLOCK", 16)
+    rng = np.random.default_rng(84)
+    rows = [
+        tuple(Fraction(int(n) * 2**62, int(d)) for n, d in zip(rng.integers(-9, 10, 3), rng.integers(1, 7, 3)))
+        for _ in range(60)
+    ]
+    rows += rows[:4] + [(0, 0, 0), (Fraction(3, 2), Ratio(1, 5), 2**70)]
+    got, calls = _lexsort_calls(monkeypatch, rows, 3)
+    assert got.dtype == object and calls == 1
+    assert assert_same_matrix(rows, 3).tolist() == got.tolist()
+    assert assert_same_matrix(rows, 3, lead=True).dtype == object
 
 
 # ------------------------------------------------------ the slot read
@@ -168,21 +267,28 @@ def test_fraction_slots_equal_the_public_properties():
         assert list(map(attrgetter(slot), fracs)) == list(map(attrgetter(prop), fracs))
 
 
-def test_only_exact_fractions_take_the_slot_read(monkeypatch):
-    read = []
-    real = polytope.attrgetter
+class Skewed(Fraction):
+    """A Fraction subclass whose public numerator and denominator are not its slots."""
 
-    def recording(name):
-        read.append(name)
-        return real(name)
+    @property
+    def numerator(self):
+        return self._numerator + 1
 
-    monkeypatch.setattr(polytope, "attrgetter", recording)
-    polytope._row_matrix([(Fraction(1, 2), Fraction(3))], 2)
-    assert read == ["_numerator", "_denominator"]
-    read.clear()
-    polytope._row_matrix([(Fraction(1, 2), 3)], 2)
-    polytope._row_matrix([(Fraction(1, 2), Ratio(3))], 2)
-    assert read == ["numerator", "denominator"] * 2
+    @property
+    def denominator(self):
+        return 2 * self._denominator
+
+
+def test_a_fraction_subclass_is_read_through_its_properties():
+    # only entries that are exactly Fractions may be read through the slots
+    skewed = [(Skewed(1, 3), Skewed(-2, 5), Skewed(4)), (Skewed(7, 2), Skewed(0), Skewed(-1, 6))]
+    mixed = [(Skewed(1, 3), Fraction(1, 3), Fraction(-2, 5)), (Fraction(7, 2), Fraction(5, 9), Skewed(2, 9))]
+    for rows, lead in itertools.product((skewed, mixed), (False, True)):
+        through = [tuple(Fraction(x.numerator, x.denominator) for x in row) for row in rows]
+        assert polytope._row_matrix(rows, 3, lead).tolist() == polytope._row_matrix(through, 3, lead).tolist()
+        assert_same_matrix(rows, 3, lead)
+    # the properties are what is read: (1 + 1) / 6 and (-2 + 1) / 10 and (4 + 1) / 2
+    assert polytope._row_matrix(skewed[:1], 3).tolist() == [[10, -3, 75]]
 
 
 # ------------------------------------------------ numpy-int numerators

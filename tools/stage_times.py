@@ -45,15 +45,19 @@ and, where the dict is a wrapper over an array-level helper,
 the coefficient reads content rows, ``_spectrum``.  Names a checkout does
 not have are skipped.  In the three pipeline modes ``hull`` includes building
 its integer matrix from the Fraction points; the hull mode splits it into
-``rows`` (``_row_matrix``, which reads every point or row into an
-integer matrix, adds the hull's homogenizing column and sorts the rows,
-for the inequalities of each vertex computation too), ``dual`` (``cone_dual``) and
-``vertices`` (the rest of ``_vertices_from_h``); ``hull``'s arity check
-before the read is in ``rest``.  The table stages are wrapped where
-``coefficients`` calls them, since it imports them by name.  The vertices
-mode splits each call into ``rdm`` (``one_particle_rdm``), ``spectrum``
-(the rest of ``occupation_numbers``: the diagonal read or the eigensolver)
-and ``ratio`` (the rest of ``verify_vertex``: the expected spectrum and the
+``read`` (``_read_entries``, which reads the numerators and denominators
+of every point or row into arrays), ``order`` (``_sorted_rows``, which
+sorts the scaled rows and drops repeats), ``rows`` (the rest of
+``_row_matrix``: the dtype check, the lcm and gcd scaling and the hull's
+homogenizing column; in a checkout without the two helpers, the whole
+reader), all three for the inequalities of each vertex computation too,
+``dual`` (``cone_dual``) and ``vertices`` (the rest of
+``_vertices_from_h``); ``hull``'s arity check before the read is in
+``rest``.  The table stages are wrapped where ``coefficients`` calls
+them, since it imports them by name.  The vertices mode splits each call
+into ``rdm`` (``one_particle_rdm``), ``spectrum`` (the rest of
+``occupation_numbers``: the diagonal read or the eigensolver) and
+``ratio`` (the rest of ``verify_vertex``: the expected spectrum and the
 comparison).
 """
 
@@ -95,6 +99,8 @@ MODES = {mode: PIPELINE_STAGES for mode in PIPELINES} | {
         "minimal": [(coefficients, "require_minimal")],
     },
     "hull": {
+        "read": [(polytope, "_read_entries")],
+        "order": [(polytope, "_sorted_rows")],
         "rows": [(polytope, "_row_matrix")],
         "dual": [(polytope, "cone_dual")],
         "vertices": [(polytope, "_vertices_from_h")],
