@@ -19,13 +19,18 @@ come from one Newton recurrence.  By the Cauchy identity (Macdonald,
     Sym^m(V (x) C^k) = sum over mu |- m, l(mu) <= k of S_mu V (x) S_mu C^k,
 
 so the GL_r x GL_k highest weights (lam, mu) of degree m are exactly the
-components lam of the plethysms S_mu V.  Each degree is decomposed once, by a
-Weyl alternation over S_r x S_k, direct or pruned, chosen per degree by term
-count, into integer rows of highest weights; the dimension check multiplies
-out Weyl's formula on those rows.  The direct alternation gathers the whole
-orbit for every dominant weight and masks the terms outside the degree's
-array; the pruned one assigns each permutation one coordinate at a time and
-keeps only the terms inside it.
+components lam of the plethysms S_mu V.  The recurrence is
+m h_m = sum_j Adams_j(V (x) C^k) h_{m-j}, and the Adams operations are ring
+maps (Macdonald, I.5), so each term is one sweep per tensor factor: the
+weights of V shift h_{m-j} into a temporary, at most (m / (m + 1))^(k-1)
+the size of degree m, and the k weights of C^k shift that into degree m.
+Each degree is decomposed once, by a Weyl alternation over S_r x S_k,
+direct or pruned, chosen per degree by term count, into integer rows of
+highest weights; the dimension check multiplies out Weyl's formula on those
+rows.  The direct alternation gathers the whole orbit for every dominant
+weight and masks the terms outside the degree's array; the pruned one
+assigns each permutation one coordinate at a time and keeps only the terms
+inside it.
 The dict engine it replaced (Jacobi-Trudi plethysms, decomposition by
 peeling) is kept as the reference in ``tests/oracles.py``.
 
@@ -140,10 +145,12 @@ def plethysm_h_series(
 
     With k = 1 these are GL_r characters, the symmetric powers of f; with
     k > 1 they are GL_r x GL_k characters.  f must be homogeneous.  Built by
-    the Newton recurrence m h_m = sum_j Adams_j(f (x) C^k) h_{m-j}: every
-    Adams weight shifts the dense array of h_{m-j} into the accumulator.  The
-    division by m must be exact, and the dimension of every degree must be
-    C(k dim f + m - 1, m); either failure raises ArithmeticError.
+    the Newton recurrence m h_m = sum_j Adams_j(f) Adams_j(C^k) h_{m-j}, one
+    sweep per tensor factor (see ``_newton_step``): the weights of f shift
+    the dense array of h_{m-j} into a temporary, and the weights of C^k
+    shift the temporary into the accumulator.  The division by m must be
+    exact, and the dimension of every degree must be C(k dim f + m - 1, m);
+    either failure raises ArithmeticError.
 
     ``series``, if given, must be a list this function returned or filled
     earlier for the same f and k.  It is extended in place with the degrees
@@ -161,11 +168,15 @@ def plethysm_h_series(
     r = f.nvars
     degree = max(f.degree(), 0)  # the zero character's totals stay 0, not -m
     groups = (r,) if k == 1 else (r, k)
-    # The weights of C^k (none for k = 1), those of f (x) C^k on the free
-    # coordinates (Adams_j multiplies them by j), and the coordinate sums of
-    # each group in degree 1.
+    # The weights of C^k (none for k = 1), then one factor per group, each
+    # weight on all free coordinates and zero on the other group's: the
+    # weights of f, then for k > 1 those of C^k (Adams_j multiplies them by
+    # j).  The zero character's f (x) C^k has no weights, so neither factor
+    # gets any.  Then the coordinate sums of each group in degree 1.
     units = [tuple(int(a == b) for b in range(k)) for a in range(k)] if k > 1 else [()]
-    factor = [(wt[:-1] + e[:-1], mult) for wt, mult in f.terms.items() for e in units]
+    factors = [[(wt[:-1] + (0,) * (k - 1), mult) for wt, mult in f.terms.items()]]
+    if k > 1:
+        factors.append([((0,) * (r - 1) + e[:-1], 1) for e in units] if f.terms else [])
     totals = (degree,) if k == 1 else (degree, 1)
     if series is None:
         series = []
@@ -175,7 +186,7 @@ def plethysm_h_series(
         trivial = np.ones((1,) * (r + k - 2), dtype=np.int64)
         series.append(LatticeCharacter(groups, (0,) * len(groups), trivial))
     while len(series) <= m_max:
-        series.append(_newton_step(series, factor, totals, k * sum(f.terms.values())))
+        series.append(_newton_step(series, factors, totals, k * sum(f.terms.values())))
     return series[: m_max + 1]
 
 
@@ -195,25 +206,43 @@ def _require_same_series(series: list, groups: tuple[int, ...], degree_one: dict
 
 
 def _newton_step(
-    series: list[LatticeCharacter], factor: list, totals: tuple[int, ...], dim: int
+    series: list[LatticeCharacter], factors: list[list], totals: tuple[int, ...], dim: int
 ) -> LatticeCharacter:
     """Degree m = len(series) of Sym(f (x) C^k), from the degrees below it.
 
-    ``factor`` holds the weights of f (x) C^k on the free coordinates with
-    their multiplicities, ``totals`` the coordinate sum of each group in
-    degree 1, and dim = k dim f.
+    ``factors`` holds one list per group, the weights of f and then those of
+    C^k, each weight on all free coordinates with its multiplicity;
+    ``totals`` is the coordinate sum of each group in degree 1, and
+    dim = k dim f.  Adams_j is a ring map, so Adams_j(f (x) C^k) h_{m-j} is
+    one sweep per factor: h_{m-j} shifted by j times each weight of f goes
+    into a temporary, and the temporary shifted by j times each weight of
+    C^k into the accumulator.  With one factor (k = 1) the sweep adds
+    straight into the accumulator.  That is |f| + k slice-adds per j, not
+    |f| k, and the |f| of them run on the smaller array.  The temporary has
+    the accumulator's level axes and the rank axes of h_{m-j}, so it is
+    largest at j = 1, (m / (m + 1))^(k-1) of the accumulator.  Every addend
+    is nonnegative and the temporary is added once unshifted (the last
+    weight of C^k is 0 on the free coordinates), so its entries are at most
+    the accumulator's and it takes the accumulator's dtype.
     """
     m = len(series)
     groups = series[0].groups
-    caps = [max((wt[axis] for wt, _ in factor), default=0) for axis in range(series[0].array.ndim)]
+    ndim = series[0].array.ndim
+    caps = [[max((wt[a] for wt, _ in factor), default=0) for a in range(ndim)] for factor in factors]
     dim_m = comb(dim + m - 1, m)
     dtype = _entry_dtype(m * dim_m * prod(factorial(g) for g in groups))
-    acc = np.zeros(tuple(m * c + 1 for c in caps), dtype=dtype)
+    acc = np.zeros(tuple(m * sum(c) + 1 for c in zip(*caps)), dtype=dtype)
     for j in range(1, m + 1):
         prev = series[m - j].array.astype(dtype, copy=False)
-        for shift, mult in factor:
-            window = tuple(slice(j * s, j * s + n) for s, n in zip(shift, prev.shape))
-            acc[window] += prev if mult == 1 else mult * prev
+        for i, (factor, cap) in enumerate(zip(factors, caps)):
+            if i == len(factors) - 1:
+                swept = acc
+            else:
+                swept = np.zeros(tuple(n + j * c for n, c in zip(prev.shape, cap)), dtype=dtype)
+            for shift, mult in factor:
+                window = tuple(slice(j * s, j * s + n) for s, n in zip(shift, prev.shape))
+                swept[window] += prev if mult == 1 else mult * prev
+            prev = swept
     if (acc % m).any():
         raise ArithmeticError(f"Newton recurrence does not divide exactly at degree {m}")
     acc //= m

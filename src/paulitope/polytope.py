@@ -633,19 +633,23 @@ def pipeline(
 ) -> dict:
     """Inner-outer moment polytope computation with certificates.
 
-    Every cutoff of the schedule is checked against the caps before any
-    degree is built.  One Newton series serves the whole run: each cutoff's
-    ``inner_points`` call extends it up to that cutoff, so every degree is
-    built and decomposed once.  For each cutoff M in the schedule, the hull
-    of the normalized component points is computed, its faces are matched
-    against test-spectrum triples, and the outer polytope cut by the matched
-    inequalities (inside the ambient chamber) is intersected with the
-    chamber.  The run stops at the first M where inner and outer polytopes
-    agree; the report carries the full history either way.
+    Every cutoff of the schedule is checked before any degree is built: a
+    cutoff below 1, which has no points to hull, raises ValueError, and one
+    over the caps ResourceLimitError.  One Newton series serves the whole
+    run: each cutoff's ``inner_points`` call extends it up to that cutoff,
+    so every degree is built and decomposed once.  For each cutoff M in the
+    schedule, the hull of the normalized component points is computed, its
+    faces are matched against test-spectrum triples, and the outer polytope
+    cut by the matched inequalities (inside the ambient chamber) is
+    intersected with the chamber.  The run stops at the first M where inner
+    and outer polytopes agree; the report carries the full history either
+    way.
     """
     nu = normalize(nu)
     m_schedule = list(m_schedule)
     for m_cap in m_schedule:
+        if m_cap < 1:
+            raise ValueError(f"pipeline: the cutoff M = {m_cap} is below 1")
         _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap)
     n_particles = size(nu)
     mixed = rank_bound > 1

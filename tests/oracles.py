@@ -21,9 +21,10 @@ The Grassmann inequality families are built by the package's former code,
 one loop for each closed form, and the pipeline by its former decomposition
 (a dict checked key by key) and its former equality check (Fraction sums),
 or, with the package's own stages, by rebuilding its Newton series at every
-cutoff.  The Weyl group orbit of the alternation is enumerated by
-``itertools.permutations``, and the dominant weights of a degree are found
-by testing every entry of its array.  Rational matrices are read into
+cutoff.  The Newton step shifts by every weight of the product f (x) C^k
+rather than by one tensor factor at a time.  The Weyl group orbit of the
+alternation is enumerated by ``itertools.permutations``, and the dominant
+weights of a degree are found by testing every entry of its array.  Rational matrices are read into
 integer rows by the object-array reader and by the one-pass int64 reader
 that the block reader replaced.
 Sparse polynomial sums, products, substitutions and divided differences
@@ -826,6 +827,60 @@ def reference_signed_delta_orbit(groups: tuple[int, ...]) -> tuple[np.ndarray, n
         )
         signs = np.repeat(signs, len(perms)) * np.tile(1 - 2 * (inversions % 2), len(signs))
     return offsets, signs
+
+
+# The Newton step the package took before it swept one tensor factor at a
+# time: every weight of the product f (x) C^k shifts h_{m-j} into the
+# accumulator, |f| k slice-adds per j.
+
+
+def flat_product_h_series(m_max: int, f: SparsePoly, k: int = 1, series=None) -> list:
+    """Degrees 0 .. m_max of Sym(f (x) C^k) by the flat-product step.
+
+    ``series``, if given, is extended in place without any check, so a
+    degree below m_max may be patched to test the step's own checks.
+    """
+    r = f.nvars
+    degree = max(f.degree(), 0)
+    groups = (r,) if k == 1 else (r, k)
+    units = [tuple(int(a == b) for b in range(k)) for a in range(k)] if k > 1 else [()]
+    factor = [(wt[:-1] + e[:-1], mult) for wt, mult in f.terms.items() for e in units]
+    totals = (degree,) if k == 1 else (degree, 1)
+    if series is None:
+        trivial = np.ones((1,) * (r + k - 2), dtype=np.int64)
+        series = [LatticeCharacter(groups, (0,) * len(groups), trivial)]
+    while len(series) <= m_max:
+        series.append(flat_product_newton_step(series, factor, totals, k * sum(f.terms.values())))
+    return series[: m_max + 1]
+
+
+def flat_product_newton_step(
+    series: list[LatticeCharacter], factor: list, totals: tuple[int, ...], dim: int
+) -> LatticeCharacter:
+    """Degree m = len(series) of Sym(f (x) C^k), from the degrees below it.
+
+    ``factor`` holds the weights of f (x) C^k on the free coordinates with
+    their multiplicities, ``totals`` the coordinate sum of each group in
+    degree 1, and dim = k dim f.
+    """
+    m = len(series)
+    groups = series[0].groups
+    caps = [max((wt[axis] for wt, _ in factor), default=0) for axis in range(series[0].array.ndim)]
+    dim_m = comb(dim + m - 1, m)
+    dtype = _entry_dtype(m * dim_m * math.prod(math.factorial(g) for g in groups))
+    acc = np.zeros(tuple(m * c + 1 for c in caps), dtype=dtype)
+    for j in range(1, m + 1):
+        prev = series[m - j].array.astype(dtype, copy=False)
+        for shift, mult in factor:
+            window = tuple(slice(j * s, j * s + n) for s, n in zip(shift, prev.shape))
+            acc[window] += prev if mult == 1 else mult * prev
+    if (acc % m).any():
+        raise ArithmeticError(f"Newton recurrence does not divide exactly at degree {m}")
+    acc //= m
+    term = LatticeCharacter(groups, tuple(t * m for t in totals), acc)
+    if term.dimension() != dim_m:
+        raise ArithmeticError(f"degree {m} has dimension {term.dimension()}, not {dim_m}")
+    return term
 
 
 def cauchy_components(nu, r: int, k: int, m_max: int) -> list[dict]:

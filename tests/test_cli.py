@@ -197,6 +197,12 @@ def test_polytope_odd_cutoff_ends_the_schedule(capsys):
     assert payload["converged_at"] is None
 
 
+def test_polytope_cutoff_below_one_exits_2(capsys):
+    code, out, err = _run(capsys, "polytope", "--nu", "1,1,1", "-r", "6", "-M", "0")
+    assert code == 2 and out == ""
+    assert err == "error: pipeline: the cutoff M = 0 is below 1\n"
+
+
 def test_polytope_level_cap_exits_3(capsys):
     code, _, err = _run(capsys, "polytope", "--nu", "1,1,1", "-r", "9", "-M", "2")
     assert code == 3

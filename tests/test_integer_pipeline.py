@@ -16,9 +16,10 @@ from fractions import Fraction
 import pytest
 
 from oracles import reference_hull, reference_pipeline, reference_polytopes_equal
-from paulitope import plethysm
+from paulitope import plethysm, polytope
 from paulitope.errors import ResourceLimitError
 from paulitope.fixtures import VERTEX_TABLES, coefficient_table, vertex_table
+from paulitope.plethysm import inner_points
 from paulitope.polytope import _ambient_system, hull, pipeline, polytope_from_h, polytopes_equal
 from paulitope.tableaux import size
 
@@ -60,6 +61,18 @@ def test_schedule_is_refused_before_any_degree_is_built(monkeypatch):
     with pytest.raises(ResourceLimitError, match=r"^inner_points: r=9 exceeds the level cap 8$"):
         pipeline((1, 1, 1), 9, 1, [2])
     assert degrees == []
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_cutoff_below_one_is_refused_before_any_degree_is_built(monkeypatch, bad):
+    degrees = _counted_newton_steps(monkeypatch)
+    hulls = []
+    monkeypatch.setattr(polytope, "hull", lambda points: hulls.append(points))
+    with pytest.raises(ValueError, match=rf"^pipeline: the cutoff M = {bad} is below 1$"):
+        pipeline((1, 1, 1), 7, 1, [2, 4, 5, bad])
+    assert degrees == [] and hulls == []
+    # inner_points itself still reads cutoff 0 as no points
+    assert inner_points((1, 1, 1), 7, 1, 0) == []
 
 
 def test_early_convergence_builds_no_degree_above_it(monkeypatch):
