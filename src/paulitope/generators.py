@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ResourceLimitError, as_int
-from .plethysm import schur_decompose
-from .polynomials import SparsePoly
+from .plethysm import LatticeCharacter, _entry_dtype, schur_decompose
 from .states import (
     WedgeState,
     level_merged_state,
@@ -288,13 +289,20 @@ def _kind2_expansion(N: int, p: int) -> list[OccupationInequality]:
             f"grassmann_kind2: expanding the degree-{degree} product over {p} variables "
             f"may need {estimate} terms (cap {KIND2_TERM_CAP})"
         )
-    product = SparsePoly.constant(p, 1)
-    for subset in combinations(range(1, p + 1), N):
-        product = product * SparsePoly.linear_form(
-            [1 if k in subset else 0 for k in range(1, p + 1)]
-        )
+    # The product of the subset-sum forms, dense on the free axes x_1..x_{p-1}:
+    # each variable of a form adds the product so far shifted one step on its
+    # axis, and x_p, which the degree fixes, unshifted.  Its total N^degree
+    # times |S_p| bounds every entry and every alternation sum.
+    dtype = _entry_dtype(N**degree * factorial(p))
+    product = np.ones((1,) * (p - 1), dtype=dtype)
+    for subset in combinations(range(p), N):
+        grown = np.zeros(tuple(n + (a in subset) for a, n in enumerate(product.shape)), dtype=dtype)
+        for i in subset:
+            window = tuple(slice(int(a == i), int(a == i) + n) for a, n in enumerate(product.shape))
+            grown[window] += product
+        product = grown
     items = []
-    for gamma, mult in sorted(schur_decompose(product).items()):
+    for gamma, mult in sorted(schur_decompose(LatticeCharacter((p,), (degree,), product)).items()):
         framed = FramedDiagram(gamma, p, degree)
         indices = shuffle_vertical_sequence(framed)
         items.append(OccupationInequality(indices, N - 1, gamma, mult))
@@ -308,7 +316,7 @@ def grassmann_kind2(n_particles: int, p: int) -> InequalityFamily:
     decomposed into Schur components; every component gives an inequality on
     any number of levels.  For p = N + 1 the closed column-strip form of the
     coefficients is used and the two vanishing shapes come with violating
-    states; other widths expand the product directly, behind resource caps.
+    states; other widths expand the product densely, behind resource caps.
     """
     N = as_int(n_particles, "particle count")
     p = as_int(p, "width")
@@ -344,6 +352,8 @@ def series_inequality(n_particles: int, p: int) -> OccupationInequality:
     """
     N = as_int(n_particles, "particle count")
     p = as_int(p, "width")
+    if N < 1:
+        raise ValueError("need at least one particle")
     if p < N:
         raise ValueError(f"need p >= N, got p={p}, N={N}")
     indices = tuple(k + comb(k - 1, N - 1) for k in range(1, p + 1))

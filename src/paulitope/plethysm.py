@@ -6,8 +6,9 @@ A character is a multiset of weights, kept in one of two storages:
   multiplicities, the character being that polynomial in x_1..x_r.  It holds
   sparse inputs: the character of one Schur functor, or a product of linear
   forms.
-* ``LatticeCharacter`` is one homogeneous degree of a symmetric-power
-  series, on GL_r or on GL_r x GL_k.  The degree fixes the coordinate sum of
+* ``LatticeCharacter`` is one homogeneous degree of a character on GL_r or
+  on GL_r x GL_k: a degree of a symmetric-power series, or of a
+  ``SparsePoly`` laid out densely.  The degree fixes the coordinate sum of
   each group (levels, ranks), so the last coordinate of every group is
   dropped and the character is a dense integer array over the free
   coordinates only.
@@ -24,15 +25,16 @@ m h_m = sum_j Adams_j(V (x) C^k) h_{m-j}, and the Adams operations are ring
 maps (Macdonald, I.5), so each term is one sweep per tensor factor: the
 weights of V shift h_{m-j} into a temporary, at most (m / (m + 1))^(k-1)
 the size of degree m, and the k weights of C^k shift that into degree m.
-Each degree is decomposed once, by a Weyl alternation over S_r x S_k,
-direct or pruned, chosen per degree by term count, into integer rows of
-highest weights; the dimension check multiplies out Weyl's formula on those
-rows.  The direct alternation gathers the whole orbit for every dominant
-weight and masks the terms outside the degree's array; the pruned one
-assigns each permutation one coordinate at a time and keeps only the terms
-inside it.
+Each degree, of the series or of a ``SparsePoly`` laid out densely, is
+decomposed once, by a Weyl alternation over S_r x S_k, direct or pruned,
+chosen per degree by term count, into integer rows of highest weights; the
+dimension check multiplies out Weyl's formula on those rows.  The direct
+alternation gathers the whole orbit for every dominant weight and masks the
+terms outside the degree's array; the pruned one assigns each permutation
+one coordinate at a time and keeps only the terms inside it.
 The dict engine it replaced (Jacobi-Trudi plethysms, decomposition by
-peeling) is kept as the reference in ``tests/oracles.py``.
+peeling) and the former decomposition of a ``SparsePoly`` by binary search
+over its terms are kept as the reference in ``tests/oracles.py``.
 
 Every step is exact.  Dense entries are int64 when a bound on them fits and
 Python integers (``dtype=object``) otherwise, through the same code.
@@ -73,8 +75,9 @@ class LatticeCharacter:
     group, and ``array`` has one axis per free coordinate: every coordinate
     of a group but its last, which the total fixes.  A weight's multiplicity
     sits at its free coordinates; a free position whose last coordinate would
-    be negative holds 0.  The array is made read-only, and the weight dict and
-    the components are each computed once, on first use.
+    be negative holds 0, and so does every weight outside the array.  The
+    array is made read-only, and the weight dict and the components are each
+    computed once, on first use.
     """
 
     def __init__(self, groups: tuple[int, ...], totals: tuple[int, ...], array: np.ndarray):
@@ -297,17 +300,16 @@ def _free_columns(groups: tuple[int, ...]) -> list[int]:
     return [c for c in range(ends[-1]) if c + 1 not in ends]
 
 
-def _alternate(coords, offsets, signs, box, strides, gather) -> np.ndarray:
+def _alternate(coords, offsets, signs, box, strides, values) -> np.ndarray:
     """Weyl alternation sums sum_w sign(w) f(coords + offset(w)), one per row of coords.
 
     The direct route: every row meets the whole orbit, and a term whose key
     falls outside the box is masked to zero after it is built.  It is the
     route for dense orbits and the reference for ``_alternate_pruned``.
     ``box`` is the shape the coordinates index into, ``strides`` its flat
-    index steps, and ``gather`` maps flat indices to multiplicities, with -1
-    for a key outside the box.  The (rows, orbit) index array is built in
-    blocks of at most _GATHER_BLOCK entries, which bounds the memory of a
-    large orbit.
+    index steps, and ``values`` the flat array of multiplicities.  The
+    (rows, orbit) index array is built in blocks of at most _GATHER_BLOCK
+    entries, which bounds the memory of a large orbit.
     """
     base = coords @ strides
     shift = offsets @ strides
@@ -319,8 +321,8 @@ def _alternate(coords, offsets, signs, box, strides, gather) -> np.ndarray:
         for axis, n in enumerate(box):
             key = block[:, axis, None] + offsets[None, :, axis]
             valid &= (key >= 0) & (key < n)
-        flat = np.where(valid, base[start : start + rows, None] + shift, -1)
-        parts.append((gather(flat) * signs).sum(axis=1))
+        flat = np.where(valid, base[start : start + rows, None] + shift, 0)
+        parts.append((np.where(valid, values[flat], 0) * signs).sum(axis=1))
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
@@ -456,10 +458,10 @@ def _takes_pruned_route(direct: int, bound: int) -> bool:
 def _decompose_lattice(f: LatticeCharacter):
     """Dominant weights, as complete coordinate rows, and their alternation sums.
 
-    The route, direct (``_alternate``) or pruned (``_alternate_pruned``), is
-    chosen per degree by ``_takes_pruned_route`` from two term counts known
-    before any term is gathered, and the orbit table is built only for the
-    direct one.
+    Every decomposition of the package runs here.  The route, direct
+    (``_alternate``) or pruned (``_alternate_pruned``), is chosen per degree
+    by ``_takes_pruned_route`` from two term counts known before any term
+    is gathered, and the orbit table is built only for the direct one.
     """
     free = f._free_coordinates(_dominant_flat(f))
     shape = f.array.shape
@@ -479,39 +481,30 @@ def _decompose_lattice(f: LatticeCharacter):
         mults = _alternate_pruned(key, allowed, bounds, f.groups, strides, values)
     else:
         offsets, signs = _signed_delta_orbit(f.groups)
-
-        def gather(idx):
-            return np.where(idx >= 0, values[idx], 0)
-
-        mults = _alternate(free, offsets[:, _free_columns(f.groups)], signs, shape, strides, gather)
+        mults = _alternate(free, offsets[:, _free_columns(f.groups)], signs, shape, strides, values)
     return f._complete(free), mults
 
 
-def _decompose_sparse(f: SparsePoly):
-    """The same for a sparse character: keys are looked up by binary search.
+def _lattice_degrees(f: SparsePoly) -> list[LatticeCharacter]:
+    """``f`` laid out as GL_r ``LatticeCharacter``s, one per degree, lowest first.
 
-    It keeps the direct route.  In the package its inputs are the subset-sum
-    products of ``generators``' second-kind expansion, on a few variables.
+    Each free axis is as long as its largest exponent plus one.  Entries are
+    int64 when max(r!, terms) max|c| fits: it bounds every degree's sum and
+    every alternation sum.
     """
     r = f.nvars
-    weights = list(f.terms)
-    dominant = [wt for wt in weights if all(wt[i] >= wt[i + 1] for i in range(r - 1))]
-    full = np.array(dominant, dtype=np.int64).reshape(-1, r)
-    offsets, signs = _signed_delta_orbit((r,))
-    box = (max((max(wt) for wt in weights), default=0) + 1,) * r
-    # each alternation sum has |orbit| terms of absolute value at most max |mult|
-    bound = len(signs) * max((abs(m) for m in f.terms.values()), default=0)
-    strides = np.array(_strides(box), dtype=_entry_dtype(prod(box)))
-    codes = np.array(weights, dtype=np.int64).reshape(-1, r) @ strides
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    values = np.array(list(f.terms.values()), dtype=_entry_dtype(bound))[order]
-
-    def gather(idx):
-        pos = np.minimum(np.searchsorted(codes, idx), len(codes) - 1)
-        return np.where(codes[pos] == idx, values[pos], 0)
-
-    return full, _alternate(full, offsets, signs, box, strides, gather)
+    exponents = np.array(list(f.terms), dtype=np.int64).reshape(-1, r)
+    bound = max(factorial(r), len(f.terms)) * max(map(abs, f.terms.values()), default=0)
+    values = np.array(list(f.terms.values()), dtype=_entry_dtype(bound))
+    degrees = exponents.sum(axis=1)
+    layout = []
+    for degree in np.unique(degrees).tolist():
+        free = exponents[degrees == degree, :-1]
+        shape = tuple((free.max(axis=0) + 1).tolist())
+        array = np.zeros(prod(shape), dtype=values.dtype)
+        array[free @ np.array(_strides(shape), dtype=np.int64)] = values[degrees == degree]
+        layout.append(LatticeCharacter((r,), (degree,), array.reshape(shape)))
+    return layout
 
 
 def _weyl_dimensions(full: np.ndarray, groups: tuple[int, ...]) -> np.ndarray:
@@ -535,21 +528,14 @@ def _weyl_dimensions(full: np.ndarray, groups: tuple[int, ...]) -> np.ndarray:
     return dims
 
 
-def _components(f: SparsePoly | LatticeCharacter) -> tuple[np.ndarray, np.ndarray]:
+def _components(f: LatticeCharacter) -> tuple[np.ndarray, np.ndarray]:
     """Highest weights of a character, as rows of complete coordinates, and their multiplicities.
 
     Raises ValueError if any multiplicity comes out negative or the
     component dimensions do not sum to the dimension of f, since then f was
     not a character.
     """
-    if isinstance(f, LatticeCharacter):
-        groups = f.groups
-        dimension = f.dimension()
-        full, mults = _decompose_lattice(f)
-    else:
-        groups = (f.nvars,)
-        dimension = sum(f.terms.values())
-        full, mults = _decompose_sparse(f)
+    full, mults = _decompose_lattice(f)
     if (mults < 0).any():
         bad = int(np.flatnonzero(mults < 0)[0])
         raise ValueError(
@@ -557,7 +543,7 @@ def _components(f: SparsePoly | LatticeCharacter) -> tuple[np.ndarray, np.ndarra
         )
     keep = mults != 0
     full, mults = full[keep], mults[keep]
-    if sum(map(mul, mults.tolist(), _weyl_dimensions(full, groups).tolist())) != dimension:
+    if sum(map(mul, mults.tolist(), _weyl_dimensions(full, f.groups).tolist())) != f.dimension():
         raise ValueError("component dimensions do not sum to the character dimension")
     return full, mults
 
@@ -567,28 +553,30 @@ def schur_decompose(f: SparsePoly | LatticeCharacter) -> dict:
 
     Each dominant weight lam in the support is tested with the Weyl
     alternation sum_w sign(w) f(lam + delta - w(delta)) over S_r, or over
-    S_r x S_k for a GL_r x GL_k character.  A degree of the series takes the
-    direct or the pruned alternation, chosen per degree by term count (see
-    ``_decompose_lattice``); a sparse character takes the direct one.  Keys
-    are partitions for a GL_r character and (lam, mu) pairs of partitions
-    for a GL_r x GL_k one.  Raises ValueError if any multiplicity comes out
-    negative or the dimension count does not add up, since then f was not a
+    S_r x S_k for a GL_r x GL_k character, direct or pruned, chosen per
+    degree by term count (see ``_decompose_lattice``).  A ``SparsePoly`` is
+    laid out as one GL_r ``LatticeCharacter`` per degree first (see
+    ``_lattice_degrees``), and the decompositions of its degrees are merged,
+    so a non-homogeneous character decomposes too.  Keys are partitions for
+    a GL_r character and (lam, mu) pairs of partitions for a GL_r x GL_k
+    one.  Raises ValueError if any multiplicity comes out negative or the
+    dimension count of a degree does not add up, since then f was not a
     character.
     """
-    if isinstance(f, LatticeCharacter):
-        groups, (full, mults) = f.groups, f.components
-    else:
-        groups, (full, mults) = (f.nvars,), _components(f)
-    # The rows are dominant and nonnegative, so each group's parts are its
-    # leading nonzero entries.
-    parts = []
-    start = 0
-    for g in groups:
-        block = full[:, start : start + g]
-        lengths = np.count_nonzero(block, axis=1)
-        parts.append([tuple(row[:n]) for row, n in zip(block.tolist(), lengths.tolist())])
-        start += g
-    return dict(zip(parts[0] if len(parts) == 1 else zip(*parts), mults.tolist()))
+    result: dict = {}
+    for term in [f] if isinstance(f, LatticeCharacter) else _lattice_degrees(f):
+        full, mults = term.components
+        # The rows are dominant and nonnegative, so each group's parts are
+        # its leading nonzero entries.
+        parts = []
+        start = 0
+        for g in term.groups:
+            block = full[:, start : start + g]
+            lengths = np.count_nonzero(block, axis=1)
+            parts.append([tuple(row[:n]) for row, n in zip(block.tolist(), lengths.tolist())])
+            start += g
+        result.update(zip(parts[0] if len(parts) == 1 else zip(*parts), mults.tolist()))
+    return result
 
 
 def _check_request(nu, r: int, rank_bound: int, m_cap: int, level_cap: int, degree_cap: int) -> None:

@@ -18,7 +18,9 @@ Induced spectra enumerate their tableaux on every call, and Monk chain sums
 test each permutation against v with its whole rank table.  Coset
 minimality is tested on position blocks built from the tied values.
 The Grassmann inequality families are built by the package's former code,
-one loop for each closed form, and the pipeline by its former decomposition
+one loop for each closed form and a product of sparse polynomials for the
+other widths, whose decomposition looks each alternation term up by binary
+search over the sorted terms, and the pipeline by its former decomposition
 (a dict checked key by key) and its former equality check (Fraction sums),
 or, with the package's own stages, by rebuilding its Newton series at every
 cutoff.  The Newton step shifts by every weight of the product f (x) C^k
@@ -37,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -55,16 +57,17 @@ from paulitope.generators import (
 )
 from paulitope.permutations import Permutation
 from paulitope.plethysm import (
+    _GATHER_BLOCK,
     INNER_POINT_DEGREE_CAP,
     INNER_POINT_LEVEL_CAP,
     LatticeCharacter,
     _decompose_lattice,
-    _decompose_sparse,
     _entry_dtype,
+    _signed_delta_orbit,
+    _strides,
     character,
     inner_points,
     plethysm_h_series,
-    schur_decompose,
 )
 from paulitope.polynomials import (
     SparsePoly,
@@ -1596,6 +1599,66 @@ def reference_hull(points: Sequence[Sequence]) -> Polytope:
     return Polytope(dim, eqs, fac, vertices)
 
 
+# The decomposition of a sparse character as the package had it before every
+# character reached ``_decompose_lattice`` as a ``LatticeCharacter``: the
+# dominant weights of the support, tested by the direct Weyl alternation,
+# whose terms are looked up by binary search over the sorted flat keys of
+# the terms, through a gather callback.
+
+
+def _alternate(coords, offsets, signs, box, strides, gather) -> np.ndarray:
+    """Weyl alternation sums sum_w sign(w) f(coords + offset(w)), one per row of coords.
+
+    The package's former direct route: every row meets the whole orbit, and
+    a term whose key falls outside the box is masked to zero after it is
+    built.  ``box`` is the shape the coordinates index into, ``strides`` its flat
+    index steps, and ``gather`` maps flat indices to multiplicities, with -1
+    for a key outside the box.  The (rows, orbit) index array is built in
+    blocks of at most _GATHER_BLOCK entries, which bounds the memory of a
+    large orbit.
+    """
+    base = coords @ strides
+    shift = offsets @ strides
+    rows = max(1, _GATHER_BLOCK // len(offsets))
+    parts = []
+    for start in range(0, len(coords), rows):
+        block = coords[start : start + rows]
+        valid = np.ones((len(block), len(offsets)), dtype=bool)
+        for axis, n in enumerate(box):
+            key = block[:, axis, None] + offsets[None, :, axis]
+            valid &= (key >= 0) & (key < n)
+        flat = np.where(valid, base[start : start + rows, None] + shift, -1)
+        parts.append((gather(flat) * signs).sum(axis=1))
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def _decompose_sparse(f: SparsePoly):
+    """The same for a sparse character: keys are looked up by binary search.
+
+    It keeps the direct route.  In the package its inputs were the subset-sum
+    products of ``generators``' second-kind expansion, on a few variables.
+    """
+    r = f.nvars
+    weights = list(f.terms)
+    dominant = [wt for wt in weights if all(wt[i] >= wt[i + 1] for i in range(r - 1))]
+    full = np.array(dominant, dtype=np.int64).reshape(-1, r)
+    offsets, signs = _signed_delta_orbit((r,))
+    box = (max((max(wt) for wt in weights), default=0) + 1,) * r
+    # each alternation sum has |orbit| terms of absolute value at most max |mult|
+    bound = len(signs) * max((abs(m) for m in f.terms.values()), default=0)
+    strides = np.array(_strides(box), dtype=_entry_dtype(prod(box)))
+    codes = np.array(weights, dtype=np.int64).reshape(-1, r) @ strides
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    values = np.array(list(f.terms.values()), dtype=_entry_dtype(bound))[order]
+
+    def gather(idx):
+        pos = np.minimum(np.searchsorted(codes, idx), len(codes) - 1)
+        return np.where(codes[pos] == idx, values[pos], 0)
+
+    return full, _alternate(full, offsets, signs, box, strides, gather)
+
+
 # The pipeline's inner path as the package had it before its decomposition
 # and equality check went integer: each degree is decomposed into a dict
 # checked by one Weyl dimension per key, each point coordinate is a Fraction
@@ -1603,7 +1666,9 @@ def reference_hull(points: Sequence[Sequence]) -> Polytope:
 # recurrence, the Weyl alternation and the double description are the
 # package's own; the alternation is ``_decompose_lattice``'s, direct or pruned
 # as the package chooses per degree (tests/test_alternation_routes.py holds
-# the two routes to each other), and the direct one for a sparse character.
+# the two routes to each other).  A sparse character takes the frozen
+# ``_decompose_sparse`` above, whole, where the package lays it out as one
+# ``LatticeCharacter`` per degree.
 
 
 def reference_schur_decompose(f: SparsePoly | LatticeCharacter) -> dict:
@@ -1917,7 +1982,7 @@ def _kind2_expansion(
             [1 if k in subset else 0 for k in range(1, p + 1)]
         )
     items = []
-    for gamma, mult in sorted(schur_decompose(product).items()):
+    for gamma, mult in sorted(reference_schur_decompose(product).items()):
         framed = FramedDiagram(gamma, p, degree)
         indices = shuffle_vertical_sequence(framed)
         items.append(OccupationInequality(indices, N - 1, gamma, mult))

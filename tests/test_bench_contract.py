@@ -79,3 +79,16 @@ def test_traced_c4_run_feeds_every_counter():
     assert not hasattr(plethysm.inner_points, "__wrapped__")
     assert not hasattr(polytope.inner_points, "__wrapped__")
     assert not hasattr(polynomials.SparsePoly.substitute_linear, "__wrapped__")
+
+
+def test_traced_kind2_expansion_feeds_the_decompose_counter():
+    from paulitope import generators
+
+    tracing = _load_tracing()
+    with _installed_tracer(tracing) as tracer:
+        tracer.run = "solve"
+        family = generators.grassmann_kind2(2, 4)
+        tracer.run = None
+    [span] = [s for s in tracer.spans if s.op == "plethysm.schur_decompose"]
+    assert span.error is None
+    assert span.counts["components"] == len(family.items) and span.counts["dominant"] > 0

@@ -11,6 +11,7 @@ from oracles import (
     reference_grassmann_kind1,
     reference_grassmann_kind2,
 )
+from paulitope import generators, plethysm
 from paulitope.errors import ResourceLimitError
 from paulitope.generators import (
     OccupationInequality,
@@ -235,7 +236,7 @@ def test_kind1_matches_the_frozen_builder(N):
 def test_kind2_matches_the_frozen_builder(N):
     for p in range(N - 1, N + 5):
         if (N, p) == (5, 7):
-            continue  # a 12 s expansion, alone longer than the whole rest of the grid
+            continue  # the frozen reference's sparse product takes 9 s, longer than the rest of the grid
         assert _outcome(grassmann_kind2, N, p) == _frozen_outcome(
             reference_grassmann_kind2, N, p
         ), (N, p)
@@ -248,12 +249,34 @@ def test_kind2_rejects_bad_arguments():
         grassmann_kind2(3, 2)
 
 
+def test_kind2_expansion_in_python_ints_equals_the_int64_one(monkeypatch):
+    widths = [(2, 4), (3, 5), (1, 3)]
+    fast = [grassmann_kind2(N, p) for N, p in widths]
+    dtypes = []
+    decompose = generators.schur_decompose
+
+    def recording(f):
+        dtypes.append(f.array.dtype)
+        return decompose(f)
+
+    monkeypatch.setattr(generators, "schur_decompose", recording)
+    monkeypatch.setattr(plethysm, "_INT64_LIMIT", 0)
+    assert [grassmann_kind2(N, p) for N, p in widths] == fast
+    assert dtypes == [object] * len(widths)
+
+
 def test_series_inequality_values():
     assert series_inequality(2, 4).indices == (1, 3, 5, 7)
     assert series_inequality(2, 4).bound == 1
     assert series_inequality(3, 3).indices == (1, 2, 4)
     assert series_inequality(3, 3).bound == 2
     assert series_inequality(3, 4).indices == (1, 2, 4, 7)
+
+
+def test_series_inequality_refuses_fewer_than_one_particle():
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="^need at least one particle$"):
+            series_inequality(N, 3)
 
 
 def test_series_member_appears_in_its_family():

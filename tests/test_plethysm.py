@@ -137,10 +137,27 @@ def test_schur_decompose_agrees_with_peel_and_oracle():
     assert schur_decompose(products[0]) == peel_schur(dict(products[0].terms), 4)
 
 
+@pytest.mark.parametrize(
+    "f,want",
+    [
+        (SparsePoly.constant(3, 1) + character((1,), 3), {(): 1, (1,): 1}),  # two degrees
+        (SparsePoly(1, {(3,): 2}), {(3,): 2}),  # one variable: no free axis
+        (SparsePoly.zero(3), {}),
+    ],
+    ids=["non-homogeneous", "one-variable", "zero"],
+)
+def test_sparse_layout_matches_the_frozen_sparse_route(f, want):
+    assert schur_decompose(f) == reference_schur_decompose(f) == want
+
+
 def test_schur_decompose_rejects_non_characters():
     bad = SparsePoly(2, {(1, 0): 1})
-    with pytest.raises(ValueError):
-        schur_decompose(bad)
+    messages = []
+    for decompose in (schur_decompose, reference_schur_decompose):
+        with pytest.raises(ValueError) as refused:
+            decompose(bad)
+        messages.append(str(refused.value))
+    assert messages == ["component dimensions do not sum to the character dimension"] * 2
     with pytest.raises(ValueError):
         schur_decompose_peel(SparsePoly(2, {(0, 1): 1}))
 
