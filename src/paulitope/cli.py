@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -35,20 +36,16 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _parse_permutation(text: str) -> Permutation:
-    """Accept either one-line form "2,1,4,3" or cycle form "(1 2)(3 4)"."""
+    """Accept either one-line form "2,1,4,3" or cycle form "(1 2)(3 4)", spaces between cycles allowed."""
     text = text.strip()
     if not text or text == "()":
         return Permutation.identity()
-    if text.startswith("("):
-        cycles = []
-        for chunk in text.replace(")(", ")|(").split("|"):
-            chunk = chunk.strip()
-            if not (chunk.startswith("(") and chunk.endswith(")")):
-                raise ValueError(f"malformed cycle notation: {text!r}")
-            body = _parse_ints(chunk[1:-1])
-            if body:
-                cycles.append(body)
-        return Permutation.from_cycles(cycles)
+    if "(" in text or ")" in text:
+        # cycles, with or without whitespace between them, and nothing else
+        if not re.fullmatch(r"(\([^()]*\)\s*)+", text):
+            raise ValueError(f"malformed cycle notation: {text!r}")
+        cycles = [_parse_ints(body) for body in re.findall(r"\(([^()]*)\)", text)]
+        return Permutation.from_cycles([cycle for cycle in cycles if cycle])
     return Permutation(_parse_ints(text))
 
 

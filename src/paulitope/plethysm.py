@@ -26,12 +26,13 @@ maps (Macdonald, I.5), so each term is one sweep per tensor factor: the
 weights of V shift h_{m-j} into a temporary, at most (m / (m + 1))^(k-1)
 the size of degree m, and the k weights of C^k shift that into degree m.
 Each degree, of the series or of a ``SparsePoly`` laid out densely, is
-decomposed once, by a Weyl alternation over S_r x S_k, direct or pruned,
-chosen per degree by term count, into integer rows of highest weights; the
-dimension check multiplies out Weyl's formula on those rows.  The direct
-alternation gathers the whole orbit for every dominant weight and masks the
-terms outside the degree's array; the pruned one assigns each permutation
-one coordinate at a time and keeps only the terms inside it.
+decomposed once, by a Weyl alternation over W = S_r x S_k into integer rows
+of highest weights; the dimension check multiplies out Weyl's formula on
+those rows.  The direct alternation gathers the whole orbit for every
+dominant weight and masks the terms outside the degree's array; the pruned
+one assigns each permutation one coordinate at a time and keeps only the
+terms inside it.  The order |W| alone picks the route, pruned from
+_PRUNED_ORDER on, and sizes the blocks of rows, the route's budget over |W|.
 The dict engine it replaced (Jacobi-Trudi plethysms, decomposition by
 peeling) and the former decomposition of a ``SparsePoly`` by binary search
 over its terms are kept as the reference in ``tests/oracles.py``.
@@ -61,11 +62,20 @@ INNER_POINT_DEGREE_CAP = 24
 # Largest entry an int64 array may hold; bounds above it switch to Python ints.
 _INT64_LIMIT = int(np.iinfo(np.int64).max)
 # Most (dominant weight, orbit element) pairs one direct alternation block
-# gathers; a degree with no more direct terms than this takes the direct
-# route whatever its pruned bound.
+# gathers: a block takes max(1, _GATHER_BLOCK // |W|) rows, |W| the order of
+# the Weyl group S_g1 x S_g2 x ..., whose whole orbit each row meets.
 _GATHER_BLOCK = 1 << 14
-# Most partial permutations, by their bound, a pruned alternation step holds.
+# Most partial permutations one pruned alternation step holds: a block takes
+# max(1, _FRONTIER_BUDGET // |W|) rows, since a row's frontier never exceeds
+# |W|.  A step's arrays peak at about 70 bytes per entry, some 18 MB here.
 _FRONTIER_BUDGET = 1 << 18
+# Smallest Weyl group order alternated by the pruned route.  Each route
+# forced onto every degree (2-vCPU Xeon VM, in process, BENCH_25.json): the
+# direct one is ahead at |W| = 24, 48, 144 and 240 (6.2 against 9.2 ms on
+# degrees 1-6 of S_21 C^5 (x) C^2), the two are within noise at 120, and the
+# pruned one is ahead from 576 on (5.7 against 4.2 ms on degrees 1-6 of
+# Lambda^2 C^4 (x) C^4; 8.3 against 5.0 ms on c4's degrees 1-8, |W| = 720).
+_PRUNED_ORDER = 576
 
 
 class LatticeCharacter:
@@ -303,27 +313,19 @@ def _free_columns(groups: tuple[int, ...]) -> list[int]:
 def _alternate(coords, offsets, signs, box, strides, values) -> np.ndarray:
     """Weyl alternation sums sum_w sign(w) f(coords + offset(w)), one per row of coords.
 
-    The direct route: every row meets the whole orbit, and a term whose key
-    falls outside the box is masked to zero after it is built.  It is the
-    route for dense orbits and the reference for ``_alternate_pruned``.
-    ``box`` is the shape the coordinates index into, ``strides`` its flat
-    index steps, and ``values`` the flat array of multiplicities.  The
-    (rows, orbit) index array is built in blocks of at most _GATHER_BLOCK
-    entries, which bounds the memory of a large orbit.
+    One block of the direct route: every row meets the whole orbit, and a
+    term whose key falls outside the box is masked to zero after it is
+    built.  It is the route for small Weyl groups and the reference for
+    ``_pruned_block``.  ``box`` is the shape the coordinates index into,
+    ``strides`` its flat index steps, and ``values`` the flat array of
+    multiplicities.
     """
-    base = coords @ strides
-    shift = offsets @ strides
-    rows = max(1, _GATHER_BLOCK // len(offsets))
-    parts = []
-    for start in range(0, len(coords), rows):
-        block = coords[start : start + rows]
-        valid = np.ones((len(block), len(offsets)), dtype=bool)
-        for axis, n in enumerate(box):
-            key = block[:, axis, None] + offsets[None, :, axis]
-            valid &= (key >= 0) & (key < n)
-        flat = np.where(valid, base[start : start + rows, None] + shift, 0)
-        parts.append((np.where(valid, values[flat], 0) * signs).sum(axis=1))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    valid = np.ones((len(coords), len(offsets)), dtype=bool)
+    for axis, n in enumerate(box):
+        key = coords[:, axis, None] + offsets[None, :, axis]
+        valid &= (key >= 0) & (key < n)
+    flat = np.where(valid, (coords @ strides)[:, None] + offsets @ strides, 0)
+    return (np.where(valid, values[flat], 0) * signs).sum(axis=1)
 
 
 def _dominant_flat(f: LatticeCharacter) -> np.ndarray:
@@ -393,7 +395,23 @@ def _extend(allowed, stride, g, row, flat, state):
 
 
 def _pruned_block(key, allowed, groups, strides, values) -> np.ndarray:
-    """The alternation sums of the rows of ``key``, by pruned steps; see ``_alternate_pruned``."""
+    """The sums of ``_alternate``, over only the orbit elements whose keys stay in the box.
+
+    One block of the pruned route.  On free axis i of a group the key is
+    lam_i + delta_i - delta_pi(i) = key_i + pi(i), with ``key`` = lam_i - i
+    and pi the group's permutation, and ``allowed`` holds the mask of the
+    values pi(i) that keep it in the box.  Each pi is built one position at
+    a time, the coset split S_g = S_{g-1} t_0 + ... + S_{g-1} t_{g-1} on the
+    first value, so a partial permutation survives only while every key
+    assigned so far is in the box.  The last position of a group takes the
+    value left over; the total fixes its coordinate, and the array holds 0
+    where that is negative.  Each term carries its row, flat index, used
+    values and inversion parity forward step by step, and the terms are
+    summed per row exactly, in the dtype of ``values`` (int64 or Python
+    ints).  A row's partial permutations at any step are at most the order
+    of S_g1 x S_g2 x ..., so a block's frontier is at most its rows times
+    that order.
+    """
     row = np.arange(len(key))
     flat = key @ strides  # the identity's keys; each step adds stride * pi(i)
     parity = np.zeros(len(key), dtype=np.int64)
@@ -409,80 +427,51 @@ def _pruned_block(key, allowed, groups, strides, values) -> np.ndarray:
     return np.add.reduceat(terms, np.flatnonzero(np.r_[True, row[1:] != row[:-1]]))
 
 
-def _alternate_pruned(key, allowed, bounds, groups, strides, values) -> np.ndarray:
-    """The sums of ``_alternate``, over only the orbit elements whose keys stay in the box.
-
-    The pruned route.  On free axis i of a group the key is lam_i + delta_i
-    - delta_pi(i) = key_i + pi(i), with ``key`` = lam_i - i and pi the
-    group's permutation, and ``allowed`` holds the mask of the values pi(i)
-    that keep it in the box.  Each pi is built one position at a time, the
-    coset split S_g = S_{g-1} t_0 + ... + S_{g-1} t_{g-1} on the first
-    value, so a partial permutation survives only while every key assigned
-    so far is in the box.  The last position of a group takes the value left
-    over; the total fixes its coordinate, and the array holds 0 where that
-    is negative.  Each term carries its row, flat index, used values and
-    inversion parity forward step by step, and the terms are summed per row
-    exactly, in the dtype of ``values`` (int64 or Python ints).
-
-    ``bounds`` gives each row's product, over the free axes, of the values
-    it allows, which bounds that row's frontier at every step.  Rows go in
-    blocks whose bounds sum to at most _FRONTIER_BUDGET, a row exceeding it
-    going alone.  So a step's frontiers, before and after it, have at most
-    _FRONTIER_BUDGET entries each, and the step's arrays peak at about 70
-    bytes per entry (68 measured), some 18 MB at the budget.  Real frontiers
-    stay far below their bound: on Sym^7(Lambda^3 C^8) the row bounds fill
-    38 blocks, and no frontier passes 11,400 entries.
-    """
-    ends = np.cumsum(bounds)
-    sums = []
-    start = 0
-    while start < len(key):
-        reach = ends[start] - bounds[start] + _FRONTIER_BUDGET
-        stop = max(start + 1, int(np.searchsorted(ends, reach, side="right")))
-        sums.append(_pruned_block(key[start:stop], allowed[start:stop], groups, strides, values))
-        start = stop
-    return np.concatenate(sums)
-
-
-def _takes_pruned_route(direct: int, bound: int) -> bool:
-    """Whether a degree is alternated by the pruned route, from sizes known before any term.
-
-    ``direct`` is the direct route's term count, rows x |orbit|, and
-    ``bound`` the pruned route's bound, the sum of the rows' bounds.  A
-    degree that fits one gather block stays direct: a pruned step costs a
-    few numpy calls per free axis, more than one block's gather.
-    """
-    return bound < direct and direct > _GATHER_BLOCK
+def _takes_pruned_route(order: int) -> bool:
+    """Whether a degree is alternated by the pruned route, from its Weyl group's order alone."""
+    return order >= _PRUNED_ORDER
 
 
 def _decompose_lattice(f: LatticeCharacter):
     """Dominant weights, as complete coordinate rows, and their alternation sums.
 
-    Every decomposition of the package runs here.  The route, direct
-    (``_alternate``) or pruned (``_alternate_pruned``), is chosen per degree
-    by ``_takes_pruned_route`` from two term counts known before any term
-    is gathered, and the orbit table is built only for the direct one.
+    Every decomposition of the package runs here.  The order of the Weyl
+    group S_g1 x S_g2 x ... picks the route, direct (``_alternate``) or
+    pruned (``_pruned_block``), by ``_takes_pruned_route``, and the rows go
+    in blocks of the route's budget over that order, at least one row each.
+    A row meets at most that many orbit elements on either route, so no
+    block holds more terms than its budget, a lone row aside.  The orbit
+    table is built only for the direct route.
     """
     free = f._free_coordinates(_dominant_flat(f))
     shape = f.array.shape
     strides = np.array(_strides(shape), dtype=np.int64)
     values = f.array.ravel()
-    # The key on free axis i of a group of size g is lam_i - i + pi(i), and
-    # the values pi(i) in 0..g-1 that keep it in the box form one run,
-    # which holds pi(i) = i, the row's own weight.
-    sizes = np.array([g for g in f.groups for _ in range(g - 1)], dtype=np.int64)
-    key = free - np.array([i for g in f.groups for i in range(g - 1)], dtype=np.int64)
-    low = np.maximum(0, -key)
-    admitted = np.minimum(sizes, np.array(shape, dtype=np.int64) - key) - low
-    bounds = admitted.prod(axis=1)
-    direct = len(free) * prod(factorial(g) for g in f.groups)
-    if _takes_pruned_route(direct, int(bounds.sum())):
+    order = prod(factorial(g) for g in f.groups)
+    if _takes_pruned_route(order):
+        # The key on free axis i of a group of size g is lam_i - i + pi(i),
+        # and the values pi(i) in 0..g-1 that keep it in the box form one
+        # run, which holds pi(i) = i, the row's own weight.
+        sizes = np.array([g for g in f.groups for _ in range(g - 1)], dtype=np.int64)
+        key = free - np.array([i for g in f.groups for i in range(g - 1)], dtype=np.int64)
+        low = np.maximum(0, -key)
+        admitted = np.minimum(sizes, np.array(shape, dtype=np.int64) - key) - low
         allowed = ((1 << admitted) - 1) << low
-        mults = _alternate_pruned(key, allowed, bounds, f.groups, strides, values)
+        rows = max(1, _FRONTIER_BUDGET // order)
+
+        def block(part: slice) -> np.ndarray:
+            return _pruned_block(key[part], allowed[part], f.groups, strides, values)
+
     else:
         offsets, signs = _signed_delta_orbit(f.groups)
-        mults = _alternate(free, offsets[:, _free_columns(f.groups)], signs, shape, strides, values)
-    return f._complete(free), mults
+        offsets = offsets[:, _free_columns(f.groups)]
+        rows = max(1, _GATHER_BLOCK // order)
+
+        def block(part: slice) -> np.ndarray:
+            return _alternate(free[part], offsets, signs, shape, strides, values)
+
+    sums = [block(slice(start, start + rows)) for start in range(0, len(free), rows)]
+    return f._complete(free), np.concatenate(sums) if sums else np.zeros(0, dtype=np.int64)
 
 
 def _lattice_degrees(f: SparsePoly) -> list[LatticeCharacter]:
@@ -552,9 +541,9 @@ def schur_decompose(f: SparsePoly | LatticeCharacter) -> dict:
     """Highest weights and multiplicities of a character.
 
     Each dominant weight lam in the support is tested with the Weyl
-    alternation sum_w sign(w) f(lam + delta - w(delta)) over S_r, or over
-    S_r x S_k for a GL_r x GL_k character, direct or pruned, chosen per
-    degree by term count (see ``_decompose_lattice``).  A ``SparsePoly`` is
+    alternation sum_w sign(w) f(lam + delta - w(delta)) over W = S_r, or
+    W = S_r x S_k for a GL_r x GL_k character, direct or pruned as the order
+    of W decides (see ``_decompose_lattice``).  A ``SparsePoly`` is
     laid out as one GL_r ``LatticeCharacter`` per degree first (see
     ``_lattice_degrees``), and the decompositions of its degrees are merged,
     so a non-homogeneous character decomposes too.  Keys are partitions for

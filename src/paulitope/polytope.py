@@ -24,7 +24,6 @@ from .errors import ResourceLimitError, UnmatchedInequalityError
 from .plethysm import (
     INNER_POINT_DEGREE_CAP,
     INNER_POINT_LEVEL_CAP,
-    _INT64_LIMIT,
     _check_request,
     _entry_dtype,
     inner_points,
@@ -119,7 +118,7 @@ def _lcm_int64(dens: np.ndarray) -> int:
         block = dens[start : start + 4096]
         while (block := block[l % block != 0]).size:
             l = lcm(l, int(block.max()))
-            if l > _INT64_LIMIT:
+            if _entry_dtype(l) is object:
                 return l
     return l
 
@@ -177,7 +176,7 @@ def _sorted_rows(columns: np.ndarray) -> np.ndarray:
     if keyed:
         lo = columns.min(axis=1)
         spans = [h - l + 1 for l, h in zip(lo.tolist(), columns.max(axis=1).tolist())]
-        keyed = prod(spans) <= _INT64_LIMIT
+        keyed = _entry_dtype(prod(spans)) is np.int64
     if not keyed:
         matrix = columns.T[np.lexsort(columns[::-1])]
         keep = matrix.any(axis=1)

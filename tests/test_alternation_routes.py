@@ -2,7 +2,8 @@
 
 ``_decompose_lattice`` alternates each degree either directly, over the whole
 orbit S_g1 x S_g2 ..., or by the pruned enumeration that keeps only the
-orbit elements whose keys stay in the degree's array.  Forced onto every
+orbit elements whose keys stay in the degree's array; the order of that
+group picks the route and the rows per block.  Forced onto every
 degree, the two routes must give the same rows and multiplicities, in the
 same dtype, and refuse the same non-characters with the same message.
 Both routes start from the dominant weights that ``_dominant_flat``
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_dominant_flat
-from paulitope import plethysm
+from paulitope import generators, plethysm
 from paulitope.plethysm import LatticeCharacter, character, plethysm_h_series
 
 SHAPES = [(1,), (2,), (1, 1), (2, 1), (1, 1, 1)]
@@ -25,7 +26,7 @@ GRID = [(nu, r) for nu in SHAPES for r in range(1, 6) if len(nu) <= r]
 def _forced(monkeypatch, pruned: bool, fn, *args):
     """``fn(*args)`` with every degree sent to one route."""
     with monkeypatch.context() as patch:
-        patch.setattr(plethysm, "_takes_pruned_route", lambda direct, bound: pruned)
+        patch.setattr(plethysm, "_takes_pruned_route", lambda order: pruned)
         return fn(*args)
 
 
@@ -114,40 +115,52 @@ def test_a_non_character_is_refused_alike_on_both_routes(index, monkeypatch):
     assert "not a character" in messages[0] or "do not sum" in messages[0]
 
 
-def _routes(monkeypatch, series) -> list[bool]:
-    """The route the rule picks for each degree of ``series`` above 0, True for pruned."""
+def _routes(monkeypatch, run, *args) -> list[bool]:
+    """The route the rule picks for each degree ``run(*args)`` decomposes, True for pruned."""
     picked = []
     rule = plethysm._takes_pruned_route
 
-    def recording(direct, bound):
-        picked.append(rule(direct, bound))
+    def recording(order):
+        picked.append(rule(order))
         return picked[-1]
 
     with monkeypatch.context() as patch:
         patch.setattr(plethysm, "_takes_pruned_route", recording)
-        for term in series[1:]:
-            plethysm._decompose_lattice(term)
+        run(*args)
     return picked
 
 
-def test_the_rule_keeps_mixed_r4_m8_direct_and_prunes_fermion_r7_m5_above_degree_1(monkeypatch):
-    mixed = plethysm_h_series(8, character((2, 1), 4), 2)
-    assert _routes(monkeypatch, mixed) == [False] * 8
-    fermion = plethysm_h_series(5, character((1, 1, 1), 7))
-    assert _routes(monkeypatch, fermion) == [False, True, True, True, True]
-
-
-def test_the_orbit_table_is_built_only_for_the_direct_route(monkeypatch):
-    fermion = plethysm_h_series(5, character((1, 1, 1), 7))
-    plethysm._signed_delta_orbit.cache_clear()
-    for term in fermion[2:]:
+def _decompose_all(series) -> None:
+    for term in series:
         plethysm._decompose_lattice(term)
+
+
+def test_the_rule_goes_by_the_weyl_group_order(monkeypatch):
+    # |W| = 4! 2! = 48 for mixed-r4-m8 and c6, 7! for fermion-r7-m5, p! for kind-2 at width p
+    c6 = plethysm_h_series(12, character((2, 1), 4), 2)  # mixed-r4-m8 is its degrees 1-8
+    assert _routes(monkeypatch, _decompose_all, c6[1:]) == [False] * 12
+    fermion = plethysm_h_series(5, character((1, 1, 1), 7))
+    assert _routes(monkeypatch, _decompose_all, fermion[1:]) == [True] * 5
+    for N, p, pruned in [(2, 5, False), (3, 5, False), (3, 6, True), (2, 7, True)]:
+        assert _routes(monkeypatch, generators.grassmann_kind2, N, p) == [pruned]
+    wedge3 = plethysm_h_series(8, character((1, 1, 1), 8))
+    assert _routes(monkeypatch, _decompose_all, wedge3[8:]) == [True]
+    orders = (24, 48, 120, 144, 240, 576, 720)
+    assert [plethysm._takes_pruned_route(order) for order in orders] == [False] * 5 + [True] * 2
+
+
+def test_the_orbit_table_is_built_only_for_the_direct_route():
+    fermion = plethysm_h_series(5, character((1, 1, 1), 7))
+    mixed = plethysm_h_series(4, character((2, 1), 4), 2)
+    plethysm._signed_delta_orbit.cache_clear()
+    _decompose_all(fermion[1:])
     assert plethysm._signed_delta_orbit.cache_info().currsize == 0
-    plethysm._decompose_lattice(fermion[1])
+    _decompose_all(mixed[1:])
     assert plethysm._signed_delta_orbit.cache_info().currsize == 1
 
 
-@pytest.mark.parametrize("budget", [1, 4, 64])
+# |W| = 7! = 5040 for the fermion degrees and 4! 2! = 48 for the mixed ones
+@pytest.mark.parametrize("budget", [1, 4, 64, 3 * 5040 + 1])
 def test_a_small_frontier_budget_splits_rows_and_keeps_the_sums(budget, monkeypatch):
     series = plethysm_h_series(5, character((1, 1, 1), 7))[2:] + plethysm_h_series(
         4, character((2, 1), 4), 2
@@ -168,7 +181,15 @@ def test_a_small_frontier_budget_splits_rows_and_keeps_the_sums(budget, monkeypa
     monkeypatch.setattr(plethysm, "_FRONTIER_BUDGET", budget)
     monkeypatch.setattr(plethysm, "_extend", recording_extend)
     monkeypatch.setattr(plethysm, "_pruned_block", recording_block)
-    got = [_forced(monkeypatch, True, plethysm._decompose_lattice, term)[1] for term in series]
+    got = []
+    for term in series:
+        per_block = max(1, budget // (5040 if term.groups == (7,) else 48))
+        first = len(blocks)
+        got.append(_forced(monkeypatch, True, plethysm._decompose_lattice, term)[1])
+        # every block but the degree's last takes the full rows
+        assert blocks[first:-1] == [per_block] * (len(blocks) - first - 1)
+        assert 1 <= blocks[-1] <= per_block
     assert [g.tolist() for g in got] == [w.tolist() for w in want]
     assert len(blocks) > len(series) and sum(blocks) == sum(len(w) for w in want)
     assert steps and all(size <= budget or rows == 1 for size, rows in steps)
+    assert (max(blocks) > 1) == (budget >= 2 * 48)

@@ -267,10 +267,19 @@ def test_occupation_fractional_index_exits_2(tmp_path, capsys):
 
 
 def test_schubert_malformed_cycles_exit_2(capsys):
-    code, out, err = _run(capsys, "schubert", "(1 2")
-    assert code == 2
-    assert out == ""
-    assert "malformed cycle notation" in err
+    for text in ("(1 2", "1 2)", "(1 2)x(3 4)"):
+        code, out, err = _run(capsys, "schubert", text)
+        assert code == 2
+        assert out == ""
+        assert f"malformed cycle notation: {text!r}" in err
+
+
+@pytest.mark.parametrize("text", ["(1 2) (3 4)", " ( 1 2 )  ( 3 4 ) "])
+def test_schubert_cycles_may_be_spaced(capsys, text):
+    code, out, _ = _run(capsys, "schubert", text)
+    assert code == 0
+    assert out == _run(capsys, "schubert", "(1 2)(3 4)")[1]
+    assert json.loads(out)["permutation"] == "(1 2)(3 4)"
 
 
 def test_occupation_reads_the_state_from_stdin(tmp_path, monkeypatch, capsys):

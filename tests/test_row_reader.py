@@ -19,7 +19,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 from operator import attrgetter
 
 import numpy as np
@@ -232,12 +232,34 @@ def test_a_small_matrix_or_a_key_past_int64_takes_lexsort(monkeypatch, lead):
     assert calls == 0
     assert _lexsort_calls(monkeypatch, rows[: polytope._KEY_SORT_ROWS - 1], 4, lead)[1] == 1
     spans = prod(int(c.max()) - int(c.min()) + 1 for c in got.T)
-    for limit, want_calls in ((spans, 0), (spans - 1, 1), (0, 1)):
-        monkeypatch.setattr(polytope, "_INT64_LIMIT", limit)
+    for limit, want_calls, dtype in ((spans, 0, np.int64), (spans - 1, 1, np.int64), (0, 1, object)):
+        monkeypatch.setattr("paulitope.plethysm._INT64_LIMIT", limit)
         fell_back, calls = _lexsort_calls(monkeypatch, rows, 4, lead)
         assert calls == want_calls
-        assert fell_back.dtype == np.int64 and fell_back.tolist() == got.tolist()
+        assert fell_back.dtype == dtype and fell_back.tolist() == got.tolist()
         assert_same_matrix(rows, 4, lead)
+
+
+@pytest.mark.parametrize("lead", [False, True], ids=["rows", "points"])
+def test_one_patched_limit_moves_both_the_dtype_and_the_sort(monkeypatch, lead):
+    # the matrix dtype and the one-key sort each read plethysm's int64 limit:
+    # the dtype's bound max|numerator| * lcm(denominators) is far below the key's
+    rows = [row for row in random_rows(np.random.default_rng(85), 200, 3) if any(row)]
+    entries = [x for row in rows for x in row]
+    bound = max(abs(x.numerator) for x in entries) * lcm(*(x.denominator for x in entries))
+    got, _ = _lexsort_calls(monkeypatch, rows, 3, lead)
+    spans = prod(int(c.max()) - int(c.min()) + 1 for c in got.T)
+    assert bound < spans
+    for limit, want_calls, dtype in (
+        (spans, 0, np.int64),
+        (spans - 1, 1, np.int64),
+        (bound, 1, np.int64),
+        (bound - 1, 1, object),
+    ):
+        monkeypatch.setattr("paulitope.plethysm._INT64_LIMIT", limit)
+        matrix, calls = _lexsort_calls(monkeypatch, rows, 3, lead)
+        assert (matrix.dtype, calls) == (dtype, want_calls)
+        assert matrix.tolist() == got.tolist()
 
 
 def test_python_int_matrices_are_sorted_by_lexsort(monkeypatch):
