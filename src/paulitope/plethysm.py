@@ -25,6 +25,10 @@ m h_m = sum_j Adams_j(V (x) C^k) h_{m-j}, and the Adams operations are ring
 maps (Macdonald, I.5), so each term is one sweep per tensor factor: the
 weights of V shift h_{m-j} into a temporary, at most (m / (m + 1))^(k-1)
 the size of degree m, and the k weights of C^k shift that into degree m.
+Every shift is one slice-add over contiguous memory: degree m's trailing
+axes are viewed as one run, until it holds _MERGED_RUN entries, h_{m-j} is
+placed once per j at the run's strides, and a weight becomes a slice over
+the leading axes plus one flat offset in the run, with no carries.
 Each degree, of the series or of a ``SparsePoly`` laid out densely, is
 decomposed once, by a Weyl alternation over W = S_r x S_k into integer rows
 of highest weights; the dimension check multiplies out Weyl's formula on
@@ -51,6 +55,7 @@ from operator import mul
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ResourceLimitError
 from .polynomials import SparsePoly, schur_polynomial
@@ -76,6 +81,16 @@ _FRONTIER_BUDGET = 1 << 18
 # pruned one is ahead from 576 on (5.7 against 4.2 ms on degrees 1-6 of
 # Lambda^2 C^4 (x) C^4; 8.3 against 5.0 ms on c4's degrees 1-8, |W| = 720).
 _PRUNED_ORDER = 576
+# Shortest run the Newton step merges an accumulator's trailing axes into:
+# the axes nearest the end join until the run holds this many entries (see
+# _kept_axes).  Longer runs only add the zeros between the placed rows.  One
+# degree per system under each value, interleaved in process (2-vCPU Xeon
+# VM, BENCH_26.json): 4,096 is ahead or level everywhere.  No merge is twice
+# as slow on degree 8 of Lambda^4 C^8 (991 against 445 ms); merging every
+# axis is as slow there (1,007 ms) and on c5's degree 8 (63 against 39 ms),
+# its runs up to half zeros; 1,024 leaves fermion-r7-m5's degree 5 at 3.2
+# against 2.4 ms, and 16,384 costs c6's degree 12 26 against 22 ms.
+_MERGED_RUN = 1 << 12
 
 
 class LatticeCharacter:
@@ -157,13 +172,18 @@ def plethysm_h_series(
     """Characters of Sym^0 .. Sym^m_max of f (x) C^k.
 
     With k = 1 these are GL_r characters, the symmetric powers of f; with
-    k > 1 they are GL_r x GL_k characters.  f must be homogeneous.  Built by
-    the Newton recurrence m h_m = sum_j Adams_j(f) Adams_j(C^k) h_{m-j}, one
-    sweep per tensor factor (see ``_newton_step``): the weights of f shift
-    the dense array of h_{m-j} into a temporary, and the weights of C^k
-    shift the temporary into the accumulator.  The division by m must be
-    exact, and the dimension of every degree must be C(k dim f + m - 1, m);
-    either failure raises ArithmeticError.
+    k > 1 they are GL_r x GL_k characters.  f must be homogeneous, and a
+    character: a negative multiplicity raises ValueError, naming its weight,
+    before any step.  Built by the Newton recurrence
+    m h_m = sum_j Adams_j(f) Adams_j(C^k) h_{m-j}, one sweep per tensor
+    factor (see ``_newton_step``): the weights of f shift the dense array of
+    h_{m-j} into a temporary, and the weights of C^k shift the temporary
+    into the accumulator.  Each shift adds over contiguous runs: the
+    accumulator's trailing axes are merged into one run and h_{m-j} is laid
+    out at its strides, so a weight is a slice over the leading axes plus
+    one flat offset.  The division by m must be exact, and the dimension of
+    every degree must be C(k dim f + m - 1, m); either failure raises
+    ArithmeticError.
 
     ``series``, if given, must be a list this function returned or filled
     earlier for the same f and k.  It is extended in place with the degrees
@@ -178,6 +198,9 @@ def plethysm_h_series(
         raise ValueError("the rank must be at least 1")
     if not f.is_homogeneous():
         raise ValueError("symmetric powers need a homogeneous character")
+    for wt, c in f.terms.items():
+        if c < 0:
+            raise ValueError(f"negative multiplicity {c} at weight {wt}: not a character")
     r = f.nvars
     degree = max(f.degree(), 0)  # the zero character's totals stay 0, not -m
     groups = (r,) if k == 1 else (r, k)
@@ -234,9 +257,22 @@ def _newton_step(
     |f| k, and the |f| of them run on the smaller array.  The temporary has
     the accumulator's level axes and the rank axes of h_{m-j}, so it is
     largest at j = 1, (m / (m + 1))^(k-1) of the accumulator.  Every addend
-    is nonnegative and the temporary is added once unshifted (the last
-    weight of C^k is 0 on the free coordinates), so its entries are at most
-    the accumulator's and it takes the accumulator's dtype.
+    is nonnegative (``plethysm_h_series`` refuses a negative multiplicity)
+    and the temporary is added once unshifted (the last weight of C^k is 0
+    on the free coordinates), so its entries are at most the accumulator's
+    and it takes the accumulator's dtype.
+
+    Each slice-add runs over contiguous memory.  The C-ordered accumulator
+    keeps its leading axes apart and is viewed with the rest merged into one
+    run (``_kept_axes``), a reshape, not a copy.  For each j, h_{m-j} is
+    placed once into a buffer at the run's strides (``_place``), and the
+    temporary is laid out the same way, so a weight w shifts by j w_a on
+    each kept axis and by the one flat offset j sum_a w_a stride_a in the
+    run.  No offset carries into the next row of a merged axis, since every
+    entry's x_a + j w_a <= m cap_a < shape_a, and the zeros the placed array
+    holds between its rows add nothing.  The buffer and the temporary are
+    each allocated once per degree, for their largest j, and neither is
+    larger than the accumulator.
     """
     m = len(series)
     groups = series[0].groups
@@ -244,14 +280,32 @@ def _newton_step(
     caps = [[max((wt[a] for wt, _ in factor), default=0) for a in range(ndim)] for factor in factors]
     dim_m = comb(dim + m - 1, m)
     dtype = _entry_dtype(m * dim_m * prod(factorial(g) for g in groups))
-    acc = np.zeros(tuple(m * sum(c) + 1 for c in zip(*caps)), dtype=dtype)
+    shape = tuple(m * sum(c) + 1 for c in zip(*caps))
+    acc = np.zeros(shape, dtype=dtype)
+    lead = _kept_axes(shape)
+    strides = _strides(shape[lead:])
+    runs = acc.reshape(shape[:lead] + (prod(shape[lead:]),))
+
+    def on_run(wt) -> tuple[int, ...]:
+        """A weight's shifts on the kept axes, then its offset in the run."""
+        return (*wt[:lead], sum(map(mul, wt[lead:], strides)))
+
+    moves = [[(on_run(wt), mult) for wt, mult in factor] for factor in factors]
+    reach = on_run(caps[0])  # how far the first factor's sweep grows the temporary (k > 1)
+    extents = [_run_extent(series[m - j].array.shape, lead, strides) for j in range(1, m + 1)]
+    placed = np.empty(max(map(prod, extents)), dtype=dtype)
+    if len(factors) > 1:
+        grown = (prod(n + j * c for n, c in zip(ext, reach)) for j, ext in enumerate(extents, 1))
+        temp = np.empty(max(grown), dtype=dtype)
     for j in range(1, m + 1):
-        prev = series[m - j].array.astype(dtype, copy=False)
-        for i, (factor, cap) in enumerate(zip(factors, caps)):
-            if i == len(factors) - 1:
-                swept = acc
+        prev = _place(series[m - j].array.astype(dtype, copy=False), lead, strides, placed)
+        for i, factor in enumerate(moves):
+            if i == len(moves) - 1:
+                swept = runs
             else:
-                swept = np.zeros(tuple(n + j * c for n, c in zip(prev.shape, cap)), dtype=dtype)
+                extent = tuple(n + j * c for n, c in zip(prev.shape, reach))
+                swept = temp[: prod(extent)].reshape(extent)
+                swept.fill(0)
             for shift, mult in factor:
                 window = tuple(slice(j * s, j * s + n) for s, n in zip(shift, prev.shape))
                 swept[window] += prev if mult == 1 else mult * prev
@@ -263,6 +317,45 @@ def _newton_step(
     if term.dimension() != dim_m:
         raise ArithmeticError(f"degree {m} has dimension {term.dimension()}, not {dim_m}")
     return term
+
+
+def _kept_axes(shape: tuple[int, ...]) -> int:
+    """How many leading axes of a Newton accumulator stay apart; the rest merge into one run.
+
+    The last axis is a run of its own, and the axes before it join the run,
+    the nearest first, until it holds at least ``_MERGED_RUN`` entries.
+    """
+    lead = max(len(shape) - 1, 0)
+    while lead and prod(shape[lead:]) < _MERGED_RUN:
+        lead -= 1
+    return lead
+
+
+def _run_extent(shape: tuple[int, ...], lead: int, strides: list[int]) -> tuple[int, ...]:
+    """Shape of an array of this shape laid out on an accumulator's run: kept axes, then its span.
+
+    ``strides`` are the flat steps of the accumulator's merged axes inside
+    the run, and the span, sum (n_a - 1) stride_a + 1, reaches from the
+    array's first entry on the run to its last.
+    """
+    return (*shape[:lead], sum((n - 1) * s for n, s in zip(shape[lead:], strides)) + 1)
+
+
+def _place(array: np.ndarray, lead: int, strides: list[int], buffer: np.ndarray) -> np.ndarray:
+    """``array`` laid out on an accumulator's run, in ``buffer`` unless it is a run already.
+
+    The kept axes stay as they are and the merged ones go to their entries'
+    flat offsets in the run, with zeros between them.  With one merged axis
+    or none the layout is the array's own, and it is returned as a view.
+    """
+    extent = _run_extent(array.shape, lead, strides)
+    if array.ndim - lead <= 1:
+        return array.reshape(extent)
+    out = buffer[: prod(extent)].reshape(extent)
+    out.fill(0)
+    steps = out.strides[:lead] + tuple(s * out.itemsize for s in strides)
+    as_strided(out, array.shape, steps)[...] = array
+    return out
 
 
 def _lex_permutations(g: int) -> tuple[np.ndarray, np.ndarray]:

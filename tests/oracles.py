@@ -24,7 +24,9 @@ search over the sorted terms, and the pipeline by its former decomposition
 (a dict checked key by key) and its former equality check (Fraction sums),
 or, with the package's own stages, by rebuilding its Newton series at every
 cutoff.  The Newton step shifts by every weight of the product f (x) C^k
-rather than by one tensor factor at a time.  The Weyl group orbit of the
+rather than by one tensor factor at a time, or by one tensor factor at a
+time with every shift a strided slice-add over all axes of the box rather
+than over contiguous runs.  The Weyl group orbit of the
 alternation is enumerated by ``itertools.permutations``, and the dominant
 weights of a degree are found by testing every entry of its array.  Rational matrices are read into
 integer rows by the object-array reader and by the one-pass int64 reader
@@ -877,6 +879,70 @@ def flat_product_newton_step(
         for shift, mult in factor:
             window = tuple(slice(j * s, j * s + n) for s, n in zip(shift, prev.shape))
             acc[window] += prev if mult == 1 else mult * prev
+    if (acc % m).any():
+        raise ArithmeticError(f"Newton recurrence does not divide exactly at degree {m}")
+    acc //= m
+    term = LatticeCharacter(groups, tuple(t * m for t in totals), acc)
+    if term.dimension() != dim_m:
+        raise ArithmeticError(f"degree {m} has dimension {term.dimension()}, not {dim_m}")
+    return term
+
+
+# The Newton step the package took before it laid every shift out on
+# contiguous runs: one sweep per tensor factor, each weight a strided
+# slice-add over every axis of the box.
+
+
+def sweep_h_series(m_max: int, f: SparsePoly, k: int = 1, series=None) -> list:
+    """Degrees 0 .. m_max of Sym(f (x) C^k) by the strided sweep step.
+
+    ``series``, if given, is extended in place without any check, so a
+    degree below m_max may be patched to test the step's own checks.
+    """
+    r = f.nvars
+    degree = max(f.degree(), 0)
+    groups = (r,) if k == 1 else (r, k)
+    units = [tuple(int(a == b) for b in range(k)) for a in range(k)] if k > 1 else [()]
+    factors = [[(wt[:-1] + (0,) * (k - 1), mult) for wt, mult in f.terms.items()]]
+    if k > 1:
+        factors.append([((0,) * (r - 1) + e[:-1], 1) for e in units] if f.terms else [])
+    totals = (degree,) if k == 1 else (degree, 1)
+    if series is None:
+        trivial = np.ones((1,) * (r + k - 2), dtype=np.int64)
+        series = [LatticeCharacter(groups, (0,) * len(groups), trivial)]
+    while len(series) <= m_max:
+        series.append(sweep_newton_step(series, factors, totals, k * sum(f.terms.values())))
+    return series[: m_max + 1]
+
+
+def sweep_newton_step(
+    series: list[LatticeCharacter], factors: list[list], totals: tuple[int, ...], dim: int
+) -> LatticeCharacter:
+    """Degree m = len(series) of Sym(f (x) C^k), from the degrees below it.
+
+    ``factors`` holds the weights of f and then those of C^k on the free
+    coordinates with their multiplicities; h_{m-j} shifted by each weight of
+    f goes into a temporary, and that shifted by each weight of C^k into the
+    accumulator, every shift a slice over all axes of the box.
+    """
+    m = len(series)
+    groups = series[0].groups
+    ndim = series[0].array.ndim
+    caps = [[max((wt[a] for wt, _ in factor), default=0) for a in range(ndim)] for factor in factors]
+    dim_m = comb(dim + m - 1, m)
+    dtype = _entry_dtype(m * dim_m * prod(math.factorial(g) for g in groups))
+    acc = np.zeros(tuple(m * sum(c) + 1 for c in zip(*caps)), dtype=dtype)
+    for j in range(1, m + 1):
+        prev = series[m - j].array.astype(dtype, copy=False)
+        for i, (factor, cap) in enumerate(zip(factors, caps)):
+            if i == len(factors) - 1:
+                swept = acc
+            else:
+                swept = np.zeros(tuple(n + j * c for n, c in zip(prev.shape, cap)), dtype=dtype)
+            for shift, mult in factor:
+                window = tuple(slice(j * s, j * s + n) for s, n in zip(shift, prev.shape))
+                swept[window] += prev if mult == 1 else mult * prev
+            prev = swept
     if (acc % m).any():
         raise ArithmeticError(f"Newton recurrence does not divide exactly at degree {m}")
     acc //= m

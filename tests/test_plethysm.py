@@ -14,6 +14,7 @@ from oracles import (
     schur_decompose_peel,
     weyl_dimension,
 )
+from paulitope import plethysm
 from paulitope.errors import ResourceLimitError
 from paulitope.plethysm import (
     character,
@@ -86,6 +87,24 @@ def test_plethysm_h_series_is_consistent():
     zero = plethysm_h_series(2, SparsePoly.zero(3))
     assert [term.totals for term in zero] == [(0,), (0,), (0,)]
     assert [term.weights for term in zero] == [{(0, 0, 0): 1}, {}, {}]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_plethysm_h_series_refuses_a_negative_multiplicity_before_any_step(monkeypatch, k):
+    steps = []
+    monkeypatch.setattr(plethysm, "_newton_step", lambda *args: steps.append(args))
+    # x1^4 of Sym^4 is C(10^6 + 3, 4), past int64; the signed sum of the
+    # multiplicities, 1, bounded the dtype, and int64 wrapped silently
+    virtual = SparsePoly(2, {(1, 0): 10**6, (0, 1): -(10**6 - 1)})
+    with pytest.raises(ValueError, match=r"negative multiplicity -999999 at weight \(0, 1\)"):
+        plethysm_h_series(4, virtual, k)
+    # the dimension C(-1, 1) reached math.comb's own error
+    with pytest.raises(ValueError, match=r"negative multiplicity -1 at weight \(1, 0\)"):
+        plethysm_h_series(1, SparsePoly(2, {(1, 0): -1}), k)
+    series = plethysm_h_series(0, character((1,), 2), k)
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        plethysm_h_series(0, virtual, k, series=series)
+    assert steps == [] and len(series) == 1
 
 
 def test_plethysm_schur_row_is_symmetric_power():

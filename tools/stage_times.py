@@ -9,6 +9,7 @@ Usage (from the repository root; point PYTHONPATH at another checkout's
     PYTHONPATH=src python3 tools/stage_times.py --mode tables --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode hull --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode vertices --runs 11
+    PYTHONPATH=src python3 tools/stage_times.py --mode series --runs 11
 
 The ``pipeline`` mode (the default) runs ``pipeline((2, 1), 4, 2, schedule,
 degree_cap=36)``, the system of the ``mixed-r4-m8`` benchmark workload, once
@@ -28,8 +29,19 @@ and equality check) on its 24,526 points, which it builds with the
 benchmark's own integer enumeration from ``perfbench/workloads.py``, once
 and then ``--runs`` times.  The ``vertices`` mode runs ``verify_vertex`` on
 the 70 rows of the bundled vertex tables, the vertex part of the ``replay``
-workload, once and then ``--runs`` times.  Each mode prints one JSON object:
-the median milliseconds of the whole run and of each stage.  A stage's time is the
+workload, once and then ``--runs`` times.  The ``series`` mode times
+``plethysm_h_series`` alone, one degree per call, on the Newton series of
+four systems: the fermion system to degree 5, the mixed one to degree 8,
+c6 (the mixed system) to degree 12 and Lambda^4 C^8 to degree 8;
+``--schedule`` may give the four top degrees instead, in that order.  It
+clears every ``lru_cache`` before each run and prints, per system, the
+median milliseconds of each degree and of the whole series.  The Newton
+step's ``_MERGED_RUN`` was chosen with it: patched before the run (from
+``python -c``, through ``runpy``) to 0, 1,024, 4,096, 16,384 and past every
+box, and compared degree by degree, then on single degrees with the values
+interleaved in one process, since the host's speed drifts between
+invocations by more than nearby values differ.  Every other mode prints
+one JSON object: the median milliseconds of the whole run and of each stage.  A stage's time is the
 time spent in calls to its functions minus the time of other stages' calls
 nested in them.  The rest of the run is ``rows`` in the three pipeline modes
 (turning components into points, and the loop itself) and ``rest`` in the
@@ -121,6 +133,14 @@ MODES = {mode: PIPELINE_STAGES for mode in PIPELINES} | {
         "spectrum": [(states, "occupation_numbers")],
         "ratio": [(states, "verify_vertex")],
     },
+    "series": {},  # per-degree times, see series_times
+}
+# series mode: system -> (pipeline arguments before the schedule, default top degree)
+SERIES = {
+    "fermion": (PIPELINES["fermion"][0], 5),
+    "mixed": (PIPELINES["pipeline"][0], 8),
+    "c6": (PIPELINES["pipeline"][0], 12),
+    "fermion-4x8": (PIPELINES["fermion-4x8"][0], 8),
 }
 REST = {mode: "rows" for mode in PIPELINES} | {"tables": "rest", "hull": "rest", "vertices": "rest"}
 
@@ -173,12 +193,43 @@ def hull_mixed_run():
     return lambda: workload.solve(inputs, fx)
 
 
+def series_times(tops: list[int], runs: int) -> dict:
+    """Median ms of each degree of each ``SERIES`` system, built one degree per call."""
+    if len(tops) != len(SERIES):
+        raise SystemExit(f"--schedule in the series mode takes {len(SERIES)} top degrees")
+    times = {}
+    for (name, ((nu, r, k), _)), top in zip(SERIES.items(), tops):
+        samples: dict[str, list[float]] = defaultdict(list)
+        for run in range(runs + 1):
+            clear_caches()
+            f = plethysm.character(nu, r)
+            series: list = []
+            per_degree = []
+            for m in range(top + 1):
+                start = time.perf_counter()
+                plethysm.plethysm_h_series(m, f, k, series=series)
+                per_degree.append(time.perf_counter() - start)
+            if run == 0:
+                continue
+            samples["total"].append(sum(per_degree))
+            for m, elapsed in enumerate(per_degree[1:], start=1):
+                samples[str(m)].append(elapsed)
+        times[name] = {key: round(1000 * statistics.median(v), 2) for key, v in samples.items()}
+    return times
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mode", choices=sorted(MODES), default="pipeline")
-    parser.add_argument("--schedule", type=int, nargs="+", help="pipeline cutoffs (pipeline modes)")
+    parser.add_argument(
+        "--schedule", type=int, nargs="+", help="pipeline cutoffs, or the series mode's top degrees"
+    )
     parser.add_argument("--runs", type=int, default=11)
     args = parser.parse_args()
+    if args.mode == "series":
+        tops = args.schedule or [top for _, top in SERIES.values()]
+        print(json.dumps(series_times(tops, args.runs)))
+        return
     stages = MODES[args.mode]
     tables = [fixtures.coefficient_table_raw(name) for name in fixtures.COEFFICIENT_TABLES]
     hull_run = hull_mixed_run() if args.mode == "hull" else None
