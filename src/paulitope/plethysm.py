@@ -32,10 +32,11 @@ the leading axes plus one flat offset in the run, with no carries.
 Each degree, of the series or of a ``SparsePoly`` laid out densely, is
 decomposed once, by a Weyl alternation over W = S_r x S_k into integer rows
 of highest weights; the dimension check multiplies out Weyl's formula on
-those rows.  The direct alternation gathers the whole orbit for every
-dominant weight and masks the terms outside the degree's array; the pruned
-one assigns each permutation one coordinate at a time and keeps only the
-terms inside it.  The order |W| alone picks the route, pruned from
+those rows.  Both routes read a dominant weight as its keys lam_i - i and
+per free axis the mask of the values pi(i) that keep lam_i - i + pi(i) in
+the degree's array: the direct alternation gathers the whole orbit and keeps
+the terms every axis allows, the pruned one builds only those, one
+coordinate at a time.  The order |W| alone picks the route, pruned from
 _PRUNED_ORDER on, and sizes the blocks of rows, the route's budget over |W|.
 The dict engine it replaced (Jacobi-Trudi plethysms, decomposition by
 peeling) and the former decomposition of a ``SparsePoly`` by binary search
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Iterable
@@ -57,7 +58,7 @@ from typing import Iterable
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, as_int
 from .polynomials import SparsePoly, schur_polynomial
 from .tableaux import normalize, size
 
@@ -192,6 +193,7 @@ def plethysm_h_series(
     way.  A series of other groups, or whose degree 0 is not trivial or
     whose degree 1 is not f (x) C^k, raises ValueError before any step.
     """
+    m_max, k = as_int(m_max, "m_max"), as_int(k, "rank bound k")
     if m_max < 0:
         raise ValueError("negative power")
     if k < 1:
@@ -375,49 +377,40 @@ def _lex_permutations(g: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _signed_delta_orbit(groups: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets delta - w(delta) and signs of every w in S_g1 x S_g2 x ..., one row each.
+def _orbit(groups: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """pi(i) on the free axes and the sign of every w in S_g1 x S_g2 x ..., one row each.
 
-    The offset columns are the complete coordinates of all groups side by
-    side, and the rows run through each S_g in lexicographic order.  The
-    arrays are cached, so they are made read-only.
+    Each group's permutation pi gives its first g - 1 values, one column per
+    free axis, and the rows run through each S_g in lexicographic order.
+    The arrays are cached, so they are made read-only.
     """
-    offsets = np.zeros((1, 0), dtype=np.int64)
+    perms = np.zeros((1, 0), dtype=np.int64)
     signs = np.ones(1, dtype=np.int64)
     for g in groups:
-        perms, inversions = _lex_permutations(g)
-        delta = np.arange(g - 1, -1, -1, dtype=np.int64)
-        offsets = np.concatenate(
-            [np.repeat(offsets, len(perms), axis=0), np.tile(delta - delta[perms], (len(offsets), 1))],
-            axis=1,
+        lex, inversions = _lex_permutations(g)
+        perms = np.concatenate(
+            [np.repeat(perms, len(lex), axis=0), np.tile(lex[:, : g - 1], (len(perms), 1))], axis=1
         )
-        signs = np.repeat(signs, len(perms)) * np.tile(1 - 2 * (inversions % 2), len(signs))
-    offsets.flags.writeable = False
-    signs.flags.writeable = False
-    return offsets, signs
+        signs = np.repeat(signs, len(lex)) * np.tile(1 - 2 * (inversions % 2), len(signs))
+    perms.flags.writeable = signs.flags.writeable = False
+    return perms, signs
 
 
-def _free_columns(groups: tuple[int, ...]) -> list[int]:
-    """Columns of the complete coordinates that are free: all but each group's last."""
-    ends = list(accumulate(groups))
-    return [c for c in range(ends[-1]) if c + 1 not in ends]
+def _alternate(key, allowed, perms, signs, strides, values) -> np.ndarray:
+    """Weyl alternation sums sum_w sign(w) f(lam + delta - w(delta)), one per row of ``key``.
 
-
-def _alternate(coords, offsets, signs, box, strides, values) -> np.ndarray:
-    """Weyl alternation sums sum_w sign(w) f(coords + offset(w)), one per row of coords.
-
-    One block of the direct route: every row meets the whole orbit, and a
-    term whose key falls outside the box is masked to zero after it is
-    built.  It is the route for small Weyl groups and the reference for
-    ``_pruned_block``.  ``box`` is the shape the coordinates index into,
-    ``strides`` its flat index steps, and ``values`` the flat array of
-    multiplicities.
+    One block of the direct route: every row meets the whole orbit
+    (``_orbit``'s ``perms`` and ``signs``), and a term is kept when every
+    free axis i allows its value pi(i), as ``_pruned_block`` reads ``key``
+    and ``allowed``.  It is the route for small Weyl groups and the
+    reference for ``_pruned_block``.  ``strides`` are the flat index steps
+    of the degree's array and ``values`` its flat multiplicities.
     """
-    valid = np.ones((len(coords), len(offsets)), dtype=bool)
-    for axis, n in enumerate(box):
-        key = coords[:, axis, None] + offsets[None, :, axis]
-        valid &= (key >= 0) & (key < n)
-    flat = np.where(valid, (coords @ strides)[:, None] + offsets @ strides, 0)
+    bits = 1 << perms
+    valid = np.ones((len(key), len(perms)), dtype=bool)
+    for axis in range(perms.shape[1]):
+        valid &= allowed[:, axis, None] & bits[:, axis] != 0
+    flat = np.where(valid, (key @ strides)[:, None] + perms @ strides, 0)
     return (np.where(valid, values[flat], 0) * signs).sum(axis=1)
 
 
@@ -488,22 +481,22 @@ def _extend(allowed, stride, g, row, flat, state):
 
 
 def _pruned_block(key, allowed, groups, strides, values) -> np.ndarray:
-    """The sums of ``_alternate``, over only the orbit elements whose keys stay in the box.
+    """The sums of ``_alternate``, over only the orbit elements every free axis allows.
 
     One block of the pruned route.  On free axis i of a group the key is
     lam_i + delta_i - delta_pi(i) = key_i + pi(i), with ``key`` = lam_i - i
-    and pi the group's permutation, and ``allowed`` holds the mask of the
-    values pi(i) that keep it in the box.  Each pi is built one position at
-    a time, the coset split S_g = S_{g-1} t_0 + ... + S_{g-1} t_{g-1} on the
-    first value, so a partial permutation survives only while every key
-    assigned so far is in the box.  The last position of a group takes the
-    value left over; the total fixes its coordinate, and the array holds 0
-    where that is negative.  Each term carries its row, flat index, used
-    values and inversion parity forward step by step, and the terms are
-    summed per row exactly, in the dtype of ``values`` (int64 or Python
-    ints).  A row's partial permutations at any step are at most the order
-    of S_g1 x S_g2 x ..., so a block's frontier is at most its rows times
-    that order.
+    and pi the group's permutation; ``allowed``, read by both routes, holds
+    the mask of the values pi(i) that keep it in the box.  Each pi is built
+    one position at a time, the coset split S_g = S_{g-1} t_0 + ... +
+    S_{g-1} t_{g-1} on the first value, so a partial permutation survives
+    only while every key assigned so far is in the box.  The last position
+    of a group takes the value left over; the total fixes its coordinate,
+    and the array holds 0 where that is negative.  Each term carries its
+    row, flat index, used values and inversion parity forward step by step,
+    and the terms are summed per row exactly, in the dtype of ``values``
+    (int64 or Python ints).  A row's partial permutations at any step are at
+    most the order of S_g1 x S_g2 x ..., so a block's frontier is at most
+    its rows times that order.
     """
     row = np.arange(len(key))
     flat = key @ strides  # the identity's keys; each step adds stride * pi(i)
@@ -528,42 +521,35 @@ def _takes_pruned_route(order: int) -> bool:
 def _decompose_lattice(f: LatticeCharacter):
     """Dominant weights, as complete coordinate rows, and their alternation sums.
 
-    Every decomposition of the package runs here.  The order of the Weyl
-    group S_g1 x S_g2 x ... picks the route, direct (``_alternate``) or
-    pruned (``_pruned_block``), by ``_takes_pruned_route``, and the rows go
-    in blocks of the route's budget over that order, at least one row each.
-    A row meets at most that many orbit elements on either route, so no
-    block holds more terms than its budget, a lone row aside.  The orbit
-    table is built only for the direct route.
+    Every decomposition of the package runs here.  Both routes read each
+    dominant weight as its keys and masks (see ``_pruned_block``).  The
+    order of the Weyl group S_g1 x S_g2 x ... picks the route, direct
+    (``_alternate``) or pruned (``_pruned_block``), by ``_takes_pruned_route``,
+    and the rows go in blocks of the route's budget over that order, at
+    least one row each.  A row meets at most that many orbit elements on
+    either route, so no block holds more terms than its budget, a lone row
+    aside.  The orbit table is built only for the direct route.
     """
     free = f._free_coordinates(_dominant_flat(f))
-    shape = f.array.shape
-    strides = np.array(_strides(shape), dtype=np.int64)
+    strides = np.array(_strides(f.array.shape), dtype=np.int64)
     values = f.array.ravel()
+    # The key on free axis i of a group of size g is lam_i - i + pi(i),
+    # and the values pi(i) in 0..g-1 that keep it in the box form one
+    # run, which holds pi(i) = i, the row's own weight.
+    sizes = np.array([g for g in f.groups for _ in range(g - 1)], dtype=np.int64)
+    key = free - np.array([i for g in f.groups for i in range(g - 1)], dtype=np.int64)
+    low = np.maximum(0, -key)
+    admitted = np.minimum(sizes, np.array(f.array.shape, dtype=np.int64) - key) - low
+    allowed = ((1 << admitted) - 1) << low
     order = prod(factorial(g) for g in f.groups)
     if _takes_pruned_route(order):
-        # The key on free axis i of a group of size g is lam_i - i + pi(i),
-        # and the values pi(i) in 0..g-1 that keep it in the box form one
-        # run, which holds pi(i) = i, the row's own weight.
-        sizes = np.array([g for g in f.groups for _ in range(g - 1)], dtype=np.int64)
-        key = free - np.array([i for g in f.groups for i in range(g - 1)], dtype=np.int64)
-        low = np.maximum(0, -key)
-        admitted = np.minimum(sizes, np.array(shape, dtype=np.int64) - key) - low
-        allowed = ((1 << admitted) - 1) << low
-        rows = max(1, _FRONTIER_BUDGET // order)
-
-        def block(part: slice) -> np.ndarray:
-            return _pruned_block(key[part], allowed[part], f.groups, strides, values)
-
+        rows, block, orbit = max(1, _FRONTIER_BUDGET // order), _pruned_block, (f.groups,)
     else:
-        offsets, signs = _signed_delta_orbit(f.groups)
-        offsets = offsets[:, _free_columns(f.groups)]
-        rows = max(1, _GATHER_BLOCK // order)
-
-        def block(part: slice) -> np.ndarray:
-            return _alternate(free[part], offsets, signs, shape, strides, values)
-
-    sums = [block(slice(start, start + rows)) for start in range(0, len(free), rows)]
+        rows, block, orbit = max(1, _GATHER_BLOCK // order), _alternate, _orbit(f.groups)
+    sums = [
+        block(key[start : start + rows], allowed[start : start + rows], *orbit, strides, values)
+        for start in range(0, len(free), rows)
+    ]
     return f._complete(free), np.concatenate(sums) if sums else np.zeros(0, dtype=np.int64)
 
 
@@ -661,8 +647,12 @@ def schur_decompose(f: SparsePoly | LatticeCharacter) -> dict:
     return result
 
 
-def _check_request(nu, r: int, rank_bound: int, m_cap: int, level_cap: int, degree_cap: int) -> None:
-    """Refuse inner points up to degree m_cap before anything is built: caps first, then arguments."""
+def _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap) -> tuple[int, int]:
+    """Refuse inner points up to m_cap before anything is built: non-integers, caps, arguments.
+
+    Returns the rank bound and m_cap as ints.
+    """
+    rank_bound, m_cap = as_int(rank_bound, "rank bound"), as_int(m_cap, "cutoff m_cap")
     if r > level_cap:
         raise ResourceLimitError(f"inner_points: r={r} exceeds the level cap {level_cap}")
     if size(nu) * m_cap > degree_cap:
@@ -673,6 +663,7 @@ def _check_request(nu, r: int, rank_bound: int, m_cap: int, level_cap: int, degr
         raise ValueError("rank bound must be at least 1")
     if m_cap < 0:
         raise ValueError("negative power")
+    return rank_bound, m_cap
 
 
 def inner_points(
@@ -700,7 +691,7 @@ def inner_points(
     components.  The points are those of the cutoff either way.
     """
     nu = normalize(nu)
-    _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap)
+    rank_bound, m_cap = _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap)
     series = plethysm_h_series(m_cap, character(nu, r), rank_bound, series=series)
     # Each point times lcm(1..m_cap) is an integer tuple, which deduplicates
     # and sorts exactly like the fractions and much faster.

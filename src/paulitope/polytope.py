@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .coefficients import coefficient, inequality_to_triple
-from .errors import ResourceLimitError, UnmatchedInequalityError
+from .errors import ResourceLimitError, UnmatchedInequalityError, as_int
 from .plethysm import (
     INNER_POINT_DEGREE_CAP,
     INNER_POINT_LEVEL_CAP,
@@ -633,8 +633,9 @@ def pipeline(
     """Inner-outer moment polytope computation with certificates.
 
     Every cutoff of the schedule is checked before any degree is built: a
-    cutoff below 1, which has no points to hull, raises ValueError, and one
-    over the caps ResourceLimitError.  One Newton series serves the whole
+    cutoff or rank bound that is not an integer, or a cutoff below 1, which
+    has no points to hull, raises ValueError, and one over the caps
+    ResourceLimitError.  One Newton series serves the whole
     run: each cutoff's ``inner_points`` call extends it up to that cutoff,
     so every degree is built and decomposed once.  For each cutoff M in the
     schedule, the hull of the normalized component points is computed, its
@@ -645,7 +646,8 @@ def pipeline(
     way.
     """
     nu = normalize(nu)
-    m_schedule = list(m_schedule)
+    rank_bound = as_int(rank_bound, "rank bound")
+    m_schedule = [as_int(m_cap, "pipeline: the cutoff M") for m_cap in m_schedule]
     for m_cap in m_schedule:
         if m_cap < 1:
             raise ValueError(f"pipeline: the cutoff M = {m_cap} is below 1")

@@ -65,7 +65,6 @@ from paulitope.plethysm import (
     LatticeCharacter,
     _decompose_lattice,
     _entry_dtype,
-    _signed_delta_orbit,
     _strides,
     character,
     inner_points,
@@ -832,6 +831,42 @@ def reference_signed_delta_orbit(groups: tuple[int, ...]) -> tuple[np.ndarray, n
         )
         signs = np.repeat(signs, len(perms)) * np.tile(1 - 2 * (inversions % 2), len(signs))
     return offsets, signs
+
+
+def reference_free_columns(groups: tuple[int, ...]) -> list[int]:
+    """Columns of the complete coordinates that are free: all but each group's last."""
+    ends = list(itertools.accumulate(groups))
+    return [c for c in range(ends[-1]) if c + 1 not in ends]
+
+
+# The direct alternation block as the package had it before both routes read
+# a row as its keys lam_i - i and the masks of the values pi(i) each free
+# axis allows: complete-coordinate offsets delta - w(delta), cut to the free
+# columns, and a range check of every free axis against the box.
+
+
+def reference_alternate(coords, offsets, signs, box, strides, values) -> np.ndarray:
+    """Weyl alternation sums sum_w sign(w) f(coords + offset(w)), one per row of coords.
+
+    One block of the direct route: every row meets the whole orbit, and a
+    term whose key falls outside the box is masked to zero after it is
+    built.  ``box`` is the shape the coordinates index into, ``strides`` its
+    flat index steps, and ``values`` the flat array of multiplicities.
+    """
+    valid = np.ones((len(coords), len(offsets)), dtype=bool)
+    for axis, n in enumerate(box):
+        key = coords[:, axis, None] + offsets[None, :, axis]
+        valid &= (key >= 0) & (key < n)
+    flat = np.where(valid, (coords @ strides)[:, None] + offsets @ strides, 0)
+    return (np.where(valid, values[flat], 0) * signs).sum(axis=1)
+
+
+def reference_direct_block(coords, groups, box, strides, values) -> np.ndarray:
+    """``reference_alternate`` with the free columns of the itertools orbit table."""
+    offsets, signs = reference_signed_delta_orbit(groups)
+    return reference_alternate(
+        coords, offsets[:, reference_free_columns(groups)], signs, box, strides, values
+    )
 
 
 # The Newton step the package took before it swept one tensor factor at a
@@ -1708,7 +1743,7 @@ def _decompose_sparse(f: SparsePoly):
     weights = list(f.terms)
     dominant = [wt for wt in weights if all(wt[i] >= wt[i + 1] for i in range(r - 1))]
     full = np.array(dominant, dtype=np.int64).reshape(-1, r)
-    offsets, signs = _signed_delta_orbit((r,))
+    offsets, signs = reference_signed_delta_orbit((r,))
     box = (max((max(wt) for wt in weights), default=0) + 1,) * r
     # each alternation sum has |orbit| terms of absolute value at most max |mult|
     bound = len(signs) * max((abs(m) for m in f.terms.values()), default=0)

@@ -15,7 +15,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import reference_dominant_flat
+from oracles import (
+    reference_direct_block,
+    reference_dominant_flat,
+    reference_free_columns,
+    reference_signed_delta_orbit,
+)
 from paulitope import generators, plethysm
 from paulitope.plethysm import LatticeCharacter, character, plethysm_h_series
 
@@ -152,11 +157,11 @@ def test_the_rule_goes_by_the_weyl_group_order(monkeypatch):
 def test_the_orbit_table_is_built_only_for_the_direct_route():
     fermion = plethysm_h_series(5, character((1, 1, 1), 7))
     mixed = plethysm_h_series(4, character((2, 1), 4), 2)
-    plethysm._signed_delta_orbit.cache_clear()
+    plethysm._orbit.cache_clear()
     _decompose_all(fermion[1:])
-    assert plethysm._signed_delta_orbit.cache_info().currsize == 0
+    assert plethysm._orbit.cache_info().currsize == 0
     _decompose_all(mixed[1:])
-    assert plethysm._signed_delta_orbit.cache_info().currsize == 1
+    assert plethysm._orbit.cache_info().currsize == 1
 
 
 # |W| = 7! = 5040 for the fermion degrees and 4! 2! = 48 for the mixed ones
@@ -193,3 +198,93 @@ def test_a_small_frontier_budget_splits_rows_and_keeps_the_sums(budget, monkeypa
     assert len(blocks) > len(series) and sum(blocks) == sum(len(w) for w in want)
     assert steps and all(size <= budget or rows == 1 for size, rows in steps)
     assert (max(blocks) > 1) == (budget >= 2 * 48)
+
+
+def _direct_blocks(monkeypatch, run, *args) -> list[tuple]:
+    """The arguments and sums of every direct block ``run(*args)`` alternates, the route forced."""
+    blocks = []
+    alternate = plethysm._alternate
+
+    def recording(*block_args):
+        blocks.append((block_args, alternate(*block_args)))
+        return blocks[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(plethysm, "_alternate", recording)
+        _forced(patch, False, run, *args)
+    return blocks
+
+
+def _assert_direct_blocks_match_the_frozen_block(term, blocks) -> None:
+    """Each block's sums are the frozen offset-table block's on its rows, in the same dtype.
+
+    The blocks' keys must be the lam_i - i of the dominant weights that the
+    full scan finds, in order.
+    """
+    index = np.array([i for g in term.groups for i in range(g - 1)], dtype=np.int64)
+    coords = term._free_coordinates(reference_dominant_flat(term))
+    assert np.array_equal(np.concatenate([args[0] for args, _ in blocks]) + index, coords)
+    strides = np.array(term.array.strides, dtype=np.int64) // term.array.itemsize
+    start = 0
+    for (key, *_), sums in blocks:
+        rows = coords[start : start + len(key)]
+        want = reference_direct_block(rows, term.groups, term.array.shape, strides, term.array.ravel())
+        assert sums.dtype == want.dtype and sums.tolist() == want.tolist()
+        start += len(key)
+
+
+DIRECT_SYSTEMS = [((1, 1, 1), 6, 1, 8), ((2, 1), 4, 2, 12), ((1, 1), 5, 2, 6)]
+
+
+@pytest.mark.parametrize("nu,r,k,m_max", DIRECT_SYSTEMS, ids=["c4", "c6", "wedge2-r5-k2"])
+def test_the_direct_block_matches_the_frozen_offset_table_block(nu, r, k, m_max, monkeypatch):
+    for term in plethysm_h_series(m_max, character(nu, r), k)[1:]:
+        blocks = _direct_blocks(monkeypatch, plethysm._decompose_lattice, term)
+        _assert_direct_blocks_match_the_frozen_block(term, blocks)
+
+
+@pytest.mark.parametrize("N,p", [(2, 5), (3, 5)])
+def test_the_direct_block_matches_the_frozen_block_on_kind2_products(N, p, monkeypatch):
+    terms = []
+    decompose = plethysm._decompose_lattice
+
+    def recording(term):
+        terms.append(term)
+        return decompose(term)
+
+    monkeypatch.setattr(plethysm, "_decompose_lattice", recording)
+    blocks = _direct_blocks(monkeypatch, generators.grassmann_kind2, N, p)
+    assert len(terms) == 1
+    _assert_direct_blocks_match_the_frozen_block(terms[0], blocks)
+
+
+RANDOM_GROUPS = [(3,), (4,), (5,), (2, 2), (3, 2), (4, 2), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("groups", RANDOM_GROUPS, ids=map(str, RANDOM_GROUPS))
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+def test_the_direct_block_matches_the_frozen_block_at_the_box_edges(groups, dtype, monkeypatch):
+    rng = np.random.default_rng(sum(g * 10**i for i, g in enumerate(groups)))
+    offsets = reference_signed_delta_orbit(groups)[0][:, reference_free_columns(groups)]
+    index = np.array([i for g in groups for i in range(g - 1)], dtype=np.int64)
+    low_edge = high_edge = False
+    for _ in range(6):
+        shape = tuple(rng.integers(2, 6, size=len(index)).tolist())
+        totals = tuple(rng.integers(0, 2 * max(shape), size=len(groups)).tolist())
+        # any integers, not a character, but 0 where a group's last coordinate is negative
+        array = rng.integers(-3, 4, size=shape).astype(dtype)
+        coords, start = np.indices(shape), 0
+        for g, total in zip(groups, totals):
+            array[coords[start : start + g - 1].sum(axis=0) > total] = 0
+            start += g - 1
+        term = LatticeCharacter(groups, totals, array)
+        blocks = _direct_blocks(monkeypatch, plethysm._decompose_lattice, term)
+        if blocks:  # no block when no dominant weight has a nonzero entry
+            _assert_direct_blocks_match_the_frozen_block(term, blocks)
+        for (key, *_), _ in blocks:
+            # each term's key on each free axis, as the frozen block builds it
+            keys = (key + index)[:, None, :] + offsets
+            low_edge |= bool((keys == -1).any())
+            high_edge |= bool((keys == np.array(shape)).any())
+    # a key lam_i - i + pi(i) is -1 only at a position i >= 1 of its group
+    assert low_edge == (max(groups) > 2) and high_edge

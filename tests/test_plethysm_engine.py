@@ -18,6 +18,7 @@ from oracles import (
     cauchy_components,
     cauchy_points,
     reference_inner_points,
+    reference_free_columns,
     reference_schur_decompose,
     reference_signed_delta_orbit,
     weyl_dimension,
@@ -133,11 +134,15 @@ ORBIT_GROUPS = [(g,) for g in range(1, 9)] + [(4, 2), (3, 3), (2, 2, 2)]
 
 @pytest.mark.parametrize("groups", ORBIT_GROUPS, ids=map(str, ORBIT_GROUPS))
 def test_orbit_table_matches_the_itertools_table_row_for_row(groups):
-    offsets, signs = plethysm._signed_delta_orbit(groups)
+    perms, signs = plethysm._orbit(groups)
     want_offsets, want_signs = reference_signed_delta_orbit(groups)
-    assert offsets.dtype == want_offsets.dtype and signs.dtype == want_signs.dtype
-    assert np.array_equal(offsets, want_offsets) and np.array_equal(signs, want_signs)
-    assert not offsets.flags.writeable and not signs.flags.writeable
+    # on free axis i of a group, delta_i - delta_pi(i) = pi(i) - i
+    want = want_offsets[:, reference_free_columns(groups)]
+    index = np.array([i for g in groups for i in range(g - 1)], dtype=np.int64)
+    assert perms.dtype == want_offsets.dtype and signs.dtype == want_signs.dtype
+    assert perms.shape == want.shape
+    assert np.array_equal(perms - index, want) and np.array_equal(signs, want_signs)
+    assert not perms.flags.writeable and not signs.flags.writeable
 
 
 def _random_partitions(rng, r: int, count: int) -> np.ndarray:

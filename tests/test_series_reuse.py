@@ -9,6 +9,8 @@ was before: every cutoff builds and decomposes its series from degree 1.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,37 @@ def test_cached_series_arrays_and_components_are_read_only():
         full[0, 0] = 7
     with pytest.raises(ValueError, match="read-only"):
         mults[0] = 7
-    offsets, signs = plethysm._signed_delta_orbit((3, 2))
-    with pytest.raises(ValueError, match="read-only"):
-        signs[0] = 0
+    for table in plethysm._orbit((3, 2)):  # pi(i) on the free axes, and the signs
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
+FRACTIONAL = [
+    (lambda: polytope.pipeline((1, 1), 4, 1, [2.5]), "cutoff M"),
+    (lambda: polytope.pipeline((1, 1), 4, 1, [2, Fraction(5, 2)]), "cutoff M"),
+    (lambda: polytope.pipeline((1, 1), 4, 1.5, [2]), "rank bound"),
+    (lambda: polytope.pipeline((1, 1), 4, 1.5, []), "rank bound"),
+    (lambda: inner_points((1, 1), 4, 1, 2.5), "cutoff m_cap"),
+    (lambda: inner_points((1, 1), 4, 1.5, 2), "rank bound"),
+    (lambda: plethysm_h_series(2.5, character((1, 1), 4)), "m_max"),
+    (lambda: plethysm_h_series(2, character((1, 1), 4), 2.0), "rank bound k"),
+]
+
+
+@pytest.mark.parametrize("call,what", FRACTIONAL, ids=range(len(FRACTIONAL)))
+def test_a_fractional_cutoff_or_rank_bound_is_refused_before_any_step(call, what, monkeypatch):
+    steps = _counted(monkeypatch, "_newton_step", len)
+    with pytest.raises(ValueError, match=f"{what} must be an integer"):
+        call()
+    assert steps == []
+
+
+def test_an_integral_fraction_or_numpy_int_runs_like_the_int():
+    want = polytope.pipeline((1, 1), 4, 1, [2, 4])
+    f = character((2, 1), 3)
+    for one, two, four in [(Fraction(1), Fraction(2), Fraction(4)), tuple(map(np.int64, (1, 2, 4)))]:
+        got = polytope.pipeline((1, 1), 4, one, [two, four])
+        assert got == want
+        assert type(got["rank_bound"]) is int and all(type(h["M"]) is int for h in got["history"])
+        assert inner_points((1, 1), 4, one, four) == inner_points((1, 1), 4, 1, 4)
+        assert _same_degrees(plethysm_h_series(four, f, two), plethysm_h_series(4, f, 2))

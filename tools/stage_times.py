@@ -57,10 +57,12 @@ and, where the dict is a wrapper over an array-level helper,
 the coefficient reads content rows, ``_spectrum``.  Names a checkout does
 not have are skipped.  In the three pipeline modes each route of the Weyl
 alternation is its own stage, out of ``decompose``: ``direct`` is
-``_alternate`` (one call per block of rows, or per degree where it walked
-the blocks itself) and ``pruned`` is ``_pruned_block`` and, where one
-function walked its blocks, ``_alternate_pruned``; ``decompose`` keeps the
-dominant weights, the split into blocks and the dimension check.  In the
+``_alternate``, one call per block of rows (or per degree where it walked
+the blocks itself), which gathers the whole orbit and keeps the terms
+whose keys stay in the box, and ``pruned`` is ``_pruned_block``, one call
+per block of rows; ``decompose`` keeps the dominant weights, their keys
+and the masks both routes read, the split into blocks and the dimension
+check.  In the
 three pipeline modes ``hull`` includes building its integer matrix from
 the Fraction points; the hull mode splits it into
 ``read`` (``_read_entries``, which reads the numerators and denominators
@@ -96,7 +98,7 @@ PIPELINE_STAGES = {
     "newton": [(plethysm, "_newton_step"), (plethysm, "plethysm_h_series")],
     "decompose": [(plethysm, "_components"), (plethysm, "schur_decompose")],
     "direct": [(plethysm, "_alternate")],
-    "pruned": [(plethysm, "_alternate_pruned"), (plethysm, "_pruned_block")],
+    "pruned": [(plethysm, "_pruned_block")],
     "hull": [(polytope, "hull")],
     "match": [(polytope, "facet_match")],
     "outer": [(polytope, "polytope_from_h")],
