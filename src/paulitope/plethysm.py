@@ -31,10 +31,12 @@ placed once per j at the run's strides, and a weight becomes a slice over
 the leading axes plus one flat offset in the run, with no carries.
 Each degree, of the series or of a ``SparsePoly`` laid out densely, is
 decomposed once, by a Weyl alternation over W = S_r x S_k into integer rows
-of highest weights; the dimension check multiplies out Weyl's formula on
-those rows.  Both routes read a dominant weight as its keys lam_i - i and
-per free axis the mask of the values pi(i) that keep lam_i - i + pi(i) in
-the degree's array: the direct alternation gathers the whole orbit and keeps
+of highest weights, which the degree checks (no negative multiplicity, and
+Weyl's formula multiplied out on the rows for the dimension) and caches as
+its ``components``.  Both routes read a dominant weight as its keys lam_i - i
+and per free axis the mask of the values pi(i) that keep lam_i - i + pi(i)
+in the degree's array, and their blocks take the same arguments: the direct
+alternation gathers the whole orbit, a cached ``itertools`` table, and keeps
 the terms every axis allows, the pruned one builds only those, one
 coordinate at a time.  The order |W| alone picks the route, pruned from
 _PRUNED_ORDER on, and sizes the blocks of rows, the route's budget over |W|.
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations, permutations
 from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Iterable
@@ -143,8 +145,22 @@ class LatticeCharacter:
 
     @cached_property
     def components(self) -> tuple[np.ndarray, np.ndarray]:
-        """Highest weights and multiplicities, as ``_components`` gives them, read-only."""
-        full, mults = _components(self)
+        """Highest weights, as rows of complete coordinates, and their multiplicities, read-only.
+
+        Raises ValueError if any multiplicity comes out negative or the
+        component dimensions do not sum to the dimension, since then the
+        array was not a character.
+        """
+        full, mults = _decompose_lattice(self)
+        if (mults < 0).any():
+            bad = int(np.flatnonzero(mults < 0)[0])
+            weight = tuple(full[bad].tolist())
+            raise ValueError(f"negative multiplicity {mults[bad]} at {weight}: not a character")
+        keep = mults != 0
+        full, mults = full[keep], mults[keep]
+        dims = _weyl_dimensions(full, self.groups)
+        if sum(map(mul, mults.tolist(), dims.tolist())) != self.dimension():
+            raise ValueError("component dimensions do not sum to the character dimension")
         full.flags.writeable = mults.flags.writeable = False
         return full, mults
 
@@ -363,17 +379,14 @@ def _place(array: np.ndarray, lead: int, strides: list[int], buffer: np.ndarray)
 def _lex_permutations(g: int) -> tuple[np.ndarray, np.ndarray]:
     """Every permutation of range(g) in lexicographic order, one row each, and its inversion count.
 
-    The rows with first entry a are those of S_{g-1} with every entry >= a
-    raised by one, in their own order; a precedes exactly a smaller entries.
+    ``itertools.permutations`` gives the rows in that order; the inversions
+    are counted with one comparison per pair of positions.
     """
-    perms = np.zeros((1, 0), dtype=np.int64)
-    inversions = np.zeros(1, dtype=np.int64)
-    for n in range(1, g + 1):
-        perms = np.concatenate(
-            [np.column_stack([np.full(len(perms), a), perms + (perms >= a)]) for a in range(n)]
-        )
-        inversions = np.concatenate([inversions + a for a in range(n)])
-    return perms, inversions
+    count = factorial(g)
+    perms = np.fromiter(chain.from_iterable(permutations(range(g))), np.int64, count * g)
+    perms = perms.reshape(count, g)
+    pairs = (perms[:, i] > perms[:, j] for i, j in combinations(range(g), 2))
+    return perms, sum(pairs, np.zeros(count, dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -396,16 +409,18 @@ def _orbit(groups: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return perms, signs
 
 
-def _alternate(key, allowed, perms, signs, strides, values) -> np.ndarray:
+def _alternate(key, allowed, groups, strides, values) -> np.ndarray:
     """Weyl alternation sums sum_w sign(w) f(lam + delta - w(delta)), one per row of ``key``.
 
-    One block of the direct route: every row meets the whole orbit
-    (``_orbit``'s ``perms`` and ``signs``), and a term is kept when every
-    free axis i allows its value pi(i), as ``_pruned_block`` reads ``key``
-    and ``allowed``.  It is the route for small Weyl groups and the
-    reference for ``_pruned_block``.  ``strides`` are the flat index steps
-    of the degree's array and ``values`` its flat multiplicities.
+    One block of the direct route, with the arguments of ``_pruned_block``:
+    every row meets the whole orbit, the cached ``_orbit(groups)``, and a
+    term is kept when every free axis i allows its value pi(i), as
+    ``_pruned_block`` reads ``key`` and ``allowed``.  It is the route for
+    small Weyl groups and the reference for ``_pruned_block``.  ``strides``
+    are the flat index steps of the degree's array and ``values`` its flat
+    multiplicities.
     """
+    perms, signs = _orbit(groups)
     bits = 1 << perms
     valid = np.ones((len(key), len(perms)), dtype=bool)
     for axis in range(perms.shape[1]):
@@ -523,12 +538,13 @@ def _decompose_lattice(f: LatticeCharacter):
 
     Every decomposition of the package runs here.  Both routes read each
     dominant weight as its keys and masks (see ``_pruned_block``).  The
-    order of the Weyl group S_g1 x S_g2 x ... picks the route, direct
-    (``_alternate``) or pruned (``_pruned_block``), by ``_takes_pruned_route``,
-    and the rows go in blocks of the route's budget over that order, at
-    least one row each.  A row meets at most that many orbit elements on
-    either route, so no block holds more terms than its budget, a lone row
-    aside.  The orbit table is built only for the direct route.
+    order of the Weyl group S_g1 x S_g2 x ... picks the block, direct
+    (``_alternate``) or pruned (``_pruned_block``), by ``_takes_pruned_route``;
+    both take the same arguments, and the rows go in blocks of the route's
+    budget over that order, at least one row each.  A row meets at most that
+    many orbit elements on either route, so no block holds more terms than
+    its budget, a lone row aside.  Only the direct block reads the orbit
+    table, so it is built for that route alone.
     """
     free = f._free_coordinates(_dominant_flat(f))
     strides = np.array(_strides(f.array.shape), dtype=np.int64)
@@ -543,11 +559,12 @@ def _decompose_lattice(f: LatticeCharacter):
     allowed = ((1 << admitted) - 1) << low
     order = prod(factorial(g) for g in f.groups)
     if _takes_pruned_route(order):
-        rows, block, orbit = max(1, _FRONTIER_BUDGET // order), _pruned_block, (f.groups,)
+        block, budget = _pruned_block, _FRONTIER_BUDGET
     else:
-        rows, block, orbit = max(1, _GATHER_BLOCK // order), _alternate, _orbit(f.groups)
+        block, budget = _alternate, _GATHER_BLOCK
+    rows = max(1, budget // order)
     sums = [
-        block(key[start : start + rows], allowed[start : start + rows], *orbit, strides, values)
+        block(key[start : start + rows], allowed[start : start + rows], f.groups, strides, values)
         for start in range(0, len(free), rows)
     ]
     return f._complete(free), np.concatenate(sums) if sums else np.zeros(0, dtype=np.int64)
@@ -596,26 +613,6 @@ def _weyl_dimensions(full: np.ndarray, groups: tuple[int, ...]) -> np.ndarray:
     return dims
 
 
-def _components(f: LatticeCharacter) -> tuple[np.ndarray, np.ndarray]:
-    """Highest weights of a character, as rows of complete coordinates, and their multiplicities.
-
-    Raises ValueError if any multiplicity comes out negative or the
-    component dimensions do not sum to the dimension of f, since then f was
-    not a character.
-    """
-    full, mults = _decompose_lattice(f)
-    if (mults < 0).any():
-        bad = int(np.flatnonzero(mults < 0)[0])
-        raise ValueError(
-            f"negative multiplicity {mults[bad]} at {tuple(full[bad].tolist())}: not a character"
-        )
-    keep = mults != 0
-    full, mults = full[keep], mults[keep]
-    if sum(map(mul, mults.tolist(), _weyl_dimensions(full, f.groups).tolist())) != f.dimension():
-        raise ValueError("component dimensions do not sum to the character dimension")
-    return full, mults
-
-
 def schur_decompose(f: SparsePoly | LatticeCharacter) -> dict:
     """Highest weights and multiplicities of a character.
 
@@ -647,12 +644,13 @@ def schur_decompose(f: SparsePoly | LatticeCharacter) -> dict:
     return result
 
 
-def _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap) -> tuple[int, int]:
+def _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap) -> tuple[int, int, int]:
     """Refuse inner points up to m_cap before anything is built: non-integers, caps, arguments.
 
-    Returns the rank bound and m_cap as ints.
+    Returns the level count, the rank bound and m_cap as ints.
     """
     rank_bound, m_cap = as_int(rank_bound, "rank bound"), as_int(m_cap, "cutoff m_cap")
+    r = as_int(r, "level count")
     if r > level_cap:
         raise ResourceLimitError(f"inner_points: r={r} exceeds the level cap {level_cap}")
     if size(nu) * m_cap > degree_cap:
@@ -663,7 +661,7 @@ def _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap) -> tuple[int
         raise ValueError("rank bound must be at least 1")
     if m_cap < 0:
         raise ValueError("negative power")
-    return rank_bound, m_cap
+    return r, rank_bound, m_cap
 
 
 def inner_points(
@@ -691,7 +689,7 @@ def inner_points(
     components.  The points are those of the cutoff either way.
     """
     nu = normalize(nu)
-    rank_bound, m_cap = _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap)
+    r, rank_bound, m_cap = _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap)
     series = plethysm_h_series(m_cap, character(nu, r), rank_bound, series=series)
     # Each point times lcm(1..m_cap) is an integer tuple, which deduplicates
     # and sorts exactly like the fractions and much faster.

@@ -633,11 +633,12 @@ def pipeline(
     """Inner-outer moment polytope computation with certificates.
 
     Every cutoff of the schedule is checked before any degree is built: a
-    cutoff or rank bound that is not an integer, or a cutoff below 1, which
-    has no points to hull, raises ValueError, and one over the caps
-    ResourceLimitError.  One Newton series serves the whole
-    run: each cutoff's ``inner_points`` call extends it up to that cutoff,
-    so every degree is built and decomposed once.  For each cutoff M in the
+    cutoff, rank bound or level count that is not an integer, a cutoff below
+    1, which has no points to hull, or a rank bound below 1, with any
+    schedule, raises ValueError, and one over the caps ResourceLimitError.
+    One Newton series serves the whole run: each cutoff's ``inner_points``
+    call extends it up to that cutoff, so every degree is built and
+    decomposed once.  For each cutoff M in the
     schedule, the hull of the normalized component points is computed, its
     faces are matched against test-spectrum triples, and the outer polytope
     cut by the matched inequalities (inside the ambient chamber) is
@@ -648,10 +649,13 @@ def pipeline(
     nu = normalize(nu)
     rank_bound = as_int(rank_bound, "rank bound")
     m_schedule = [as_int(m_cap, "pipeline: the cutoff M") for m_cap in m_schedule]
+    r = as_int(r, "level count")
     for m_cap in m_schedule:
         if m_cap < 1:
             raise ValueError(f"pipeline: the cutoff M = {m_cap} is below 1")
         _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap)
+    if rank_bound < 1:  # an empty schedule reaches no _check_request
+        raise ValueError("rank bound must be at least 1")
     n_particles = size(nu)
     mixed = rank_bound > 1
     ambient_eqs, ambient_ineqs = _ambient_system(r, n_particles, rank_bound)

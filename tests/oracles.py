@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm, prod
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -837,6 +838,48 @@ def reference_free_columns(groups: tuple[int, ...]) -> list[int]:
     """Columns of the complete coordinates that are free: all but each group's last."""
     ends = list(itertools.accumulate(groups))
     return [c for c in range(ends[-1]) if c + 1 not in ends]
+
+
+# The orbit table of the direct alternation as the package built it while
+# that route still alternated S_7 and S_8: each S_n assembled in numpy from
+# S_{n-1}, with no per-row Python loop.  Independent of
+# ``reference_signed_delta_orbit``, which is built with ``itertools``.
+
+
+def reference_lex_permutations(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation of range(g) in lexicographic order, one row each, and its inversion count.
+
+    The rows with first entry a are those of S_{g-1} with every entry >= a
+    raised by one, in their own order; a precedes exactly a smaller entries.
+    """
+    perms = np.zeros((1, 0), dtype=np.int64)
+    inversions = np.zeros(1, dtype=np.int64)
+    for n in range(1, g + 1):
+        perms = np.concatenate(
+            [np.column_stack([np.full(len(perms), a), perms + (perms >= a)]) for a in range(n)]
+        )
+        inversions = np.concatenate([inversions + a for a in range(n)])
+    return perms, inversions
+
+
+@lru_cache(maxsize=None)
+def reference_orbit(groups: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """pi(i) on the free axes and the sign of every w in S_g1 x S_g2 x ..., one row each.
+
+    Each group's permutation pi gives its first g - 1 values, one column per
+    free axis, and the rows run through each S_g in lexicographic order.
+    The arrays are cached, so they are made read-only.
+    """
+    perms = np.zeros((1, 0), dtype=np.int64)
+    signs = np.ones(1, dtype=np.int64)
+    for g in groups:
+        lex, inversions = reference_lex_permutations(g)
+        perms = np.concatenate(
+            [np.repeat(perms, len(lex), axis=0), np.tile(lex[:, : g - 1], (len(perms), 1))], axis=1
+        )
+        signs = np.repeat(signs, len(lex)) * np.tile(1 - 2 * (inversions % 2), len(signs))
+    perms.flags.writeable = signs.flags.writeable = False
+    return perms, signs
 
 
 # The direct alternation block as the package had it before both routes read

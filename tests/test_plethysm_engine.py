@@ -19,6 +19,7 @@ from oracles import (
     cauchy_points,
     reference_inner_points,
     reference_free_columns,
+    reference_orbit,
     reference_schur_decompose,
     reference_signed_delta_orbit,
     weyl_dimension,
@@ -129,12 +130,17 @@ def test_lattice_decompose_rejects_non_characters():
         schur_decompose(LatticeCharacter(h3.groups, h3.totals, bumped))
 
 
-ORBIT_GROUPS = [(g,) for g in range(1, 9)] + [(4, 2), (3, 3), (2, 2, 2)]
+ORBIT_GROUPS = [(g,) for g in range(1, 9)] + [(4, 2), (3, 3), (2, 2, 2), (5, 2), (4, 3)]
 
 
 @pytest.mark.parametrize("groups", ORBIT_GROUPS, ids=map(str, ORBIT_GROUPS))
 def test_orbit_table_matches_the_itertools_table_row_for_row(groups):
     perms, signs = plethysm._orbit(groups)
+    # the numpy-built table the package had before, value for value
+    for got, frozen in zip((perms, signs), reference_orbit(groups)):
+        assert got.dtype == frozen.dtype and got.shape == frozen.shape
+        assert np.array_equal(got, frozen)
+        assert got.flags.writeable == frozen.flags.writeable
     want_offsets, want_signs = reference_signed_delta_orbit(groups)
     # on free axis i of a group, delta_i - delta_pi(i) = pi(i) - i
     want = want_offsets[:, reference_free_columns(groups)]

@@ -84,7 +84,7 @@ def test_every_cutoff_equals_the_rebuild_path(name, monkeypatch):
 
 def test_fermion_run_builds_and_decomposes_each_degree_once(monkeypatch):
     steps = _counted(monkeypatch, "_newton_step", key=len)
-    decomposed = _counted(monkeypatch, "_components")
+    decomposed = _counted(monkeypatch, "_decompose_lattice")
     (nu, r, k, schedule), caps = SCHEDULES["fermion-r7-m5"]
     polytope.pipeline(nu, r, k, schedule, **caps)
     # rebuilding at every cutoff took 2 + 4 + 5 = 11 of each
@@ -94,7 +94,7 @@ def test_fermion_run_builds_and_decomposes_each_degree_once(monkeypatch):
 
 def test_decomposing_a_degree_again_reuses_its_components(monkeypatch):
     h3 = plethysm_h_series(3, character((1, 1), 4), 2)[3]
-    decomposed = _counted(monkeypatch, "_components")
+    decomposed = _counted(monkeypatch, "_decompose_lattice")
     first = schur_decompose(h3)
     assert schur_decompose(h3) == first and len(decomposed) == 1
 
@@ -150,6 +150,12 @@ FRACTIONAL = [
     (lambda: inner_points((1, 1), 4, 1.5, 2), "rank bound"),
     (lambda: plethysm_h_series(2.5, character((1, 1), 4)), "m_max"),
     (lambda: plethysm_h_series(2, character((1, 1), 4), 2.0), "rank bound k"),
+    (lambda: polytope.pipeline((1, 1), 4.5, 1, [2]), "level count"),
+    (lambda: polytope.pipeline((1, 1), 4.5, 1, []), "level count"),
+    (lambda: inner_points((1, 1), 4.5, 1, 2), "level count"),
+    # an integral float is refused like any float, as for every count
+    (lambda: polytope.pipeline((1, 1), 4.0, 1, [2]), "level count"),
+    (lambda: inner_points((1, 1), 4.0, 1, 2), "level count"),
 ]
 
 
@@ -169,4 +175,17 @@ def test_an_integral_fraction_or_numpy_int_runs_like_the_int():
         assert got == want
         assert type(got["rank_bound"]) is int and all(type(h["M"]) is int for h in got["history"])
         assert inner_points((1, 1), 4, one, four) == inner_points((1, 1), 4, 1, 4)
+        # the level count too
+        got = polytope.pipeline((1, 1), four, 1, [2, 4])
+        assert got == want and type(got["r"]) is int
+        assert inner_points((1, 1), four, 1, 4) == inner_points((1, 1), 4, 1, 4)
         assert _same_degrees(plethysm_h_series(four, f, two), plethysm_h_series(4, f, 2))
+
+
+@pytest.mark.parametrize("rank_bound", [0, -3])
+def test_a_rank_bound_below_one_is_refused_with_any_schedule(rank_bound, monkeypatch):
+    steps = _counted(monkeypatch, "_newton_step", len)
+    for schedule in ([], [2], [2, 4]):
+        with pytest.raises(ValueError, match="^rank bound must be at least 1$"):
+            polytope.pipeline((1, 1), 4, rank_bound, schedule)
+    assert steps == []

@@ -51,18 +51,22 @@ the hull mode; the loop over the rows in the vertices mode).
 
 A stage lists every function name that has carried it: the Newton
 recurrence is ``plethysm_h_series`` and, where the series is built one
-degree per call, ``_newton_step``; the decomposition is ``schur_decompose``
-and, where the dict is a wrapper over an array-level helper,
-``_components``; the induced spectrum is ``induced_spectrum`` and, where
-the coefficient reads content rows, ``_spectrum``.  Names a checkout does
-not have are skipped.  In the three pipeline modes each route of the Weyl
-alternation is its own stage, out of ``decompose``: ``direct`` is
-``_alternate``, one call per block of rows (or per degree where it walked
-the blocks itself), which gathers the whole orbit and keeps the terms
-whose keys stay in the box, and ``pruned`` is ``_pruned_block``, one call
-per block of rows; ``decompose`` keeps the dominant weights, their keys
-and the masks both routes read, the split into blocks and the dimension
-check.  In the
+degree per call, ``_newton_step``; the decomposition is ``schur_decompose``,
+which reads the checked decomposition that ``LatticeCharacter.components``
+caches, and, in older checkouts where that property wrapped an
+array-level helper holding the checks, ``_components``; the induced
+spectrum is ``induced_spectrum`` and, where the coefficient reads content
+rows, ``_spectrum``.  Names a checkout does not have are skipped.  In the
+three pipeline modes each route of the Weyl alternation is its own stage,
+out of ``decompose``: ``direct`` is ``_alternate``, one call per block of
+rows (or per degree where it walked the blocks itself), which gathers the
+whole orbit and keeps the terms whose keys stay in the box, and
+``pruned`` is ``_pruned_block``, one call per block of rows.  Since
+``_alternate`` reads the orbit table itself, ``direct`` includes the
+first block's ``_orbit`` build, as these modes clear the caches before
+each run.  ``decompose`` keeps the dominant weights, their keys and the
+masks both routes read, the split into blocks, the negativity check and
+the dimension check.  In the
 three pipeline modes ``hull`` includes building its integer matrix from
 the Fraction points; the hull mode splits it into
 ``read`` (``_read_entries``, which reads the numerators and denominators
