@@ -32,8 +32,18 @@ from .tableaux import normalize, size
 
 RAY_CAP = 20000
 # Rows one step of the double description's forward scan takes against the
-# cone.  On the hull-mixed rows 128 to 1024 are about equally fast; 2048 is slower.
+# cone.  With float64 products, ``cone_dual`` on the hull-mixed rows takes
+# 4.5, 3.8, 3.6, 4.2, 5.5 and 8.2 ms at 128, 256, 512, 1024, 2048 and 4096
+# (in process, median of 15, 2-vCPU Xeon VM).
 _SCAN_BLOCK = 512
+# Products of integer matrices run in float64, on BLAS, when max|row| *
+# max|generator| * dim is below this.  Each term a_i*g_i and every partial
+# sum of a.g is then an integer of magnitude at most sum |a_i||g_i| < 2^53,
+# which float64 holds exactly, in whatever order (and with whatever fused
+# multiply-adds) the BLAS adds them (Dumas, Giorgi & Pernet, ACM TOMS 35(3),
+# 2008).  numpy runs int64 matmul without BLAS, about 8x slower on a 512x7
+# block.
+_FLOAT_EXACT = 2**53
 # Rows ``_row_matrix`` reads per block; only one block's entries are held in
 # Python lists at a time, so the read adds no input-sized list to the peak.
 _READ_BLOCK = 2048
@@ -127,22 +137,24 @@ def _read_entries(rows: Sequence[Sequence], width: int, lead: bool, dtype=np.int
     """Numerators and denominators of a rational matrix, one column per row of the result.
 
     Returns the (lead + width, n) numerators, whose first ``lead`` row holds
-    1s, and the (width, n) denominators, as arrays of ``dtype``; entry j of
-    input row i sits at column i.  Rows are read _READ_BLOCK at a time, so
-    that only one block's entries are held in lists.  A block whose entries
-    are all exactly ``Fraction``s is read through the ``_numerator`` and
-    ``_denominator`` slots, which a comprehension loads at C level where the
-    public properties run Python code.  Any other block is read through the
-    properties, after ``_exact`` unless every entry is an int or a
-    ``Fraction`` (a ``Fraction`` subclass takes the properties too).  An
-    object read sends every entry through ``int()``, so that numpy-int
-    numerators cannot wrap; an int64 read raises OverflowError on an entry
-    past int64.
+    1s, and the (width, n) denominators, as arrays of ``dtype``, entry j of
+    input row i at column i; and whether every entry read was exactly an
+    int or a ``Fraction``, and so in lowest terms.  Rows are read
+    _READ_BLOCK at a time, so that only one block's entries are held in
+    lists.  A block whose entries are all exactly ``Fraction``s is read
+    through the ``_numerator`` and ``_denominator`` slots, which a
+    comprehension loads at C level where the public properties run Python
+    code.  Any other block is read through the properties, after ``_exact``
+    unless every entry is an int or a ``Fraction`` (a ``Fraction`` subclass
+    takes the properties too).  An object read sends every entry through
+    ``int()``, so that numpy-int numerators cannot wrap; an int64 read
+    raises OverflowError on an entry past int64.
     """
     n = len(rows)
     nums = np.empty((lead + width, n), dtype)
     nums[:lead] = 1
     dens = np.empty((width, n), dtype)
+    reduced = True
     for start in range(0, n, _READ_BLOCK):
         block = rows[start : start + _READ_BLOCK]
         stop, size = start + len(block), len(block) * width
@@ -151,14 +163,17 @@ def _read_entries(rows: Sequence[Sequence], width: int, lead: bool, dtype=np.int
             den = [x._denominator for row in block for x in row]
         else:
             entries = list(chain.from_iterable(block))
-            if not all(issubclass(t, (int, Fraction)) for t in set(map(type, entries))):
+            types = set(map(type, entries))
+            if not all(issubclass(t, (int, Fraction)) for t in types):
                 entries = [_exact(x) for x in entries]
+                types = set(map(type, entries))
+            reduced = reduced and types <= {int, Fraction}
             num, den = map(attrgetter("numerator"), entries), map(attrgetter("denominator"), entries)
         if dtype is object:
             num, den = map(int, num), map(int, den)
         nums[lead:, start:stop] = np.fromiter(num, dtype, size).reshape(stop - start, width).T
         dens[:, start:stop] = np.fromiter(den, dtype, size).reshape(stop - start, width).T
-    return nums, dens
+    return nums, dens, reduced
 
 
 def _sorted_rows(columns: np.ndarray) -> np.ndarray:
@@ -200,8 +215,10 @@ def _row_matrix(rows: Sequence[Sequence], width: int, lead: bool = False) -> np.
     Each row has ``width`` entries; ``lead`` puts a 1 before each, so points
     become the rows (den, x1*den, ...) of their homogenization.  Each row is
     scaled by the lcm of its denominators and divided by the gcd of the
-    result; zero rows are dropped and the rest come out in the order
-    ``sorted(set(rows))`` gives.  ``_read_entries`` reads the numerators and
+    result, a step skipped for points whose coordinates are all exactly
+    ints or Fractions, read after ``_exact``: (lcm, x1*lcm, ...) of reduced
+    fractions is already primitive.  Zero rows are dropped and the rest
+    come out in the order ``sorted(set(rows))`` gives.  ``_read_entries`` reads the numerators and
     denominators straight into int64, block by block, one matrix column to
     an array row; so the lcm and the gcd of each matrix row are reductions
     across those array rows, one binary ufunc call per column over all the
@@ -213,39 +230,46 @@ def _row_matrix(rows: Sequence[Sequence], width: int, lead: bool = False) -> np.
     product.
 
     On the 24,526 ``hull-mixed`` points (2-vCPU Xeon VM, in process) the
-    reader takes about 33 ms: 22 for the read, 7 for the scaling and 3 for
-    the order.  The one-pass reader it replaced took about 52 ms, with a
-    type check over the whole matrix, a reduction along each row and a
-    ``np.lexsort`` over seven columns.
+    reader takes about 17 ms: 12 for the read, 3 for the scaling (5 with
+    the gcd pass) and 2 for the order.  The one-pass reader it replaced
+    took about 52 ms on a slower day of the same host, with a type check
+    over the whole matrix, a reduction along each row and a ``np.lexsort``
+    over seven columns.
     """
     try:
-        nums, dens = _read_entries(rows, width, lead)
+        nums, dens, reduced = _read_entries(rows, width, lead)
     except OverflowError:
         dtype = object
     else:
         num_max = max(int(nums.max(initial=0)), -int(nums.min(initial=0)))
         dtype = _entry_dtype(num_max * _lcm_int64(dens.ravel()))
     if dtype is object:
-        nums, dens = _read_entries(rows, width, lead, object)
+        nums, dens, reduced = _read_entries(rows, width, lead, object)
     scale = np.lcm.reduce(dens, axis=0, initial=1)
     np.floor_divide(scale, dens, out=dens)
     nums[lead:] *= dens
     if lead:
         nums[0] = scale
     del dens, scale  # the sort below holds the matrix twice; nothing else input-sized stays
-    nums //= np.maximum(np.gcd.reduce(nums, axis=0), 1)
+    if not (lead and reduced):
+        nums //= np.maximum(np.gcd.reduce(nums, axis=0), 1)
     return _sorted_rows(nums)
 
 
-def _products(pending: np.ndarray, row_max: int, gens: list[IntVec]) -> np.ndarray:
-    """The matrix of a.g for every pending row a and generator g.
+def _generators(vectors: list[IntVec], row_max: int) -> np.ndarray:
+    """The vectors as the columns of a matrix whose products with rows of max|entry| row_max are exact.
 
-    The product is exact: int64 when max|row| * max|generator| * dim fits,
-    Python ints otherwise.
+    Its dtype is float64 when row_max * max|vector| * dim is below
+    _FLOAT_EXACT, int64 when it fits, and Python ints otherwise.
     """
-    gen_max = max(map(abs, chain.from_iterable(gens)))
-    dtype = _entry_dtype(row_max * gen_max * pending.shape[1])
-    return pending.astype(dtype, copy=False) @ np.array(gens, dtype=dtype).T
+    bound = row_max * max(map(abs, chain.from_iterable(vectors))) * len(vectors[0])
+    dtype = np.float64 if bound < _FLOAT_EXACT else _entry_dtype(bound)
+    return np.array(vectors, dtype=dtype).T
+
+
+def _products(block: np.ndarray, generators: np.ndarray) -> np.ndarray:
+    """The matrix of a.g for every row a of block and column g of ``_generators``, in its dtype."""
+    return block.astype(generators.dtype, copy=False) @ generators
 
 
 def _restrict(lineality: list[IntVec], ds: list[int]) -> tuple[list[IntVec], IntVec, int]:
@@ -281,6 +305,7 @@ def cone_dual(
     inequalities: Iterable[Sequence] | np.ndarray,
     dim: int,
     ray_cap: int = RAY_CAP,
+    inserted: list | None = None,
 ) -> tuple[list[IntVec], list[IntVec]]:
     """Extreme rays and lineality basis of {x : e.x = 0 for all e, a.x >= 0}.
 
@@ -298,8 +323,14 @@ def cone_dual(
 
     The rows are read by one forward scan.  A cursor walks the matrix in
     blocks of _SCAN_BLOCK rows, and one matrix product takes each block
-    against the current lineality basis and rays.  A row a is implied when
-    a.l = 0 for every lineality vector l and a.r >= 0 for every ray r.  A
+    against the current lineality basis and rays, whose matrix
+    (``_generators``) is built once per insertion.  The product runs in
+    float64 while max|row| * max|generator| * dim is below _FLOAT_EXACT =
+    2^53, where every partial sum is an integer float64 holds exactly, and
+    in int64 or Python ints above; the inserted row's products are read
+    back as Python ints, so no float reaches a ray or the lineality.  A
+    row a is implied when a.l = 0 for every lineality vector l and
+    a.r >= 0 for every ray r.  A
     row that is implied by the current cone is implied by every later,
     smaller cone, so the cursor passes it for good; the first row that is
     not implied is inserted, driven by its own row of the product, and the
@@ -309,7 +340,9 @@ def cone_dual(
     rays and lineality depend only on the cone, not on redundant rows; the
     combinatorial adjacency test is valid for any system that defines the
     cone; and the kept rows go in in the same order, so the ray count at each
-    step, and with it the ray cap, is unchanged.
+    step, and with it the ray cap, is unchanged.  Each inserted row is
+    appended, as a tuple of ints, to ``inserted`` when it is given; every
+    row the scan passes is in the cone of the rows inserted before it.
     """
     pending = inequalities
     if not _is_row_matrix(pending, dim):
@@ -382,13 +415,19 @@ def cone_dual(
     pos = 0
     while pos < n_rows and (lineality or rays):
         n_lin = len(lineality)
-        block = _products(pending[pos : pos + _SCAN_BLOCK], row_max, lineality + [vec for vec, _ in rays])
-        live = (block[:, :n_lin] != 0).any(axis=1) | (block[:, n_lin:] < 0).any(axis=1)
-        if not live.any():
+        generators = _generators(lineality + [vec for vec, _ in rays], row_max)
+        while pos < n_rows:
+            block = _products(pending[pos : pos + _SCAN_BLOCK], generators)
+            live = (block[:, :n_lin] != 0).any(axis=1) | (block[:, n_lin:] < 0).any(axis=1)
+            if live.any():
+                break
             pos += len(block)
-            continue
+        else:
+            break  # the cone implies every row left
         first = int(live.argmax())
-        ds = block[first].tolist()
+        ds = list(map(int, block[first].tolist()))  # no float reaches a ray
+        if inserted is not None:
+            inserted.append(tuple(pending[pos + first].tolist()))
         pos += first + 1
         bit = 1 << nbits
         nbits += 1
@@ -476,6 +515,11 @@ def hull(points: Iterable[Sequence]) -> Polytope:
     for a block whose coordinates are all exactly Fractions, and sorts it,
     on one integer key when there are many points; it is int64 when
     max|numerator| * lcm(denominators) fits and holds Python ints otherwise.
+
+    That is the one double description: a point the scan passes lies in
+    the hull of the points inserted before it, so every vertex is an
+    inserted row, and ``_inserted_vertices`` picks them out by their tight
+    facets.
     """
     points = list(points)
     arities = set(map(len, points))
@@ -484,7 +528,8 @@ def hull(points: Iterable[Sequence]) -> Polytope:
     if len(arities) > 1:
         raise ValueError("points have mixed arity")
     (dim,) = arities
-    rays, lin = cone_dual([], _row_matrix(points, dim, lead=True), dim + 1)
+    inserted: list[IntVec] = []
+    rays, lin = cone_dual([], _row_matrix(points, dim, lead=True), dim + 1, inserted=inserted)
 
     equations = []
     for l in lin:
@@ -499,16 +544,39 @@ def hull(points: Iterable[Sequence]) -> Polytope:
     # a ray whose functional is constant on the affine hull is the trivial
     # row 1 >= 0 modulo the lineality basis, tight at no point
     normals = _echelon(a for a, _ in equations)
-    facets = []
-    for ray in rays:
-        coeffs, c0 = ray[1:], ray[0]
-        if not any(_reduce_mod(coeffs, normals)):
-            continue
-        facets.append((tuple(-x for x in coeffs), c0))
+    rays = [ray for ray in rays if any(_reduce_mod(ray[1:], normals))]
     eqs = tuple(sorted(set(equations)))
-    fac = tuple(sorted(set(facets)))
-    vertices = _vertices_from_h(dim, eqs, fac)
+    fac = tuple(sorted((tuple(-x for x in ray[1:]), ray[0]) for ray in rays))
+    vertices = _inserted_vertices(inserted, rays, dim - len(eqs))
     return Polytope(dim, eqs, fac, vertices)
+
+
+def _inserted_vertices(rows: list[IntVec], facets: list[IntVec], rank: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The sorted vertices among a hull's inserted point rows (den, x1*den, ...).
+
+    ``facets`` are the hull's facet rays, each tight at the rows it is
+    orthogonal to, and ``rank`` the dimension of the hull.  A vertex is tight
+    on at least ``rank`` facets, and no other point of the hull is tight on
+    all of those and more; every point that is not a vertex lies inside a
+    face of which some vertex, an inserted row too, is such a point.  Both
+    products go _SCAN_BLOCK rows at a time, so a hull of thousands of
+    vertices holds no rows-by-facets or rows-by-rows product whole.
+    """
+    tight = np.zeros((len(rows), 0), dtype=bool)
+    if facets:
+        generators = _generators(facets, max(map(abs, chain.from_iterable(rows))))
+        points = np.array(rows, dtype=generators.dtype)
+        blocks = (points[i : i + _SCAN_BLOCK] for i in range(0, len(rows), _SCAN_BLOCK))
+        tight = np.concatenate([_products(block, generators) == 0 for block in blocks])
+    sizes = tight.sum(axis=1)
+    kept = np.flatnonzero(sizes >= rank)
+    # float32 counts |T(p) & T(q)| exactly: there are at most RAY_CAP < 2^24 facets
+    tight, sizes = tight[kept].astype(np.float32), sizes[kept]
+    covered = np.zeros(len(kept), dtype=bool)
+    for i in range(0, len(kept), _SCAN_BLOCK):
+        size = sizes[i : i + _SCAN_BLOCK, None]  # T(p) is inside T(q) when |T(p) & T(q)| = |T(p)|
+        covered[i : i + _SCAN_BLOCK] = ((tight[i : i + _SCAN_BLOCK] @ tight.T == size) & (sizes > size)).any(axis=1)
+    return tuple(sorted(tuple(Fraction(x, rows[i][0]) for x in rows[i][1:]) for i in kept[~covered].tolist()))
 
 
 def polytopes_equal(p: Polytope, q: Polytope) -> bool:
@@ -636,6 +704,9 @@ def pipeline(
     cutoff, rank bound or level count that is not an integer, a cutoff below
     1, which has no points to hull, or a rank bound below 1, with any
     schedule, raises ValueError, and one over the caps ResourceLimitError.
+    Fewer levels than nu has rows raise ValueError when the first cutoff
+    builds the character of nu, and with an empty schedule too when the
+    level count is below 1.
     One Newton series serves the whole run: each cutoff's ``inner_points``
     call extends it up to that cutoff, so every degree is built and
     decomposed once.  For each cutoff M in the
@@ -656,6 +727,8 @@ def pipeline(
         _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap)
     if rank_bound < 1:  # an empty schedule reaches no _check_request
         raise ValueError("rank bound must be at least 1")
+    if r < 1 and len(nu) > r:  # nor any character, which refuses this alike
+        raise ValueError(f"shape {nu} needs more than {r} levels")
     n_particles = size(nu)
     mixed = rank_bound > 1
     ambient_eqs, ambient_ineqs = _ambient_system(r, n_particles, rank_bound)

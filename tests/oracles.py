@@ -84,7 +84,6 @@ from paulitope.polytope import (
     _ambient_system,
     _exact,
     _lcm_int64,
-    _products,
     _restrict,
     facet_match,
     hull,
@@ -1557,6 +1556,22 @@ def attrgetter_row_matrix(rows: Sequence[Sequence], width: int, lead: bool = Fal
     return nums[keep]
 
 
+# The product the package's double description used before it ran in
+# float64: int64, which numpy multiplies without BLAS, when the bound fits,
+# and Python ints past it, with the generator matrix built on every call.
+
+
+def reference_products(pending: np.ndarray, row_max: int, gens: list[IntVec]) -> np.ndarray:
+    """The matrix of a.g for every pending row a and generator g.
+
+    The product is exact: int64 when max|row| * max|generator| * dim fits,
+    Python ints otherwise.
+    """
+    gen_max = max(map(abs, itertools.chain.from_iterable(gens)))
+    dtype = _entry_dtype(row_max * gen_max * pending.shape[1])
+    return pending.astype(dtype, copy=False) @ np.array(gens, dtype=dtype).T
+
+
 # The double description the package used before its forward scan: before
 # each insertion one product takes every remaining row against the cone,
 # and the rows the cone implies are dropped by copying the rest.
@@ -1643,7 +1658,7 @@ def full_product_cone_dual(
             lineality = _restrict(lineality, ds)[0]
 
     while len(pending) and (lineality or rays):
-        products = _products(pending, row_max, lineality + [vec for vec, _ in rays])
+        products = reference_products(pending, row_max, lineality + [vec for vec, _ in rays])
         n_lin = len(lineality)
         live = (products[:, :n_lin] != 0).any(axis=1) | (products[:, n_lin:] < 0).any(axis=1)
         if not live.any():

@@ -1,22 +1,27 @@
 """The forward scan of the double description against the full-product loop it replaced.
 
 The reference (tests/oracles.py) takes every remaining row against the cone
-before each insertion and copies the rows it does not imply; the package
-reads the sorted rows once, block by block, behind a cursor.  Both must
-insert the same rows in the same order, so rays, lineality, and the ray-cap
-error agree exactly, at every block size, including a block of one row.
+before each insertion, in int64 or Python ints, and copies the rows it does
+not imply; the package reads the sorted rows once, block by block, behind a
+cursor, in float64 while every product is below 2^53.  Both must insert the
+same rows in the same order, so rays, lineality, and the ray-cap error agree
+exactly, at every block size, including a block of one row.  A hull's
+vertices are read off its inserted rows, so they must equal the vertices of
+its own H-system.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import random
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import full_product_cone_dual, random_rational_points
+from oracles import full_product_cone_dual, random_rational_points, reference_vertices_from_h
 from paulitope import polytope
 from paulitope.errors import ResourceLimitError
 from paulitope.fixtures import spin_orbital_inequalities
@@ -27,9 +32,17 @@ BLOCKS = [1, 2, 3, 5, 512]
 
 
 def assert_same_cone(equations, inequalities, dim):
-    assert cone_dual(equations, inequalities, dim) == full_product_cone_dual(
-        equations, inequalities, dim
-    )
+    got_rows, want_rows = [], []
+    got = cone_dual(equations, inequalities, dim, inserted=got_rows)
+    assert got == full_product_cone_dual(equations, inequalities, dim, inserted=want_rows)
+    assert got_rows == want_rows
+    # no float reaches a ray, a lineality vector or an inserted row
+    assert all(type(x) is int for x in chain.from_iterable(chain(*got, got_rows)))
+
+
+def assert_vertices_of_own_h_system(points):
+    poly = hull(points)
+    assert poly.vertices == reference_vertices_from_h(poly.dim, poly.equations, poly.facets)
 
 
 # ------------------------------------------------------------ random clouds
@@ -43,6 +56,8 @@ def test_random_clouds_match_the_full_product_loop(monkeypatch, block):
     for dim, count, seed in CLOUDS:
         pts = random_rational_points(np.random.default_rng(2000 * dim + seed), count, dim)
         assert_same_cone([], hull_rows(pts), dim + 1)
+        if dim <= 5:  # the reference takes seconds on a 6-dimensional vertex system, minutes on a 7-dimensional one
+            assert_vertices_of_own_h_system(pts)
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -50,6 +65,7 @@ def test_degenerate_inputs_match_the_full_product_loop(monkeypatch, block):
     monkeypatch.setattr(polytope, "_SCAN_BLOCK", block)
     for pts in DEGENERATE.values():
         assert_same_cone([], hull_rows(pts), len(pts[0]) + 1)
+        assert_vertices_of_own_h_system(pts)
 
 
 # ------------------------------------------------------------ pipelines
@@ -63,33 +79,119 @@ PIPELINES = {
 
 @pytest.fixture(scope="module")
 def pipeline_calls():
-    """Every (equations, inequalities, dim) each pipeline hands to cone_dual, as handed."""
-    calls = {}
+    """Every (equations, inequalities, dim) each pipeline hands to cone_dual, as handed, and its hull points."""
+    calls, points = {}, {}
     for name, ((nu, r, k, schedule), caps) in PIPELINES.items():
-        calls[name] = []
+        calls[name], points[name] = [], []
 
-        def recording(equations, inequalities, dim, *rest, into=calls[name]):
+        def recording(equations, inequalities, dim, *rest, into=calls[name], **kwargs):
             equations = list(equations)
             if not isinstance(inequalities, np.ndarray):
                 inequalities = list(inequalities)
             into.append((equations, inequalities, dim))
-            return cone_dual(equations, inequalities, dim, *rest)
+            return cone_dual(equations, inequalities, dim, *rest, **kwargs)
+
+        def hull_of(pts, into=points[name]):
+            into.append(pts)
+            return hull(pts)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polytope, "cone_dual", recording)
+            mp.setattr(polytope, "hull", hull_of)
             pipeline(nu, r, k, schedule, **caps)
-    return calls
+    return calls, points
 
 
 @pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("name", sorted(PIPELINES))
 def test_pipeline_cone_calls_match_the_full_product_loop(monkeypatch, pipeline_calls, name, block):
-    calls = pipeline_calls[name]
-    # one hull and its vertex system, one outer system, per cutoff
-    assert len(calls) == 3 * len(PIPELINES[name][0][3])
+    calls, points = pipeline_calls[0][name], pipeline_calls[1][name]
+    # one hull and one outer system per cutoff; the hull's vertices are among its inserted rows
+    assert len(calls) == 2 * len(points) == 2 * len(PIPELINES[name][0][3])
     monkeypatch.setattr(polytope, "_SCAN_BLOCK", block)
     for equations, inequalities, dim in calls:
         assert_same_cone(equations, inequalities, dim)
+    for pts in points:
+        assert_vertices_of_own_h_system(pts)
+
+
+def test_hull_mixed_vertices_in_benchmark_order():
+    pts = _mixed_lattice_points(16)
+    random.Random(0).shuffle(pts)
+    assert_vertices_of_own_h_system(pts)
+    assert len(hull(pts).vertices) == 14
+
+
+# ------------------------------------------------------------ vertex selection
+
+
+def test_an_inserted_apex_edge_midpoint_is_not_a_vertex():
+    # a pyramid over an octahedron in dimension 4, scaled so that the
+    # midpoint of the apex edge to (-2, 0, 0, 0) sorts before the apex; the
+    # scan inserts it, and it is tight on the 4 facets through that edge,
+    # as many as a vertex needs, all of which the apex is tight on too
+    octahedron = [tuple(s * (i == j) for j in range(4)) for i in range(3) for s in (2, -2)]
+    apex, midpoint = (0, 0, 0, 2), (-1, 0, 0, 1)
+    pts = octahedron + [apex, midpoint]
+    rows = polytope._row_matrix(pts, 4, lead=True)
+    inserted: list = []
+    rays, _ = cone_dual([], rows, 5, inserted=inserted)
+    assert (1, *midpoint) in inserted and inserted.index((1, *midpoint)) < inserted.index((1, *apex))
+    assert sum(sum(a * b for a, b in zip(ray, (1, *midpoint))) == 0 for ray in rays) == 4
+    poly = hull(pts)
+    assert poly.vertices == tuple(sorted(tuple(map(Fraction, p)) for p in octahedron + [apex]))
+    assert poly.vertices == reference_vertices_from_h(4, poly.equations, poly.facets)
+
+
+# ------------------------------------------------------------ product dtype
+
+FLOAT_EXACT = 2**53
+
+
+def _generator_dtypes(monkeypatch):
+    """The dtype of the generator matrix of every ``_products`` call."""
+    dtypes = []
+    real = polytope._products
+
+    def recording(block, generators):
+        dtypes.append(generators.dtype)
+        return real(block, generators)
+
+    monkeypatch.setattr(polytope, "_products", recording)
+    return dtypes
+
+
+@pytest.mark.parametrize(
+    "rows,dtype",
+    [
+        # in dimension 1 against the lineality basis (1,), the bound is the row's size
+        ([[FLOAT_EXACT - 1], [-(FLOAT_EXACT - 1)]], np.float64),
+        ([[FLOAT_EXACT], [-FLOAT_EXACT]], np.int64),
+        # row size 2^52 times 1 times dimension 2
+        ([[FLOAT_EXACT // 2, 1], [1, -(FLOAT_EXACT // 2)], [0, 1]], np.int64),
+        # 3 * (2^53 - 2) / 3, just below
+        ([[(FLOAT_EXACT - 2) // 3, 1, 0], [0, -((FLOAT_EXACT - 2) // 3), 1], [1, 1, -1]], np.float64),
+    ],
+    ids=["2^53-1", "2^53", "2^53-in-dim-2", "2^53-2-in-dim-3"],
+)
+def test_products_at_the_float_bound_match_the_full_product_loop(monkeypatch, rows, dtype):
+    matrix = np.array(rows, dtype=np.int64)
+    dtypes = _generator_dtypes(monkeypatch)
+    cone_dual([], matrix, matrix.shape[1])
+    assert dtypes[0] == dtype
+    assert_same_cone([], matrix, matrix.shape[1])
+
+
+def test_an_odd_product_past_the_float_bound_is_exact(monkeypatch):
+    # against the rays (1, 0) and (0, 1) the last row's products are -1 and
+    # 2^53 + 1, which float64 would round to 2^53; the new ray is their
+    # combination (2^53 + 1, 1)
+    matrix = np.array([[1, 0], [0, 1], [-1, FLOAT_EXACT + 1]], dtype=np.int64)
+    dtypes = _generator_dtypes(monkeypatch)
+    rays, lin = cone_dual([], matrix, 2)
+    assert set(dtypes) == {np.dtype(np.int64)}
+    assert (rays, lin) == ([(0, 1), (FLOAT_EXACT + 1, 1)], [])
+    assert_same_cone([], matrix, 2)
 
 
 # ------------------------------------------------------------ ray cap
@@ -156,9 +258,9 @@ def test_hull_reads_each_row_about_once(monkeypatch):
     calls, rows_read = [], []
     real_cone_dual, real_products = polytope.cone_dual, polytope._products
 
-    def recording(equations, inequalities, dim, *rest):
+    def recording(equations, inequalities, dim, *rest, **kwargs):
         calls.append((list(equations), inequalities, dim))
-        return real_cone_dual(equations, inequalities, dim, *rest)
+        return real_cone_dual(equations, inequalities, dim, *rest, **kwargs)
 
     def counting(pending, *rest):
         rows_read.append(len(pending))
@@ -168,15 +270,15 @@ def test_hull_reads_each_row_about_once(monkeypatch):
     monkeypatch.setattr(polytope, "_products", counting)
     hull(pts)
     monkeypatch.undo()
-    # the point rows and the vertex system
-    assert len(calls) == 2
+    # the point rows alone: the vertices are read off the inserted rows
+    assert len(calls) == 1
     n_rows = inserted = 0
     for equations, inequalities, dim in calls:
         order: list = []
         full_product_cone_dual(equations, inequalities, dim, inserted=order)
         n_rows += len(polytope._row_matrix(list(inequalities), dim))
         inserted += len(order)
-    assert n_rows > 6837
+    assert n_rows == 6837
     assert sum(rows_read) <= n_rows + inserted * polytope._SCAN_BLOCK
 
 

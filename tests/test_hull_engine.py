@@ -204,10 +204,10 @@ def _recorded_cone_calls(monkeypatch, run):
     """Every (equations, inequalities, dim) that ``run`` hands to cone_dual."""
     calls = []
 
-    def recording(equations, inequalities, dim, *rest):
+    def recording(equations, inequalities, dim, *rest, **kwargs):
         equations, inequalities = list(equations), list(inequalities)
         calls.append((equations, inequalities, dim))
-        return cone_dual(equations, inequalities, dim, *rest)
+        return cone_dual(equations, inequalities, dim, *rest, **kwargs)
 
     monkeypatch.setattr(polytope, "cone_dual", recording)
     run()
@@ -231,8 +231,8 @@ def test_pipeline_h_systems_match_reference(monkeypatch):
         pipeline((2, 1), 4, 2, [4], degree_cap=36)
 
     calls = _recorded_cone_calls(monkeypatch, run)
-    # one hull and its vertex system, one outer system, per cutoff
-    assert len(calls) == 9
+    # one hull and one outer system per cutoff; the hull's vertices are among its inserted rows
+    assert len(calls) == 6
     for equations, inequalities, dim in calls:
         assert_same_cone(equations, inequalities, dim)
 
@@ -285,9 +285,9 @@ def _hull_matrix(monkeypatch, points):
     """The inequality matrix that ``hull`` hands to cone_dual, and the hull."""
     handed = []
 
-    def recording(equations, inequalities, dim, *rest):
+    def recording(equations, inequalities, dim, *rest, **kwargs):
         handed.append(inequalities)
-        return cone_dual(equations, inequalities, dim, *rest)
+        return cone_dual(equations, inequalities, dim, *rest, **kwargs)
 
     monkeypatch.setattr(polytope, "cone_dual", recording)
     poly = hull(points)
@@ -401,15 +401,28 @@ def _recorded_dtypes(monkeypatch):
     return choices
 
 
-@pytest.mark.parametrize("limit,dtype", [(2, np.int64), (1, object)])
-def test_product_dtype_at_the_bound(monkeypatch, limit, dtype):
+@pytest.mark.parametrize(
+    "float_limit,int_limit,dtype",
+    [(3, None, np.float64), (2, None, np.int64), (2, 2, np.int64), (2, 1, object)],
+    # the last two are named by their int64 limit alone, as before the float64 tier
+    ids=["float-3-float64", "float-2-int64", "2-int64", "1-object"],
+)
+def test_product_dtype_at_the_bound(monkeypatch, float_limit, int_limit, dtype):
     # orthant: rows of size 1 against the identity lineality basis in dim 2,
-    # so the first product is bounded by 1 * 1 * 2 (choice 0 is the row matrix)
+    # so the first product is bounded by 1 * 1 * 2: float64 below the float
+    # limit, else int64 up to the int64 limit (choice 0 is the row matrix)
     choices = _recorded_dtypes(monkeypatch)
-    monkeypatch.setattr("paulitope.plethysm._INT64_LIMIT", limit)
+    generators = []
+    real = polytope._products
+    monkeypatch.setattr(polytope, "_products", lambda block, gens: generators.append(gens.dtype) or real(block, gens))
+    monkeypatch.setattr(polytope, "_FLOAT_EXACT", float_limit)
+    if int_limit is not None:
+        monkeypatch.setattr("paulitope.plethysm._INT64_LIMIT", int_limit)
     rays, lin = cone_dual([], [(1, 0), (0, 1)], 2)
-    assert choices[1] == (2, dtype)
+    assert generators[0] == dtype
+    assert choices[1:2] == ([] if dtype is np.float64 else [(2, dtype)])
     assert (rays, lin) == ([(0, 1), (1, 0)], [])
+    assert all(type(x) is int for ray in rays for x in ray)
 
 
 def test_large_coordinates_take_the_python_int_path(monkeypatch):

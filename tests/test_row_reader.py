@@ -311,6 +311,16 @@ def test_a_fraction_subclass_is_read_through_its_properties():
         assert_same_matrix(rows, 3, lead)
     # the properties are what is read: (1 + 1) / 6 and (-2 + 1) / 10 and (4 + 1) / 2
     assert polytope._row_matrix(skewed[:1], 3).tolist() == [[10, -3, 75]]
+    # a point row of reduced entries is primitive, so the reader skips the
+    # gcd; mixed with a float, Skewed stays unreduced after _exact: 2/6, 2/10
+    # and 1 scale to (30, 10, 6, 30), whose gcd is 2, and 3/6, 1/2 and 3/4
+    # to (12, 6, 6, 9), whose gcd is 3
+    with_float = [(Skewed(1, 3), Skewed(1, 5), 1.0), (Skewed(2, 3), 0.5, Fraction(3, 4))]
+    assert assert_same_matrix(with_float, 3, lead=True).tolist() == [[4, 2, 2, 3], [15, 5, 3, 15]]
+    # Fraction(np.int64(x), q) is exactly a Fraction, reduced, with an int64 numerator
+    numpy_ints = [(Fraction(np.int64(4), 6), Fraction(np.int64(-3), 9)), (Fraction(np.int64(10), 4), Fraction(0))]
+    assert type(numpy_ints[0][0]._numerator) is np.int64
+    assert assert_same_matrix(numpy_ints, 2, lead=True).tolist() == [[2, 5, 0], [3, 2, -1]]
 
 
 # ------------------------------------------------ numpy-int numerators

@@ -189,3 +189,13 @@ def test_a_rank_bound_below_one_is_refused_with_any_schedule(rank_bound, monkeyp
         with pytest.raises(ValueError, match="^rank bound must be at least 1$"):
             polytope.pipeline((1, 1), 4, rank_bound, schedule)
     assert steps == []
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_too_few_levels_are_refused_with_any_schedule(r, monkeypatch):
+    # with a cutoff, character refuses them; an empty schedule builds no character
+    steps = _counted(monkeypatch, "_newton_step", len)
+    for schedule in ([], [2], [2, 4]):
+        with pytest.raises(ValueError, match=rf"^shape \(1, 1\) needs more than {r} levels$"):
+            polytope.pipeline((1, 1), r, 1, schedule)
+    assert steps == []

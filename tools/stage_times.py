@@ -74,10 +74,13 @@ of every point or row into arrays), ``order`` (``_sorted_rows``, which
 sorts the scaled rows and drops repeats), ``rows`` (the rest of
 ``_row_matrix``: the dtype check, the lcm and gcd scaling and the hull's
 homogenizing column; in a checkout without the two helpers, the whole
-reader), all three for the inequalities of each vertex computation too,
-``dual`` (``cone_dual``) and ``vertices`` (the rest of
-``_vertices_from_h``); ``hull``'s arity check before the read is in
-``rest``.  The table stages are wrapped where ``coefficients`` calls
+reader), all three for the outer polytope's inequalities too,
+``dual`` (``cone_dual``) and ``vertices`` (the hull's
+``_inserted_vertices``, which picks the vertices out of the rows
+``cone_dual`` inserted, and the rest of the outer polytope's
+``_vertices_from_h``; in older checkouts the hull called
+``_vertices_from_h`` too, a second double description); ``hull``'s arity
+check before the read is in ``rest``.  The table stages are wrapped where ``coefficients`` calls
 them, since it imports them by name.  The vertices mode splits each call
 into ``rdm`` (``one_particle_rdm``), ``spectrum`` (the rest of
 ``occupation_numbers``: the diagonal read or the eigensolver) and
@@ -129,7 +132,7 @@ MODES = {mode: PIPELINE_STAGES for mode in PIPELINES} | {
         "order": [(polytope, "_sorted_rows")],
         "rows": [(polytope, "_row_matrix")],
         "dual": [(polytope, "cone_dual")],
-        "vertices": [(polytope, "_vertices_from_h")],
+        "vertices": [(polytope, "_vertices_from_h"), (polytope, "_inserted_vertices")],
         "match": [(polytope, "facet_match")],
         "outer": [(polytope, "polytope_from_h")],
         "equal": [(polytope, "polytopes_equal")],
