@@ -9,11 +9,14 @@ corresponding occupation-number inequality is a theorem.
 The induced spectrum reads the tableaux of a shape, and their content rows,
 from the cache in ``tableaux``: each value is ``a`` dotted with a content
 row, and the leading content rows are the linear forms ``coefficient``
-hands to ``monk_coefficient``.
+hands to ``monk_coefficient``.  Each spectrum is built once per test
+spectrum and shape and kept, as tuples, in a bounded cache that the
+triples and coefficients on that test spectrum read.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -41,23 +44,34 @@ def induced_spectrum(a: Sequence[int], nu: Iterable[int]) -> list[SpectrumEntry]
     ``a`` over its entries.  Entries are sorted by decreasing value, ties by
     the row reading word of the tableau.
     """
-    return [SpectrumEntry(value, tab) for value, tab, _ in _spectrum(a, normalize(nu))]
+    a, nu = _test_spectrum(a), normalize(nu)
+    values, order = _spectrum(a, nu)
+    tableaux = _ssyt(nu, len(a))[0]
+    return [SpectrumEntry(value, tableaux[k]) for value, k in zip(values, order)]
 
 
-def _spectrum(a: Sequence[int], nu: Partition) -> list[tuple[int, Tableau, tuple[int, ...]]]:
-    """(value, tableau, content row) per tableau, in the order of ``induced_spectrum``.
+def _test_spectrum(a: Sequence[int]) -> tuple[int, ...]:
+    """``a`` as the tuple of ints ``_spectrum`` caches on, refusing a fractional entry."""
+    return tuple(x if type(x) is int else as_int(x, "test spectrum entry") for x in a)
 
-    A value is ``a`` dotted with the content row.  The tableaux come sorted by
+
+@lru_cache(maxsize=256)
+def _spectrum(a: tuple[int, ...], nu: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The values of ``induced_spectrum``, and the index of each in ``_ssyt(nu, len(a))``.
+
+    ``a`` is a tuple of ints, so the cache holds one spectrum per test
+    spectrum and shape, shared by every coefficient and triple that reads it.
+    It is bounded, since a search over test spectra meets each ``a`` in a few
+    calls close together, and the number of ``a`` has no bound.
+    A value is ``a`` dotted with a content row.  The tableaux come sorted by
     reading word, and distinct tableaux of one shape have distinct reading
     words, so one stable sort on the value alone breaks ties by reading word.
     """
-    a = tuple(x if type(x) is int else as_int(x, "test spectrum entry") for x in a)
     if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
         raise ValueError(f"test spectrum not weakly decreasing: {a}")
-    tableaux, contents = _ssyt(nu, len(a))
-    rows = [(sum(map(mul, a, row)), tab, row) for tab, row in zip(tableaux, contents)]
-    rows.sort(key=lambda row: -row[0])
-    return rows
+    values = [sum(map(mul, a, row)) for row in _ssyt(nu, len(a))[1]]
+    order = sorted(range(len(values)), key=lambda k: -values[k])
+    return tuple(values[k] for k in order), tuple(order)
 
 
 def coefficient(
@@ -76,25 +90,25 @@ def coefficient(
     Both permutations must be minimal in their cosets for the ties of ``a``
     and of the induced spectrum values.
     """
-    a = tuple(x if type(x) is int else as_int(x, "test spectrum entry") for x in a)
+    a = _test_spectrum(a)
     if len(a) != r:
         raise ValueError(f"test spectrum has {len(a)} entries, expected r={r}")
     nu = normalize(nu)
     if v.n > r:
         raise ValueError(f"v moves {v.n} points but the test spectrum has {r}")
     require_minimal(v, a, "v")
-    spectrum = _spectrum(a, nu)
-    dim = len(spectrum)
-    if w.n > dim:
-        raise ValueError(f"w moves {w.n} points but the induced spectrum has {dim}")
-    require_minimal(w, [value for value, _, _ in spectrum], "w")
+    values, order = _spectrum(a, nu)
+    if w.n > len(values):
+        raise ValueError(f"w moves {w.n} points but the induced spectrum has {len(values)}")
+    require_minimal(w, values, "w")
     if v.length() != w.length():
         return 0
 
     schubert = grassmannian_schubert(w)
     if schubert is None:
         schubert = schubert_polynomial(w)
-    forms = [row for _, _, row in spectrum[: schubert.nvars]]
+    contents = _ssyt(nu, r)[1]
+    forms = [contents[k] for k in order[: schubert.nvars]]
     return monk_coefficient(schubert, forms, v, r)
 
 
@@ -127,7 +141,7 @@ def inequality_to_triple(
     v = Permutation(order)
     a = tuple(g[i - 1] + shift for i in order)
 
-    values = [value for value, _, _ in _spectrum(a, nu)]
+    values = _spectrum(a, nu)[0]
     targets = [b + shift * n_particles - hj for hj in h]
 
     used: set[int] = set()

@@ -341,49 +341,88 @@ def monk_multiply(alpha: Sequence[int], v: Permutation) -> dict[Permutation, int
     return {Permutation(u): coeff for u, _, _, coeff in _monk_step(v.one_line(m), padded)}
 
 
-def _rank_table(u: tuple[int, ...]) -> list[list[int]]:
-    """Rows #{a <= i : u(a) >= k} over k = 1..n, for i = 1..n-1."""
+def _rank_table(u: tuple[int, ...], width: int) -> int:
+    """Rows #{a <= i : u(a) >= k} over k = 1..n, for i = 1..n-1, packed into one int.
+
+    The entries go row by row, ``width`` bits each, the first lowest.
+    """
     counts = [0] * len(u)
-    table = []
+    packed = shift = 0
     for image in u[:-1]:
         for k in range(image):
             counts[k] += 1
-        table.append(counts.copy())
-    return table
+        for count in counts:
+            packed |= count << shift
+            shift += width
+    return packed
+
+
+def _slack_layout(r: int) -> tuple[int, list[int], list[int], int, int]:
+    """(width, rows, cols, ones, high): where the entries of a packed rank table on r points sit.
+
+    A slack (v's entry minus u's, where u is below v) is at most r - 1, so
+    the top bit of each ``width``-bit entry is clear.  ``rows[a]`` has a one
+    at column 0 of each row before a and ``cols[k]`` a one at each column
+    before k, so (rows[j] - rows[i]) * (cols[hi] - cols[lo]) has a one in
+    every entry of rows i..j-1 and columns lo..hi-1.  ``ones`` and ``high``
+    have a one and the top bit in every entry.
+    """
+    width = r.bit_length() + 1
+    cols = [0]
+    for k in range(r):
+        cols.append(cols[-1] | 1 << width * k)
+    rows = [0]
+    for a in range(r - 1):
+        rows.append(rows[-1] | 1 << width * r * a)
+    ones = rows[-1] * cols[-1]
+    return width, rows, cols, ones, ones << width - 1
 
 
 def _monk_layer(
     layer: dict[tuple[int, ...], int],
     alpha: Sequence[int],
-    tables: dict[tuple[int, ...], list[list[int]] | None],
-    top_table: list[list[int]],
+    slacks: dict[tuple[int, ...], int],
+    layout: tuple[int, list[int], list[int], int, int],
 ) -> dict[tuple[int, ...], int]:
     """Multiply a Schubert expansion by one linear form, dropping terms not below v.
 
-    ``tables`` holds the rank table of each permutation met so far that is
-    below v in Bruhat order, and None for one that is not.  Every u in
-    ``layer`` is below v.  Swapping u(i) < u(j) raises u's table by one in
-    rows i..j-1 and columns u(i)..u(j)-1 (0-based) and nowhere else, so
-    u t_ij is below v exactly when each of those entries of u's table is
-    still less than v's.
+    ``slacks`` holds, for each permutation u met so far that is below v in
+    Bruhat order, v's rank table minus u's, laid out by ``_slack_layout``.
+    Every u in ``layer`` is below v.  Swapping u(i) < u(j) raises u's table
+    by one in rows i..j-1 and columns u(i)..u(j)-1 (0-based) and nowhere
+    else, so u t_ij is below v exactly when each of those entries of u's
+    slack is still positive, and its slack is then u's minus a one in each.
+    That test runs before the step is built, so a swap that leaves the
+    interval builds nothing.  The swaps are ``_monk_step``'s, found by the
+    same scan, which skips a position i at once when the one entry every
+    swap at i raises, (i, u(i)), has no slack.
     """
+    width, rows, cols, ones, high = layout
     out: defaultdict[tuple[int, ...], int] = defaultdict(int)
     for u, c in layer.items():
-        table = tables[u]
-        for step, i, j, coeff in _monk_step(u, alpha):
-            if step not in tables:
-                lo, hi = u[i], u[j]
-                rows = table[i:j]
-                if any(
-                    any(map(int.__ge__, row[lo:hi], bound[lo:hi]))
-                    for row, bound in zip(rows, top_table[i:j])
-                ):
-                    tables[step] = None
-                else:
-                    raised = [row[:lo] + [x + 1 for x in row[lo:hi]] + row[hi:] for row in rows]
-                    tables[step] = table[:i] + raised + table[j:]
-            if tables[step] is not None:
-                out[step] += c * coeff
+        n, slack = len(u), slacks[u]
+        # taking one from every entry borrows its top bit only where it is zero
+        positive = (((slack | high) - ones) & high) >> width - 1
+        for i in range(n - 1):
+            lo = u[i]
+            if lo == n or not positive >> width * (n * i + lo) & 1:
+                continue
+            ai = alpha[i]
+            ceiling = n + 1
+            for j in range(i + 1, n):
+                hi = u[j]
+                if lo < hi < ceiling:
+                    ceiling = hi
+                    coeff = ai - alpha[j]
+                    if not coeff:
+                        continue
+                    rectangle = (rows[j] - rows[i]) * (cols[hi] - cols[lo])
+                    if (positive & rectangle) != rectangle:
+                        continue
+                    step = u[:i] + (hi,) + u[i + 1 : j] + (lo,) + u[j + 1 :]
+                    if step not in slacks:
+                        slacks[step] = slack - rectangle
+                    out[step] += c * coeff
     return {u: c for u, c in out.items() if c}
 
 
@@ -398,8 +437,9 @@ def monk_coefficient(
     ends at v stays inside that interval, so the coefficient of v is the sum
     over those chains of the products of their edge weights (Postnikov and
     Stanley, "Chains in the Bruhat order").  Each permutation kept carries
-    its rank table, and a step u t_ij is tested against v on the one
-    rectangle of entries the swap raises (``_monk_layer``).  poly must be
+    its rank table's slack below v's, packed into one int, and a step
+    u t_ij is tested against v on the one rectangle of entries the swap
+    raises (``_monk_layer``).  poly must be
     homogeneous of degree l(v), and v may move at most r points.
     """
     forms = [tuple(c if type(c) is int else as_int(c, "form entry") for c in vec) for vec in forms]
@@ -409,9 +449,9 @@ def monk_coefficient(
         raise ValueError(f"v moves {v.n} points but the forms have {r} variables")
     degree = v.length()
     top = v.one_line(r)
-    top_table = _rank_table(top)
     identity = tuple(range(1, r + 1))
-    tables = {identity: _rank_table(identity)}
+    layout = _slack_layout(r)
+    slacks = {identity: _rank_table(top, layout[0]) - _rank_table(identity, layout[0])}
     total = 0
     for exps, coeff in poly.terms.items():
         if sum(exps) != degree:
@@ -421,6 +461,6 @@ def monk_coefficient(
             if e and k >= len(forms):
                 raise ValueError(f"no form supplied for variable x{k + 1}")
             for _ in range(e):
-                layer = _monk_layer(layer, forms[k], tables, top_table)
+                layer = _monk_layer(layer, forms[k], slacks, layout)
         total += layer.get(top, 0)
     return total

@@ -162,56 +162,65 @@ class OneParticleRDM(NamedTuple):
         return np.array([[float(x) for x in row] for row in self.entries], dtype=float)
 
     def is_diagonal(self) -> bool:
-        return all(
-            not self.entries[i][j]
-            for i in range(len(self.entries))
-            for j in range(len(self.entries))
-            if i != j
-        )
+        return not any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(self.entries))
 
 
 def one_particle_rdm(psi: WedgeState) -> OneParticleRDM:
     """One-particle reduced density matrix, normalized to trace n_particles.
 
-    The (i, j) entry pairs every wedge containing level i with the wedge where
-    i is replaced by j; the fermionic sign counts the occupied levels strictly
-    between i and j.  All entries are exact rationals when every amplitude
+    A wedge is read as the bitmask of its levels.  Two wedges couple when
+    their masks differ in exactly two bits i < j, and the pair adds to the
+    (i, j) entry from the wedge holding i, in amplitude order; the fermionic
+    sign counts the occupied levels strictly between i and j.  The diagonal
+    is summed as integer numerators over the lcm of the radicand
+    denominators.  All entries are exact rationals when every amplitude
     product involved is a perfect square; otherwise every entry is a float.
     """
-    r, amps = psi.levels, psi.amplitudes
-    diag = [Fraction(0)] * r
+    if not isinstance(psi, WedgeState):
+        raise TypeError(f"one_particle_rdm needs a WedgeState, got {type(psi).__name__}")
+    r, amps = psi.levels, list(psi.amplitudes.values())
+    den = math.lcm(*(amp.radicand.denominator for amp in amps))
+    nums = [amp.radicand.numerator * (den // amp.radicand.denominator) for amp in amps]
+    diag = [0] * r
+    masks = []
+    for subset, num in zip(psi.amplitudes, nums):
+        mask = 0
+        for i in subset:
+            diag[i - 1] += num
+            mask |= 1 << i
+        masks.append(mask)
     # (i, j) -> [(sign, radicand product, its rational root or None)]
     off: dict[tuple[int, int], list[tuple[int, Fraction, Fraction | None]]] = {}
-    for subset, amp in amps.items():
-        occupied = set(subset)
-        for i in subset:
-            diag[i - 1] += amp.radicand
-            for j in range(i + 1, r + 1):
-                if j in occupied:
-                    continue
-                other = amps.get(tuple(sorted(occupied - {i} | {j})))
-                if other is None:
-                    continue
-                between = sum(1 for x in subset if i < x < j)
-                rad = amp.radicand * other.radicand
-                off.setdefault((i, j), []).append(
-                    (amp.sign * other.sign * (-1) ** between, rad, _exact_sqrt(rad))
-                )
+    for mask, amp in zip(masks, amps):
+        for other_mask, other in zip(masks, amps):
+            moved = mask ^ other_mask
+            low = moved & -moved
+            if moved.bit_count() != 2 or not mask & low:
+                continue
+            high = moved ^ low
+            sign = amp.sign * other.sign * (-1) ** (mask & (high - 2 * low)).bit_count()
+            rad = amp.radicand * other.radicand
+            off.setdefault((low.bit_length() - 1, high.bit_length() - 1), []).append(
+                (sign, rad, _exact_sqrt(rad))
+            )
     exact = all(root is not None for terms in off.values() for _, _, root in terms)
 
-    norm2 = psi.norm_squared()
+    total = sum(nums)  # the norm squared is total / den
     if exact:
-        zero, norm = Fraction(0), norm2
+        zero, norm = Fraction(0), Fraction(total, den)
+        diag = [Fraction(d, total) for d in diag]
         values = {key: [sign * root for sign, _, root in terms] for key, terms in off.items()}
     else:
-        zero, norm, diag = 0.0, float(norm2), [float(d) for d in diag]
+        # an int quotient rounds once, as float(Fraction(d, den)) does
+        zero, norm = 0.0, total / den
+        diag = [d / den / norm for d in diag]
         values = {
             key: [sign * math.sqrt(float(rad)) for sign, rad, _ in terms]
             for key, terms in off.items()
         }
     rows = [[zero] * r for _ in range(r)]
     for i, d in enumerate(diag):
-        rows[i][i] = d / norm
+        rows[i][i] = d
     for (i, j), terms in values.items():
         rows[i - 1][j - 1] = rows[j - 1][i - 1] = sum(terms) / norm
     return OneParticleRDM(tuple(map(tuple, rows)), exact)
@@ -225,7 +234,10 @@ def occupation_numbers(psi: WedgeState):
     """
     rdm = one_particle_rdm(psi)
     if rdm.exact and rdm.is_diagonal():
-        return tuple(sorted((rdm.entries[i][i] for i in range(psi.levels)), reverse=True))
+        diag = [rdm.entries[i][i] for i in range(psi.levels)]
+        # sorted on integer numerators over one denominator, not on Fraction comparisons
+        den = math.lcm(*(d.denominator for d in diag))
+        return tuple(sorted(diag, key=lambda d: d.numerator * (den // d.denominator), reverse=True))
     eigs = np.linalg.eigvalsh(rdm.as_array())
     return tuple(sorted((float(x) for x in eigs), reverse=True))
 
@@ -288,10 +300,11 @@ def verify_vertex(
     ratio = [x if type(x) in (int, Fraction) else Fraction(str(x)) for x in expected_ratio]
     if len(ratio) != psi.levels:
         raise ValueError(f"expected {psi.levels} ratio entries, got {len(ratio)}")
-    total = Fraction(sum(ratio))
+    total = sum(ratio)
     if total <= 0:
         raise ValueError("ratio must have positive sum")
-    expected = sorted((x * psi.n_particles / total for x in ratio), reverse=True)
+    # scaling by n_particles / total keeps the order, so the ratio sorts as given
+    expected = [Fraction(x * psi.n_particles, total) for x in sorted(ratio, reverse=True)]
     occ = occupation_numbers(psi)
     if occ and isinstance(occ[0], Fraction):
         return list(occ) == expected

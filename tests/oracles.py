@@ -6,7 +6,8 @@ number by the hook-content formula, skew standard counts come from
 linear-extension enumeration, divided differences
 go through sympy's exact division, Schur polynomials through the bialternant
 quotient, one-particle density matrices through full antisymmetrized tensors
-(or, for exact comparison, the former two-block assembly and state classes),
+(or, for exact comparison, the former two-block assembly and state classes,
+and the assembly that looked each partner wedge up as a sorted tuple),
 and plethysms through multiset expansion or through the dict engine the
 package used before its Cauchy-form lattice engine: a Newton series of
 weight dicts, Jacobi-Trudi determinants for every Schur functor, and
@@ -702,6 +703,67 @@ def reference_dadok_kac_spectrum(state) -> tuple[Fraction, ...]:
             if mult:
                 occ[i] += mult * rad
     return tuple(x / norm2 for x in occ)
+
+
+# The density-matrix assembly the package ran before it paired wedges by
+# bitmask: each wedge's levels are walked, each partner is looked up as a
+# sorted tuple, and the diagonal is summed in Fractions.  Its per-(i, j) term
+# lists, and their order, are the ones the package keeps.  Beside it, the
+# vertex check that sorted the diagonal and the expected spectrum as
+# Fractions.
+
+
+def lookup_one_particle_rdm(psi: WedgeState) -> OneParticleRDM:
+    r, amps = psi.levels, psi.amplitudes
+    diag = [Fraction(0)] * r
+    off: dict[tuple[int, int], list[tuple[int, Fraction, Fraction | None]]] = {}
+    for subset, amp in amps.items():
+        occupied = set(subset)
+        for i in subset:
+            diag[i - 1] += amp.radicand
+            for j in range(i + 1, r + 1):
+                if j in occupied:
+                    continue
+                other = amps.get(tuple(sorted(occupied - {i} | {j})))
+                if other is None:
+                    continue
+                between = sum(1 for x in subset if i < x < j)
+                rad = amp.radicand * other.radicand
+                off.setdefault((i, j), []).append(
+                    (amp.sign * other.sign * (-1) ** between, rad, _exact_sqrt(rad))
+                )
+    exact = all(root is not None for terms in off.values() for _, _, root in terms)
+
+    norm2 = psi.norm_squared()
+    if exact:
+        zero, norm = Fraction(0), norm2
+        values = {key: [sign * root for sign, _, root in terms] for key, terms in off.items()}
+    else:
+        zero, norm, diag = 0.0, float(norm2), [float(d) for d in diag]
+        values = {
+            key: [sign * math.sqrt(float(rad)) for sign, rad, _ in terms]
+            for key, terms in off.items()
+        }
+    rows = [[zero] * r for _ in range(r)]
+    for i, d in enumerate(diag):
+        rows[i][i] = d / norm
+    for (i, j), terms in values.items():
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = sum(terms) / norm
+    return OneParticleRDM(tuple(map(tuple, rows)), exact)
+
+
+def fraction_verify_vertex(psi: WedgeState, expected_ratio, tolerance: float = 1e-9) -> bool:
+    ratio = [x if type(x) in (int, Fraction) else Fraction(str(x)) for x in expected_ratio]
+    if len(ratio) != psi.levels:
+        raise ValueError(f"expected {psi.levels} ratio entries, got {len(ratio)}")
+    total = Fraction(sum(ratio))
+    if total <= 0:
+        raise ValueError("ratio must have positive sum")
+    expected = sorted((x * psi.n_particles / total for x in ratio), reverse=True)
+    occ = reference_occupation_numbers(psi)
+    if occ and isinstance(occ[0], Fraction):
+        return list(occ) == expected
+    return max(abs(o - float(e)) for o, e in zip(occ, expected)) <= tolerance
 
 
 # ----------------------------------------------------------------- plethysm

@@ -12,12 +12,19 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import random
+import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-from oracles import reference_bruhat_leq, reference_induced_spectrum, reference_monk_coefficient
-from paulitope import polynomials, tableaux
+from oracles import (
+    _reference_rank_table,
+    reference_bruhat_leq,
+    reference_induced_spectrum,
+    reference_monk_coefficient,
+)
+from paulitope import coefficients, polynomials, tableaux
 from paulitope.coefficients import coefficient, induced_spectrum, inequality_to_triple, verify_table
 from paulitope.fixtures import COEFFICIENT_TABLES, coefficient_table, coefficient_table_raw
 from paulitope.permutations import Permutation
@@ -114,18 +121,24 @@ def test_one_swap_bruhat_test_matches_whole_rank_tables(n):
     # every length-raising swap u t_ij is tried
     group = list(itertools.permutations(range(1, n + 1)))
     alpha = tuple(range(n, 0, -1))
+    layout = polynomials._slack_layout(n)
+
+    def slack(u, v):
+        # v's rank table minus u's, entry by entry
+        tables = (_reference_rank_table(v), _reference_rank_table(u))
+        return sum(x - y << layout[0] * k for k, (x, y) in enumerate(zip(*tables)))
+
     for v in group:
-        top_table = polynomials._rank_table(v)
         for u in group:
             if not reference_bruhat_leq(u, v):
                 continue
-            tables = {u: polynomials._rank_table(u)}
-            layer = polynomials._monk_layer({u: 1}, alpha, tables, top_table)
+            slacks = {u: slack(u, v)}
+            layer = polynomials._monk_layer({u: 1}, alpha, slacks, layout)
             steps = {step for step, *_ in polynomials._monk_step(u, alpha)}
             assert set(layer) == {s for s in steps if reference_bruhat_leq(s, v)}, (u, v)
             for s in steps:
-                want = polynomials._rank_table(s) if s in layer else None
-                assert tables[s] == want, (u, v, s)
+                want = slack(s, v) if s in layer else None
+                assert slacks.get(s) == want, (u, v, s)
 
 
 def _or_error(fn, *args):
@@ -168,6 +181,34 @@ def test_mutating_an_enumeration_leaves_later_calls_alone():
     assert induced_spectrum((2, 1, 0), (2, 1)) == reference_induced_spectrum((2, 1, 0), (2, 1))
 
 
+def test_a_cached_spectrum_cannot_be_changed_through_its_readers(monkeypatch):
+    table = coefficient_table("3x6")
+    nu, r = table["nu"], table["r"]
+    row = table["rows"][0]
+    a, v, w = inequality_to_triple(row["lambda_coeffs"], row["bound"], nu, r)
+    cached = coefficients._spectrum(a, tableaux.normalize(nu))
+    before = repr(cached)
+    hash(cached)  # tuples all the way down, so nothing in it changes in place
+    entries = induced_spectrum(list(a), nu)
+    entries.reverse()
+    entries.clear()
+    real = coefficients.monk_coefficient
+
+    def meddling(poly, forms, v, r):
+        got = real(poly, forms, v, r)
+        for form in forms:
+            with pytest.raises(TypeError):
+                form[0] = 99
+        forms.clear()
+        return got
+
+    monkeypatch.setattr(coefficients, "monk_coefficient", meddling)
+    assert coefficient(a, nu, r, v, w) == row["c"] != 0
+    assert coefficients._spectrum(a, tableaux.normalize(nu)) is cached
+    assert repr(cached) == before
+    assert induced_spectrum(a, nu) == reference_induced_spectrum(a, nu)
+
+
 def test_verify_table_fills_each_shape_once(monkeypatch):
     calls = []
     fill = tableaux._fill_ssyt
@@ -178,6 +219,7 @@ def test_verify_table_fills_each_shape_once(monkeypatch):
 
     monkeypatch.setattr(tableaux, "_fill_ssyt", counted)
     tableaux._ssyt.cache_clear()
+    coefficients._spectrum.cache_clear()  # a cached spectrum would skip the tableau cache
     assert verify_table(coefficient_table_raw("3x8"))["ok"]
     assert ((1, 1, 1), 8) in calls
     assert len(calls) == len(set(calls)), sorted(calls)
@@ -194,9 +236,41 @@ def _stage_times():
     return module
 
 
-@pytest.mark.parametrize("mode", ["pipeline", "tables", "hull", "vertices"])
+@pytest.mark.parametrize("mode", ["pipeline", "tables", "hull", "vertices", "replay"])
 def test_every_timed_stage_resolves_to_a_package_name(mode):
     stages = _stage_times().MODES[mode]
     assert stages
     for stage, names in stages.items():
         assert any(hasattr(module, name) for module, name in names), (mode, stage)
+
+
+def _package_caches() -> dict:
+    return {
+        f"{name}.{attr}": obj
+        for name, module in sys.modules.items()
+        if name.startswith("paulitope.")
+        for attr, obj in vars(module).items()
+        if hasattr(obj, "cache_info")
+    }
+
+
+def test_clear_caches_reaches_every_cache_behind_the_stage_wrappers(monkeypatch):
+    stage_times = _stage_times()
+    caches = _package_caches()
+    assert "paulitope.coefficients._spectrum" in caches
+    for stages in stage_times.MODES.values():
+        for names in stages.values():
+            for module, name in names:
+                if hasattr(module, name):
+                    # recorded, so that the wrappers go again after the test
+                    monkeypatch.setattr(module, name, getattr(module, name))
+    totals = defaultdict(float)
+    for stages in stage_times.MODES.values():
+        stage_times.install(stages, totals)
+    assert not hasattr(coefficients._spectrum, "cache_info")
+    assert verify_table(coefficient_table_raw("3x6"))["ok"]
+    assert totals["spectrum"] > 0
+    assert caches["paulitope.coefficients._spectrum"].cache_info().currsize > 0
+    stage_times.clear_caches()
+    warm = {name: cache.cache_info().currsize for name, cache in caches.items()}
+    assert warm == dict.fromkeys(caches, 0)

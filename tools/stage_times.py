@@ -9,6 +9,7 @@ Usage (from the repository root; point PYTHONPATH at another checkout's
     PYTHONPATH=src python3 tools/stage_times.py --mode tables --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode hull --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode vertices --runs 11
+    PYTHONPATH=src python3 tools/stage_times.py --mode replay --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode series --runs 11
 
 The ``pipeline`` mode (the default) runs ``pipeline((2, 1), 4, 2, schedule,
@@ -21,15 +22,20 @@ same with ``pipeline((1, 1, 1, 1), 8, 1, schedule, degree_cap=40)``, the
 eight-level Lambda^4 C^8 system, and ``--schedule`` defaults to ``8``.  The
 ``tables`` mode runs ``verify_table`` on the four bundled coefficient tables,
 the coefficient part of the ``replay`` workload, once and then ``--runs``
-times.  These four modes clear every ``lru_cache`` of the package before
-each run, so that each run pays what a fresh interpreter pays, the orbit
-tables of the Weyl alternation included.  The ``hull`` mode runs the timed
-part of the ``hull-mixed`` benchmark workload (hull, facet match, outer polytope
-and equality check) on its 24,526 points, which it builds with the
+times.  The ``replay`` mode runs the timed part of the ``replay`` benchmark
+workload from ``perfbench/workloads.py`` (the S4 Schubert rows, the four
+coefficient tables, the 70 vertex rows and the two kind-2 families) on
+the row order of seed 0, once checked and then ``--runs`` times.  These
+five modes clear every ``lru_cache`` of the package before each run, the
+ones behind a stage wrapper included, so that each run pays what a fresh
+interpreter pays, the orbit tables of the Weyl alternation and the cached
+induced spectra included.  The ``hull`` mode runs the timed part of the
+``hull-mixed`` benchmark workload (hull, facet match, outer polytope and
+equality check) on its 24,526 points, which it builds with the
 benchmark's own integer enumeration from ``perfbench/workloads.py``, once
-and then ``--runs`` times.  The ``vertices`` mode runs ``verify_vertex`` on
-the 70 rows of the bundled vertex tables, the vertex part of the ``replay``
-workload, once and then ``--runs`` times.  The ``series`` mode times
+checked and then ``--runs`` times.  The ``vertices`` mode runs
+``verify_vertex`` on the 70 rows of the bundled vertex tables, the vertex
+part of the ``replay`` workload, once and then ``--runs`` times.  The ``series`` mode times
 ``plethysm_h_series`` alone, one degree per call, on the Newton series of
 four systems: the fermion system to degree 5, the mixed one to degree 8,
 c6 (the mixed system) to degree 12 and Lambda^4 C^8 to degree 8;
@@ -47,7 +53,8 @@ nested in them.  The rest of the run is ``rows`` in the three pipeline modes
 (turning components into points, and the loop itself) and ``rest`` in the
 other modes (triple reconstruction outside the stages, and the report, in
 the tables mode; the hull's equations, facets and the calls around them in
-the hull mode; the loop over the rows in the vertices mode).
+the hull mode; the loop over the rows in the vertices mode; in the replay
+mode the triples, the reports and the kind-2 families outside the stages).
 
 A stage lists every function name that has carried it: the Newton
 recurrence is ``plethysm_h_series`` and, where the series is built one
@@ -85,7 +92,10 @@ them, since it imports them by name.  The vertices mode splits each call
 into ``rdm`` (``one_particle_rdm``), ``spectrum`` (the rest of
 ``occupation_numbers``: the diagonal read or the eigensolver) and
 ``ratio`` (the rest of ``verify_vertex``: the expected spectrum and the
-comparison).
+comparison).  The replay mode has the tables mode's ``spectrum``,
+``schubert`` (with the S4 rows' ``schubert_polynomial`` calls) and
+``monk``, the vertices mode's ``rdm``, and ``occupation``: the rest of
+``occupation_numbers`` and ``verify_vertex``.
 """
 
 from __future__ import annotations
@@ -99,7 +109,7 @@ from collections import defaultdict
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
-from paulitope import coefficients, fixtures, plethysm, polytope, states
+from paulitope import coefficients, fixtures, plethysm, polynomials, polytope, states
 
 PIPELINE_STAGES = {
     "newton": [(plethysm, "_newton_step"), (plethysm, "plethysm_h_series")],
@@ -142,6 +152,17 @@ MODES = {mode: PIPELINE_STAGES for mode in PIPELINES} | {
         "spectrum": [(states, "occupation_numbers")],
         "ratio": [(states, "verify_vertex")],
     },
+    "replay": {
+        "spectrum": [(coefficients, "_spectrum"), (coefficients, "induced_spectrum")],
+        "schubert": [
+            (coefficients, "grassmannian_schubert"),
+            (coefficients, "schubert_polynomial"),
+            (polynomials, "schubert_polynomial"),
+        ],
+        "monk": [(coefficients, "monk_coefficient")],
+        "rdm": [(states, "one_particle_rdm")],
+        "occupation": [(states, "occupation_numbers"), (states, "verify_vertex")],
+    },
     "series": {},  # per-degree times, see series_times
 }
 # series mode: system -> (pipeline arguments before the schedule, default top degree)
@@ -151,7 +172,11 @@ SERIES = {
     "c6": (PIPELINES["pipeline"][0], 12),
     "fermion-4x8": (PIPELINES["fermion-4x8"][0], 8),
 }
-REST = {mode: "rows" for mode in PIPELINES} | {"tables": "rest", "hull": "rest", "vertices": "rest"}
+REST = {mode: "rows" for mode in PIPELINES} | {
+    mode: "rest" for mode in ("tables", "hull", "vertices", "replay")
+}
+# modes that clear every cache before each run, as a fresh interpreter starts cold
+COLD = {*PIPELINES, "tables", "replay"}
 
 
 def install(stages: dict, totals: dict[str, float]) -> None:
@@ -171,6 +196,7 @@ def install(stages: dict, totals: dict[str, float]) -> None:
                 if stack:
                     stack[-1][0] += elapsed
 
+        timed.__wrapped__ = fn  # clear_caches reaches a wrapped lru_cache through it
         return timed
 
     for stage, names in stages.items():
@@ -180,25 +206,27 @@ def install(stages: dict, totals: dict[str, float]) -> None:
 
 
 def clear_caches() -> None:
-    """Empty every ``lru_cache`` in the package's modules."""
+    """Empty every ``lru_cache`` in the package's modules, behind stage wrappers too."""
     for name, module in list(sys.modules.items()):
         if name.startswith("paulitope."):
             for obj in vars(module).values():
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
+                while obj is not None:
+                    if hasattr(obj, "cache_clear"):
+                        obj.cache_clear()
+                    obj = getattr(obj, "__wrapped__", None)
 
 
-def hull_mixed_run():
-    """The timed part of the ``hull-mixed`` workload, on the benchmark's own points, once checked."""
+def workload_run(name: str):
+    """The timed part of a benchmark workload, on the inputs of seed 0, once checked."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = spec_from_file_location("perfbench_workloads", path)
     workloads = module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    workload = workloads.WORKLOADS["hull-mixed"]
+    workload = workloads.WORKLOADS[name]
     inputs, fx = workload.prepare(workload.inputs(0)), workload.fixtures()
     failed = [label for label, ok in workload.check(workload.solve(inputs, fx), fx) if not ok]
     if failed:
-        raise SystemExit(f"hull-mixed failed its checks: {failed}")
+        raise SystemExit(f"{name} failed its checks: {failed}")
     return lambda: workload.solve(inputs, fx)
 
 
@@ -241,7 +269,8 @@ def main() -> None:
         return
     stages = MODES[args.mode]
     tables = [fixtures.coefficient_table_raw(name) for name in fixtures.COEFFICIENT_TABLES]
-    hull_run = hull_mixed_run() if args.mode == "hull" else None
+    workload = {"hull": "hull-mixed", "replay": "replay"}.get(args.mode)
+    run_workload = workload_run(workload) if workload else None
     vertex_rows = (
         [row for name in fixtures.VERTEX_TABLES for row in fixtures.vertex_table(name)["rows"]]
         if args.mode == "vertices"
@@ -252,14 +281,14 @@ def main() -> None:
     samples: dict[str, list[float]] = defaultdict(list)
     for run in range(args.runs + 1):
         totals.clear()
-        if args.mode == "tables" or args.mode in PIPELINES:
+        if args.mode in COLD:
             clear_caches()
         start = time.perf_counter()
         if args.mode == "tables":
             for table in tables:
                 coefficients.verify_table(table)
-        elif args.mode == "hull":
-            hull_run()
+        elif run_workload:
+            run_workload()
         elif args.mode == "vertices":
             for row in vertex_rows:
                 if not states.verify_vertex(row["state"], row["ratio"]):
