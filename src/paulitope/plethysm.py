@@ -673,7 +673,8 @@ def inner_points(
     degree_cap: int = INNER_POINT_DEGREE_CAP,
     *,
     series: list[LatticeCharacter] | None = None,
-) -> list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
+    rows: bool = False,
+) -> list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] | np.ndarray:
     """Normalized highest-weight points of all Schur functors up to degree m_cap.
 
     For every shape mu of size m <= m_cap with at most rank_bound rows, each
@@ -687,6 +688,12 @@ def inner_points(
     list for rising cutoffs of the same nu, r and rank bound builds each
     degree once, and decomposes each degree once, since a degree caches its
     components.  The points are those of the cutoff either way.
+
+    With ``rows=True`` the result is instead the integer matrix that
+    ``hull(rows=True)`` takes, of the hull's points lam / m (then mu / m
+    when rank_bound > 1): ``polytope._row_matrix(points, dim, lead=True)``,
+    rows, order and dtype alike, built from the keys below with no
+    ``Fraction`` by ``polytope._key_rows``.
     """
     nu = normalize(nu)
     r, rank_bound, m_cap = _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap)
@@ -701,6 +708,10 @@ def inner_points(
             lam, mu = (hw, (m,)) if rank_bound == 1 else hw
             padded = lam + (0,) * (r - len(lam)) + mu + (0,) * (rank_bound - len(mu))
             keys.add(tuple(x * step for x in padded))
+    if rows:
+        from .polytope import _key_rows  # polytope imports this module
+
+        return _key_rows(keys, scale, r if rank_bound == 1 else r + rank_bound)
     # the coordinates take few distinct values, so each Fraction is made once
     fraction = {x: Fraction(x, scale) for x in set().union(*keys)}
     return [

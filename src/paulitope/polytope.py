@@ -256,6 +256,27 @@ def _row_matrix(rows: Sequence[Sequence], width: int, lead: bool = False) -> np.
     return _sorted_rows(nums)
 
 
+def _key_rows(keys: set[tuple[int, ...]], scale: int, width: int) -> np.ndarray:
+    """``_row_matrix``'s rows of the points key[:width] / scale: (scale, key[:width]) / gcd, sorted.
+
+    Entry x is x / scale = n / d in lowest terms, d = scale / gcd(x, scale),
+    so the dtype follows the bound max(1, max n) * lcm(d), and lcm(d) =
+    scale / gcd(scale, every x).  The nonnegative integer keys are read in
+    int64 unless their largest entry is past it.
+    """
+    values = set().union(*keys)
+    top = max((x // gcd(x, scale) for x in values), default=0)
+    dtype = _entry_dtype(max(top, 1) * (scale // gcd(scale, *values)))
+    length = len(next(iter(keys))) if keys else width
+    read = _entry_dtype(max(values, default=0))
+    flat = np.fromiter(chain.from_iterable(keys), read, len(keys) * length)
+    columns = np.empty((width + 1, len(keys)), dtype=read)
+    columns[0] = scale
+    columns[1:] = flat.reshape(len(keys), length).T[:width]
+    columns //= np.gcd.reduce(columns, axis=0)
+    return _sorted_rows(columns.astype(dtype, copy=False))
+
+
 def _generators(vectors: list[IntVec], row_max: int) -> np.ndarray:
     """The vectors as the columns of a matrix whose products with rows of max|entry| row_max are exact.
 
@@ -500,7 +521,7 @@ def polytope_from_h(
     return Polytope(dim, eqs, ineqs, _vertices_from_h(dim, eqs, ineqs))
 
 
-def hull(points: Iterable[Sequence]) -> Polytope:
+def hull(points: Iterable[Sequence] | np.ndarray, *, rows: bool = False) -> Polytope:
     """Convex hull with exact facets, equations, and vertices.
 
     Works in the dual: each point p contributes the constraint c0 + c.p >= 0
@@ -515,21 +536,39 @@ def hull(points: Iterable[Sequence]) -> Polytope:
     for a block whose coordinates are all exactly Fractions, and sorts it,
     on one integer key when there are many points; it is int64 when
     max|numerator| * lcm(denominators) fits and holds Python ints otherwise.
+    With ``rows=True``, ``points`` is that matrix itself, as
+    ``inner_points(rows=True)`` builds it, and goes to ``cone_dual`` unread:
+    a 2-D array of int64 or Python ints, each row (den, x1*den, ...) with
+    den > 0, in the order the rows are to be inserted.  Anything else raises
+    ValueError.
 
     That is the one double description: a point the scan passes lies in
     the hull of the points inserted before it, so every vertex is an
     inserted row, and ``_inserted_vertices`` picks them out by their tight
     facets.
     """
-    points = list(points)
-    arities = set(map(len, points))
-    if not arities:
-        raise ValueError("need at least one point")
-    if len(arities) > 1:
-        raise ValueError("points have mixed arity")
-    (dim,) = arities
+    if rows:
+        if not isinstance(points, np.ndarray) or points.ndim != 2 or not points.size:
+            got = f"shape {points.shape}" if isinstance(points, np.ndarray) else type(points).__name__
+            raise ValueError(f"hull: rows=True takes a nonempty 2-D array, not {got}")
+        dim = points.shape[1] - 1
+        if not _is_row_matrix(points, dim + 1):
+            raise ValueError(f"hull: the row matrix holds {points.dtype} entries, not int64 or Python ints")
+        bad = points[:, 0] <= 0
+        if bad.any():
+            row = int(bad.argmax())
+            raise ValueError(f"hull: row {row} of the row matrix has lead entry {points[row, 0]}, not above 0")
+    else:
+        points = list(points)
+        arities = set(map(len, points))
+        if not arities:
+            raise ValueError("need at least one point")
+        if len(arities) > 1:
+            raise ValueError("points have mixed arity")
+        (dim,) = arities
     inserted: list[IntVec] = []
-    rays, lin = cone_dual([], _row_matrix(points, dim, lead=True), dim + 1, inserted=inserted)
+    # a matrix read from the points is freed once cone_dual returns
+    rays, lin = cone_dual([], points if rows else _row_matrix(points, dim, lead=True), dim + 1, inserted=inserted)
 
     equations = []
     for l in lin:
@@ -710,7 +749,9 @@ def pipeline(
     One Newton series serves the whole run: each cutoff's ``inner_points``
     call extends it up to that cutoff, so every degree is built and
     decomposed once.  For each cutoff M in the
-    schedule, the hull of the normalized component points is computed, its
+    schedule, the hull of the normalized component points is computed, from
+    the integer rows ``inner_points(rows=True)`` builds out of its integer
+    keys, so no point becomes a ``Fraction`` on the way; its
     faces are matched against test-spectrum triples, and the outer polytope
     cut by the matched inequalities (inside the ambient chamber) is
     intersected with the chamber.  The run stops at the first M where inner
@@ -730,7 +771,6 @@ def pipeline(
     if r < 1 and len(nu) > r:  # nor any character, which refuses this alike
         raise ValueError(f"shape {nu} needs more than {r} levels")
     n_particles = size(nu)
-    mixed = rank_bound > 1
     ambient_eqs, ambient_ineqs = _ambient_system(r, n_particles, rank_bound)
     history = []
     converged_at = None
@@ -738,9 +778,8 @@ def pipeline(
     report = None
     series: list = []  # filled on the first cutoff, so an empty schedule builds nothing
     for m_cap in m_schedule:
-        points = inner_points(nu, r, rank_bound, m_cap, level_cap, degree_cap, series=series)
-        coords = [lam + mu if mixed else lam for lam, mu in points]
-        inner = hull(coords)
+        matrix = inner_points(nu, r, rank_bound, m_cap, level_cap, degree_cap, series=series, rows=True)
+        inner = hull(matrix, rows=True)
         report = facet_match(inner, nu, r, rank_bound)
         extra = [
             (tuple(e["lambda_coeffs"]) + tuple(e["mu_coeffs"]), e["bound"])
@@ -751,7 +790,7 @@ def pipeline(
         history.append(
             {
                 "M": m_cap,
-                "points": len(coords),
+                "points": len(matrix),
                 "vertices": len(inner.vertices),
                 "facets": len(inner.facets),
                 "equations": len(inner.equations),

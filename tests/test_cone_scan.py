@@ -40,8 +40,8 @@ def assert_same_cone(equations, inequalities, dim):
     assert all(type(x) is int for x in chain.from_iterable(chain(*got, got_rows)))
 
 
-def assert_vertices_of_own_h_system(points):
-    poly = hull(points)
+def assert_vertices_of_own_h_system(points, **kwargs):
+    poly = hull(points, **kwargs)
     assert poly.vertices == reference_vertices_from_h(poly.dim, poly.equations, poly.facets)
 
 
@@ -79,7 +79,7 @@ PIPELINES = {
 
 @pytest.fixture(scope="module")
 def pipeline_calls():
-    """Every (equations, inequalities, dim) each pipeline hands to cone_dual, as handed, and its hull points."""
+    """Every (equations, inequalities, dim) each pipeline hands to cone_dual, as handed, and its hull arguments."""
     calls, points = {}, {}
     for name, ((nu, r, k, schedule), caps) in PIPELINES.items():
         calls[name], points[name] = [], []
@@ -91,9 +91,9 @@ def pipeline_calls():
             into.append((equations, inequalities, dim))
             return cone_dual(equations, inequalities, dim, *rest, **kwargs)
 
-        def hull_of(pts, into=points[name]):
-            into.append(pts)
-            return hull(pts)
+        def hull_of(pts, into=points[name], **kwargs):
+            into.append((pts, kwargs))
+            return hull(pts, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polytope, "cone_dual", recording)
@@ -111,8 +111,8 @@ def test_pipeline_cone_calls_match_the_full_product_loop(monkeypatch, pipeline_c
     monkeypatch.setattr(polytope, "_SCAN_BLOCK", block)
     for equations, inequalities, dim in calls:
         assert_same_cone(equations, inequalities, dim)
-    for pts in points:
-        assert_vertices_of_own_h_system(pts)
+    for pts, kwargs in points:
+        assert_vertices_of_own_h_system(pts, **kwargs)
 
 
 def test_hull_mixed_vertices_in_benchmark_order():

@@ -78,8 +78,9 @@ def test_every_cutoff_equals_the_rebuild_path(name, monkeypatch):
         # history, the polytope's vertices, facets and equations, and the match
         assert got == want, (name, stop)
         assert [m for m, _ in seen] == schedule[:stop]
-        for m_cap, points in seen:
-            assert points == inner_points(nu, r, k, m_cap, **caps), (name, m_cap)
+        for m_cap, matrix in seen:  # the pipeline takes the hull's integer rows
+            fresh = inner_points(nu, r, k, m_cap, **caps, rows=True)
+            assert (matrix.dtype, matrix.tolist()) == (fresh.dtype, fresh.tolist()), (name, m_cap)
 
 
 def test_fermion_run_builds_and_decomposes_each_degree_once(monkeypatch):

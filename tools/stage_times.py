@@ -50,7 +50,7 @@ invocations by more than nearby values differ.  Every other mode prints
 one JSON object: the median milliseconds of the whole run and of each stage.  A stage's time is the
 time spent in calls to its functions minus the time of other stages' calls
 nested in them.  The rest of the run is ``rows`` in the three pipeline modes
-(turning components into points, and the loop itself) and ``rest`` in the
+(turning components into the hull's integer rows, and the loop itself) and ``rest`` in the
 other modes (triple reconstruction outside the stages, and the report, in
 the tables mode; the hull's equations, facets and the calls around them in
 the hull mode; the loop over the rows in the vertices mode; in the replay
@@ -74,8 +74,11 @@ first block's ``_orbit`` build, as these modes clear the caches before
 each run.  ``decompose`` keeps the dominant weights, their keys and the
 masks both routes read, the split into blocks, the negativity check and
 the dimension check.  In the
-three pipeline modes ``hull`` includes building its integer matrix from
-the Fraction points; the hull mode splits it into
+three pipeline modes ``rows`` includes building the hull's integer
+matrix, which ``inner_points(rows=True)`` makes from its integer keys and
+``hull`` takes unread; in older checkouts, whose ``hull`` read Fraction
+points into that matrix, the read is in ``hull``, so across that change
+compare ``rows`` + ``hull``.  The hull mode, on Fraction points, splits ``hull`` into
 ``read`` (``_read_entries``, which reads the numerators and denominators
 of every point or row into arrays), ``order`` (``_sorted_rows``, which
 sorts the scaled rows and drops repeats), ``rows`` (the rest of
