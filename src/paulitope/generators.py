@@ -29,6 +29,7 @@ from .states import (
 from .tableaux import (
     FramedDiagram,
     Partition,
+    _skew_standard,
     count_skew_standard,
     normalize,
     partitions_in_box,
@@ -116,11 +117,14 @@ def majorization_constraints(nu: Iterable[int], r: int) -> InequalityFamily:
 def _strip_sum(gamma: Partition, column: bool) -> int:
     """sum_k (-1)^k of the standard fillings of gamma with a strip of k cells removed.
 
-    The strip is a row of k cells, or with ``column`` a column of k cells.
+    The strip is a row of k cells, or with ``column`` a column of k cells;
+    gamma is canonical, and a strip fits in it up to its row count, or its
+    first row.
     """
+    longest = len(gamma) if column else (gamma[0] if gamma else 0)
     return sum(
-        (-1) ** k * count_skew_standard(gamma, (1,) * k if column else (k,))
-        for k in range(size(gamma) + 1)
+        (-1) ** k * _skew_standard(gamma, (1,) * k if column else (k,) if k else ())
+        for k in range(longest + 1)
     )
 
 

@@ -8,6 +8,7 @@ transpositions.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import count, groupby
 from typing import Iterable, Iterator, Sequence
 
@@ -81,14 +82,8 @@ class Permutation:
         return not self.images
 
     def length(self) -> int:
-        """Number of inversions."""
-        imgs = self.images
-        return sum(
-            1
-            for i in range(len(imgs))
-            for j in range(i + 1, len(imgs))
-            if imgs[i] > imgs[j]
-        )
+        """Number of inversions, counted once per one-line notation (``_inversions``)."""
+        return _inversions(self.images)
 
     def descents(self) -> tuple[int, ...]:
         """Positions i with w(i) > w(i+1)."""
@@ -180,6 +175,17 @@ class Permutation:
                 mapping[x] = cyc[(k + 1) % len(cyc)]
         m = max(mapping, default=0)
         return Permutation(mapping.get(i, i) for i in range(1, m + 1))
+
+
+@lru_cache(maxsize=4096)
+def _inversions(imgs: tuple[int, ...]) -> int:
+    """Inversions of a one-line notation; bounded, as a search meets each w a few times."""
+    return sum(
+        1
+        for i in range(len(imgs))
+        for j in range(i + 1, len(imgs))
+        if imgs[i] > imgs[j]
+    )
 
 
 def require_minimal(w: Permutation, values: Sequence[int], role: str) -> None:

@@ -3,7 +3,10 @@
 Amplitudes are stored exactly as a sign times the square root of a
 nonnegative rational, so norms and diagonal matrix elements stay rational.
 Off-diagonal matrix elements are rational whenever every amplitude product is
-a perfect square; otherwise the matrix falls back to floats.
+a perfect square; otherwise the matrix falls back to floats.  A wedge state
+whose support has no two wedges one particle move apart is decoupled: its
+matrix is diagonal, so its spectrum is read from the integer diagonal over
+the norm, with no matrix built.
 """
 
 from __future__ import annotations
@@ -165,23 +168,32 @@ class OneParticleRDM(NamedTuple):
         return not any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(self.entries))
 
 
-def one_particle_rdm(psi: WedgeState) -> OneParticleRDM:
-    """One-particle reduced density matrix, normalized to trace n_particles.
+class _Support(NamedTuple):
+    """Level occupations and norm squared as numerators over ``den``, and the coupled pairs.
 
-    A wedge is read as the bitmask of its levels.  Two wedges couple when
-    their masks differ in exactly two bits i < j, and the pair adds to the
-    (i, j) entry from the wedge holding i, in amplitude order; the fermionic
-    sign counts the occupied levels strictly between i and j.  The diagonal
-    is summed as integer numerators over the lcm of the radicand
-    denominators.  All entries are exact rationals when every amplitude
-    product involved is a perfect square; otherwise every entry is a float.
+    ``off`` maps (i, j) to its terms (sign, radicand product, rational root
+    or None) in amplitude order; the support is decoupled when it is empty.
+    """
+
+    diag: list[int]
+    total: int
+    den: int
+    off: dict
+
+
+def _gather(psi: WedgeState) -> _Support:
+    """One pass over the support, each wedge read as the bitmask of its levels.
+
+    Two wedges couple when their masks differ in exactly two bits i < j, and
+    the pair adds to the (i, j) entry from the wedge holding i; the
+    fermionic sign counts the occupied levels strictly between i and j.
     """
     if not isinstance(psi, WedgeState):
         raise TypeError(f"one_particle_rdm needs a WedgeState, got {type(psi).__name__}")
-    r, amps = psi.levels, list(psi.amplitudes.values())
+    amps = list(psi.amplitudes.values())
     den = math.lcm(*(amp.radicand.denominator for amp in amps))
     nums = [amp.radicand.numerator * (den // amp.radicand.denominator) for amp in amps]
-    diag = [0] * r
+    diag = [0] * psi.levels
     masks = []
     for subset, num in zip(psi.amplitudes, nums):
         mask = 0
@@ -189,8 +201,7 @@ def one_particle_rdm(psi: WedgeState) -> OneParticleRDM:
             diag[i - 1] += num
             mask |= 1 << i
         masks.append(mask)
-    # (i, j) -> [(sign, radicand product, its rational root or None)]
-    off: dict[tuple[int, int], list[tuple[int, Fraction, Fraction | None]]] = {}
+    off = {}
     for mask, amp in zip(masks, amps):
         for other_mask, other in zip(masks, amps):
             moved = mask ^ other_mask
@@ -203,17 +214,29 @@ def one_particle_rdm(psi: WedgeState) -> OneParticleRDM:
             off.setdefault((low.bit_length() - 1, high.bit_length() - 1), []).append(
                 (sign, rad, _exact_sqrt(rad))
             )
-    exact = all(root is not None for terms in off.values() for _, _, root in terms)
+    return _Support(diag, sum(nums), den, off)
 
-    total = sum(nums)  # the norm squared is total / den
-    if exact:
-        zero, norm = Fraction(0), Fraction(total, den)
-        diag = [Fraction(d, total) for d in diag]
+
+def one_particle_rdm(psi: WedgeState) -> OneParticleRDM:
+    """One-particle reduced density matrix, normalized to trace n_particles.
+
+    All entries are exact rationals when every amplitude product involved
+    is a perfect square; otherwise every entry is a float.
+    """
+    support = _gather(psi)  # refuses anything but a WedgeState
+    return _assemble(psi.levels, support)
+
+
+def _assemble(r: int, support: _Support) -> OneParticleRDM:
+    total, den, off = support.total, support.den, support.off
+    if all(root is not None for terms in off.values() for _, _, root in terms):
+        exact, zero, norm = True, Fraction(0), Fraction(total, den)
+        diag = [Fraction(d, total) for d in support.diag]
         values = {key: [sign * root for sign, _, root in terms] for key, terms in off.items()}
     else:
         # an int quotient rounds once, as float(Fraction(d, den)) does
-        zero, norm = 0.0, total / den
-        diag = [d / den / norm for d in diag]
+        exact, zero, norm = False, 0.0, total / den
+        diag = [d / den / norm for d in support.diag]
         values = {
             key: [sign * math.sqrt(float(rad)) for sign, rad, _ in terms]
             for key, terms in off.items()
@@ -229,12 +252,18 @@ def one_particle_rdm(psi: WedgeState) -> OneParticleRDM:
 def occupation_numbers(psi: WedgeState):
     """Eigenvalues of the one-particle density matrix, sorted decreasing.
 
-    Exact rationals when the matrix is exactly diagonal, floats (via a
-    symmetric eigensolver) otherwise.
+    Exact rationals when the matrix is exactly diagonal (read with no matrix
+    for a decoupled support), floats (via a symmetric eigensolver) otherwise.
     """
-    rdm = one_particle_rdm(psi)
+    support = _gather(psi)
+    if not support.off:
+        return tuple(Fraction(d, support.total) for d in sorted(support.diag, reverse=True))
+    return _matrix_spectrum(_assemble(psi.levels, support))
+
+
+def _matrix_spectrum(rdm: OneParticleRDM) -> tuple:
     if rdm.exact and rdm.is_diagonal():
-        diag = [rdm.entries[i][i] for i in range(psi.levels)]
+        diag = [rdm.entries[i][i] for i in range(len(rdm.entries))]
         # sorted on integer numerators over one denominator, not on Fraction comparisons
         den = math.lcm(*(d.denominator for d in diag))
         return tuple(sorted(diag, key=lambda d: d.numerator * (den // d.denominator), reverse=True))
@@ -292,8 +321,8 @@ def verify_vertex(
     """Check that the occupation spectrum matches a ratio vector exactly.
 
     The expected spectrum is the ratio rescaled to trace n_particles.  The
-    comparison is exact on the rational path and within ``tolerance`` on the
-    eigensolver path.
+    comparison is exact on the rational path, in integers for a decoupled
+    support, and within ``tolerance`` on the eigensolver path.
     """
     # ints and Fractions are exact already; anything else keeps its decimal
     # meaning, so the float 0.1 reads as 1/10
@@ -303,12 +332,27 @@ def verify_vertex(
     total = sum(ratio)
     if total <= 0:
         raise ValueError("ratio must have positive sum")
+    n = psi.n_particles
+    support = _gather(psi)
+    if not support.off:
+        return _diagonal_matches(support, ratio, n)
     # scaling by n_particles / total keeps the order, so the ratio sorts as given
-    expected = [Fraction(x * psi.n_particles, total) for x in sorted(ratio, reverse=True)]
-    occ = occupation_numbers(psi)
-    if occ and isinstance(occ[0], Fraction):
+    expected = [Fraction(x * n, total) for x in sorted(ratio, reverse=True)]
+    occ = _matrix_spectrum(_assemble(psi.levels, support))
+    if isinstance(occ[0], Fraction):
         return list(occ) == expected
     return max(abs(o - float(e)) for o, e in zip(occ, expected)) <= tolerance
+
+
+def _diagonal_matches(support: _Support, ratio: Sequence, n_particles: int) -> bool:
+    """verify_vertex on a decoupled support: d_i * sum(x) against x_i * N * total, sorted.
+
+    x is the ratio scaled to integers over one denominator.
+    """
+    den = math.lcm(*(x.denominator for x in ratio))
+    xs = [x.numerator * (den // x.denominator) for x in ratio]
+    s, scale = sum(xs), n_particles * support.total
+    return sorted(d * s for d in support.diag) == sorted(x * scale for x in xs)
 
 
 def slater_determinant(n_particles: int, levels: int) -> WedgeState:

@@ -1,8 +1,10 @@
 """Partitions, semistandard tableaux, and classical tableau counts.
 
 Partitions are tuples of weakly decreasing nonnegative integers with trailing
-zeros stripped.  A semistandard tableau is a tuple of row tuples, weakly
-increasing along rows and strictly increasing down columns.
+zeros stripped.  The public functions normalize what they are given; the
+underscore helpers take canonical partitions and do not check them.  A
+semistandard tableau is a tuple of row tuples, weakly increasing along rows
+and strictly increasing down columns.
 """
 
 from __future__ import annotations
@@ -53,20 +55,37 @@ def contains(outer: Iterable[int], inner: Iterable[int]) -> bool:
 def partitions_in_box(rows: int, cols: int, total: int | None = None) -> Iterator[Partition]:
     """All partitions with at most ``rows`` parts, each at most ``cols``.
 
-    With ``total`` set, only partitions of that size are produced.
+    With ``total`` set, only partitions of that size are produced, in the
+    same order; a negative total, or one above rows * cols, gives none.
+    ``rows``, ``cols`` and ``total`` must be integers.
     """
     rows, cols = as_int(rows, "rows"), as_int(cols, "cols")
     if rows < 0 or cols < 0:
         raise ValueError(f"box needs rows, cols >= 0, got {rows} x {cols}")
+    if total is not None:
+        return _partitions_of(as_int(total, "total"), rows, cols, ())
 
     def rec(remaining_rows: int, cap: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
-        yield normalize(prefix)
+        yield prefix
         if remaining_rows == 0:
             return
         for part in range(cap, 0, -1):
             yield from rec(remaining_rows - 1, part, prefix + (part,))
 
-    return (p for p in rec(rows, cols, ()) if total is None or size(p) == total)
+    return rec(rows, cols, ())
+
+
+def _partitions_of(left: int, rows: int, cap: int, prefix: Partition) -> Iterator[Partition]:
+    """The prefix extended by every partition of ``left`` into at most ``rows`` parts <= cap.
+
+    Parts go largest first, so a part below ceil(left / rows) could not be
+    followed by enough cells, and the order is that of the full box walk.
+    """
+    if left == 0:
+        yield prefix
+    elif left > 0 and rows > 0:
+        for part in range(min(cap, left), -(-left // rows) - 1, -1):
+            yield from _partitions_of(left - part, rows - 1, part, prefix + (part,))
 
 
 def reading_word(tab: Tableau) -> tuple[int, ...]:
@@ -170,13 +189,15 @@ def count_skew_standard(gamma: Iterable[int], tau: Iterable[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _skew_standard(gamma: Partition, tau: Partition) -> int:
-    if size(gamma) == size(tau):
+    """Standard fillings of gamma/tau, for canonical partitions with tau inside gamma."""
+    if sum(gamma) == sum(tau):
         return 1
     total = 0
     for i in range(len(gamma)):
         below = gamma[i + 1] if i + 1 < len(gamma) else 0
         if gamma[i] > below and gamma[i] - 1 >= (tau[i] if i < len(tau) else 0):
-            smaller = normalize(gamma[:i] + (gamma[i] - 1,) + gamma[i + 1 :])
+            # the removed corner keeps the parts decreasing; a part of 1 is the last row
+            smaller = gamma[:i] + (gamma[i] - 1,) + gamma[i + 1 :] if gamma[i] > 1 else gamma[:i]
             total += _skew_standard(smaller, tau)
     return total
 

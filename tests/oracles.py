@@ -15,6 +15,9 @@ decomposition by peeling off top weights.  Hulls go through the row-by-row
 double description that inserts every inequality, implied or not, or
 through the full-product loop that the package's forward scan replaced, and
 Schubert coefficients through the fully expanded specialized polynomial.
+Partitions of one size are filtered from the walk of the whole box, and
+occupation spectra and vertex checks build every state's density matrix,
+decoupled or not.
 Induced spectra enumerate their tableaux on every call, and Monk chain sums
 test each permutation against v with its whole rank table.  Coset
 minimality is tested on position blocks built from the tied values.
@@ -51,7 +54,7 @@ import numpy as np
 import sympy
 
 from paulitope.coefficients import SpectrumEntry
-from paulitope.errors import MinimalityError, ResourceLimitError
+from paulitope.errors import MinimalityError, ResourceLimitError, as_int
 from paulitope.generators import (
     KIND2_TERM_CAP,
     KIND2_WIDTH_CAP,
@@ -98,6 +101,7 @@ from paulitope.states import (
     _exact_sqrt,
     level_merged_state,
     occupation_numbers,
+    one_particle_rdm,
     paired_flat_state,
     slater_determinant,
 )
@@ -143,6 +147,22 @@ def brute_ssyt(shape, max_entry: int) -> list[tuple[tuple[int, ...], ...]]:
         if ok:
             result.append(tuple(combo))
     return result
+
+
+def filter_partitions_in_box(rows: int, cols: int, total: int | None = None):
+    """The box walk that yields every partition and keeps those of size ``total``."""
+    rows, cols = as_int(rows, "rows"), as_int(cols, "cols")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"box needs rows, cols >= 0, got {rows} x {cols}")
+
+    def rec(remaining_rows: int, cap: int, prefix: tuple[int, ...]):
+        yield normalize(prefix)
+        if remaining_rows == 0:
+            return
+        for part in range(cap, 0, -1):
+            yield from rec(remaining_rows - 1, part, prefix + (part,))
+
+    return (p for p in rec(rows, cols, ()) if total is None or size(p) == total)
 
 
 def skew_cells(outer, inner) -> list[tuple[int, int]]:
@@ -761,6 +781,35 @@ def fraction_verify_vertex(psi: WedgeState, expected_ratio, tolerance: float = 1
         raise ValueError("ratio must have positive sum")
     expected = sorted((x * psi.n_particles / total for x in ratio), reverse=True)
     occ = reference_occupation_numbers(psi)
+    if occ and isinstance(occ[0], Fraction):
+        return list(occ) == expected
+    return max(abs(o - float(e)) for o, e in zip(occ, expected)) <= tolerance
+
+
+# The spectrum and vertex check as they were before a decoupled support was
+# read from its integer diagonal: every state builds its density matrix, and
+# the check compares Fractions.
+
+
+def matrix_occupation_numbers(psi):
+    rdm = one_particle_rdm(psi)
+    if rdm.exact and rdm.is_diagonal():
+        diag = [rdm.entries[i][i] for i in range(psi.levels)]
+        den = math.lcm(*(d.denominator for d in diag))
+        return tuple(sorted(diag, key=lambda d: d.numerator * (den // d.denominator), reverse=True))
+    eigs = np.linalg.eigvalsh(rdm.as_array())
+    return tuple(sorted((float(x) for x in eigs), reverse=True))
+
+
+def matrix_verify_vertex(psi: WedgeState, expected_ratio, tolerance: float = 1e-9) -> bool:
+    ratio = [x if type(x) in (int, Fraction) else Fraction(str(x)) for x in expected_ratio]
+    if len(ratio) != psi.levels:
+        raise ValueError(f"expected {psi.levels} ratio entries, got {len(ratio)}")
+    total = sum(ratio)
+    if total <= 0:
+        raise ValueError("ratio must have positive sum")
+    expected = [Fraction(x * psi.n_particles, total) for x in sorted(ratio, reverse=True)]
+    occ = matrix_occupation_numbers(psi)
     if occ and isinstance(occ[0], Fraction):
         return list(occ) == expected
     return max(abs(o - float(e)) for o, e in zip(occ, expected)) <= tolerance

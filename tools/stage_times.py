@@ -54,7 +54,7 @@ nested in them.  The rest of the run is ``rows`` in the three pipeline modes
 other modes (triple reconstruction outside the stages, and the report, in
 the tables mode; the hull's equations, facets and the calls around them in
 the hull mode; the loop over the rows in the vertices mode; in the replay
-mode the triples, the reports and the kind-2 families outside the stages).
+mode the triples and the reports outside the stages).
 
 A stage lists every function name that has carried it: the Newton
 recurrence is ``plethysm_h_series`` and, where the series is built one
@@ -92,13 +92,26 @@ reader), all three for the outer polytope's inequalities too,
 ``_vertices_from_h`` too, a second double description); ``hull``'s arity
 check before the read is in ``rest``.  The table stages are wrapped where ``coefficients`` calls
 them, since it imports them by name.  The vertices mode splits each call
-into ``rdm`` (``one_particle_rdm``), ``spectrum`` (the rest of
-``occupation_numbers``: the diagonal read or the eigensolver) and
-``ratio`` (the rest of ``verify_vertex``: the expected spectrum and the
-comparison).  The replay mode has the tables mode's ``spectrum``,
-``schubert`` (with the S4 rows' ``schubert_polynomial`` calls) and
-``monk``, the vertices mode's ``rdm``, and ``occupation``: the rest of
-``occupation_numbers`` and ``verify_vertex``.
+into ``gather`` (``_gather``, the one pass over the support that every
+state makes: level bitmasks, integer diagonal and coupled pairs),
+``decoupled`` (``_diagonal_matches``, the integer comparison that checks a
+decoupled support), ``rdm`` (the matrix of a coupled support,
+``_assemble``; in checkouts without ``_gather``, ``one_particle_rdm`` of
+every row, gathering included), ``spectrum`` (the diagonal read or the
+eigensolver on that matrix, ``_matrix_spectrum``, or the rest of
+``occupation_numbers``) and ``ratio`` (the rest of ``verify_vertex``: the
+ratio checks, and on the matrix route the expected spectrum and the
+comparison).  So ``rdm`` and ``spectrum`` time the matrix route only;
+across the change that read decoupled supports from their diagonal,
+compare the sum of the five.  The replay mode has the tables mode's
+``spectrum``, ``schubert`` (with the S4 rows' ``schubert_polynomial``
+calls) and ``monk``, the vertices mode's ``rdm``, ``occupation`` (the rest
+of ``verify_vertex``: the gathering, the decoupled comparison and the
+spectrum of a coupled matrix) and ``families`` (``grassmann_kind2`` and the
+``occupation_numbers`` of its witness states).  In checkouts where
+``verify_vertex`` called ``occupation_numbers``, ``families`` also holds the
+vertex rows' spectra, so across that change compare ``occupation`` +
+``families``.
 """
 
 from __future__ import annotations
@@ -112,7 +125,7 @@ from collections import defaultdict
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
-from paulitope import coefficients, fixtures, plethysm, polynomials, polytope, states
+from paulitope import coefficients, fixtures, generators, plethysm, polynomials, polytope, states
 
 PIPELINE_STAGES = {
     "newton": [(plethysm, "_newton_step"), (plethysm, "plethysm_h_series")],
@@ -151,8 +164,10 @@ MODES = {mode: PIPELINE_STAGES for mode in PIPELINES} | {
         "equal": [(polytope, "polytopes_equal")],
     },
     "vertices": {
-        "rdm": [(states, "one_particle_rdm")],
-        "spectrum": [(states, "occupation_numbers")],
+        "gather": [(states, "_gather")],
+        "decoupled": [(states, "_diagonal_matches")],
+        "rdm": [(states, "one_particle_rdm"), (states, "_assemble")],
+        "spectrum": [(states, "occupation_numbers"), (states, "_matrix_spectrum")],
         "ratio": [(states, "verify_vertex")],
     },
     "replay": {
@@ -163,8 +178,9 @@ MODES = {mode: PIPELINE_STAGES for mode in PIPELINES} | {
             (polynomials, "schubert_polynomial"),
         ],
         "monk": [(coefficients, "monk_coefficient")],
-        "rdm": [(states, "one_particle_rdm")],
-        "occupation": [(states, "occupation_numbers"), (states, "verify_vertex")],
+        "rdm": [(states, "one_particle_rdm"), (states, "_assemble")],
+        "occupation": [(states, "verify_vertex")],
+        "families": [(generators, "grassmann_kind2"), (states, "occupation_numbers")],
     },
     "series": {},  # per-degree times, see series_times
 }
