@@ -692,29 +692,55 @@ def inner_points(
     With ``rows=True`` the result is instead the integer matrix that
     ``hull(rows=True)`` takes, of the hull's points lam / m (then mu / m
     when rank_bound > 1): ``polytope._row_matrix(points, dim, lead=True)``,
-    rows, order and dtype alike, built from the keys below with no
-    ``Fraction`` by ``polytope._key_rows``.
+    rows, order and dtype alike, built with no ``Fraction`` by
+    ``_hull_rows``.  The points come from that matrix too.
     """
     nu = normalize(nu)
     r, rank_bound, m_cap = _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap)
     series = plethysm_h_series(m_cap, character(nu, r), rank_bound, series=series)
-    # Each point times lcm(1..m_cap) is an integer tuple, which deduplicates
-    # and sorts exactly like the fractions and much faster.
-    scale = lcm(*range(1, m_cap + 1))
-    keys: set[tuple[int, ...]] = set()
-    for m in range(1, m_cap + 1):
-        step = scale // m
-        for hw in schur_decompose(series[m]):
-            lam, mu = (hw, (m,)) if rank_bound == 1 else hw
-            padded = lam + (0,) * (r - len(lam)) + mu + (0,) * (rank_bound - len(mu))
-            keys.add(tuple(x * step for x in padded))
+    matrix = _hull_rows([schur_decompose(series[m]) for m in range(1, m_cap + 1)], r, rank_bound)
     if rows:
-        from .polytope import _key_rows  # polytope imports this module
+        return matrix
+    # Each point times the lcm of the row leads is an integer tuple, which
+    # sorts like the fractions; the coordinates take few distinct values, so
+    # each Fraction is made once.
+    table = matrix.tolist()
+    scale = lcm(*{row[0] for row in table})
+    keys = sorted(tuple(x * (scale // row[0]) for x in row[1:]) for row in table)
+    fraction = {x: Fraction(x, scale) for x in set(chain.from_iterable(keys))}
+    points = [tuple(map(fraction.__getitem__, key)) for key in keys]
+    if rank_bound == 1:  # the one rank coordinate is m / m
+        return [(point, (Fraction(1),)) for point in points]
+    return [(point[:r], point[r:]) for point in points]
 
-        return _key_rows(keys, scale, r if rank_bound == 1 else r + rank_bound)
-    # the coordinates take few distinct values, so each Fraction is made once
-    fraction = {x: Fraction(x, scale) for x in set().union(*keys)}
-    return [
-        (tuple(map(fraction.__getitem__, key[:r])), tuple(map(fraction.__getitem__, key[r:])))
-        for key in sorted(keys)
-    ]
+
+def _hull_rows(decompositions: list[dict], r: int, rank_bound: int) -> np.ndarray:
+    """The hull's row matrix of the components of degrees 1, 2, ...: (m, lam, mu) / gcd, sorted.
+
+    ``decompositions`` holds ``schur_decompose`` of each degree m in turn.
+    Each degree's keys become one int64 block of rows (m, lam padded to r,
+    then mu padded to rank_bound unless that is 1), each divided by its gcd:
+    the primitive row of the point lam / m (then mu / m) that
+    ``polytope._row_matrix(points, dim, lead=True)`` builds.  The blocks are
+    sorted and deduplicated together.  The dtype follows ``_row_matrix``'s
+    bound, max(1, max numerator) * lcm(denominators): in a row (d, a) the
+    numerator of a_i / d is a_i / gcd(a_i, d), and the lcm is that of the leads.
+    """
+    from .polytope import _lcm_int64, _sorted_rows  # polytope imports this module
+
+    width = r if rank_bound == 1 else r + rank_bound
+    blocks = [np.empty((width + 1, 0), dtype=np.int64)]
+    for m, components in enumerate(decompositions, start=1):
+        if rank_bound == 1:
+            padded = (lam + (0,) * (r - len(lam)) for lam in components)
+        else:
+            padded = (lam + (0,) * (r - len(lam)) + mu + (0,) * (rank_bound - len(mu)) for lam, mu in components)
+        block = np.empty((width + 1, len(components)), dtype=np.int64)
+        block[0] = m
+        block[1:] = np.fromiter(chain.from_iterable(padded), np.int64, block[1:].size).reshape(-1, width).T
+        block //= np.gcd.reduce(block, axis=0)
+        blocks.append(block)
+    matrix = _sorted_rows(np.concatenate(blocks, axis=1))
+    lead = matrix[:, :1]
+    top = int((matrix[:, 1:] // np.gcd(matrix[:, 1:], lead)).max(initial=0))
+    return matrix.astype(_entry_dtype(max(top, 1) * _lcm_int64(lead.ravel())), copy=False)

@@ -9,6 +9,7 @@ coincide the polytope is certified.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -256,27 +257,6 @@ def _row_matrix(rows: Sequence[Sequence], width: int, lead: bool = False) -> np.
     return _sorted_rows(nums)
 
 
-def _key_rows(keys: set[tuple[int, ...]], scale: int, width: int) -> np.ndarray:
-    """``_row_matrix``'s rows of the points key[:width] / scale: (scale, key[:width]) / gcd, sorted.
-
-    Entry x is x / scale = n / d in lowest terms, d = scale / gcd(x, scale),
-    so the dtype follows the bound max(1, max n) * lcm(d), and lcm(d) =
-    scale / gcd(scale, every x).  The nonnegative integer keys are read in
-    int64 unless their largest entry is past it.
-    """
-    values = set().union(*keys)
-    top = max((x // gcd(x, scale) for x in values), default=0)
-    dtype = _entry_dtype(max(top, 1) * (scale // gcd(scale, *values)))
-    length = len(next(iter(keys))) if keys else width
-    read = _entry_dtype(max(values, default=0))
-    flat = np.fromiter(chain.from_iterable(keys), read, len(keys) * length)
-    columns = np.empty((width + 1, len(keys)), dtype=read)
-    columns[0] = scale
-    columns[1:] = flat.reshape(len(keys), length).T[:width]
-    columns //= np.gcd.reduce(columns, axis=0)
-    return _sorted_rows(columns.astype(dtype, copy=False))
-
-
 def _generators(vectors: list[IntVec], row_max: int) -> np.ndarray:
     """The vectors as the columns of a matrix whose products with rows of max|entry| row_max are exact.
 
@@ -321,6 +301,140 @@ def _is_row_matrix(pending, dim: int) -> bool:
     return pending.dtype == np.int64
 
 
+class _Cone:
+    """A double description that can continue: {x : e.x = 0 for all e, a.x >= 0 for each row inserted}.
+
+    The state is the lineality basis, the extreme rays with the bitmask of
+    the inserted rows each is tight on, and the inserted rows in order.  The
+    equations are eliminated first, while there are no rays; ``span`` is the
+    lineality count after them.  ``insert`` passes every row the cone
+    implies, so a cone given a system of which it holds a part inserts only
+    the rest.
+    """
+
+    def __init__(self, dim: int, equations: Iterable[Sequence] = (), ray_cap: int = RAY_CAP):
+        self.dim = dim
+        self.ray_cap = ray_cap
+        self.lineality: list[IntVec] = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+        self.rays: list[tuple[IntVec, int]] = []
+        self.rows: list[IntVec] = []
+        for a in map(_scale_to_int, equations):
+            ds = [_dot(a, l) for l in self.lineality]
+            if any(ds):
+                self.lineality = _restrict(self.lineality, ds)[0]
+        self.span = len(self.lineality)
+
+    def copy(self) -> _Cone:
+        other = copy(self)
+        other.lineality, other.rays, other.rows = self.lineality[:], self.rays[:], self.rows[:]
+        return other
+
+    def insert(self, pending: np.ndarray) -> None:
+        """Insert every row of the integer matrix ``pending`` that the cone does not imply, in its order.
+
+        A cursor walks the matrix in blocks of _SCAN_BLOCK rows, and one
+        matrix product takes each block against the lineality basis and
+        rays (``_generators``, built once per insertion).  A row a is
+        implied when a.l = 0 for every lineality vector l and a.r >= 0 for
+        every ray r; the first row that is not is inserted, driven by its
+        own row of the product.  A row the cone implies is implied by every
+        later, smaller cone, so the cursor passes it for good.
+        """
+        n_rows = len(pending)
+        row_max = int(np.abs(pending).max(initial=0))
+        pos = 0
+        while pos < n_rows and (self.lineality or self.rays):
+            n_lin = len(self.lineality)
+            generators = _generators(self.lineality + [vec for vec, _ in self.rays], row_max)
+            while pos < n_rows:
+                block = _products(pending[pos : pos + _SCAN_BLOCK], generators)
+                live = (block[:, :n_lin] != 0).any(axis=1) | (block[:, n_lin:] < 0).any(axis=1)
+                if live.any():
+                    break
+                pos += len(block)
+            else:
+                break  # the cone implies every row left
+            first = int(live.argmax())
+            ds = list(map(int, block[first].tolist()))  # no float reaches a ray
+            self.rows.append(tuple(pending[pos + first].tolist()))
+            pos += first + 1
+            if any(ds[:n_lin]):
+                self._pivot(ds[:n_lin], ds[n_lin:])
+            else:
+                self._split(ds[n_lin:], n_rows)
+
+    def _pivot(self, lin_ds: list[int], ray_ds: list[int]) -> None:
+        """Insert a row that cuts the lineality: one lineality vector becomes a ray."""
+        new_bit = 1 << (len(self.rows) - 1)
+        self.lineality, l0, d0 = _restrict(self.lineality, lin_ds)
+        rays = []
+        for (vec, zs), d in zip(self.rays, ray_ds):
+            if d:
+                comb = tuple(d0 * x - d * y for x, y in zip(vec, l0))
+                if d0 < 0:
+                    comb = tuple(-x for x in comb)
+                vec = _primitive(comb)
+            rays.append((vec, zs | new_bit))
+        rays.append((l0 if d0 > 0 else tuple(-x for x in l0), new_bit - 1))
+        self.rays = rays
+
+    def _split(self, ray_ds: list[int], n_rows: int) -> None:
+        """Insert a row that leaves the lineality: combine each adjacent positive-negative pair.
+
+        Two rays are adjacent when no other ray is tight on every inserted
+        row they are both tight on.  Their common tight rows and the
+        equations have rank dim - #lineality - 2, so adjacent rays share at
+        least span - #lineality - 2 tight rows; a pair sharing fewer is
+        skipped before the loop over the rays.
+        """
+        new_bit = 1 << (len(self.rows) - 1)
+        rays = self.rays
+        need = self.span - len(self.lineality) - 2
+        pos, zero, neg = [], [], []
+        for (vec, zs), d in zip(rays, ray_ds):
+            if d > 0:
+                pos.append((vec, zs, d))
+            elif d < 0:
+                neg.append((vec, zs, d))
+            else:
+                zero.append((vec, zs | new_bit))
+        combos = []
+        for pv, pz, pd in pos:
+            for nv, nz, nd in neg:
+                common = pz & nz
+                if common.bit_count() < need:
+                    continue
+                blocked = False
+                for vec, zs in rays:
+                    if vec is pv or vec is nv:
+                        continue
+                    if common & zs == common:
+                        blocked = True
+                        break
+                if blocked:
+                    continue
+                comb = _primitive(tuple(pd * x - nd * y for x, y in zip(nv, pv)))
+                combos.append((comb, common | new_bit))
+        self.rays = [(v, z) for v, z, _ in pos] + zero + combos
+        if len(self.rays) > self.ray_cap:
+            raise ResourceLimitError(
+                f"cone_dual: ray count {len(self.rays)} exceeds cap {self.ray_cap} after inserting "
+                f"{len(self.rows)} of {n_rows} inequalities (dim {self.dim})"
+            )
+
+    def result(self) -> tuple[list[IntVec], list[IntVec]]:
+        """The sorted extreme rays, reduced modulo the lineality, and the lineality's echelon basis."""
+        basis = _echelon(self.lineality)
+        seen = set()
+        out_rays = []
+        for vec, _ in self.rays:
+            red = _reduce_mod(vec, basis)
+            if any(red) and red not in seen:
+                seen.add(red)
+                out_rays.append(red)
+        return sorted(out_rays), basis
+
+
 def cone_dual(
     equations: Iterable[Sequence],
     inequalities: Iterable[Sequence] | np.ndarray,
@@ -340,30 +454,21 @@ def cone_dual(
     space, and they are eliminated before any inequality, while there are
     no rays yet.  The inequalities are then inserted in the matrix order
     with the standard double description step, using bitmasks over the
-    inserted inequalities for the adjacency test.
+    inserted inequalities for the adjacency test: ``_Cone.insert``, one
+    forward scan that passes every row the cone already implies.
 
-    The rows are read by one forward scan.  A cursor walks the matrix in
-    blocks of _SCAN_BLOCK rows, and one matrix product takes each block
-    against the current lineality basis and rays, whose matrix
-    (``_generators``) is built once per insertion.  The product runs in
-    float64 while max|row| * max|generator| * dim is below _FLOAT_EXACT =
-    2^53, where every partial sum is an integer float64 holds exactly, and
-    in int64 or Python ints above; the inserted row's products are read
-    back as Python ints, so no float reaches a ray or the lineality.  A
-    row a is implied when a.l = 0 for every lineality vector l and
-    a.r >= 0 for every ray r.  A
-    row that is implied by the current cone is implied by every later,
-    smaller cone, so the cursor passes it for good; the first row that is
-    not implied is inserted, driven by its own row of the product, and the
-    cursor moves to the row after it.  Every row behind the cursor is thus
-    inserted or implied, and each row is read about once, plus one block
-    per insertion.  The output is the same as inserting every row: extreme
-    rays and lineality depend only on the cone, not on redundant rows; the
-    combinatorial adjacency test is valid for any system that defines the
-    cone; and the kept rows go in in the same order, so the ray count at each
-    step, and with it the ray cap, is unchanged.  Each inserted row is
-    appended, as a tuple of ints, to ``inserted`` when it is given; every
-    row the scan passes is in the cone of the rows inserted before it.
+    The scan's block products run in float64 while max|row| *
+    max|generator| * dim is below _FLOAT_EXACT = 2^53, where every partial
+    sum is an integer float64 holds exactly, and in int64 or Python ints
+    above; the inserted row's products are read back as Python ints, so no
+    float reaches a ray or the lineality.  The output is the same as
+    inserting every row: extreme rays and lineality depend only on the
+    cone, not on redundant rows; the combinatorial adjacency test is valid
+    for any system that defines the cone; and the kept rows go in in the
+    same order, so the ray count at each step, and with it the ray cap, is
+    unchanged.  Each inserted row is appended, as a tuple of ints, to
+    ``inserted`` when it is given; every row the scan passes is in the cone
+    of the rows inserted before it.
     """
     pending = inequalities
     if not _is_row_matrix(pending, dim):
@@ -374,98 +479,13 @@ def cone_dual(
     equations = list(equations)
     if any(len(row) != dim for row in equations):
         raise ValueError(f"cone_dual: every equation needs {dim} entries")
-    n_rows = len(pending)
-    row_max = int(np.abs(pending).max(initial=0))
-    lineality: list[IntVec] = [
-        tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
-    ]
-    rays: list[tuple[IntVec, int]] = []
-    nbits = 0
-
-    def pivot(lin_ds: list[int], ray_ds: list[int], new_bit: int):
-        nonlocal lineality, rays
-        lineality, l0, d0 = _restrict(lineality, lin_ds)
-        new_rays = []
-        for (vec, zs), d in zip(rays, ray_ds):
-            if d:
-                comb = tuple(d0 * x - d * y for x, y in zip(vec, l0))
-                if d0 < 0:
-                    comb = tuple(-x for x in comb)
-                vec = _primitive(comb)
-            new_rays.append((vec, zs | new_bit))
-        rays = new_rays
-        rays.append((l0 if d0 > 0 else tuple(-x for x in l0), new_bit - 1))
-
-    def split(ray_ds: list[int], new_bit: int):
-        nonlocal rays
-        pos, zero, neg = [], [], []
-        for (vec, zs), d in zip(rays, ray_ds):
-            if d > 0:
-                pos.append((vec, zs, d))
-            elif d < 0:
-                neg.append((vec, zs, d))
-            else:
-                zero.append((vec, zs | new_bit))
-        combos = []
-        for pv, pz, pd in pos:
-            for nv, nz, nd in neg:
-                common = pz & nz
-                blocked = False
-                for vec, zs in rays:
-                    if vec is pv or vec is nv:
-                        continue
-                    if common & zs == common:
-                        blocked = True
-                        break
-                if blocked:
-                    continue
-                comb = _primitive(tuple(pd * x - nd * y for x, y in zip(nv, pv)))
-                combos.append((comb, common | new_bit))
-        rays = [(v, z) for v, z, _ in pos] + zero + combos
-        if len(rays) > ray_cap:
-            raise ResourceLimitError(
-                f"cone_dual: ray count {len(rays)} exceeds cap {ray_cap} after inserting "
-                f"{nbits} of {n_rows} inequalities (dim {dim})"
-            )
-
-    for a in map(_scale_to_int, equations):
-        ds = [_dot(a, l) for l in lineality]
-        if any(ds):
-            lineality = _restrict(lineality, ds)[0]
-
-    pos = 0
-    while pos < n_rows and (lineality or rays):
-        n_lin = len(lineality)
-        generators = _generators(lineality + [vec for vec, _ in rays], row_max)
-        while pos < n_rows:
-            block = _products(pending[pos : pos + _SCAN_BLOCK], generators)
-            live = (block[:, :n_lin] != 0).any(axis=1) | (block[:, n_lin:] < 0).any(axis=1)
-            if live.any():
-                break
-            pos += len(block)
-        else:
-            break  # the cone implies every row left
-        first = int(live.argmax())
-        ds = list(map(int, block[first].tolist()))  # no float reaches a ray
+    cone = _Cone(dim, equations, ray_cap)
+    try:
+        cone.insert(pending)
+    finally:
         if inserted is not None:
-            inserted.append(tuple(pending[pos + first].tolist()))
-        pos += first + 1
-        bit = 1 << nbits
-        nbits += 1
-        if any(ds[:n_lin]):
-            pivot(ds[:n_lin], ds[n_lin:], bit)
-        else:
-            split(ds[n_lin:], bit)
-
-    basis = _echelon(lineality)
-    seen = set()
-    out_rays = []
-    for vec, _ in rays:
-        red = _reduce_mod(vec, basis)
-        if any(red) and red not in seen:
-            seen.add(red)
-            out_rays.append(red)
-    return sorted(out_rays), basis
+            inserted.extend(cone.rows)
+    return cone.result()
 
 
 @dataclass(frozen=True)
@@ -490,16 +510,32 @@ class Polytope:
         return True
 
 
+def _homogenized(dim: int, equations, inequalities) -> tuple[list[tuple], list[tuple]]:
+    """Rows of the homogenization cone of {x : a.x = b, a.x <= b}: (-b, a); (b, -a), then (1, 0, ...)."""
+    eq_rows = [(-b,) + tuple(a) for a, b in equations]
+    ineq_rows = [(b,) + tuple(-x for x in a) for a, b in inequalities]
+    ineq_rows.append((1,) + (0,) * dim)
+    return eq_rows, ineq_rows
+
+
 def _vertices_from_h(
     dim: int,
     equations: Sequence[tuple[Sequence[int], int]],
     inequalities: Sequence[tuple[Sequence[int], int]],
+    cone: _Cone | None = None,
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """The sorted vertex set of {x : eq, ineq}, via the homogenization cone; errors if unbounded."""
-    eq_rows = [(-b,) + tuple(a) for a, b in equations]
-    ineq_rows = [(b,) + tuple(-x for x in a) for a, b in inequalities]
-    ineq_rows.append((1,) + (0,) * dim)
-    rays, lin = cone_dual(eq_rows, ineq_rows, dim + 1)
+    """The sorted vertex set of {x : eq, ineq}, via the homogenization cone; errors if unbounded.
+
+    A ``cone`` to continue takes each equation as two opposite rows.
+    """
+    eq_rows, ineq_rows = _homogenized(dim, equations, inequalities)
+    if cone is None:
+        rays, lin = cone_dual(eq_rows, ineq_rows, dim + 1)
+    else:
+        _check_cone(cone, dim + 1)
+        pairs = [row for eq in eq_rows for row in (eq, tuple(-x for x in eq))]
+        cone.insert(_row_matrix(ineq_rows + pairs, dim + 1))
+        rays, lin = cone.result()
     if lin:
         raise ValueError("system is unbounded (contains a line)")
     vertices = []
@@ -510,18 +546,44 @@ def _vertices_from_h(
     return tuple(sorted(set(vertices)))
 
 
+def _check_cone(cone, dim: int) -> None:
+    """Refuse a cone to continue that is not a ``_Cone`` of dimension ``dim``."""
+    if not isinstance(cone, _Cone) or cone.dim != dim:
+        got = f"dimension {cone.dim}" if isinstance(cone, _Cone) else type(cone).__name__
+        raise ValueError(f"the cone to continue must be a _Cone of dimension {dim}, not {got}")
+
+
+def _chamber_cone(dim: int, equations, walls) -> _Cone:
+    """The homogenization cone of the chamber {x : eq, walls}, which each outer polytope continues."""
+    eq_rows, wall_rows = _homogenized(dim, equations, walls)
+    cone = _Cone(dim + 1, eq_rows)
+    cone.insert(_row_matrix(wall_rows, dim + 1))
+    return cone
+
+
 def polytope_from_h(
     dim: int,
     equations: Sequence[tuple[Sequence[int], int]],
     inequalities: Sequence[tuple[Sequence[int], int]],
+    *,
+    cone: _Cone | None = None,
 ) -> Polytope:
-    """Bounded polytope from an explicit H description (kept as given, bounds exact)."""
+    """Bounded polytope from an explicit H description (kept as given, bounds exact).
+
+    The vertices are the rays of the homogenization cone (t, x): t b - a.x
+    >= 0 for each inequality, = 0 for each equation, and t >= 0.
+    ``cone``, which only ``pipeline`` passes (a copy of ``_chamber_cone``),
+    is a double description of part of that cone, continued in place; every
+    row it holds must be implied by the given rows.  The vertices are the
+    same, but its rows go in another order than one sorted pass, so the ray
+    count on the way, and with it ``RAY_CAP``, can differ.
+    """
     eqs = tuple((tuple(a), _exact(b)) for a, b in equations)
     ineqs = tuple((tuple(a), _exact(b)) for a, b in inequalities)
-    return Polytope(dim, eqs, ineqs, _vertices_from_h(dim, eqs, ineqs))
+    return Polytope(dim, eqs, ineqs, _vertices_from_h(dim, eqs, ineqs, cone))
 
 
-def hull(points: Iterable[Sequence] | np.ndarray, *, rows: bool = False) -> Polytope:
+def hull(points: Iterable[Sequence] | np.ndarray, *, rows: bool = False, cone: _Cone | None = None) -> Polytope:
     """Convex hull with exact facets, equations, and vertices.
 
     Works in the dual: each point p contributes the constraint c0 + c.p >= 0
@@ -546,6 +608,13 @@ def hull(points: Iterable[Sequence] | np.ndarray, *, rows: bool = False) -> Poly
     the hull of the points inserted before it, so every vertex is an
     inserted row, and ``_inserted_vertices`` picks them out by their tight
     facets.
+
+    ``cone``, which only ``pipeline`` passes, is a double description of
+    dimension dim + 1 to continue in place, its vertices picked from every
+    row it has inserted; every row it holds must be implied by the rows of
+    these points, as the rows of a subset of them are.  The hull is the
+    same, but its rows go in another order than one sorted pass, so the ray
+    count on the way, and with it ``RAY_CAP``, can differ.
     """
     if rows:
         if not isinstance(points, np.ndarray) or points.ndim != 2 or not points.size:
@@ -566,9 +635,17 @@ def hull(points: Iterable[Sequence] | np.ndarray, *, rows: bool = False) -> Poly
         if len(arities) > 1:
             raise ValueError("points have mixed arity")
         (dim,) = arities
-    inserted: list[IntVec] = []
-    # a matrix read from the points is freed once cone_dual returns
-    rays, lin = cone_dual([], points if rows else _row_matrix(points, dim, lead=True), dim + 1, inserted=inserted)
+    # a matrix read from the points is freed once the double description returns
+    matrix = points if rows else _row_matrix(points, dim, lead=True)
+    if cone is None:
+        inserted: list[IntVec] = []
+        rays, lin = cone_dual([], matrix, dim + 1, inserted=inserted)
+    else:
+        _check_cone(cone, dim + 1)
+        cone.insert(matrix)
+        rays, lin = cone.result()
+        inserted = cone.rows
+    del matrix
 
     equations = []
     for l in lin:
@@ -750,13 +827,20 @@ def pipeline(
     call extends it up to that cutoff, so every degree is built and
     decomposed once.  For each cutoff M in the
     schedule, the hull of the normalized component points is computed, from
-    the integer rows ``inner_points(rows=True)`` builds out of its integer
-    keys, so no point becomes a ``Fraction`` on the way; its
+    the integer rows ``inner_points(rows=True)`` builds degree by degree, so
+    no point becomes a ``Fraction`` on the way; its
     faces are matched against test-spectrum triples, and the outer polytope
     cut by the matched inequalities (inside the ambient chamber) is
     intersected with the chamber.  The run stops at the first M where inner
     and outer polytopes agree; the report carries the full history either
     way.
+
+    Each double description is continued, not rebuilt, through the
+    ``cone`` of ``hull`` and ``polytope_from_h``.  The hull's cone carries
+    over from the last cutoff when M is not below it, as the points then
+    grow; it starts empty on the first cutoff and after a higher one.  The
+    chamber's cone (trace equations, walls, homogenizing row) is built once
+    per run, and each outer polytope continues a copy with its matched rows.
     """
     nu = normalize(nu)
     rank_bound = as_int(rank_bound, "rank bound")
@@ -777,15 +861,20 @@ def pipeline(
     inner = None
     report = None
     series: list = []  # filled on the first cutoff, so an empty schedule builds nothing
-    for m_cap in m_schedule:
+    inner_cone = chamber = None
+    for i, m_cap in enumerate(m_schedule):
         matrix = inner_points(nu, r, rank_bound, m_cap, level_cap, degree_cap, series=series, rows=True)
-        inner = hull(matrix, rows=True)
+        if i == 0 or m_cap < m_schedule[i - 1]:
+            inner_cone = _Cone(matrix.shape[1])
+        inner = hull(matrix, rows=True, cone=inner_cone)
         report = facet_match(inner, nu, r, rank_bound)
         extra = [
             (tuple(e["lambda_coeffs"]) + tuple(e["mu_coeffs"]), e["bound"])
             for e in report["matched"]
         ]
-        outer = polytope_from_h(inner.dim, ambient_eqs, ambient_ineqs + extra)
+        if chamber is None:
+            chamber = _chamber_cone(inner.dim, ambient_eqs, ambient_ineqs)
+        outer = polytope_from_h(inner.dim, ambient_eqs, ambient_ineqs + extra, cone=chamber.copy())
         converged = polytopes_equal(inner, outer)
         history.append(
             {

@@ -187,6 +187,10 @@ def _gather(psi: WedgeState) -> _Support:
     Two wedges couple when their masks differ in exactly two bits i < j, and
     the pair adds to the (i, j) entry from the wedge holding i; the
     fermionic sign counts the occupied levels strictly between i and j.
+    Each unordered pair is tested once.  Its term waits with the wedge
+    holding i, so each entry's terms come out by the index of that wedge,
+    then by its partner's: a wedge's partners before it are found in their
+    order before the pass reaches it, and those after it then.
     """
     if not isinstance(psi, WedgeState):
         raise TypeError(f"one_particle_rdm needs a WedgeState, got {type(psi).__name__}")
@@ -201,19 +205,25 @@ def _gather(psi: WedgeState) -> _Support:
             diag[i - 1] += num
             mask |= 1 << i
         masks.append(mask)
-    off = {}
-    for mask, amp in zip(masks, amps):
-        for other_mask, other in zip(masks, amps):
-            moved = mask ^ other_mask
-            low = moved & -moved
-            if moved.bit_count() != 2 or not mask & low:
+    held: list[list] = [[] for _ in amps]  # per wedge, the terms of the pairs in which it holds i
+    for a, (mask, amp) in enumerate(zip(masks, amps)):
+        for b in range(a + 1, len(masks)):
+            moved = mask ^ masks[b]
+            if moved.bit_count() != 2:
                 continue
+            low = moved & -moved
             high = moved ^ low
+            other = amps[b]
+            # both masks hold the same levels strictly between i and j
             sign = amp.sign * other.sign * (-1) ** (mask & (high - 2 * low)).bit_count()
             rad = amp.radicand * other.radicand
-            off.setdefault((low.bit_length() - 1, high.bit_length() - 1), []).append(
-                (sign, rad, _exact_sqrt(rad))
+            held[a if mask & low else b].append(
+                ((low.bit_length() - 1, high.bit_length() - 1), (sign, rad, _exact_sqrt(rad)))
             )
+    off = {}
+    for terms in held:
+        for key, term in terms:
+            off.setdefault(key, []).append(term)
     return _Support(diag, sum(nums), den, off)
 
 

@@ -68,12 +68,14 @@ from paulitope.plethysm import (
     INNER_POINT_DEGREE_CAP,
     INNER_POINT_LEVEL_CAP,
     LatticeCharacter,
+    _check_request,
     _decompose_lattice,
     _entry_dtype,
     _strides,
     character,
     inner_points,
     plethysm_h_series,
+    schur_decompose,
 )
 from paulitope.polynomials import (
     SparsePoly,
@@ -89,6 +91,7 @@ from paulitope.polytope import (
     _exact,
     _lcm_int64,
     _restrict,
+    _sorted_rows,
     facet_match,
     hull,
     polytope_from_h,
@@ -98,6 +101,7 @@ from paulitope.states import (
     Amplitude,
     OneParticleRDM,
     WedgeState,
+    _Support,
     _exact_sqrt,
     level_merged_state,
     occupation_numbers,
@@ -813,6 +817,47 @@ def matrix_verify_vertex(psi: WedgeState, expected_ratio, tolerance: float = 1e-
     if occ and isinstance(occ[0], Fraction):
         return list(occ) == expected
     return max(abs(o - float(e)) for o, e in zip(occ, expected)) <= tolerance
+
+
+# The support pass the package used before it tested each unordered pair of
+# wedges once: an ordered double loop that tests every pair twice and keeps
+# it from the side of the wedge holding the lower level.
+
+
+def ordered_gather(psi: WedgeState) -> _Support:
+    """One pass over the support, each wedge read as the bitmask of its levels.
+
+    Two wedges couple when their masks differ in exactly two bits i < j, and
+    the pair adds to the (i, j) entry from the wedge holding i; the
+    fermionic sign counts the occupied levels strictly between i and j.
+    """
+    if not isinstance(psi, WedgeState):
+        raise TypeError(f"one_particle_rdm needs a WedgeState, got {type(psi).__name__}")
+    amps = list(psi.amplitudes.values())
+    den = math.lcm(*(amp.radicand.denominator for amp in amps))
+    nums = [amp.radicand.numerator * (den // amp.radicand.denominator) for amp in amps]
+    diag = [0] * psi.levels
+    masks = []
+    for subset, num in zip(psi.amplitudes, nums):
+        mask = 0
+        for i in subset:
+            diag[i - 1] += num
+            mask |= 1 << i
+        masks.append(mask)
+    off = {}
+    for mask, amp in zip(masks, amps):
+        for other_mask, other in zip(masks, amps):
+            moved = mask ^ other_mask
+            low = moved & -moved
+            if moved.bit_count() != 2 or not mask & low:
+                continue
+            high = moved ^ low
+            sign = amp.sign * other.sign * (-1) ** (mask & (high - 2 * low)).bit_count()
+            rad = amp.radicand * other.radicand
+            off.setdefault((low.bit_length() - 1, high.bit_length() - 1), []).append(
+                (sign, rad, _exact_sqrt(rad))
+            )
+    return _Support(diag, sum(nums), den, off)
 
 
 # ----------------------------------------------------------------- plethysm
@@ -2005,6 +2050,57 @@ def reference_inner_points(
         )
         for key in sorted(keys)
     ]
+
+
+# The row builder ``inner_points(rows=True)`` used before it built its rows
+# degree by degree: every point times lcm(1..M) as one integer tuple key in
+# a set, read back into the hull's row matrix by ``_key_rows``.
+
+
+def _key_rows(keys: set[tuple[int, ...]], scale: int, width: int) -> np.ndarray:
+    """``_row_matrix``'s rows of the points key[:width] / scale: (scale, key[:width]) / gcd, sorted.
+
+    Entry x is x / scale = n / d in lowest terms, d = scale / gcd(x, scale),
+    so the dtype follows the bound max(1, max n) * lcm(d), and lcm(d) =
+    scale / gcd(scale, every x).  The nonnegative integer keys are read in
+    int64 unless their largest entry is past it.
+    """
+    values = set().union(*keys)
+    top = max((x // gcd(x, scale) for x in values), default=0)
+    dtype = _entry_dtype(max(top, 1) * (scale // gcd(scale, *values)))
+    length = len(next(iter(keys))) if keys else width
+    read = _entry_dtype(max(values, default=0))
+    flat = np.fromiter(itertools.chain.from_iterable(keys), read, len(keys) * length)
+    columns = np.empty((width + 1, len(keys)), dtype=read)
+    columns[0] = scale
+    columns[1:] = flat.reshape(len(keys), length).T[:width]
+    columns //= np.gcd.reduce(columns, axis=0)
+    return _sorted_rows(columns.astype(dtype, copy=False))
+
+
+def key_inner_rows(
+    nu,
+    r: int,
+    rank_bound: int,
+    m_cap: int,
+    level_cap: int = INNER_POINT_LEVEL_CAP,
+    degree_cap: int = INNER_POINT_DEGREE_CAP,
+    *,
+    series: list | None = None,
+) -> np.ndarray:
+    """``inner_points(..., rows=True)`` by the key route: the scaled keys of every degree, then ``_key_rows``."""
+    nu = normalize(nu)
+    _check_request(nu, r, rank_bound, m_cap, level_cap, degree_cap)
+    series = plethysm_h_series(m_cap, character(nu, r), rank_bound, series=series)
+    scale = math.lcm(*range(1, m_cap + 1))
+    keys: set[tuple[int, ...]] = set()
+    for m in range(1, m_cap + 1):
+        step = scale // m
+        for hw in schur_decompose(series[m]):
+            lam, mu = (hw, (m,)) if rank_bound == 1 else hw
+            padded = lam + (0,) * (r - len(lam)) + mu + (0,) * (rank_bound - len(mu))
+            keys.add(tuple(x * step for x in padded))
+    return _key_rows(keys, scale, r if rank_bound == 1 else r + rank_bound)
 
 
 def reference_polytopes_equal(p: Polytope, q: Polytope) -> bool:

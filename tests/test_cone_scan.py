@@ -7,7 +7,9 @@ cursor, in float64 while every product is below 2^53.  Both must insert the
 same rows in the same order, so rays, lineality, and the ray-cap error agree
 exactly, at every block size, including a block of one row.  A hull's
 vertices are read off its inserted rows, so they must equal the vertices of
-its own H-system.
+its own H-system.  The pipeline continues its cones across cutoffs, so
+their rows go in another order than one pass over the whole system; every
+cone it reaches must still be the full-product cone of that system.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from paulitope import polytope
 from paulitope.errors import ResourceLimitError
 from paulitope.fixtures import spin_orbital_inequalities
 from paulitope.polytope import cone_dual, hull, pipeline
-from test_hull_engine import DEGENERATE, _chamber_points, hull_rows
+from test_hull_engine import DEGENERATE, _chamber_points, assert_rows_of_the_system, hull_rows, pipeline_cones
 
 BLOCKS = [1, 2, 3, 5, 512]
 
@@ -78,41 +80,33 @@ PIPELINES = {
 
 
 @pytest.fixture(scope="module")
-def pipeline_calls():
-    """Every (equations, inequalities, dim) each pipeline hands to cone_dual, as handed, and its hull arguments."""
-    calls, points = {}, {}
+def pipeline_references():
+    """Each pipeline's cone systems, in call order, with the full-product cone of each."""
+    references = {}
     for name, ((nu, r, k, schedule), caps) in PIPELINES.items():
-        calls[name], points[name] = [], []
-
-        def recording(equations, inequalities, dim, *rest, into=calls[name], **kwargs):
-            equations = list(equations)
-            if not isinstance(inequalities, np.ndarray):
-                inequalities = list(inequalities)
-            into.append((equations, inequalities, dim))
-            return cone_dual(equations, inequalities, dim, *rest, **kwargs)
-
-        def hull_of(pts, into=points[name], **kwargs):
-            into.append((pts, kwargs))
-            return hull(pts, **kwargs)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polytope, "cone_dual", recording)
-            mp.setattr(polytope, "hull", hull_of)
-            pipeline(nu, r, k, schedule, **caps)
-    return calls, points
+        entries = pipeline_cones(lambda: pipeline(nu, r, k, schedule, **caps))
+        references[name] = [(eqs, ineqs, dim, full_product_cone_dual(eqs, ineqs, dim)) for eqs, ineqs, dim, *_ in entries]
+    return references
 
 
 @pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("name", sorted(PIPELINES))
-def test_pipeline_cone_calls_match_the_full_product_loop(monkeypatch, pipeline_calls, name, block):
-    calls, points = pipeline_calls[0][name], pipeline_calls[1][name]
-    # one hull and one outer system per cutoff; the hull's vertices are among its inserted rows
-    assert len(calls) == 2 * len(points) == 2 * len(PIPELINES[name][0][3])
+def test_pipeline_cone_calls_match_the_full_product_loop(monkeypatch, pipeline_references, name, block):
+    (nu, r, k, schedule), caps = PIPELINES[name]
     monkeypatch.setattr(polytope, "_SCAN_BLOCK", block)
-    for equations, inequalities, dim in calls:
-        assert_same_cone(equations, inequalities, dim)
-    for pts, kwargs in points:
-        assert_vertices_of_own_h_system(pts, **kwargs)
+    entries = pipeline_cones(lambda: pipeline(nu, r, k, schedule, **caps))
+    references = pipeline_references[name]
+    # one hull and one outer polytope per cutoff, each a continued cone
+    assert len(entries) == len(references) == 2 * len(schedule)
+    for (equations, inequalities, dim, reached, rows, poly), reference in zip(entries, references):
+        assert (equations, inequalities, dim) == reference[:3]
+        # every cone the pipeline reaches is the full-product cone of its whole system
+        assert reached == reference[3]
+        assert_rows_of_the_system(rows, inequalities)
+        # no float reaches a ray, a lineality vector or an inserted row
+        assert all(type(x) is int for x in chain.from_iterable(chain(*reached, rows)))
+        if not equations:  # a hull's vertices are among its inserted rows
+            assert poly.vertices == reference_vertices_from_h(poly.dim, poly.equations, poly.facets)
 
 
 def test_hull_mixed_vertices_in_benchmark_order():

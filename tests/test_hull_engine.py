@@ -200,19 +200,44 @@ def test_scale_to_int_matches_frozen_helper():
 # ------------------------------------------------------------ H-systems
 
 
-def _recorded_cone_calls(monkeypatch, run):
-    """Every (equations, inequalities, dim) that ``run`` hands to cone_dual."""
-    calls = []
+def pipeline_cones(run) -> list[tuple]:
+    """What each double description that ``run``'s pipelines continue reaches, with its whole system.
 
-    def recording(equations, inequalities, dim, *rest, **kwargs):
-        equations, inequalities = list(equations), list(inequalities)
-        calls.append((equations, inequalities, dim))
-        return cone_dual(equations, inequalities, dim, *rest, **kwargs)
+    One entry per hull and per outer polytope, in call order: the equations,
+    inequalities (as tuples) and dimension of the system the cone stands
+    for, written out here from the call's arguments; the rays and lineality
+    the continued cone reached; the rows it inserted; and the Polytope the
+    call returned.  A hull's system is its point rows; an outer polytope's
+    is the homogenization cone (t, x) of its H-system: (-b, a) = 0 for each
+    equation, (b, -a) >= 0 for each inequality, and t >= 0.
+    """
+    entries = []
 
-    monkeypatch.setattr(polytope, "cone_dual", recording)
-    run()
-    monkeypatch.undo()
-    return calls
+    def hull_of(points, *, rows=False, cone=None):
+        poly = hull(points, rows=rows, cone=cone)
+        matrix = points if rows else polytope._row_matrix(points, len(points[0]), lead=True)
+        system = ([], [tuple(row) for row in matrix.tolist()], matrix.shape[1])
+        entries.append((*system, cone.result(), cone.rows[:], poly))
+        return poly
+
+    def outer_of(dim, equations, inequalities, *, cone=None):
+        poly = polytope_from_h(dim, equations, inequalities, cone=cone)
+        eqs = [(-b, *a) for a, b in equations]
+        ineqs = [(b, *(-x for x in a)) for a, b in inequalities] + [(1,) + (0,) * dim]
+        entries.append((eqs, ineqs, dim + 1, cone.result(), cone.rows[:], poly))
+        return poly
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "hull", hull_of)
+        mp.setattr(polytope, "polytope_from_h", outer_of)
+        run()
+    return entries
+
+
+def assert_rows_of_the_system(rows, inequalities) -> None:
+    """The inserted rows are distinct primitive rows of the inequalities."""
+    assert len(set(rows)) == len(rows)
+    assert set(rows) <= {oracles._primitive(oracles._scale_to_int(a)) for a in inequalities}
 
 
 def test_h_systems_of_random_hulls_match_reference():
@@ -225,16 +250,19 @@ def test_h_systems_of_random_hulls_match_reference():
             )
 
 
-def test_pipeline_h_systems_match_reference(monkeypatch):
+def test_pipeline_h_systems_match_reference():
     def run():
         pipeline((1, 1, 1), 6, 1, [2, 4])
         pipeline((2, 1), 4, 2, [4], degree_cap=36)
 
-    calls = _recorded_cone_calls(monkeypatch, run)
-    # one hull and one outer system per cutoff; the hull's vertices are among its inserted rows
-    assert len(calls) == 6
-    for equations, inequalities, dim in calls:
-        assert_same_cone(equations, inequalities, dim)
+    entries = pipeline_cones(run)
+    # one hull and one outer polytope per cutoff, each a continued cone
+    assert len(entries) == 6
+    for equations, inequalities, dim, reached, rows, _ in entries:
+        assert reached == reference_cone_dual(equations, inequalities, dim)
+        # the inserted rows alone cut out the cone of the whole system
+        assert reached == reference_cone_dual(equations, rows, dim)
+        assert_rows_of_the_system(rows, inequalities)
 
 
 def test_spin_orbital_outer_polytope_matches_reference():

@@ -1,10 +1,13 @@
-"""Integer hull rows straight from ``inner_points``, against the Fraction path.
+"""Integer hull rows straight from ``inner_points``, against the Fraction path and the key route.
 
-``inner_points(rows=True)`` builds the hull's row matrix from its integer
-keys, and ``hull(matrix, rows=True)`` hands that matrix to ``cone_dual``
-unread.  Both must give exactly what the Fraction points give through
-``polytope._row_matrix(coords, dim, lead=True)`` and ``hull(coords)``: the
-same rows in the same order and dtype, and the same ``Polytope``.
+``inner_points(rows=True)`` builds the hull's row matrix degree by degree,
+one primitive row (m, lam, mu) / gcd per component, and ``hull(matrix,
+rows=True)`` hands that matrix to the double description unread.  Both must
+give exactly what the Fraction points give through
+``polytope._row_matrix(coords, dim, lead=True)`` and ``hull(coords)``, and
+what the former key route gives (every point times lcm(1..M) as a tuple,
+read back by ``_key_rows``, both in tests/oracles.py): the same rows in the
+same order and dtype, and the same ``Polytope``.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from math import lcm
 import numpy as np
 import pytest
 
-from oracles import reference_pipeline
+from oracles import _key_rows, key_inner_rows, reference_pipeline
 from paulitope import plethysm, polytope
-from paulitope.plethysm import inner_points
-from paulitope.polytope import _key_rows, hull, pipeline
+from paulitope.plethysm import _hull_rows, inner_points
+from paulitope.polytope import hull, pipeline
 
 # (nu, r, rank bound), caps, top cutoff: every cutoff 1..top is checked
 SYSTEMS = {
@@ -57,6 +60,7 @@ def test_rows_and_hull_equal_the_fraction_path_at_every_cutoff(name):
         got = inner_points(*system, m_cap, **caps, series=series, rows=True)
         want, coords = _fraction_matrix(system, caps, m_cap, series)
         assert_same_matrix(got, want)
+        assert_same_matrix(got, key_inner_rows(*system, m_cap, **caps, series=series))
         assert hull(got, rows=True) == hull(coords)
 
 
@@ -64,6 +68,7 @@ def test_no_cutoff_gives_an_empty_matrix_of_the_hull_width():
     for system, caps, _ in SYSTEMS.values():
         got = inner_points(*system, 0, **caps, rows=True)
         assert_same_matrix(got, _fraction_matrix(system, caps, 0)[0])
+        assert_same_matrix(got, key_inner_rows(*system, 0, **caps))
 
 
 def _row_bound(coords) -> int:
@@ -85,6 +90,7 @@ def test_rows_past_a_patched_int64_limit_are_python_ints(monkeypatch, name):
         want = _fraction_matrix(system, caps, 4)[0]
         assert got.dtype == dtype
         assert_same_matrix(got, want)
+        assert_same_matrix(got, key_inner_rows(*system, 4, **caps))
         assert pipeline(*system, schedule, **caps) == report
 
 
@@ -97,6 +103,7 @@ def test_keys_past_int64_on_a_small_system(system, m_cap, dtype):
     want, coords = _fraction_matrix(system, caps, m_cap)
     assert got.dtype == dtype
     assert_same_matrix(got, want)
+    assert_same_matrix(got, key_inner_rows(*system, m_cap, **caps))
     assert hull(got, rows=True) == hull(coords)
     assert pipeline(*system, [m_cap], **caps) == reference_pipeline(*system, [m_cap], **caps)
 
@@ -111,6 +118,19 @@ def test_keys_read_as_python_ints_can_still_give_an_int64_matrix(monkeypatch):
         got = _key_rows(keys, 12, 2)
         assert got.dtype == (np.int64 if limit >= 2 else object)
         assert_same_matrix(got, polytope._row_matrix(coords, 2, lead=True))
+
+
+def test_degree_rows_take_the_dtype_of_the_key_route(monkeypatch):
+    # the same points from their degrees: (1, 0) of degree 1, and (1, 1) of
+    # degree 2, which is (1/2, 1/2) and also (2, 2) of degree 4; the rows
+    # are built in int64 and only then follow the bound of 2
+    degrees = [{(1,): 1}, {(1, 1): 1}, {}, {(2, 2): 1, (4,): 1}]
+    keys = {(12, 0, 12), (6, 6, 12)}
+    for limit in range(14):
+        monkeypatch.setattr(plethysm, "_INT64_LIMIT", limit)
+        got = _hull_rows(degrees, 2, 1)
+        assert got.dtype == (np.int64 if limit >= 2 else object)
+        assert_same_matrix(got, _key_rows(keys, 12, 2))
 
 
 def test_an_array_of_plain_points_keeps_its_meaning():

@@ -25,6 +25,7 @@ from paulitope.tableaux import size
 
 RUNS = {
     "c4": (((1, 1, 1), 6, 1, [2, 4]), {}),
+    "c5": (((1, 1, 1), 7, 1, [2, 4, 6, 8]), {}),
     "fermion-r7-m5": (((1, 1, 1), 7, 1, [2, 4, 5]), {}),
     "mixed-r4-m8": (((2, 1), 4, 2, [4, 8]), {"degree_cap": 36}),
     "c6": (((2, 1), 4, 2, [4, 8, 12]), {"degree_cap": 36}),
@@ -95,6 +96,22 @@ def test_schedule_out_of_order_matches_reference():
     # a cutoff below an earlier one sees only its own degrees
     args = ((2, 1), 3, 2, [3, 2, 4])
     assert pipeline(*args) == reference_pipeline(*args)
+
+
+# the hull's cone carries over to a cutoff that is not below the last one,
+# and starts afresh after a higher one
+SCHEDULES = [
+    (((2, 1), 3, 2, [3, 2, 4]), {}),
+    (((2, 1), 4, 2, [4, 4, 8]), {"degree_cap": 36}),
+    (((1, 1, 1), 7, 1, [2, 4, 2, 6]), {}),
+]
+
+
+@pytest.mark.parametrize("run", SCHEDULES, ids=lambda run: "-".join(map(str, run[0][3])))
+def test_repeated_and_falling_cutoffs_match_reference_at_every_prefix(run):
+    (nu, r, k, schedule), caps = run
+    for stop in range(1, len(schedule) + 1):
+        assert pipeline(nu, r, k, schedule[:stop], **caps) == reference_pipeline(nu, r, k, schedule[:stop], **caps)
 
 
 def _box(dim: int, lo, hi) -> tuple:

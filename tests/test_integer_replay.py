@@ -6,7 +6,9 @@ cross-multiplied integers; ``tests/oracles.py`` keeps the matrix route every
 state took before.  Partitions of one size come from a walk that visits
 only them, strip sums read canonical shapes directly, and inversion counts
 are cached per one-line notation.  Results are compared by ``repr``, so an
-exact spectrum must keep its Fractions and a float one every bit.
+exact spectrum must keep its Fractions and a float one every bit.  The
+support pass tests each unordered pair of wedges once; ``tests/oracles.py``
+keeps the ordered double loop that tested every pair twice.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from oracles import (
     filter_partitions_in_box,
     matrix_occupation_numbers,
     matrix_verify_vertex,
+    ordered_gather,
 )
-from paulitope import fixtures
+from paulitope import fixtures, states
 from paulitope.generators import _strip_sum, grassmann_kind1, grassmann_kind2
 from paulitope.permutations import Permutation, _inversions
 from paulitope.states import (
@@ -102,6 +105,51 @@ def test_a_coupled_state_with_a_diagonal_matrix_takes_the_matrix_route():
     assert not _decoupled(psi)
     assert repr(occupation_numbers(psi)) == repr(matrix_occupation_numbers(psi))
     assert verify_vertex(psi, [1, 1, 1, 1]) is matrix_verify_vertex(psi, [1, 1, 1, 1])
+
+
+def _replayed(psi: WedgeState) -> list:
+    """repr of the exact or float RDM, the spectrum and the checks of its own and a raised ratio."""
+    occ = occupation_numbers(psi)
+    raised = [occ[0] + 1, *occ[1:]]
+    return [_outcome(fn, *args) for fn, *args in [(states.one_particle_rdm, psi), (occupation_numbers, psi), (verify_vertex, psi, occ), (verify_vertex, psi, raised)]]
+
+
+def _assert_same_gather(monkeypatch, psis) -> int:
+    """The support, term order and key order included, and every output agree with the ordered pass."""
+    coupled = 0
+    for psi in psis:
+        got, want = _gather(psi), ordered_gather(psi)
+        assert got == want and list(got.off.items()) == list(want.off.items()), psi
+        coupled += bool(got.off)
+        outcome = _replayed(psi)
+        with monkeypatch.context() as mp:
+            mp.setattr(states, "_gather", ordered_gather)
+            assert outcome == _replayed(psi), psi
+    return coupled
+
+
+def test_the_support_pass_matches_the_ordered_pass(monkeypatch):
+    vertex_states = [row["state"] for row in _vertex_rows()]
+    assert _assert_same_gather(monkeypatch, vertex_states) == 70 - 59
+    witnesses = [e.state for n in range(1, 6) for e in grassmann_kind2(n, n + 1).excluded]
+    witnesses += [e.state for n in range(3, 6) for r in range(n + 1, n + 5) for e in grassmann_kind1(n, r).excluded]
+    witnesses = [psi for psi in witnesses if psi is not None]
+    assert len(witnesses) >= 15
+    _assert_same_gather(monkeypatch, witnesses)  # every witness support is decoupled
+    rng = np.random.default_rng(3307)
+    randoms = []
+    for n, r in [(2, 5), (3, 6), (3, 8), (4, 8)]:
+        subsets = list(itertools.combinations(range(1, r + 1), n))
+        for _ in range(60):
+            picks = rng.choice(len(subsets), size=int(rng.integers(2, min(16, len(subsets)) + 1)), replace=False)
+            # squares give exact matrices, other radicands float ones
+            power = int(rng.integers(1, 3))
+            amps = {
+                subsets[int(k)]: amplitude(int(rng.choice([1, -1])), Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 8))) ** power)
+                for k in picks
+            }
+            randoms.append(WedgeState(n, r, amps))
+    assert _assert_same_gather(monkeypatch, randoms) > 200
 
 
 @st.composite

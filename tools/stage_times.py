@@ -75,10 +75,14 @@ each run.  ``decompose`` keeps the dominant weights, their keys and the
 masks both routes read, the split into blocks, the negativity check and
 the dimension check.  In the
 three pipeline modes ``rows`` includes building the hull's integer
-matrix, which ``inner_points(rows=True)`` makes from its integer keys and
-``hull`` takes unread; in older checkouts, whose ``hull`` read Fraction
-points into that matrix, the read is in ``hull``, so across that change
-compare ``rows`` + ``hull``.  The hull mode, on Fraction points, splits ``hull`` into
+matrix, which ``inner_points(rows=True)`` makes degree by degree (in older
+checkouts from integer keys) and ``hull`` takes unread; in older
+checkouts, whose ``hull`` read Fraction points into that matrix, the read
+is in ``hull``, so across that change compare ``rows`` + ``hull``.  Where
+the pipeline continues its double descriptions, ``hull`` holds the
+insertions into the hull's cone carried over from the last cutoff, and
+``outer`` holds both the chamber's cone, built once per run by
+``_chamber_cone``, and each cutoff's insertions into a copy of it.  The hull mode, on Fraction points, splits ``hull`` into
 ``read`` (``_read_entries``, which reads the numerators and denominators
 of every point or row into arrays), ``order`` (``_sorted_rows``, which
 sorts the scaled rows and drops repeats), ``rows`` (the rest of
@@ -134,7 +138,7 @@ PIPELINE_STAGES = {
     "pruned": [(plethysm, "_pruned_block")],
     "hull": [(polytope, "hull")],
     "match": [(polytope, "facet_match")],
-    "outer": [(polytope, "polytope_from_h")],
+    "outer": [(polytope, "polytope_from_h"), (polytope, "_chamber_cone")],
     "equal": [(polytope, "polytopes_equal")],
 }
 # mode -> (pipeline arguments before the schedule, keyword caps, default schedule)
