@@ -32,11 +32,13 @@ from .plethysm import (
 from .tableaux import normalize, size
 
 RAY_CAP = 20000
-# Rows one step of the double description's forward scan takes against the
-# cone.  With float64 products, ``cone_dual`` on the hull-mixed rows takes
-# 4.5, 3.8, 3.6, 4.2, 5.5 and 8.2 ms at 128, 256, 512, 1024, 2048 and 4096
-# (in process, median of 15, 2-vCPU Xeon VM).
-_SCAN_BLOCK = 512
+# The forward scan reads _SCAN_FIRST rows after each insertion and doubles
+# the block while no row is live, up to _SCAN_ENTRIES products a block
+# (256 KB in float64), or _SCAN_FIRST rows where the cone has more columns.
+_SCAN_FIRST = 64
+_SCAN_ENTRIES = 1 << 15
+# Rows of one block of ``_inserted_vertices``' products.
+_VERTEX_BLOCK = 512
 # Products of integer matrices run in float64, on BLAS, when max|row| *
 # max|generator| * dim is below this.  Each term a_i*g_i and every partial
 # sum of a.g is then an integer of magnitude at most sum |a_i||g_i| < 2^53,
@@ -145,7 +147,10 @@ def _read_entries(rows: Sequence[Sequence], width: int, lead: bool, dtype=np.int
     lists.  A block whose entries are all exactly ``Fraction``s is read
     through the ``_numerator`` and ``_denominator`` slots, which a
     comprehension loads at C level where the public properties run Python
-    code.  Any other block is read through the properties, after ``_exact``
+    code, and each of the two lists goes into the array one byte a value,
+    through one ``bytearray``, when all its values are in 0..255
+    (``_entry_array``), and through ``np.fromiter`` otherwise.  Any other
+    block is read through the properties, after ``_exact``
     unless every entry is an int or a ``Fraction`` (a ``Fraction`` subclass
     takes the properties too).  An object read sends every entry through
     ``int()``, so that numpy-int numerators cannot wrap; an int64 read
@@ -160,7 +165,8 @@ def _read_entries(rows: Sequence[Sequence], width: int, lead: bool, dtype=np.int
         block = rows[start : start + _READ_BLOCK]
         stop, size = start + len(block), len(block) * width
         num = [x._numerator for row in block for x in row if type(x) is Fraction]
-        if len(num) == size:
+        slots = len(num) == size
+        if slots:
             den = [x._denominator for row in block for x in row]
         else:
             entries = list(chain.from_iterable(block))
@@ -172,9 +178,24 @@ def _read_entries(rows: Sequence[Sequence], width: int, lead: bool, dtype=np.int
             num, den = map(attrgetter("numerator"), entries), map(attrgetter("denominator"), entries)
         if dtype is object:
             num, den = map(int, num), map(int, den)
-        nums[lead:, start:stop] = np.fromiter(num, dtype, size).reshape(stop - start, width).T
-        dens[:, start:stop] = np.fromiter(den, dtype, size).reshape(stop - start, width).T
+        for out, values in ((nums[lead:], num), (dens, den)):
+            out[:, start:stop] = _entry_array(values, dtype, size, slots).reshape(stop - start, width).T
     return nums, dens, reduced
+
+
+def _entry_array(values, dtype, size: int, slots: bool) -> np.ndarray:
+    """The ``size`` values as a flat array: one byte each when they are slot values all in 0..255.
+
+    ``bytearray`` raises ValueError on any value outside 0..255, and then,
+    as for values not read from the slots or an object read, ``np.fromiter``
+    reads them into ``dtype``.
+    """
+    if slots and dtype is not object:
+        try:
+            return np.frombuffer(bytearray(values), np.uint8)
+        except ValueError:
+            pass
+    return np.fromiter(values, dtype, size)
 
 
 def _sorted_rows(columns: np.ndarray) -> np.ndarray:
@@ -231,8 +252,10 @@ def _row_matrix(rows: Sequence[Sequence], width: int, lead: bool = False) -> np.
     product.
 
     On the 24,526 ``hull-mixed`` points (2-vCPU Xeon VM, in process) the
-    reader takes about 17 ms: 12 for the read, 3 for the scaling (5 with
-    the gcd pass) and 2 for the order.  The one-pass reader it replaced
+    read took 12 ms of a 17 ms reader with every value through
+    ``np.fromiter``, and takes about two thirds of that through bytes,
+    most of it the two slot comprehensions; the scaling takes 3 ms (5
+    with the gcd pass) and the order 2.  The one-pass reader it replaced
     took about 52 ms on a slower day of the same host, with a type check
     over the whole matrix, a reduction along each row and a ``np.lexsort``
     over seven columns.
@@ -332,30 +355,39 @@ class _Cone:
     def insert(self, pending: np.ndarray) -> None:
         """Insert every row of the integer matrix ``pending`` that the cone does not imply, in its order.
 
-        A cursor walks the matrix in blocks of _SCAN_BLOCK rows, and one
-        matrix product takes each block against the lineality basis and
-        rays (``_generators``, built once per insertion).  A row a is
-        implied when a.l = 0 for every lineality vector l and a.r >= 0 for
-        every ray r; the first row that is not is inserted, driven by its
-        own row of the product.  A row the cone implies is implied by every
-        later, smaller cone, so the cursor passes it for good.
+        A cursor walks the matrix in blocks, and one matrix product takes
+        each block against the generators (``_generators``, built once per
+        insertion): the lineality basis, the rays, and the negated
+        lineality basis.  A row a is implied when a.l = 0 for every
+        lineality vector l and a.r >= 0 for every ray r, that is when no
+        product is negative; the first row that is not is inserted, driven
+        by its own products with the basis and the rays, read back as
+        Python ints.  A row the cone implies is implied by every later,
+        smaller cone, so the cursor passes it for good.  The first block
+        after an insertion has _SCAN_FIRST rows, and each block that holds
+        no such row is followed by one twice as long, up to _SCAN_ENTRIES
+        products (or _SCAN_FIRST rows): most insertions come early in the
+        scan, and long blocks cost few numpy calls over the rows after them.
         """
         n_rows = len(pending)
         row_max = int(np.abs(pending).max(initial=0))
         pos = 0
         while pos < n_rows and (self.lineality or self.rays):
-            n_lin = len(self.lineality)
+            n_lin, n_gen = len(self.lineality), len(self.lineality) + len(self.rays)
             generators = _generators(self.lineality + [vec for vec, _ in self.rays], row_max)
+            generators = np.concatenate((generators, -generators[:, :n_lin]), axis=1)
+            step, cap = _SCAN_FIRST, max(_SCAN_FIRST, _SCAN_ENTRIES // generators.shape[1])
             while pos < n_rows:
-                block = _products(pending[pos : pos + _SCAN_BLOCK], generators)
-                live = (block[:, :n_lin] != 0).any(axis=1) | (block[:, n_lin:] < 0).any(axis=1)
+                block = _products(pending[pos : pos + step], generators)
+                live = (block < 0).any(axis=1)
                 if live.any():
                     break
                 pos += len(block)
+                step = min(2 * step, cap)
             else:
                 break  # the cone implies every row left
             first = int(live.argmax())
-            ds = list(map(int, block[first].tolist()))  # no float reaches a ray
+            ds = list(map(int, block[first, :n_gen].tolist()))  # no float reaches a ray
             self.rows.append(tuple(pending[pos + first].tolist()))
             pos += first + 1
             if any(ds[:n_lin]):
@@ -455,7 +487,9 @@ def cone_dual(
     no rays yet.  The inequalities are then inserted in the matrix order
     with the standard double description step, using bitmasks over the
     inserted inequalities for the adjacency test: ``_Cone.insert``, one
-    forward scan that passes every row the cone already implies.
+    forward scan that passes every row the cone already implies, in blocks
+    that start at _SCAN_FIRST rows after each insertion and double while
+    the cone implies every row of them.
 
     The scan's block products run in float64 while max|row| *
     max|generator| * dim is below _FLOAT_EXACT = 2^53, where every partial
@@ -595,7 +629,8 @@ def hull(points: Iterable[Sequence] | np.ndarray, *, rows: bool = False, cone: _
     rows (den, x1*den, ...), den the lcm of a point's denominators, without
     repeats and in lexicographic order, so the input order does not matter.
     ``_row_matrix`` reads it in blocks of points, through the Fraction slots
-    for a block whose coordinates are all exactly Fractions, and sorts it,
+    for a block whose coordinates are all exactly Fractions (one byte a
+    value when they are all in 0..255), and sorts it,
     on one integer key when there are many points; it is int64 when
     max|numerator| * lcm(denominators) fits and holds Python ints otherwise.
     With ``rows=True``, ``points`` is that matrix itself, as
@@ -674,24 +709,30 @@ def _inserted_vertices(rows: list[IntVec], facets: list[IntVec], rank: int) -> t
     orthogonal to, and ``rank`` the dimension of the hull.  A vertex is tight
     on at least ``rank`` facets, and no other point of the hull is tight on
     all of those and more; every point that is not a vertex lies inside a
-    face of which some vertex, an inserted row too, is such a point.  Both
-    products go _SCAN_BLOCK rows at a time, so a hull of thousands of
-    vertices holds no rows-by-facets or rows-by-rows product whole.
+    face of which some vertex, an inserted row too, is such a point.  The
+    tight sets are one bool matrix, filled _VERTEX_BLOCK rows at a time, and
+    the subset counts go block by block of rows against block by block,
+    each block cast to float32 on its own, so a hull of thousands of
+    vertices holds no rows-by-rows product, and no float copy of the tight
+    sets, whole.
     """
-    tight = np.zeros((len(rows), 0), dtype=bool)
+    tight = np.zeros((len(rows), len(facets)), dtype=bool)
     if facets:
         generators = _generators(facets, max(map(abs, chain.from_iterable(rows))))
         points = np.array(rows, dtype=generators.dtype)
-        blocks = (points[i : i + _SCAN_BLOCK] for i in range(0, len(rows), _SCAN_BLOCK))
-        tight = np.concatenate([_products(block, generators) == 0 for block in blocks])
+        for i in range(0, len(rows), _VERTEX_BLOCK):
+            tight[i : i + _VERTEX_BLOCK] = _products(points[i : i + _VERTEX_BLOCK], generators) == 0
     sizes = tight.sum(axis=1)
     kept = np.flatnonzero(sizes >= rank)
-    # float32 counts |T(p) & T(q)| exactly: there are at most RAY_CAP < 2^24 facets
-    tight, sizes = tight[kept].astype(np.float32), sizes[kept]
+    sizes = sizes[kept]
+    blocks = [slice(i, i + _VERTEX_BLOCK) for i in range(0, len(kept), _VERTEX_BLOCK)]
     covered = np.zeros(len(kept), dtype=bool)
-    for i in range(0, len(kept), _SCAN_BLOCK):
-        size = sizes[i : i + _SCAN_BLOCK, None]  # T(p) is inside T(q) when |T(p) & T(q)| = |T(p)|
-        covered[i : i + _SCAN_BLOCK] = ((tight[i : i + _SCAN_BLOCK] @ tight.T == size) & (sizes > size)).any(axis=1)
+    # float32 counts |T(p) & T(q)| exactly: there are at most RAY_CAP < 2^24 facets
+    for b in blocks:
+        block, size = tight[kept[b]].astype(np.float32), sizes[b, None]
+        for c in blocks:  # T(p) is inside T(q) when |T(p) & T(q)| = |T(p)|
+            common = block @ tight[kept[c]].T.astype(np.float32)
+            covered[b] |= ((common == size) & (sizes[c] > size)).any(axis=1)
     return tuple(sorted(tuple(Fraction(x, rows[i][0]) for x in rows[i][1:]) for i in kept[~covered].tolist()))
 
 

@@ -34,7 +34,10 @@ than over contiguous runs.  The Weyl group orbit of the
 alternation is enumerated by ``itertools.permutations``, and the dominant
 weights of a degree are found by testing every entry of its array.  Rational matrices are read into
 integer rows by the object-array reader and by the one-pass int64 reader
-that the block reader replaced.
+that the block reader replaced, and a block of exact ``Fraction``s by
+``np.fromiter`` rather than through one byte each.  The forward scan
+also has its former fixed blocks of 512 rows, tested against the
+lineality basis with two comparisons.
 Sparse polynomial sums, products, substitutions and divided differences
 also have their former code here, which dropped each zero coefficient by
 hand as it arose.
@@ -88,8 +91,11 @@ from paulitope.polytope import (
     IntVec,
     Polytope,
     _ambient_system,
+    _Cone,
     _exact,
+    _generators,
     _lcm_int64,
+    _products,
     _restrict,
     _sorted_rows,
     facet_match,
@@ -1710,6 +1716,80 @@ def attrgetter_row_matrix(rows: Sequence[Sequence], width: int, lead: bool = Fal
     keep = nums.any(axis=1)
     keep[1:] &= (nums[1:] != nums[:-1]).any(axis=1)
     return nums[keep]
+
+
+# The block reader the package used before it read small slot values one
+# byte each: every block's numerators and denominators go through
+# ``np.fromiter``, the slot values of an exact ``Fraction`` block too.
+
+
+def fromiter_read_entries(rows: Sequence[Sequence], width: int, lead: bool, dtype=np.int64, block_rows: int = 2048):
+    """Numerators and denominators of a rational matrix, one column per row, and whether all were reduced.
+
+    As ``polytope._read_entries``: the (lead + width, n) numerators, their
+    first ``lead`` row 1s, the (width, n) denominators, entry j of row i at
+    column i, read ``block_rows`` rows at a time.
+    """
+    n = len(rows)
+    nums = np.empty((lead + width, n), dtype)
+    nums[:lead] = 1
+    dens = np.empty((width, n), dtype)
+    reduced = True
+    for start in range(0, n, block_rows):
+        block = rows[start : start + block_rows]
+        stop, size = start + len(block), len(block) * width
+        num = [x._numerator for row in block for x in row if type(x) is Fraction]
+        if len(num) == size:
+            den = [x._denominator for row in block for x in row]
+        else:
+            entries = list(itertools.chain.from_iterable(block))
+            types = set(map(type, entries))
+            if not all(issubclass(t, (int, Fraction)) for t in types):
+                entries = [_exact(x) for x in entries]
+                types = set(map(type, entries))
+            reduced = reduced and types <= {int, Fraction}
+            num, den = map(attrgetter("numerator"), entries), map(attrgetter("denominator"), entries)
+        if dtype is object:
+            num, den = map(int, num), map(int, den)
+        nums[lead:, start:stop] = np.fromiter(num, dtype, size).reshape(stop - start, width).T
+        dens[:, start:stop] = np.fromiter(den, dtype, size).reshape(stop - start, width).T
+    return nums, dens, reduced
+
+
+# The forward scan the package used before it galloped: every block holds
+# 512 rows, and a row is live when a product with a lineality vector is
+# nonzero or one with a ray is negative.  Its pivot and split steps are the
+# package's own.
+
+FIXED_SCAN_BLOCK = 512
+
+
+class FixedBlockCone(_Cone):
+    """A ``polytope._Cone`` whose insert reads the rows in fixed blocks of FIXED_SCAN_BLOCK."""
+
+    def insert(self, pending: np.ndarray) -> None:
+        n_rows = len(pending)
+        row_max = int(np.abs(pending).max(initial=0))
+        pos = 0
+        while pos < n_rows and (self.lineality or self.rays):
+            n_lin = len(self.lineality)
+            generators = _generators(self.lineality + [vec for vec, _ in self.rays], row_max)
+            while pos < n_rows:
+                block = _products(pending[pos : pos + FIXED_SCAN_BLOCK], generators)
+                live = (block[:, :n_lin] != 0).any(axis=1) | (block[:, n_lin:] < 0).any(axis=1)
+                if live.any():
+                    break
+                pos += len(block)
+            else:
+                break
+            first = int(live.argmax())
+            ds = list(map(int, block[first].tolist()))
+            self.rows.append(tuple(pending[pos + first].tolist()))
+            pos += first + 1
+            if any(ds[:n_lin]):
+                self._pivot(ds[:n_lin], ds[n_lin:])
+            else:
+                self._split(ds[n_lin:], n_rows)
 
 
 # The product the package's double description used before it ran in

@@ -5,7 +5,8 @@ before each insertion, in int64 or Python ints, and copies the rows it does
 not imply; the package reads the sorted rows once, block by block, behind a
 cursor, in float64 while every product is below 2^53.  Both must insert the
 same rows in the same order, so rays, lineality, and the ray-cap error agree
-exactly, at every block size, including a block of one row.  A hull's
+exactly, at every fixed block size, including a block of one row (the
+galloping blocks are tested against fixed ones in test_gallop_scan.py).  A hull's
 vertices are read off its inserted rows, so they must equal the vertices of
 its own H-system.  The pipeline continues its cones across cutoffs, so
 their rows go in another order than one pass over the whole system; every
@@ -33,6 +34,12 @@ from test_hull_engine import DEGENERATE, _chamber_points, assert_rows_of_the_sys
 BLOCKS = [1, 2, 3, 5, 512]
 
 
+def fixed_blocks(monkeypatch, rows):
+    """Make the forward scan read ``rows`` rows a block: its first block, and a cap no larger."""
+    monkeypatch.setattr(polytope, "_SCAN_FIRST", rows)
+    monkeypatch.setattr(polytope, "_SCAN_ENTRIES", 0)
+
+
 def assert_same_cone(equations, inequalities, dim):
     got_rows, want_rows = [], []
     got = cone_dual(equations, inequalities, dim, inserted=got_rows)
@@ -54,7 +61,7 @@ CLOUDS = [(dim, dim + 8, seed) for dim in range(2, 8) for seed in range(2)]
 
 @pytest.mark.parametrize("block", BLOCKS)
 def test_random_clouds_match_the_full_product_loop(monkeypatch, block):
-    monkeypatch.setattr(polytope, "_SCAN_BLOCK", block)
+    fixed_blocks(monkeypatch, block)
     for dim, count, seed in CLOUDS:
         pts = random_rational_points(np.random.default_rng(2000 * dim + seed), count, dim)
         assert_same_cone([], hull_rows(pts), dim + 1)
@@ -64,7 +71,7 @@ def test_random_clouds_match_the_full_product_loop(monkeypatch, block):
 
 @pytest.mark.parametrize("block", BLOCKS)
 def test_degenerate_inputs_match_the_full_product_loop(monkeypatch, block):
-    monkeypatch.setattr(polytope, "_SCAN_BLOCK", block)
+    fixed_blocks(monkeypatch, block)
     for pts in DEGENERATE.values():
         assert_same_cone([], hull_rows(pts), len(pts[0]) + 1)
         assert_vertices_of_own_h_system(pts)
@@ -93,7 +100,7 @@ def pipeline_references():
 @pytest.mark.parametrize("name", sorted(PIPELINES))
 def test_pipeline_cone_calls_match_the_full_product_loop(monkeypatch, pipeline_references, name, block):
     (nu, r, k, schedule), caps = PIPELINES[name]
-    monkeypatch.setattr(polytope, "_SCAN_BLOCK", block)
+    fixed_blocks(monkeypatch, block)
     entries = pipeline_cones(lambda: pipeline(nu, r, k, schedule, **caps))
     references = pipeline_references[name]
     # one hull and one outer polytope per cutoff, each a continued cone
@@ -135,6 +142,16 @@ def test_an_inserted_apex_edge_midpoint_is_not_a_vertex():
     poly = hull(pts)
     assert poly.vertices == tuple(sorted(tuple(map(Fraction, p)) for p in octahedron + [apex]))
     assert poly.vertices == reference_vertices_from_h(4, poly.equations, poly.facets)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 512])
+def test_vertex_blocks_of_any_size_pick_the_same_vertices(monkeypatch, block):
+    # the tight sets' subset counts go block by block of rows against block by block
+    monkeypatch.setattr(polytope, "_VERTEX_BLOCK", block)
+    clouds = [random_rational_points(np.random.default_rng(4000 + dim), 12, dim) for dim in (2, 3, 4)]
+    curves = [[tuple(i**k for k in range(1, dim + 1)) for i in range(1, 13)] for dim in (2, 3)]
+    for pts in clouds + curves + list(DEGENERATE.values()):
+        assert_vertices_of_own_h_system(pts)
 
 
 # ------------------------------------------------------------ product dtype
@@ -217,7 +234,7 @@ def _outcome(engine, equations, inequalities, dim, cap):
 @pytest.mark.parametrize("block", [3, 512])
 @pytest.mark.parametrize("name", sorted(CAPPED))
 def test_every_ray_cap_gives_the_same_outcome(monkeypatch, name, block):
-    monkeypatch.setattr(polytope, "_SCAN_BLOCK", block)
+    fixed_blocks(monkeypatch, block)
     equations, inequalities, dim = CAPPED[name]
     capped = 0
     for cap in range(1, polytope.RAY_CAP + 1):
@@ -273,7 +290,8 @@ def test_hull_reads_each_row_about_once(monkeypatch):
         n_rows += len(polytope._row_matrix(list(inequalities), dim))
         inserted += len(order)
     assert n_rows == 6837
-    assert sum(rows_read) <= n_rows + inserted * polytope._SCAN_BLOCK
+    # the bound of the fixed 512-row blocks the scan read before it galloped
+    assert sum(rows_read) <= n_rows + inserted * 512
 
 
 # ------------------------------------------------------------ input matrix

@@ -11,6 +11,10 @@ which reads both through the public properties, and the one-pass int64
 reader (``oracles.attrgetter_row_matrix``).  On every input here all three
 must give the same matrix, values, dtype and shape; with ``lead`` the reader
 must match the object-array reader on the rows with a leading 1 written out.
+The block read itself, ``polytope._read_entries``, converts the slot values
+of an exact ``Fraction`` block one byte each when they are all in 0..255;
+against ``oracles.fromiter_read_entries``, which sends every block through
+``np.fromiter``, it must give the same arrays, dtypes and ``reduced`` flag.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from oracles import attrgetter_row_matrix, random_rational_points, reference_row_matrix
+from oracles import attrgetter_row_matrix, fromiter_read_entries, random_rational_points, reference_row_matrix
 from paulitope import polytope
 from paulitope.plethysm import inner_points
 from paulitope.polytope import Polytope, cone_dual, hull
@@ -337,3 +341,103 @@ def test_numpy_int_numerators_do_not_wrap():
     rays, lin = cone_dual([], rows, 2)
     assert (rays, lin) == ([(1, 0), (13835058055282163709, 23058430092136939520)], [])
     assert all(type(x) is int for x in rays[1])
+
+
+# ------------------------------------------------------ the byte read
+
+
+def assert_same_entries(monkeypatch, rows, width, lead=False, dtype=np.int64):
+    """``_read_entries`` against the fromiter reader; returns how each bytearray call went, True if it read."""
+    calls = []
+
+    def recording(values):
+        try:
+            out = bytearray(values)
+        except ValueError:
+            calls.append(False)
+            raise
+        calls.append(True)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polytope, "bytearray", recording, raising=False)
+        got = polytope._read_entries(rows, width, lead, dtype)
+    want = fromiter_read_entries(rows, width, lead, dtype, polytope._READ_BLOCK)
+    for g, w in zip(got[:2], want[:2]):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tolist() == w.tolist()
+        if dtype is object:
+            assert all(type(x) is int for x in g.flat)
+    assert got[2] is want[2]
+    return calls
+
+
+@pytest.mark.parametrize("lead", [False, True], ids=["rows", "points"])
+def test_byte_sized_slot_values_are_read_one_byte_each(monkeypatch, lead):
+    # numerators 0 and 255 and denominators 1 and 255 fit a byte; 256 does not,
+    # and numerators and denominators fall back each on its own
+    fits = [(Fraction(0), Fraction(255)), (Fraction(1, 255), Fraction(254, 255))]
+    assert assert_same_entries(monkeypatch, fits, 2, lead) == [True, True]
+    assert assert_same_entries(monkeypatch, fits + [(Fraction(256), Fraction(1))], 2, lead) == [False, True]
+    assert assert_same_entries(monkeypatch, fits + [(Fraction(1, 256), Fraction(0))], 2, lead) == [True, False]
+    assert assert_same_entries(monkeypatch, [(Fraction(256, 257),)], 1, lead) == [False, False]
+
+
+@pytest.mark.parametrize("where", ["start", "end"])
+def test_a_negative_numerator_sends_its_block_to_fromiter(monkeypatch, where):
+    monkeypatch.setattr(polytope, "_READ_BLOCK", 16)
+    rows = [(Fraction(i % 7, i % 5 + 1), Fraction(i % 3), Fraction(1, i % 4 + 1)) for i in range(32)]
+    assert assert_same_entries(monkeypatch, rows, 3) == [True] * 4
+    # the first entry of the second block, or the last entry of the first
+    if where == "start":
+        rows[16] = (Fraction(-1, 3),) + rows[16][1:]
+        want = [True, True, False, True]
+    else:
+        rows[15] = rows[15][:2] + (Fraction(-1, 3),)
+        want = [False, True, True, True]
+    # that block reads its numerators through fromiter, its denominators one byte each
+    assert assert_same_entries(monkeypatch, rows, 3) == want
+    assert assert_same_entries(monkeypatch, rows, 3, lead=True) == want
+
+
+def test_a_byte_block_followed_by_a_wide_one(monkeypatch):
+    monkeypatch.setattr(polytope, "_READ_BLOCK", 4)
+    rows = [(Fraction(i, i + 1), Fraction(1, 3)) for i in range(4)]
+    rows += [(Fraction(300 + i, 7), Fraction(1, 1000)) for i in range(4)]
+    rows += [(Fraction(2**40, 3), Fraction(5, 2))]
+    assert assert_same_entries(monkeypatch, rows, 2) == [True, True, False, False, False, True]
+    assert assert_same_entries(monkeypatch, rows, 2, lead=True) == [True, True, False, False, False, True]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(Ratio(1, 3), Fraction(2, 5)), (Fraction(7, 2), Fraction(1, 2))],
+        [(Skewed(1, 3), Skewed(2, 5)), (Skewed(7, 2), Skewed(0))],
+        [(1, Fraction(2, 5)), (Fraction(7, 2), 3)],
+        [(True, Fraction(2, 5)), (0.5, "1/3")],
+    ],
+    ids=["subclass", "skewed-subclass", "int-fraction", "other-types"],
+)
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+def test_a_block_not_all_exactly_fractions_takes_fromiter(monkeypatch, rows, dtype):
+    assert assert_same_entries(monkeypatch, rows, 2, dtype=dtype) == []
+    assert assert_same_entries(monkeypatch, rows, 2, lead=True, dtype=dtype) == []
+
+
+def test_the_object_read_takes_fromiter(monkeypatch):
+    rows = [(Fraction(1, 3), Fraction(2**70, 5)), (Fraction(0), Fraction(255))]
+    with pytest.raises(OverflowError):
+        polytope._read_entries(rows, 2, True)
+    assert assert_same_entries(monkeypatch, rows, 2, True, object) == []
+    assert assert_same_entries(monkeypatch, rows[1:], 2, True, object) == []
+    # the matrix reader reads it again into Python ints, as the fromiter reader does
+    assert assert_same_matrix(rows, 2, lead=True).dtype == object
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_the_hull_mixed_points_are_read_one_byte_each(monkeypatch, seed):
+    pts = list(_hull_mixed_sorted())
+    random.Random(seed).shuffle(pts)
+    calls = assert_same_entries(monkeypatch, pts, 6, lead=True)
+    assert calls == [True] * (2 * -(-len(pts) // polytope._READ_BLOCK))

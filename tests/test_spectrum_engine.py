@@ -236,7 +236,7 @@ def _stage_times():
     return module
 
 
-@pytest.mark.parametrize("mode", ["pipeline", "tables", "hull", "vertices", "replay"])
+@pytest.mark.parametrize("mode", ["pipeline", "tables", "hull", "curve", "vertices", "replay"])
 def test_every_timed_stage_resolves_to_a_package_name(mode):
     stages = _stage_times().MODES[mode]
     assert stages

@@ -8,6 +8,7 @@ Usage (from the repository root; point PYTHONPATH at another checkout's
     PYTHONPATH=src python3 tools/stage_times.py --mode fermion-4x8 --runs 3
     PYTHONPATH=src python3 tools/stage_times.py --mode tables --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode hull --runs 11
+    PYTHONPATH=src python3 tools/stage_times.py --mode curve --points 80 --dim 4 --runs 3
     PYTHONPATH=src python3 tools/stage_times.py --mode vertices --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode replay --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode series --runs 11
@@ -35,7 +36,11 @@ equality check) on its 24,526 points, which it builds with the
 benchmark's own integer enumeration from ``perfbench/workloads.py``, once
 checked and then ``--runs`` times.  The ``vertices`` mode runs
 ``verify_vertex`` on the 70 rows of the bundled vertex tables, the vertex
-part of the ``replay`` workload, once and then ``--runs`` times.  The ``series`` mode times
+part of the ``replay`` workload, once and then ``--runs`` times.  The
+``curve`` mode runs ``hull`` of the ``--points`` integer points (i, i^2,
+..., i^D), i = 1..N, D the ``--dim`` (40 points in dimension 4 by
+default), whose hull is a cyclic polytope with every point a vertex and
+many facets, once and then ``--runs`` times.  The ``series`` mode times
 ``plethysm_h_series`` alone, one degree per call, on the Newton series of
 four systems: the fermion system to degree 5, the mixed one to degree 8,
 c6 (the mixed system) to degree 12 and Lambda^4 C^8 to degree 8;
@@ -53,7 +58,8 @@ nested in them.  The rest of the run is ``rows`` in the three pipeline modes
 (turning components into the hull's integer rows, and the loop itself) and ``rest`` in the
 other modes (triple reconstruction outside the stages, and the report, in
 the tables mode; the hull's equations, facets and the calls around them in
-the hull mode; the loop over the rows in the vertices mode; in the replay
+the hull mode; the reader's scaling and the hull's tail in the curve
+mode; the loop over the rows in the vertices mode; in the replay
 mode the triples and the reports outside the stages).
 
 A stage lists every function name that has carried it: the Newton
@@ -94,7 +100,9 @@ reader), all three for the outer polytope's inequalities too,
 ``cone_dual`` inserted, and the rest of the outer polytope's
 ``_vertices_from_h``; in older checkouts the hull called
 ``_vertices_from_h`` too, a second double description); ``hull``'s arity
-check before the read is in ``rest``.  The table stages are wrapped where ``coefficients`` calls
+check before the read is in ``rest``.  The curve mode has the hull
+mode's ``read``, ``order`` and ``dual`` and, for ``vertices``, the hull's
+``_inserted_vertices`` alone.  The table stages are wrapped where ``coefficients`` calls
 them, since it imports them by name.  The vertices mode splits each call
 into ``gather`` (``_gather``, the one pass over the support that every
 state makes: level bitmasks, integer diagonal and coupled pairs),
@@ -167,6 +175,12 @@ MODES = {mode: PIPELINE_STAGES for mode in PIPELINES} | {
         "outer": [(polytope, "polytope_from_h")],
         "equal": [(polytope, "polytopes_equal")],
     },
+    "curve": {
+        "read": [(polytope, "_read_entries")],
+        "order": [(polytope, "_sorted_rows")],
+        "dual": [(polytope, "cone_dual")],
+        "vertices": [(polytope, "_inserted_vertices")],
+    },
     "vertices": {
         "gather": [(states, "_gather")],
         "decoupled": [(states, "_diagonal_matches")],
@@ -196,7 +210,7 @@ SERIES = {
     "fermion-4x8": (PIPELINES["fermion-4x8"][0], 8),
 }
 REST = {mode: "rows" for mode in PIPELINES} | {
-    mode: "rest" for mode in ("tables", "hull", "vertices", "replay")
+    mode: "rest" for mode in ("tables", "hull", "curve", "vertices", "replay")
 }
 # modes that clear every cache before each run, as a fresh interpreter starts cold
 COLD = {*PIPELINES, "tables", "replay"}
@@ -285,6 +299,8 @@ def main() -> None:
         "--schedule", type=int, nargs="+", help="pipeline cutoffs, or the series mode's top degrees"
     )
     parser.add_argument("--runs", type=int, default=11)
+    parser.add_argument("--points", type=int, default=40, help="the curve mode's point count")
+    parser.add_argument("--dim", type=int, default=4, help="the curve mode's dimension")
     args = parser.parse_args()
     if args.mode == "series":
         tops = args.schedule or [top for _, top in SERIES.values()]
@@ -299,6 +315,7 @@ def main() -> None:
         if args.mode == "vertices"
         else []
     )
+    curve = [tuple(i**k for k in range(1, args.dim + 1)) for i in range(1, args.points + 1)]
     totals: dict[str, float] = defaultdict(float)
     install(stages, totals)
     samples: dict[str, list[float]] = defaultdict(list)
@@ -312,6 +329,8 @@ def main() -> None:
                 coefficients.verify_table(table)
         elif run_workload:
             run_workload()
+        elif args.mode == "curve":
+            polytope.hull(curve)
         elif args.mode == "vertices":
             for row in vertex_rows:
                 if not states.verify_vertex(row["state"], row["ratio"]):
