@@ -4,15 +4,15 @@ The double description core works on integer vectors with bitmask incidence
 sets, so every hull, vertex, and facet computation is exact.  The pipeline
 alternates between hulls of representation-theoretic inner points and outer
 polytopes cut out by the inequalities those hulls suggest; when the two
-coincide the polytope is certified.
+coincide, which the facet certificates mostly decide alone, the polytope is
+certified.
 """
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import gcd, lcm, prod
 from numbers import Integral
 from operator import attrgetter
@@ -347,11 +347,6 @@ class _Cone:
                 self.lineality = _restrict(self.lineality, ds)[0]
         self.span = len(self.lineality)
 
-    def copy(self) -> _Cone:
-        other = copy(self)
-        other.lineality, other.rays, other.rows = self.lineality[:], self.rays[:], self.rows[:]
-        return other
-
     def insert(self, pending: np.ndarray) -> None:
         """Insert every row of the integer matrix ``pending`` that the cone does not imply, in its order.
 
@@ -544,32 +539,16 @@ class Polytope:
         return True
 
 
-def _homogenized(dim: int, equations, inequalities) -> tuple[list[tuple], list[tuple]]:
-    """Rows of the homogenization cone of {x : a.x = b, a.x <= b}: (-b, a); (b, -a), then (1, 0, ...)."""
-    eq_rows = [(-b,) + tuple(a) for a, b in equations]
-    ineq_rows = [(b,) + tuple(-x for x in a) for a, b in inequalities]
-    ineq_rows.append((1,) + (0,) * dim)
-    return eq_rows, ineq_rows
-
-
 def _vertices_from_h(
     dim: int,
     equations: Sequence[tuple[Sequence[int], int]],
     inequalities: Sequence[tuple[Sequence[int], int]],
-    cone: _Cone | None = None,
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """The sorted vertex set of {x : eq, ineq}, via the homogenization cone; errors if unbounded.
-
-    A ``cone`` to continue takes each equation as two opposite rows.
-    """
-    eq_rows, ineq_rows = _homogenized(dim, equations, inequalities)
-    if cone is None:
-        rays, lin = cone_dual(eq_rows, ineq_rows, dim + 1)
-    else:
-        _check_cone(cone, dim + 1)
-        pairs = [row for eq in eq_rows for row in (eq, tuple(-x for x in eq))]
-        cone.insert(_row_matrix(ineq_rows + pairs, dim + 1))
-        rays, lin = cone.result()
+    """The sorted vertex set of {x : eq, ineq}, via the homogenization cone; errors if unbounded."""
+    eq_rows = [(-b,) + tuple(a) for a, b in equations]
+    ineq_rows = [(b,) + tuple(-x for x in a) for a, b in inequalities]
+    ineq_rows.append((1,) + (0,) * dim)
+    rays, lin = cone_dual(eq_rows, ineq_rows, dim + 1)
     if lin:
         raise ValueError("system is unbounded (contains a line)")
     vertices = []
@@ -587,34 +566,20 @@ def _check_cone(cone, dim: int) -> None:
         raise ValueError(f"the cone to continue must be a _Cone of dimension {dim}, not {got}")
 
 
-def _chamber_cone(dim: int, equations, walls) -> _Cone:
-    """The homogenization cone of the chamber {x : eq, walls}, which each outer polytope continues."""
-    eq_rows, wall_rows = _homogenized(dim, equations, walls)
-    cone = _Cone(dim + 1, eq_rows)
-    cone.insert(_row_matrix(wall_rows, dim + 1))
-    return cone
-
-
 def polytope_from_h(
     dim: int,
     equations: Sequence[tuple[Sequence[int], int]],
     inequalities: Sequence[tuple[Sequence[int], int]],
-    *,
-    cone: _Cone | None = None,
 ) -> Polytope:
     """Bounded polytope from an explicit H description (kept as given, bounds exact).
 
     The vertices are the rays of the homogenization cone (t, x): t b - a.x
-    >= 0 for each inequality, = 0 for each equation, and t >= 0.
-    ``cone``, which only ``pipeline`` passes (a copy of ``_chamber_cone``),
-    is a double description of part of that cone, continued in place; every
-    row it holds must be implied by the given rows.  The vertices are the
-    same, but its rows go in another order than one sorted pass, so the ray
-    count on the way, and with it ``RAY_CAP``, can differ.
+    >= 0 for each inequality, = 0 for each equation, and t >= 0, found by
+    one ``cone_dual`` pass.
     """
     eqs = tuple((tuple(a), _exact(b)) for a, b in equations)
     ineqs = tuple((tuple(a), _exact(b)) for a, b in inequalities)
-    return Polytope(dim, eqs, ineqs, _vertices_from_h(dim, eqs, ineqs, cone))
+    return Polytope(dim, eqs, ineqs, _vertices_from_h(dim, eqs, ineqs))
 
 
 def hull(points: Iterable[Sequence] | np.ndarray, *, rows: bool = False, cone: _Cone | None = None) -> Polytope:
@@ -792,6 +757,20 @@ def _ambient_system(r: int, n_particles: int, rank_bound: int):
     return equations, walls
 
 
+def _chamber_corners(r: int, n_particles: int, rank_bound: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The sorted vertices of the chamber, a product of simplices.
+
+    A coordinate group of g coordinates and trace t has the g corners t / j
+    on its first j coordinates and 0 on the rest, j = 1..g; a chamber
+    corner is one corner of each group.
+    """
+    corners = [
+        [(Fraction(trace, j),) * j + (Fraction(0),) * (end - start - j) for j in range(1, end - start + 1)]
+        for start, end, trace in _coordinate_groups(r, n_particles, rank_bound)
+    ]
+    return tuple(sorted(tuple(chain.from_iterable(parts)) for parts in product(*corners)))
+
+
 def facet_match(poly: Polytope, nu, r: int, rank_bound: int = 1) -> dict:
     """Try to certify every nontrivial face constraint of a hull.
 
@@ -867,21 +846,40 @@ def pipeline(
     One Newton series serves the whole run: each cutoff's ``inner_points``
     call extends it up to that cutoff, so every degree is built and
     decomposed once.  For each cutoff M in the
-    schedule, the hull of the normalized component points is computed, from
+    schedule, the hull I of the normalized component points is computed, from
     the integer rows ``inner_points(rows=True)`` builds degree by degree, so
     no point becomes a ``Fraction`` on the way; its
-    faces are matched against test-spectrum triples, and the outer polytope
-    cut by the matched inequalities (inside the ambient chamber) is
-    intersected with the chamber.  The run stops at the first M where inner
-    and outer polytopes agree; the report carries the full history either
-    way.
+    faces are matched against test-spectrum triples (``facet_match``), and
+    the run stops at the first M where I equals the outer polytope O, the
+    chamber cut by the matched inequalities; the report carries the full
+    history either way.  The hull's double description is continued, not
+    rebuilt, through the ``cone`` of ``hull``: it carries over from the last
+    cutoff when M is not below it, as the points then grow; it starts empty
+    on the first cutoff and after a higher one.
 
-    Each double description is continued, not rebuilt, through the
-    ``cone`` of ``hull`` and ``polytope_from_h``.  The hull's cone carries
-    over from the last cutoff when M is not below it, as the points then
-    grow; it starts empty on the first cutoff and after a higher one.  The
-    chamber's cone (trace equations, walls, homogenizing row) is built once
-    per run, and each outer polytope continues a copy with its matched rows.
+    I always lies in O, since every matched row holds on I and the points
+    lie in the chamber.  Whether O lies in I is decided from the match, in
+    this order (``_converged``); "candidate" and "unmatched" are as
+    ``facet_match`` reports them:
+
+    1. No unmatched candidate: converged.  Every candidate is then matched
+       or ambient (a wall, or implied by the trace equations), so O's rows
+       imply every facet of I and both sides of every equation of I, and O
+       lies in I.
+    2. I is full-dimensional (its equations are the trace equations only)
+       and a candidate is unmatched: not converged.  A facet of a
+       full-dimensional polytope appears in every H-description of it, up
+       to positive scaling modulo the trace equations, which is what
+       ``canonical_inequality`` normalizes; an unmatched facet's form is
+       neither a wall nor a matched row, so it is no facet of O.
+    3. I is lower-dimensional and a chamber corner (``_chamber_corners``)
+       satisfies every matched row but breaks an equation of I: not
+       converged, as that corner lies in O and not in I.
+    4. Otherwise O is built (``polytope_from_h``) and its vertex set is
+       compared with I's.  A lower-dimensional I can equal O with a
+       candidate unmatched: its facets have many forms modulo its own
+       equations, and the walls and matched rows can imply an unmatched
+       form (Lambda^2 C^4 at M = 2, or nu = (1) on three levels at M = 1).
     """
     nu = normalize(nu)
     rank_bound = as_int(rank_bound, "rank bound")
@@ -896,27 +894,19 @@ def pipeline(
     if r < 1 and len(nu) > r:  # nor any character, which refuses this alike
         raise ValueError(f"shape {nu} needs more than {r} levels")
     n_particles = size(nu)
-    ambient_eqs, ambient_ineqs = _ambient_system(r, n_particles, rank_bound)
     history = []
     converged_at = None
     inner = None
     report = None
     series: list = []  # filled on the first cutoff, so an empty schedule builds nothing
-    inner_cone = chamber = None
+    inner_cone = None
     for i, m_cap in enumerate(m_schedule):
         matrix = inner_points(nu, r, rank_bound, m_cap, level_cap, degree_cap, series=series, rows=True)
         if i == 0 or m_cap < m_schedule[i - 1]:
             inner_cone = _Cone(matrix.shape[1])
         inner = hull(matrix, rows=True, cone=inner_cone)
         report = facet_match(inner, nu, r, rank_bound)
-        extra = [
-            (tuple(e["lambda_coeffs"]) + tuple(e["mu_coeffs"]), e["bound"])
-            for e in report["matched"]
-        ]
-        if chamber is None:
-            chamber = _chamber_cone(inner.dim, ambient_eqs, ambient_ineqs)
-        outer = polytope_from_h(inner.dim, ambient_eqs, ambient_ineqs + extra, cone=chamber.copy())
-        converged = polytopes_equal(inner, outer)
+        converged = _converged(inner, report, r, n_particles, rank_bound)
         history.append(
             {
                 "M": m_cap,
@@ -941,3 +931,21 @@ def pipeline(
         "polytope": inner,
         "match": report,
     }
+
+
+def _converged(inner: Polytope, report: dict, r: int, n_particles: int, rank_bound: int) -> bool:
+    """Whether the chamber cut by the rows ``report`` matched is the hull ``inner``, by the cases of ``pipeline``."""
+    if not report["unmatched"]:
+        return True
+    equations, walls = _ambient_system(r, n_particles, rank_bound)
+    if len(inner.equations) == len(equations):
+        return False
+    rows = [(e["lambda_coeffs"] + e["mu_coeffs"], e["bound"]) for e in report["matched"]]
+    for corner in _chamber_corners(r, n_particles, rank_bound):
+        den = lcm(*(x.denominator for x in corner))
+        scaled = tuple(int(x * den) for x in corner)
+        if all(_dot(a, scaled) <= b * den for a, b in rows) and any(
+            _dot(a, scaled) != b * den for a, b in inner.equations
+        ):
+            return False
+    return polytopes_equal(inner, polytope_from_h(inner.dim, equations, walls + rows))

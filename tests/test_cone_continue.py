@@ -89,20 +89,6 @@ def test_rows_the_start_already_implies_insert_nothing():
         assert (cone.result(), cone.rows) == held
 
 
-def test_a_copy_continues_on_its_own():
-    rng = np.random.default_rng(31)
-    dim = 5
-    start, more = _random_rows(rng, 8, dim), _random_rows(rng, 6, dim)
-    equations = _random_rows(rng, 1, dim)
-    cone = _Cone(dim, equations)
-    cone.insert(_row_matrix(start, dim))
-    held = (cone.result(), cone.rows[:])
-    other = cone.copy()
-    other.insert(_row_matrix(start + more, dim))
-    assert (cone.result(), cone.rows) == held
-    assert_same_as_the_union(equations, start + more, dim, other)
-
-
 def test_implicit_equalities_across_the_split_match_the_reference():
     rng = np.random.default_rng(37)
     for dim in range(2, 7):
@@ -150,8 +136,6 @@ def test_a_continued_cone_keeps_the_ray_cap_and_its_counts():
         cone.insert(_row_matrix(rows, 5))
 
 
-def test_hull_and_outer_polytope_refuse_a_cone_of_another_dimension():
+def test_hull_refuses_a_cone_of_another_dimension():
     with pytest.raises(ValueError, match="the cone to continue must be a _Cone of dimension 3, not dimension 4"):
         polytope.hull([(0, 0), (1, 0), (0, 1)], cone=_Cone(4))
-    with pytest.raises(ValueError, match="the cone to continue must be a _Cone of dimension 3, not list"):
-        polytope.polytope_from_h(2, [], [((1, 0), 1), ((0, 1), 1), ((-1, -1), 0)], cone=[])

@@ -201,15 +201,18 @@ def test_scale_to_int_matches_frozen_helper():
 
 
 def pipeline_cones(run) -> list[tuple]:
-    """What each double description that ``run``'s pipelines continue reaches, with its whole system.
+    """What each double description that ``run``'s pipelines build reaches, with its whole system.
 
     One entry per hull and per outer polytope, in call order: the equations,
     inequalities (as tuples) and dimension of the system the cone stands
     for, written out here from the call's arguments; the rays and lineality
-    the continued cone reached; the rows it inserted; and the Polytope the
-    call returned.  A hull's system is its point rows; an outer polytope's
-    is the homogenization cone (t, x) of its H-system: (-b, a) = 0 for each
-    equation, (b, -a) >= 0 for each inequality, and t >= 0.
+    the cone reached; the rows it inserted; and the Polytope the call
+    returned.  A hull's system is its point rows, and its cone the one the
+    pipeline continues; an outer polytope's is the homogenization cone
+    (t, x) of its H-system: (-b, a) = 0 for each equation, (b, -a) >= 0 for
+    each inequality, and t >= 0, which ``polytope_from_h`` builds in one
+    ``cone_dual`` pass, as it is repeated here.  An outer polytope's
+    vertices must be those of the reference's pass.
     """
     entries = []
 
@@ -220,11 +223,13 @@ def pipeline_cones(run) -> list[tuple]:
         entries.append((*system, cone.result(), cone.rows[:], poly))
         return poly
 
-    def outer_of(dim, equations, inequalities, *, cone=None):
-        poly = polytope_from_h(dim, equations, inequalities, cone=cone)
+    def outer_of(dim, equations, inequalities):
+        poly = polytope_from_h(dim, equations, inequalities)
+        assert poly.vertices == reference_vertices_from_h(dim, equations, inequalities)
         eqs = [(-b, *a) for a, b in equations]
         ineqs = [(b, *(-x for x in a)) for a, b in inequalities] + [(1,) + (0,) * dim]
-        entries.append((eqs, ineqs, dim + 1, cone.result(), cone.rows[:], poly))
+        rows: list = []
+        entries.append((eqs, ineqs, dim + 1, cone_dual(eqs, ineqs, dim + 1, inserted=rows), rows, poly))
         return poly
 
     with pytest.MonkeyPatch.context() as mp:
@@ -254,10 +259,14 @@ def test_pipeline_h_systems_match_reference():
     def run():
         pipeline((1, 1, 1), 6, 1, [2, 4])
         pipeline((2, 1), 4, 2, [4], degree_cap=36)
+        pipeline((1, 1), 4, 1, [2])
 
     entries = pipeline_cones(run)
-    # one hull and one outer polytope per cutoff, each a continued cone
-    assert len(entries) == 6
+    # one continued hull cone per cutoff; the facet match decides every
+    # cutoff of the first two runs, and Lambda^2 C^4 at M = 2 builds the one
+    # outer polytope, whose match cannot decide it
+    assert len(entries) == 5
+    assert [bool(equations) for equations, *_ in entries] == [False] * 4 + [True]
     for equations, inequalities, dim, reached, rows, _ in entries:
         assert reached == reference_cone_dual(equations, inequalities, dim)
         # the inserted rows alone cut out the cone of the whole system

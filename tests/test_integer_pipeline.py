@@ -5,7 +5,10 @@ the dominant weights with one Weyl dimension per component, and checks
 equality by Fraction sums, each polytope's vertices against the other's
 facets.  The package decomposes on integer arrays, compares the exact vertex
 sets that every hull and H description carries, and refuses an oversized
-schedule before it builds anything.
+schedule before it builds anything.  The reference builds the outer
+polytope at every cutoff, where the package decides most cutoffs from the
+facet match alone (test_convergence_cases.py), so the runs here cover each
+of the package's cases.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ RUNS = {
     "fermion-r7-m5": (((1, 1, 1), 7, 1, [2, 4, 5]), {}),
     "mixed-r4-m8": (((2, 1), 4, 2, [4, 8]), {"degree_cap": 36}),
     "c6": (((2, 1), 4, 2, [4, 8, 12]), {"degree_cap": 36}),
+    "lambda4-c8": (((1, 1, 1, 1), 8, 1, [2, 4, 6]), {"degree_cap": 40}),
+    "lambda2-c4": (((1, 1), 4, 1, [1, 2, 3]), {}),
+    "nu1-r3": (((1,), 3, 1, [1, 2]), {}),
+    "nu2-r3": (((2,), 3, 1, [1, 2]), {}),
+    "nu11-r5-k2": (((1, 1), 5, 2, [2, 4]), {}),
 }
 
 

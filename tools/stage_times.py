@@ -86,9 +86,14 @@ checkouts from integer keys) and ``hull`` takes unread; in older
 checkouts, whose ``hull`` read Fraction points into that matrix, the read
 is in ``hull``, so across that change compare ``rows`` + ``hull``.  Where
 the pipeline continues its double descriptions, ``hull`` holds the
-insertions into the hull's cone carried over from the last cutoff, and
-``outer`` holds both the chamber's cone, built once per run by
-``_chamber_cone``, and each cutoff's insertions into a copy of it.  The hull mode, on Fraction points, splits ``hull`` into
+insertions into the hull's cone carried over from the last cutoff.  Where
+the facet match decides convergence, ``outer`` and ``equal`` hold only
+what its cases 3 and 4 run: the chamber's corners (``_chamber_corners``)
+and the outer polytope and vertex comparison that case 4 falls back to;
+in older checkouts they hold every cutoff's outer polytope and
+comparison, and where that polytope continued the chamber's cone, built
+once per run by ``_chamber_cone``, which this script no longer times,
+that build falls in ``rows``.  The hull mode, on Fraction points, splits ``hull`` into
 ``read`` (``_read_entries``, which reads the numerators and denominators
 of every point or row into arrays), ``order`` (``_sorted_rows``, which
 sorts the scaled rows and drops repeats), ``rows`` (the rest of
@@ -146,7 +151,7 @@ PIPELINE_STAGES = {
     "pruned": [(plethysm, "_pruned_block")],
     "hull": [(polytope, "hull")],
     "match": [(polytope, "facet_match")],
-    "outer": [(polytope, "polytope_from_h"), (polytope, "_chamber_cone")],
+    "outer": [(polytope, "polytope_from_h"), (polytope, "_chamber_corners")],
     "equal": [(polytope, "polytopes_equal")],
 }
 # mode -> (pipeline arguments before the schedule, keyword caps, default schedule)
