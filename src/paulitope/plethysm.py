@@ -44,8 +44,13 @@ The dict engine it replaced (Jacobi-Trudi plethysms, decomposition by
 peeling) and the former decomposition of a ``SparsePoly`` by binary search
 over its terms are kept as the reference in ``tests/oracles.py``.
 
-Every step is exact.  Dense entries are int64 when a bound on them fits and
-Python integers (``dtype=object``) otherwise, through the same code.
+Every step is exact, through the same code in every integer type.  Each
+degree of the series is stored as int32, int64 or Python integers
+(``dtype=object``), the narrowest its bound fits, and the bound is read from
+the degrees already built (see ``_newton_step``); a degree's alternation sums
+take int64 when |W| times its largest entry fits, Python integers otherwise.
+Other dense entries are int64 when a bound on them fits and Python integers
+otherwise.
 """
 
 from __future__ import annotations
@@ -69,6 +74,8 @@ INNER_POINT_DEGREE_CAP = 24
 
 # Largest entry an int64 array may hold; bounds above it switch to Python ints.
 _INT64_LIMIT = int(np.iinfo(np.int64).max)
+# Largest entry an int32 Newton degree may hold; bounds above it take int64.
+_INT32_LIMIT = int(np.iinfo(np.int32).max)
 # Most (dominant weight, orbit element) pairs one direct alternation block
 # gathers: a block takes max(1, _GATHER_BLOCK // |W|) rows, |W| the order of
 # the Weyl group S_g1 x S_g2 x ..., whose whole orbit each row meets.
@@ -104,8 +111,8 @@ class LatticeCharacter:
     of a group but its last, which the total fixes.  A weight's multiplicity
     sits at its free coordinates; a free position whose last coordinate would
     be negative holds 0, and so does every weight outside the array.  The
-    array is made read-only, and the weight dict and the components are each
-    computed once, on first use.
+    array is made read-only, and the weight dict, the components and the
+    largest absolute entry are each computed once, on first use.
     """
 
     def __init__(self, groups: tuple[int, ...], totals: tuple[int, ...], array: np.ndarray):
@@ -115,8 +122,15 @@ class LatticeCharacter:
         # the weights and components are cached, so the array must not change
         array.flags.writeable = False
 
+    @cached_property
+    def peak(self) -> int:
+        """The largest absolute multiplicity, a Python int, 0 for an empty array."""
+        return max(int(self.array.max(initial=0)), -int(self.array.min(initial=0)))
+
     def dimension(self) -> int:
-        return int(self.array.sum())
+        """The sum of the multiplicities, exact: summed in Python ints where int64 could overflow."""
+        wide = self.array.dtype != object and self.array.size * self.peak > _INT64_LIMIT
+        return int(self.array.sum(dtype=object if wide else None))
 
     def _free_coordinates(self, flat: np.ndarray) -> np.ndarray:
         """Free coordinates, one row each, of the entries at the given flat indices."""
@@ -200,7 +214,10 @@ def plethysm_h_series(
     out at its strides, so a weight is a slice over the leading axes plus
     one flat offset.  The division by m must be exact, and the dimension of
     every degree must be C(k dim f + m - 1, m); either failure raises
-    ArithmeticError.
+    ArithmeticError.  Degree 0 is int64; each degree above it is int32,
+    int64 or Python ints, the narrowest that holds the bound of
+    ``_newton_step``, read from the degrees below it, so the entries built
+    decide, and a series extended across a change of type mixes types.
 
     ``series``, if given, must be a list this function returned or filled
     earlier for the same f and k.  It is extended in place with the degrees
@@ -274,11 +291,18 @@ def _newton_step(
     straight into the accumulator.  That is |f| + k slice-adds per j, not
     |f| k, and the |f| of them run on the smaller array.  The temporary has
     the accumulator's level axes and the rank axes of h_{m-j}, so it is
-    largest at j = 1, (m / (m + 1))^(k-1) of the accumulator.  Every addend
-    is nonnegative (``plethysm_h_series`` refuses a negative multiplicity)
-    and the temporary is added once unshifted (the last weight of C^k is 0
-    on the free coordinates), so its entries are at most the accumulator's
-    and it takes the accumulator's dtype.
+    largest at j = 1, (m / (m + 1))^(k-1) of the accumulator.
+
+    Every addend is nonnegative (``plethysm_h_series`` refuses a negative
+    multiplicity), and Adams_j(f (x) C^k) has dim weights, counted with
+    multiplicity, so every entry of the accumulator, of the temporary, of
+    mult h_{m-j} and of h_m is at most B_m = dim sum_{j=1..m} max(h_{m-j}),
+    each max the cached ``peak`` of a degree already built, by this call or
+    in a series passed in.  The accumulator, the placed copies, the
+    temporary and h_m all take one dtype: int32 when B_m fits it (B_10 of
+    Lambda^4 C^8 is 1.2 10^9, B_11 8.2 10^9), int64 when that fits, and
+    Python ints otherwise.  A degree below of another type is converted as it is
+    placed; B_m bounds its entries, so the conversion is exact.
 
     Each slice-add runs over contiguous memory.  The C-ordered accumulator
     keeps its leading axes apart and is viewed with the rest merged into one
@@ -297,7 +321,8 @@ def _newton_step(
     ndim = series[0].array.ndim
     caps = [[max((wt[a] for wt, _ in factor), default=0) for a in range(ndim)] for factor in factors]
     dim_m = comb(dim + m - 1, m)
-    dtype = _entry_dtype(m * dim_m * prod(factorial(g) for g in groups))
+    bound = dim * sum(term.peak for term in series)
+    dtype = np.int32 if bound <= min(_INT32_LIMIT, _INT64_LIMIT) else _entry_dtype(bound)
     shape = tuple(m * sum(c) + 1 for c in zip(*caps))
     acc = np.zeros(shape, dtype=dtype)
     lead = _kept_axes(shape)
@@ -409,8 +434,8 @@ def _orbit(groups: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return perms, signs
 
 
-def _alternate(key, allowed, groups, strides, values) -> np.ndarray:
-    """Weyl alternation sums sum_w sign(w) f(lam + delta - w(delta)), one per row of ``key``.
+def _alternate(key, allowed, groups, strides, values, dtype) -> np.ndarray:
+    """Weyl alternation sums sum_w sign(w) f(lam + delta - w(delta)), one per row of ``key``, in ``dtype``.
 
     One block of the direct route, with the arguments of ``_pruned_block``:
     every row meets the whole orbit, the cached ``_orbit(groups)``, and a
@@ -418,7 +443,7 @@ def _alternate(key, allowed, groups, strides, values) -> np.ndarray:
     ``_pruned_block`` reads ``key`` and ``allowed``.  It is the route for
     small Weyl groups and the reference for ``_pruned_block``.  ``strides``
     are the flat index steps of the degree's array and ``values`` its flat
-    multiplicities.
+    multiplicities, gathered in their own dtype and signed in ``dtype``.
     """
     perms, signs = _orbit(groups)
     bits = 1 << perms
@@ -426,7 +451,8 @@ def _alternate(key, allowed, groups, strides, values) -> np.ndarray:
     for axis in range(perms.shape[1]):
         valid &= allowed[:, axis, None] & bits[:, axis] != 0
     flat = np.where(valid, (key @ strides)[:, None] + perms @ strides, 0)
-    return (np.where(valid, values[flat], 0) * signs).sum(axis=1)
+    terms = np.multiply(np.where(valid, values[flat], 0), signs, dtype=dtype, casting="unsafe")
+    return terms.sum(axis=1)
 
 
 def _dominant_flat(f: LatticeCharacter) -> np.ndarray:
@@ -495,7 +521,7 @@ def _extend(allowed, stride, g, row, flat, state):
     return row[at], flat[at] + stride * v, np.take(moves, state[at] * g + v)
 
 
-def _pruned_block(key, allowed, groups, strides, values) -> np.ndarray:
+def _pruned_block(key, allowed, groups, strides, values, dtype) -> np.ndarray:
     """The sums of ``_alternate``, over only the orbit elements every free axis allows.
 
     One block of the pruned route.  On free axis i of a group the key is
@@ -508,8 +534,8 @@ def _pruned_block(key, allowed, groups, strides, values) -> np.ndarray:
     of a group takes the value left over; the total fixes its coordinate,
     and the array holds 0 where that is negative.  Each term carries its
     row, flat index, used values and inversion parity forward step by step,
-    and the terms are summed per row exactly, in the dtype of ``values``
-    (int64 or Python ints).  A row's partial permutations at any step are at
+    and the terms are signed and summed per row exactly, in ``dtype`` (int64
+    or Python ints).  A row's partial permutations at any step are at
     most the order of S_g1 x S_g2 x ..., so a block's frontier is at most
     its rows times that order.
     """
@@ -523,7 +549,7 @@ def _pruned_block(key, allowed, groups, strides, values) -> np.ndarray:
             row, flat, state = _extend(allowed[:, axis], strides[axis], g, row, flat, state)
             axis += 1
         parity = (state >> g) ^ ((g - 1 - comb(g, 2)) & 1)  # the last position, see _value_tables
-    terms = values[flat] * (1 - 2 * parity)
+    terms = np.multiply(values[flat], 1 - 2 * parity, dtype=dtype, casting="unsafe")
     # every row keeps its identity term, so each row starts one run of ``row``
     return np.add.reduceat(terms, np.flatnonzero(np.r_[True, row[1:] != row[:-1]]))
 
@@ -545,6 +571,13 @@ def _decompose_lattice(f: LatticeCharacter):
     many orbit elements on either route, so no block holds more terms than
     its budget, a lone row aside.  Only the direct block reads the orbit
     table, so it is built for that route alone.
+
+    Each sum has at most |W| terms of absolute value at most the degree's
+    ``peak``, so the sums are int64 when |W| peak fits and Python ints
+    otherwise, whatever the degree's own dtype: the blocks gather entries
+    in that dtype, int32 for most degrees of a series, and sign and sum
+    them in the sums'.  Their unchecked cast from Python ints to int64
+    raises OverflowError past int64; it cannot wrap.
     """
     free = f._free_coordinates(_dominant_flat(f))
     strides = np.array(_strides(f.array.shape), dtype=np.int64)
@@ -558,16 +591,17 @@ def _decompose_lattice(f: LatticeCharacter):
     admitted = np.minimum(sizes, np.array(f.array.shape, dtype=np.int64) - key) - low
     allowed = ((1 << admitted) - 1) << low
     order = prod(factorial(g) for g in f.groups)
+    dtype = _entry_dtype(order * f.peak)
     if _takes_pruned_route(order):
         block, budget = _pruned_block, _FRONTIER_BUDGET
     else:
         block, budget = _alternate, _GATHER_BLOCK
     rows = max(1, budget // order)
     sums = [
-        block(key[start : start + rows], allowed[start : start + rows], f.groups, strides, values)
+        block(key[start : start + rows], allowed[start : start + rows], f.groups, strides, values, dtype)
         for start in range(0, len(free), rows)
     ]
-    return f._complete(free), np.concatenate(sums) if sums else np.zeros(0, dtype=np.int64)
+    return f._complete(free), np.concatenate(sums) if sums else np.zeros(0, dtype=dtype)
 
 
 def _lattice_degrees(f: SparsePoly) -> list[LatticeCharacter]:

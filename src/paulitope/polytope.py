@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, product
 from math import gcd, lcm, prod
 from numbers import Integral
@@ -737,11 +738,13 @@ def canonical_inequality(
     return scaled[:r], scaled[r:-1], scaled[-1]
 
 
+@lru_cache(maxsize=None)
 def _ambient_system(r: int, n_particles: int, rank_bound: int):
-    """Trace equations (a, b) for a.x = b, and chamber walls (a, b) for a.x <= b.
+    """Trace equations (a, b) for a.x = b, and chamber walls (a, b) for a.x <= b, two tuples.
 
     The walls order each coordinate group and keep its last coordinate
-    non-negative.
+    non-negative.  Both are built once per (r, N, k) and cached, so they
+    are tuples.
     """
     groups = _coordinate_groups(r, n_particles, rank_bound)
     d = groups[-1][1]
@@ -754,7 +757,14 @@ def _ambient_system(r: int, n_particles: int, rank_bound: int):
             if i + 1 < end:
                 vec[i + 1] = 1
             walls.append((tuple(vec), 0))
-    return equations, walls
+    return tuple(equations), tuple(walls)
+
+
+@lru_cache(maxsize=None)
+def _wall_forms(r: int, n_particles: int, rank_bound: int) -> frozenset:
+    """The ``canonical_inequality`` of every chamber wall, built once per (r, N, k)."""
+    _, walls = _ambient_system(r, n_particles, rank_bound)
+    return frozenset(canonical_inequality(a, b, r, n_particles, rank_bound) for a, b in walls)
 
 
 def _chamber_corners(r: int, n_particles: int, rank_bound: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -781,8 +791,7 @@ def facet_match(poly: Polytope, nu, r: int, rank_bound: int = 1) -> dict:
     """
     nu = normalize(nu)
     n_particles = size(nu)
-    _, walls = _ambient_system(r, n_particles, rank_bound)
-    wall_forms = {canonical_inequality(a, b, r, n_particles, rank_bound) for a, b in walls}
+    wall_forms = _wall_forms(r, n_particles, rank_bound)
     candidates = [(a, b, False) for a, b in poly.facets]
     for a, b in poly.equations:
         candidates.append((a, b, True))
@@ -940,7 +949,7 @@ def _converged(inner: Polytope, report: dict, r: int, n_particles: int, rank_bou
     equations, walls = _ambient_system(r, n_particles, rank_bound)
     if len(inner.equations) == len(equations):
         return False
-    rows = [(e["lambda_coeffs"] + e["mu_coeffs"], e["bound"]) for e in report["matched"]]
+    rows = tuple((e["lambda_coeffs"] + e["mu_coeffs"], e["bound"]) for e in report["matched"])
     for corner in _chamber_corners(r, n_particles, rank_bound):
         den = lcm(*(x.denominator for x in corner))
         scaled = tuple(int(x * den) for x in corner)

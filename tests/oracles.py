@@ -65,6 +65,7 @@ from paulitope.generators import (
     InequalityFamily,
     OccupationInequality,
 )
+from paulitope import plethysm
 from paulitope.permutations import Permutation
 from paulitope.plethysm import (
     _GATHER_BLOCK,
@@ -1191,6 +1192,46 @@ def sweep_newton_step(
     return term
 
 
+# The reference steps above keep the a-priori int64 bound; the package sizes
+# each degree from the degrees built before it.
+
+
+def newton_bounds(series) -> list[int]:
+    """B_m = d (max h_0 + ... + max h_{m-1}) of each degree m >= 1, read from these arrays.
+
+    d is the dimension of degree 1, f (x) C^k; the list starts with degree
+    0's entry, 0, which no rule reads.
+    """
+    d = sum(series[1].array.ravel().tolist()) if len(series) > 1 else 0
+    bounds = [0]
+    for term in series[:-1]:
+        bounds.append(bounds[-1] + d * max(term.array.ravel().tolist()))
+    return bounds
+
+
+def newton_dtypes(series) -> list:
+    """The dtype of each degree of a Newton series by the package's rule, from ``newton_bounds``.
+
+    Degree 0 is int64.  Degree m >= 1 is int32 when B_m is at most both
+    limits of ``plethysm``, int64 when it is at most the int64 one, and
+    Python ints otherwise.  The limits are read at the call, so a patched
+    limit counts.
+    """
+    limit32, limit64 = plethysm._INT32_LIMIT, plethysm._INT64_LIMIT
+    dtypes = [np.dtype(np.int64)]
+    for bound in newton_bounds(series)[1:]:
+        narrow = bound <= min(limit32, limit64)
+        dtypes.append(np.dtype(np.int32 if narrow else np.int64 if bound <= limit64 else object))
+    return dtypes
+
+
+def alternation_dtype(term: LatticeCharacter):
+    """The dtype of the alternation sums of a degree: int64 when |W| max |entry| fits, else Python ints."""
+    order = prod(math.factorial(g) for g in term.groups)
+    peak = max(map(abs, term.array.ravel().tolist()), default=0)
+    return np.dtype(np.int64 if order * peak <= plethysm._INT64_LIMIT else object)
+
+
 def cauchy_components(nu, r: int, k: int, m_max: int) -> list[dict]:
     """Highest weights of Sym^m(S_nu C^r (x) C^k), m = 0 .. m_max, by the dict engine.
 
@@ -2224,7 +2265,7 @@ def reference_pipeline(
             (tuple(e["lambda_coeffs"]) + tuple(e["mu_coeffs"]), e["bound"])
             for e in report["matched"]
         ]
-        outer = polytope_from_h(d, ambient_eqs, ambient_ineqs + extra)
+        outer = polytope_from_h(d, ambient_eqs, [*ambient_ineqs, *extra])
         converged = equal(inner, outer)
         history.append(
             {

@@ -214,7 +214,7 @@ def _five_facet_vertex_system():
     equations, walls = polytope._ambient_system(4, 3, 2)
     rows = [(r["lambda_coeffs"] + r["mu_coeffs"], r["bound"]) for r in spin_orbital_inequalities()["rows"]]
     eq_rows = [(-b,) + tuple(a) for a, b in equations]
-    ineq_rows = [(b,) + tuple(-x for x in a) for a, b in walls + rows] + [(1,) + (0,) * 6]
+    ineq_rows = [(b,) + tuple(-x for x in a) for a, b in [*walls, *rows]] + [(1,) + (0,) * 6]
     return eq_rows, ineq_rows, 7
 
 

@@ -104,7 +104,7 @@ def test_case_2_a_full_dimensional_hull_with_an_unmatched_facet_does_not_converg
 def _outer(inner, report, r, n_particles, rank_bound):
     equations, walls = _ambient_system(r, n_particles, rank_bound)
     rows = [(e["lambda_coeffs"] + e["mu_coeffs"], e["bound"]) for e in report["matched"]]
-    return polytope_from_h(inner.dim, equations, walls + rows)
+    return polytope_from_h(inner.dim, equations, [*walls, *rows])
 
 
 def test_case_3_a_corner_of_the_outer_polytope_off_the_hull_does_not_converge():
@@ -152,3 +152,17 @@ def test_chamber_corners_are_the_vertices_of_the_chamber(r, n_particles, rank_bo
     assert corners == polytope_from_h(d, equations, walls).vertices
     assert len(corners) == r * rank_bound
     assert all(type(x) is Fraction for corner in corners for x in corner)
+
+
+def test_the_ambient_system_and_the_wall_forms_are_built_once_per_system_and_immutable():
+    polytope._ambient_system.cache_clear()
+    polytope._wall_forms.cache_clear()
+    pipeline((1, 1, 1), 7, 1, [2, 4, 5])  # three facet matches, two cutoffs past case 1
+    assert polytope._ambient_system.cache_info().misses == 1
+    assert polytope._wall_forms.cache_info().misses == 1
+    equations, walls = _ambient_system(7, 3, 1)
+    assert type(equations) is tuple and type(walls) is tuple
+    assert all(type(a) is tuple for a, _ in equations + walls)
+    forms = polytope._wall_forms(7, 3, 1)
+    assert type(forms) is frozenset
+    assert forms == {polytope.canonical_inequality(a, b, 7, 3) for a, b in walls}

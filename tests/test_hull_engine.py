@@ -278,8 +278,8 @@ def test_spin_orbital_outer_polytope_matches_reference():
     table = spin_orbital_inequalities()
     equations, walls = polytope._ambient_system(4, 3, 2)
     rows = [(r["lambda_coeffs"] + r["mu_coeffs"], r["bound"]) for r in table["rows"]]
-    poly = polytope_from_h(6, equations, walls + rows)
-    assert poly.vertices == reference_vertices_from_h(6, equations, walls + rows)
+    poly = polytope_from_h(6, equations, [*walls, *rows])
+    assert poly.vertices == reference_vertices_from_h(6, equations, [*walls, *rows])
     assert len(poly.vertices) == 14
 
 

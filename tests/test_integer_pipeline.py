@@ -197,7 +197,7 @@ def _table_closure(name: str, drop_first: bool = False):
         points.append(tuple(Fraction(n * x, sum(ratio)) for x in ratio))
     traces, walls = _ambient_system(r, n, 1)
     rows = [(row["lambda_coeffs"], row["bound"]) for row in table["rows"]]
-    return hull(points), polytope_from_h(r, traces, walls + (rows[1:] if drop_first else rows))
+    return hull(points), polytope_from_h(r, traces, [*walls, *(rows[1:] if drop_first else rows)])
 
 
 @pytest.mark.parametrize("name", VERTEX_TABLES)

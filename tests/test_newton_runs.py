@@ -4,7 +4,8 @@ The package merges the accumulator's trailing axes into one run, places
 h_{m-j} at the run's strides and adds each weight's shift as one flat
 slice; the reference (``sweep_h_series`` in tests/oracles.py) adds every
 shift as a strided slice over all axes of the box.  Every degree must come
-out the same: values, dtype, shape, totals, groups and the read-only flag.
+out the same: values, shape, totals, groups and the read-only flag, with the
+dtype the package's rule gives on the reference's arrays (``newton_dtypes``).
 Each test runs with the run length ``_MERGED_RUN`` at both extremes (no
 merge, every axis merged) and at its default, and one test forces every
 number of kept axes in turn.
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import sweep_h_series
+from oracles import newton_dtypes, sweep_h_series
 from paulitope import plethysm
 from paulitope.plethysm import LatticeCharacter, character, plethysm_h_series
 from paulitope.polynomials import SparsePoly
@@ -39,9 +40,12 @@ def _reference(nu, r, k, m_max):
 
 def _assert_same_degrees(got, want):
     assert len(got) == len(want)
+    # the reference keeps the a-priori int64 bound; the package sizes each
+    # degree from the degrees below it, here read from the reference's arrays
+    dtypes = newton_dtypes(want)
     for m, (a, b) in enumerate(zip(got, want)):
         assert a.groups == b.groups and a.totals == b.totals, m
-        assert a.array.dtype == b.array.dtype and a.array.shape == b.array.shape, m
+        assert a.array.dtype == dtypes[m] and a.array.shape == b.array.shape, m
         assert a.array.flags.c_contiguous and not a.array.flags.writeable, m
         assert np.array_equal(a.array, b.array), m
 

@@ -80,11 +80,15 @@ def test_entry_dtype_switches_exactly_above_int64():
 
 
 def test_series_dtype_follows_the_entry_bound(monkeypatch):
-    # f = C^2, k = 1: degree m is bounded by m * C(m + 1, m) * |S_2| = 2m(m + 1)
+    # f = C^2, k = 1: every degree of Sym(C^2) has multiplicities 1, so degree
+    # m is bounded by dim C^2 * (max h_0 + ... + max h_{m-1}) = 2m
     f = character((1,), 2)
-    monkeypatch.setattr(plethysm, "_INT64_LIMIT", 12)
-    dtypes = [term.array.dtype for term in plethysm_h_series(3, f)]
-    assert dtypes == [np.int64, np.int64, np.int64, object]
+    want = plethysm_h_series(3, f)
+    monkeypatch.setattr(plethysm, "_INT64_LIMIT", 4)
+    monkeypatch.setattr(plethysm, "_INT32_LIMIT", 2)
+    got = plethysm_h_series(3, f)
+    assert [term.array.dtype for term in got] == [np.int64, np.int32, np.int64, object]
+    assert [term.weights for term in got] == [term.weights for term in want]
 
 
 def test_python_int_run_equals_int64_run(monkeypatch):

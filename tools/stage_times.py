@@ -6,6 +6,7 @@ Usage (from the repository root; point PYTHONPATH at another checkout's
     PYTHONPATH=src python3 tools/stage_times.py --schedule 8 --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode fermion --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode fermion-4x8 --runs 3
+    PYTHONPATH=src python3 tools/stage_times.py --mode fermion-3x8 --schedule 10 --runs 1
     PYTHONPATH=src python3 tools/stage_times.py --mode tables --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode hull --runs 11
     PYTHONPATH=src python3 tools/stage_times.py --mode curve --points 80 --dim 4 --runs 3
@@ -20,14 +21,18 @@ and then ``--runs`` times; ``--schedule`` defaults to ``8``.  The
 the system of the ``fermion-r7-m5`` benchmark workload, and ``--schedule``
 defaults to that workload's ``2 4 5``.  The ``fermion-4x8`` mode does the
 same with ``pipeline((1, 1, 1, 1), 8, 1, schedule, degree_cap=40)``, the
-eight-level Lambda^4 C^8 system, and ``--schedule`` defaults to ``8``.  The
+eight-level Lambda^4 C^8 system, and ``--schedule`` defaults to ``8``; the
+``fermion-3x8`` mode runs ``pipeline((1, 1, 1), 8, 1, schedule,
+degree_cap=30)``, the Lambda^3 C^8 system, and ``--schedule`` defaults to
+``8`` there too.  With ``--schedule 10`` these two are the dense frontier
+runs at M=10.  The
 ``tables`` mode runs ``verify_table`` on the four bundled coefficient tables,
 the coefficient part of the ``replay`` workload, once and then ``--runs``
 times.  The ``replay`` mode runs the timed part of the ``replay`` benchmark
 workload from ``perfbench/workloads.py`` (the S4 Schubert rows, the four
 coefficient tables, the 70 vertex rows and the two kind-2 families) on
 the row order of seed 0, once checked and then ``--runs`` times.  These
-five modes clear every ``lru_cache`` of the package before each run, the
+six modes clear every ``lru_cache`` of the package before each run, the
 ones behind a stage wrapper included, so that each run pays what a fresh
 interpreter pays, the orbit tables of the Weyl alternation and the cached
 induced spectra included.  The ``hull`` mode runs the timed part of the
@@ -46,15 +51,18 @@ four systems: the fermion system to degree 5, the mixed one to degree 8,
 c6 (the mixed system) to degree 12 and Lambda^4 C^8 to degree 8;
 ``--schedule`` may give the four top degrees instead, in that order.  It
 clears every ``lru_cache`` before each run and prints, per system, the
-median milliseconds of each degree and of the whole series.  The Newton
+median milliseconds of each degree and of the whole series, with the
+process's peak RSS in MB (``ru_maxrss``) as ``peak_rss_mb``.  The Newton
 step's ``_MERGED_RUN`` was chosen with it: patched before the run (from
 ``python -c``, through ``runpy``) to 0, 1,024, 4,096, 16,384 and past every
 box, and compared degree by degree, then on single degrees with the values
 interleaved in one process, since the host's speed drifts between
 invocations by more than nearby values differ.  Every other mode prints
-one JSON object: the median milliseconds of the whole run and of each stage.  A stage's time is the
+one JSON object: the median milliseconds of the whole run and of each
+stage, and ``peak_rss_mb``, the peak RSS of the process in MB over the
+untimed run and the timed ones.  A stage's time is the
 time spent in calls to its functions minus the time of other stages' calls
-nested in them.  The rest of the run is ``rows`` in the three pipeline modes
+nested in them.  The rest of the run is ``rows`` in the four pipeline modes
 (turning components into the hull's integer rows, and the loop itself) and ``rest`` in the
 other modes (triple reconstruction outside the stages, and the report, in
 the tables mode; the hull's equations, facets and the calls around them in
@@ -70,7 +78,7 @@ caches, and, in older checkouts where that property wrapped an
 array-level helper holding the checks, ``_components``; the induced
 spectrum is ``induced_spectrum`` and, where the coefficient reads content
 rows, ``_spectrum``.  Names a checkout does not have are skipped.  In the
-three pipeline modes each route of the Weyl alternation is its own stage,
+four pipeline modes each route of the Weyl alternation is its own stage,
 out of ``decompose``: ``direct`` is ``_alternate``, one call per block of
 rows (or per degree where it walked the blocks itself), which gathers the
 whole orbit and keeps the terms whose keys stay in the box, and
@@ -80,7 +88,7 @@ first block's ``_orbit`` build, as these modes clear the caches before
 each run.  ``decompose`` keeps the dominant weights, their keys and the
 masks both routes read, the split into blocks, the negativity check and
 the dimension check.  In the
-three pipeline modes ``rows`` includes building the hull's integer
+four pipeline modes ``rows`` includes building the hull's integer
 matrix, which ``inner_points(rows=True)`` makes degree by degree (in older
 checkouts from integer keys) and ``hull`` takes unread; in older
 checkouts, whose ``hull`` read Fraction points into that matrix, the read
@@ -135,6 +143,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import sys
 import time
@@ -159,6 +168,7 @@ PIPELINES = {
     "pipeline": (((2, 1), 4, 2), {"degree_cap": 36}, [8]),
     "fermion": (((1, 1, 1), 7, 1), {}, [2, 4, 5]),
     "fermion-4x8": (((1, 1, 1, 1), 8, 1), {"degree_cap": 40}, [8]),
+    "fermion-3x8": (((1, 1, 1), 8, 1), {"degree_cap": 30}, [8]),
 }
 MODES = {mode: PIPELINE_STAGES for mode in PIPELINES} | {
     "tables": {
@@ -297,6 +307,11 @@ def series_times(tops: list[int], runs: int) -> dict:
     return times
 
 
+def peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MB (``ru_maxrss`` is in KB on Linux)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mode", choices=sorted(MODES), default="pipeline")
@@ -309,7 +324,7 @@ def main() -> None:
     args = parser.parse_args()
     if args.mode == "series":
         tops = args.schedule or [top for _, top in SERIES.values()]
-        print(json.dumps(series_times(tops, args.runs)))
+        print(json.dumps(series_times(tops, args.runs) | {"peak_rss_mb": peak_rss_mb()}))
         return
     stages = MODES[args.mode]
     tables = [fixtures.coefficient_table_raw(name) for name in fixtures.COEFFICIENT_TABLES]
@@ -350,7 +365,8 @@ def main() -> None:
         for stage in stages:
             samples[stage].append(totals[stage])
         samples[REST[args.mode]].append(total - sum(totals[stage] for stage in stages))
-    print(json.dumps({key: round(1000 * statistics.median(v), 2) for key, v in samples.items()}))
+    medians = {key: round(1000 * statistics.median(v), 2) for key, v in samples.items()}
+    print(json.dumps(medians | {"peak_rss_mb": peak_rss_mb()}))
 
 
 if __name__ == "__main__":
